@@ -63,8 +63,10 @@ def record_bench():
     Entries land in ``BENCH_obs.json`` unless ``path=`` points elsewhere
     (the parallel-execution benchmarks keep their own
     ``BENCH_parallel.json``). Every entry records the worker count it
-    was measured with (``jobs``, default 1) so sharded and serial
-    numbers are never conflated in the history.
+    was measured with (``jobs``, default 1) and the CPUs the process
+    could run on (``cpus``), so sharded and serial numbers, and numbers
+    from machines of different sizes, are never conflated in the
+    history. Returns the recorded entry.
     """
 
     def recorder(name, path=BENCH_OBS_PATH, **fields):
@@ -78,6 +80,7 @@ def record_bench():
                 data = {}
         entry = dict(fields)
         entry.setdefault("jobs", 1)
+        entry.setdefault("cpus", len(os.sched_getaffinity(0)))
         entry["recorded_at"] = time.strftime("%Y-%m-%dT%H:%M:%S")
         # Append, don't overwrite: the displaced entry joins the new
         # entry's history so the measured trajectory accumulates.
@@ -90,5 +93,6 @@ def record_bench():
         with open(path, "w", encoding="utf-8") as handle:
             json.dump(data, handle, indent=2, sort_keys=True)
             handle.write("\n")
+        return entry
 
     return recorder

@@ -13,6 +13,7 @@ import os
 import time
 
 from repro.parallel import ParallelExecutor, decompose, merge_payloads
+from repro.traces.generator import clear_trace_cache
 
 BENCH_PARALLEL_PATH = os.path.join(
     os.path.dirname(os.path.abspath(__file__)), os.pardir,
@@ -24,6 +25,9 @@ EXPERIMENT = "fig14"
 
 
 def _run_units(jobs):
+    # Both legs start cold: forked workers would otherwise inherit the
+    # traces the serial leg left in this process's trace cache.
+    clear_trace_cache()
     units = decompose(EXPERIMENT, quick=True, seed=1)
     started = time.perf_counter()
     with ParallelExecutor(jobs, quick=True, seed=1) as executor:
@@ -41,9 +45,8 @@ def test_bench_parallel_speedup(record_bench):
     assert sharded_result.to_text() == serial_result.to_text()
     assert stats.degraded == 0
 
-    cpus = os.cpu_count() or 1
     speedup = serial_s / sharded_s if sharded_s > 0 else 0.0
-    record_bench(
+    cpus = record_bench(
         f"parallel_{EXPERIMENT}_jobs{JOBS}",
         path=BENCH_PARALLEL_PATH,
         serial_s=round(serial_s, 3),
@@ -51,8 +54,7 @@ def test_bench_parallel_speedup(record_bench):
         speedup=round(speedup, 3),
         units=len(decompose(EXPERIMENT, quick=True, seed=1)),
         jobs=JOBS,
-        cpus=cpus,
-    )
+    )["cpus"]
     print(
         f"{EXPERIMENT}: serial {serial_s:.2f}s, jobs={JOBS} {sharded_s:.2f}s "
         f"(speedup {speedup:.2f}x on {cpus} cpus)"

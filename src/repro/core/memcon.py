@@ -229,7 +229,7 @@ def simulate_refresh_reduction(
 
         tests_total = int(qualify.sum())
         tests_aborted = int(np.count_nonzero(idle < test_end))
-        tests_failed = int(np.count_nonzero(fails))
+        tests_failed = int(np.count_nonzero(fails & (idle >= test_end)))
         tests_correct = int(np.count_nonzero(idle - start > config.long_interval_ms))
         tests_mispredicted = tests_total - tests_correct
         if tests_total:
@@ -364,7 +364,8 @@ def _simulate_refresh_reduction_loop(
                             (float(idle_until), 1, "ref_transition",
                              {"page": p, "from": "lo_ref", "to": "hi_ref"}))
             if page_fails:
-                tests_failed += 1
+                if idle_until >= test_end:
+                    tests_failed += 1
                 continue
             if idle_until > test_end:
                 lo_time_ms += min(idle_until, window) - test_end

@@ -52,8 +52,7 @@ from typing import Dict, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .. import kernels, obs
-from ..kernels import faultpred
+from .. import obs
 from .faults import (
     _EMPTY_COLUMNS,
     _EMPTY_THRESHOLDS,
@@ -404,33 +403,23 @@ class DisturbMap:
         row_pos, cols, thresholds, true_cell = self._gather(rows)
         if len(cols) == 0:
             return rows[:0], cols
-        if kernels.engaged():
-            # Kernel port of the dose/charge compare below; the numpy
-            # path stays as the equivalence oracle.
-            hit = faultpred.disturb_hit(
-                thresholds, row_pos, pressures,
-                self.config.hc_first,
-                self._interval_factor(refresh_interval_ms),
-                cols, true_cell, content_bits,
-            )
-        else:
-            effective = (
-                thresholds
-                * self.config.hc_first
-                * self._interval_factor(refresh_interval_ms)
-            )
-            hit = pressures[row_pos] >= effective
-            if content_bits is not None:
-                bits = np.asarray(content_bits)
-                width = bits.shape[-1]
-                valid = cols < width
-                safe = np.where(valid, cols, 0)
-                if bits.ndim == 1:
-                    value = bits[safe]
-                else:
-                    value = bits[row_pos, safe]
-                charged = np.where(true_cell, value == 1, value == 0)
-                hit &= valid & charged
+        effective = (
+            thresholds
+            * self.config.hc_first
+            * self._interval_factor(refresh_interval_ms)
+        )
+        hit = pressures[row_pos] >= effective
+        if content_bits is not None:
+            bits = np.asarray(content_bits)
+            width = bits.shape[-1]
+            valid = cols < width
+            safe = np.where(valid, cols, 0)
+            if bits.ndim == 1:
+                value = bits[safe]
+            else:
+                value = bits[row_pos, safe]
+            charged = np.where(true_cell, value == 1, value == 0)
+            hit &= valid & charged
         flip_rows = rows[row_pos[hit]]
         if obs.forensics_active() and obs.trace_active():
             over = np.unique(flip_rows)

@@ -54,8 +54,7 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .. import kernels, obs
-from ..kernels import faultpred
+from .. import obs
 
 #: Registry names for resident-row accounting, shared by FaultMap and
 #: DisturbMap so the gauge reads total dense row state per process.
@@ -621,19 +620,9 @@ class FaultMap:
         adds activation-pressure stress from the read-disturbance channel
         on top of the content-coupling stress; ``None``/``0.0`` keeps the
         pure content predicate, expression-for-expression.
-
-        When a kernels backend is engaged the per-cell loop runs in
-        :mod:`repro.kernels.faultpred` (compiled under numba); the numpy
-        expression below is the reference oracle and the two are pinned
-        bit-identical by the cross-backend equivalence suite.
         """
         if len(cols) == 0:
             return np.zeros(0, dtype=bool)
-        if kernels.engaged():
-            return faultpred.evaluate(
-                cols, thresholds, true_cell, bits, row_pos,
-                self._stress_table(refresh_interval_ms), disturb_stress,
-            )
         width = bits.shape[-1]
         valid = cols < width
         safe = np.where(valid, cols, 0)

@@ -56,7 +56,7 @@ import sys
 import time
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
-from .. import kernels, obs
+from .. import obs
 from ..parallel import (
     CheckpointJournal,
     ParallelExecutor,
@@ -100,18 +100,24 @@ EXPERIMENTS: Dict[str, Callable[..., ExperimentResult]] = {
 }
 
 
-def run_experiments(
-    names: List[str], quick: bool = True, seed: int = 1
-) -> List[ExperimentResult]:
-    """Run the named experiments (or all of them) and return results."""
+def _resolve_names(names: List[str]) -> List[str]:
+    """Expand ``["all"]``; raise ``KeyError`` naming any unknown id."""
     if names == ["all"]:
-        names = list(EXPERIMENTS)
+        return list(EXPERIMENTS)
     unknown = [n for n in names if n not in EXPERIMENTS]
     if unknown:
         raise KeyError(
             f"unknown experiments {unknown}; available: {list(EXPERIMENTS)}"
         )
-    return [EXPERIMENTS[name](quick=quick, seed=seed) for name in names]
+    return names
+
+
+def run_experiments(
+    names: List[str], quick: bool = True, seed: int = 1
+) -> List[ExperimentResult]:
+    """Run the named experiments (or all of them) and return results."""
+    return [EXPERIMENTS[name](quick=quick, seed=seed)
+            for name in _resolve_names(names)]
 
 
 def _configure_logging(verbose: bool, quiet: bool) -> None:
@@ -265,13 +271,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         "--forensics-out", metavar="FILE", default=None,
         help="ledger location (default: <trace stem>.forensics.jsonl)",
     )
-    parser.add_argument(
-        "--backend", choices=list(kernels.BACKENDS), default=None,
-        metavar="NAME",
-        help="hot-kernel backend: auto (numba when usable, else python), "
-        "numba, python, or pyfunc (interpreted kernel paths, for "
-        "equivalence testing); default: auto / $REPRO_KERNELS",
-    )
     verbosity = parser.add_mutually_exclusive_group()
     verbosity.add_argument(
         "-v", "--verbose", action="store_true",
@@ -286,14 +285,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     if args.jobs < 1:
         parser.error("--jobs must be >= 1")
 
-    names = (
-        list(EXPERIMENTS) if args.experiments == ["all"] else args.experiments
-    )
-    unknown = [n for n in names if n not in EXPERIMENTS]
-    if unknown:
-        raise KeyError(
-            f"unknown experiments {unknown}; available: {list(EXPERIMENTS)}"
-        )
+    names = _resolve_names(args.experiments)
 
     if args.forensics and not args.trace:
         # The ledger rides the event trace, so forensics implies one.
@@ -304,18 +296,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         else:
             args.trace = "results.trace.jsonl"
         logger.info("--forensics: tracing to %s", args.trace)
-
-    if args.backend:
-        # Workers inherit the environment under both fork and spawn, so
-        # sharded runs resolve the same backend as the parent.
-        os.environ["REPRO_KERNELS"] = args.backend
-    backend = kernels.set_backend(args.backend)
-    # JIT compilation happens here, before any timed window, and is
-    # reported as its own metric (kernels.warmup_s) rather than riding
-    # the first experiment's span.
-    warmup_s = kernels.warmup()
-    if warmup_s:
-        logger.info("kernels: %s backend, warm-up %.2fs", backend, warmup_s)
 
     parallel = args.jobs > 1
     journaling = parallel or args.resume or bool(args.checkpoint)
@@ -334,8 +314,7 @@ def main(argv: Optional[List[str]] = None) -> int:
                 "live": args.live, "window_ms": args.window_ms,
                 "jobs": args.jobs, "resume": args.resume,
                 "profile": profiling, "profile_mem": args.profile_mem,
-                "forensics": args.forensics,
-                "kernels": kernels.backend_info()},
+                "forensics": args.forensics},
     )
     manifest.trace_path = args.trace
 

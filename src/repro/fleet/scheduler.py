@@ -35,7 +35,6 @@ import time
 from collections import deque
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
-from .. import kernels
 from ..parallel.checkpoint import CheckpointJournal
 from ..parallel.executor import ParallelExecutor
 from ..parallel.units import WorkUnit, decompose, merge_payloads, unit_fingerprint
@@ -82,10 +81,6 @@ class FleetScheduler:
     ) -> None:
         if batch_max < 1:
             raise ValueError("batch_max must be >= 1")
-        # Pay any kernels JIT cost before the dispatch loop starts so the
-        # first host batch's wall time is not charged for compilation
-        # (workers warm up in their own initializer).
-        kernels.warmup()
         self.batch_max = batch_max
         self.on_host_result = on_host_result
         self.on_host_error = on_host_error

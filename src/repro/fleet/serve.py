@@ -18,11 +18,10 @@ from __future__ import annotations
 import argparse
 import asyncio
 import logging
-import os
 import sys
 from typing import List, Optional
 
-from .. import kernels, obs
+from .. import obs
 from ..traces.generator import set_trace_cache_limit
 from .server import FleetHTTPServer, FleetService
 
@@ -53,10 +52,6 @@ def build_parser() -> argparse.ArgumentParser:
                         metavar="N", help="synthetic-trace LRU cache size")
     parser.add_argument("--manifest", default=None, metavar="PATH",
                         help="write the run manifest here on shutdown")
-    parser.add_argument("--backend", choices=list(kernels.BACKENDS),
-                        default=None, metavar="NAME",
-                        help="hot-kernel backend for the service and its "
-                             "workers (default: auto / $REPRO_KERNELS)")
     parser.add_argument("-v", "--verbose", action="store_true",
                         help="log at INFO instead of WARNING")
     return parser
@@ -78,10 +73,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     )
     registry = obs.MetricsRegistry(enabled=True)
     obs.set_registry(registry)
-    if args.backend:
-        # Propagates to simulation workers through the environment.
-        os.environ["REPRO_KERNELS"] = args.backend
-        kernels.set_backend(args.backend)
     if args.trace_cache is not None:
         set_trace_cache_limit(args.trace_cache)
     service = FleetService(

@@ -20,7 +20,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .. import kernels, obs
+from .. import obs
 from ..dram.timing import DDR3_1600, TimingParameters
 from .bank import (
     BankActivationLog,
@@ -202,30 +202,6 @@ class MemoryController:
         self._test_schedule = (
             None if interval is None else ArrivalSchedule(interval, interval)
         )
-        # Kernel path: int64/float64 mirrors of per-bank (ready, open
-        # row) shared with the scheduler's compiled scans. Synced at the
-        # four mutation sites (service_request, issue_refresh, row
-        # refresh, TRR); -1 encodes a precharged bank.
-        if kernels.engaged():
-            self._bank_ready = np.zeros(banks, dtype=np.float64)
-            self._bank_open = np.full(banks, -1, dtype=np.int64)
-            self.scheduler.attach_bank_state(
-                self._bank_ready, self._bank_open
-            )
-        else:
-            self._bank_ready = None
-            self._bank_open = None
-
-    def _sync_bank(self, index: int) -> None:
-        """Refresh one bank's kernel mirror from its BankState."""
-        bank = self.banks[index]
-        self._bank_ready[index] = bank.ready_ns
-        row = bank.open_row
-        self._bank_open[index] = -1 if row is None else row
-
-    def _sync_all_banks(self) -> None:
-        for index in range(len(self.banks)):
-            self._sync_bank(index)
 
     # ------------------------------------------------------------------
     @property
@@ -301,8 +277,6 @@ class MemoryController:
         if schedule is not None and now_ns >= schedule.next_ns:
             due = schedule.next_ns
             issue_refresh(self.rank, self.banks, max(due, now_ns), self.timing)
-            if self._bank_ready is not None:
-                self._sync_all_banks()
             if self._registry.enabled:
                 self._pend_refreshes += 1
             if obs.trace_active():
@@ -310,11 +284,7 @@ class MemoryController:
                          channel=self.channel)
             schedule.advance()
         if self.row_refresh is not None:
-            if (
-                self.row_refresh.tick(now_ns, self.banks)
-                and self._bank_ready is not None
-            ):
-                self._sync_all_banks()
+            self.row_refresh.tick(now_ns, self.banks)
         # 2. Inject background test traffic on its schedule. The bank/row
         # draws stay scalar and per-injection so the RNG stream matches
         # the historical one draw-pair-per-request order.
@@ -340,12 +310,8 @@ class MemoryController:
                     bank, self.rank, request.row, now_ns, self.timing,
                 )
                 request.completion_ns = done
-                if self._bank_ready is not None:
-                    self._sync_bank(request.bank)
                 if self.trr is not None:
                     fired = self.trr.observe(bank, request.row, now_ns)
-                    if fired and self._bank_ready is not None:
-                        self._sync_bank(request.bank)
                     if (
                         fired
                         and obs.trace_active()

@@ -26,10 +26,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Deque, Dict, List, Optional, Sequence, Tuple
 
-import numpy as np
-
 from .. import obs
-from ..kernels import sched as _ksched
 from .bank import BankState
 from .request import Request, RequestKind
 
@@ -102,41 +99,6 @@ class FrFcfsScheduler:
         self._c_enqueued = registry.counter("mc.sched.enqueued")
         self._c_rejected = registry.counter("mc.sched.rejected")
         self._c_drains = registry.counter("mc.sched.write_drains")
-        # Kernel-path state (attach_bank_state): typed-array ring per
-        # kind plus per-bank mirrors of ready/open/min-arrival/count.
-        # None until a controller with an engaged kernels backend
-        # attaches — standalone schedulers keep the pure-python path.
-        self._k_rings: Optional[Dict[RequestKind, _ksched.KindRing]] = None
-        self._k_ready: Optional[np.ndarray] = None
-        self._k_open: Optional[np.ndarray] = None
-        self._k_min: Optional[np.ndarray] = None
-        self._k_cnt: Optional[np.ndarray] = None
-        self._k_done: Optional[np.ndarray] = None
-
-    # ------------------------------------------------------------------
-    def attach_bank_state(
-        self, ready_ns: np.ndarray, open_rows: np.ndarray
-    ) -> None:
-        """Engage the compiled pick/earliest path over shared bank arrays.
-
-        ``ready_ns`` (float64) and ``open_rows`` (int64, -1 for
-        precharged) are owned and kept current by the controller; the
-        scheduler maintains the per-kind rings and per-bank min-arrival
-        and count mirrors. Must be called while the queues are empty.
-        """
-        if self.pending:
-            raise ValueError("attach_bank_state requires empty queues")
-        n_banks = len(ready_ns)
-        self._k_rings = {
-            RequestKind.READ: _ksched.KindRing(),
-            RequestKind.WRITE: _ksched.KindRing(),
-            RequestKind.TEST: _ksched.KindRing(),
-        }
-        self._k_ready = ready_ns
-        self._k_open = open_rows
-        self._k_min = np.full(n_banks, float("inf"), dtype=np.float64)
-        self._k_cnt = np.zeros(n_banks, dtype=np.int64)
-        self._k_done = np.zeros(n_banks, dtype=np.bool_)
 
     # ------------------------------------------------------------------
     def flush_metrics(self) -> None:
@@ -176,12 +138,6 @@ class FrFcfsScheduler:
         bucket.count += 1
         if request.arrival_ns < bucket.min_arrival:
             bucket.min_arrival = request.arrival_ns
-        if self._k_rings is not None:
-            self._k_rings[kind].append(
-                self._seq, request.bank, request.row, request.arrival_ns
-            )
-            self._k_min[request.bank] = bucket.min_arrival
-            self._k_cnt[request.bank] = bucket.count
         self._seq += 1
         self._n_enqueued += 1
         return True
@@ -232,10 +188,6 @@ class FrFcfsScheduler:
             self._n_test -= 1
         if request.arrival_ns <= bucket.min_arrival:
             bucket.recompute_min()
-        if self._k_rings is not None:
-            self._k_rings[kind].kill_seq(entry[0])
-            self._k_min[request.bank] = bucket.min_arrival
-            self._k_cnt[request.bank] = bucket.count
         return request
 
     def _pick_fr_fcfs(
@@ -247,8 +199,6 @@ class FrFcfsScheduler:
         within a bank the deque is already in enqueue (sequence) order, so
         the first matching entry is the bank's oldest candidate.
         """
-        if self._k_rings is not None:
-            return self._pick_kernel(kind, now_ns)
         best_hit: Optional[Tuple[int, Request, _BankBucket]] = None
         best_any: Optional[Tuple[int, Request, _BankBucket]] = None
         is_read = kind is RequestKind.READ
@@ -286,25 +236,6 @@ class FrFcfsScheduler:
         bucket = chosen[2]
         return self._remove(
             bucket, bucket.queue_for(kind), (chosen[0], chosen[1])
-        )
-
-    def _pick_kernel(
-        self, kind: RequestKind, now_ns: float
-    ) -> Optional[Request]:
-        """Kernel-path pick: one ascending ring scan replaces the per-bank
-        loop (same rule; see :mod:`repro.kernels.sched`)."""
-        ring = self._k_rings[kind]
-        slot = ring.pick(self._k_ready, self._k_open, self._k_done, now_ns)
-        if slot < 0:
-            return None
-        seq = int(ring.seqs[slot])
-        bucket = self._banks[int(ring.banks[slot])]
-        queue = bucket.queue_for(kind)
-        for entry in queue:
-            if entry[0] == seq:
-                return self._remove(bucket, queue, entry)
-        raise RuntimeError(
-            f"kernel ring out of sync: seq {seq} missing from its queue"
         )
 
     def next_request(
@@ -351,11 +282,6 @@ class FrFcfsScheduler:
         floor)`` — identical to minimising ``max(arrival, ready, floor)``
         over that bank's requests — so the scan is O(banks with work).
         """
-        if self._k_rings is not None:
-            t = _ksched.earliest_issue(
-                self._k_min, self._k_cnt, self._k_ready, floor_ns
-            )
-            return None if t == float("inf") else t
         best: Optional[float] = None
         for bank_id, bucket in self._banks.items():
             if not bucket.count:

@@ -30,7 +30,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 from dataclasses import dataclass, field
 from typing import Any, Dict, Iterable, List, Mapping, Optional
@@ -63,16 +62,13 @@ _HIGHER_TOKENS = ("speedup", "reduction", "hit_rate", "coverage", "ipc",
 #: flips or victim pressure is a reliability regression; "rss" covers
 #: the bus/profiler memory high-water marks; "backlog"/"resident" cover
 #: the fleet service's ingest queue and row-residency budgets.)
-#: ("warmup" covers the kernels backend's one-time JIT cost —
-#: kernels.warmup_s — so a compile-time swing is never read as a
-#: simulation regression.)
 _LOWER_TOKENS = ("overhead", "latency", "fraction", "flip", "pressure",
-                 "rss", "backlog", "resident", "hosts_failed", "warmup")
+                 "rss", "backlog", "resident", "hosts_failed")
 _LOWER_SUFFIXES = ("_s", "_ns", "_ms")
 #: Fragments whose metrics are as noisy as wall clock (allocator and
 #: page-cache behavior swing RSS across runs the same way CI runners
-#: swing timings; JIT warm-up swings with compiler cache state).
-_NOISY_TOKENS = ("rss", "warmup")
+#: swing timings).
+_NOISY_TOKENS = ("rss",)
 
 
 def classify_direction(name: str) -> Optional[str]:
@@ -361,21 +357,6 @@ def compare_metrics(
     return result
 
 
-def _load_metrics_file(path: str, warnings: List[str]) -> Mapping:
-    """Load a metrics JSON file; kernels bench files may be absent."""
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
-            return json.load(handle)
-    except FileNotFoundError:
-        if "kernels" in os.path.basename(path).lower():
-            warnings.append(
-                "missing file treated as no-data (kernels benchmarks "
-                "record entries only under the numba backend)"
-            )
-            return {}
-        raise
-
-
 def compare_files(
     old_path: str,
     new_path: str,
@@ -383,17 +364,13 @@ def compare_files(
     overrides: Optional[Mapping[str, float]] = None,
     warnings: Optional[List[str]] = None,
 ) -> ComparisonResult:
-    """Load, auto-detect, flatten and compare two metric files.
-
-    A *missing* kernels benchmark file (basename contains "kernels",
-    e.g. BENCH_kernels.json) is treated as warn-only no-data — the file
-    only accumulates entries where the numba backend runs, so its
-    absence on a python-backend machine is expected, not a regression.
-    """
+    """Load, auto-detect, flatten and compare two metric files."""
+    with open(old_path, "r", encoding="utf-8") as handle:
+        old_data = json.load(handle)
+    with open(new_path, "r", encoding="utf-8") as handle:
+        new_data = json.load(handle)
     old_warnings: List[str] = []
     new_warnings: List[str] = []
-    old_data = _load_metrics_file(old_path, old_warnings)
-    new_data = _load_metrics_file(new_path, new_warnings)
     result = compare_metrics(
         extract_metrics(old_data, old_warnings),
         extract_metrics(new_data, new_warnings),

@@ -122,7 +122,7 @@ def _worker_init(
 ) -> None:
     """Give the worker its own obs world (never the parent's file handles)."""
     global _WORKER_LABEL, _BUS_PUBLISHER
-    from .. import kernels, obs
+    from .. import obs
     from ..obs.bus import BusPublisher
 
     _WORKER_LABEL = f"worker-g{generation}-{os.getpid()}"
@@ -145,11 +145,6 @@ def _worker_init(
         obs.set_forensics(True)
     registry = obs.MetricsRegistry(enabled=bool(obs_cfg.metrics_base))
     obs.set_registry(registry)
-    # Resolve the kernels backend (REPRO_KERNELS rides the inherited
-    # environment, fork and spawn alike) and pay any JIT cost now, before
-    # the first unit's timed span; the warm-up lands on this worker's
-    # registry as kernels.warmup_s.
-    kernels.warmup()
     # Pool children exit through multiprocessing's _exit_function +
     # os._exit, which never runs plain atexit handlers — flush the trace
     # tail and metrics snapshot through a multiprocessing Finalizer.

@@ -14,9 +14,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .. import kernels, obs
+from .. import obs
 from ..dram.timing import DDR3_1600, TimingParameters, trfc_for_density_ns
-from ..kernels.eventheap import FlatEventHeap
 from ..mc.controller import (
     MemoryController,
     RefreshSettings,
@@ -238,14 +237,10 @@ class SystemSimulator:
         # is proportional to the work at that instant, not to the number
         # of cores and channels.
         #
-        # Actors are dense ints: core i -> i, channel ch -> n_cores + ch.
-        # That encoding preserves the historical tuple actors' tiebreak
-        # (all cores before all controllers, each group by index), and
-        # lets the kernels backend swap in the typed-array heap.
-        heap = (
-            FlatEventHeap(n_cores + n_channels)
-            if kernels.engaged() else EventHeap()
-        )
+        # Actors are dense ints: core i -> i, channel ch -> n_cores + ch,
+        # so entries due at the same time pop all cores before all
+        # controllers, each group by index.
+        heap = EventHeap()
         hints: List[Optional[float]] = []
         for i, core in enumerate(cores):
             hint = core.next_arrival_hint(0.0)

@@ -1,8 +1,11 @@
 """Tests for the MEMCON controller and the fast accounting model."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
+from repro import obs
 from repro.core.memcon import (
     MemconConfig,
     MemconController,
@@ -149,6 +152,29 @@ class TestControllerAgreement:
         slow = controller.run(trace, failing_page_fraction=1.0)
         assert slow.tests_failed == fast.tests_failed
         assert slow.lo_ref_time_fraction == pytest.approx(0.0)
+
+
+class TestTracedMatchesUntraced:
+    """A trace sink switches the accounting to the per-page loop; the
+    report must stay bit-identical to the vectorised pass's."""
+
+    @pytest.mark.parametrize("failing_page_fraction", [0.0, 0.3, 1.0])
+    @pytest.mark.parametrize("name", ["BlurMotion", "Netflix", "SystemMgt"])
+    def test_reports_identical(self, name, failing_page_fraction):
+        trace = generate_trace(WORKLOADS[name], seed=2, duration_ms=8_000.0)
+        assert not obs.trace_active()
+        untraced = simulate_refresh_reduction(
+            trace, _config(), failing_page_fraction, seed=5
+        )
+        previous = obs.set_sink(obs.ListTraceSink())
+        try:
+            traced = simulate_refresh_reduction(
+                trace, _config(), failing_page_fraction, seed=5
+            )
+        finally:
+            obs.set_sink(previous)
+        assert untraced.tests_total > 0
+        assert dataclasses.asdict(traced) == dataclasses.asdict(untraced)
 
 
 class TestControllerBehaviour:

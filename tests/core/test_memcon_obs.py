@@ -178,10 +178,14 @@ class TestFastModelEventStream:
         stamps = [r["t_ms"] for r in sink.records if "t_ms" in r]
         assert stamps == sorted(stamps)
 
-    def test_lifecycle_reconciles_with_report(self, busy_trace, obs_env):
+    @pytest.mark.parametrize("failing_page_fraction", [0.0, 1.0])
+    def test_lifecycle_reconciles_with_report(
+        self, busy_trace, obs_env, failing_page_fraction
+    ):
         _, sink = obs_env
         report = simulate_refresh_reduction(
-            busy_trace, MemconConfig(quantum_ms=1024.0)
+            busy_trace, MemconConfig(quantum_ms=1024.0),
+            failing_page_fraction=failing_page_fraction,
         )
         kinds = sink.kinds()
         assert kinds["test_started"] == report.tests_total
@@ -191,6 +195,8 @@ class TestFastModelEventStream:
             + kinds.get("test_failed", 0)
         )
         assert kinds.get("test_aborted", 0) == report.tests_aborted
+        # An aborted test on a failing page is aborted, not failed.
+        assert kinds.get("test_failed", 0) == report.tests_failed
 
     def test_pril_events_predict_the_tests_started(self, busy_trace, obs_env):
         from repro import obs as obs_mod

@@ -175,6 +175,17 @@ class TestDoseResponse:
         assert len(ones_rows) + len(zeros_rows) == len(worst_rows)
         assert len(ones_rows) > 0 and len(zeros_rows) > 0
 
+    def test_narrow_content_masks_wide_columns(self):
+        disturb = _map(seed=3)
+        rows = np.arange(64)
+        pressure = np.full(64, 1000.0)
+        _, wide = disturb.flips(rows, pressure, 64.0, None)
+        assert (wide >= 64).any()
+        _, cols = disturb.flips(
+            rows, pressure, 64.0, np.ones(64, dtype=np.uint8)
+        )
+        assert len(cols) and (cols < 64).all()
+
     def test_flip_cells_are_vulnerable_cells(self):
         disturb = _map(seed=5)
         rows = np.arange(64)

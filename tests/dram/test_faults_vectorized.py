@@ -108,6 +108,32 @@ class TestBatchRowEvaluation:
         ]
         assert sorted(zip(got_rows.tolist(), got_cols.tolist())) == sorted(expected)
 
+    def test_narrow_content_masks_wide_columns(self):
+        # Content narrower than the population's geometry: cells past
+        # its width hold no content and must never fail.
+        fault_map = _map(seed=7)
+        rows = np.arange(64)
+        _, wide = fault_map.failing_cells_batch(
+            rows, np.ones(256, dtype=np.uint8), 4096.0
+        )
+        assert (wide >= 64).any()
+        narrow = np.ones(64, dtype=np.uint8)
+        got_rows, got_cols = fault_map.failing_cells_batch(
+            rows, narrow, 4096.0
+        )
+        assert len(got_cols) and (got_cols < 64).all()
+        np.testing.assert_array_equal(
+            fault_map.rows_fail(rows, narrow, 4096.0),
+            np.isin(rows, got_rows),
+        )
+
+    def test_per_row_stress_needs_batch(self):
+        fault_map = _map(seed=1)
+        with pytest.raises(ValueError, match="per-row disturb_stress"):
+            fault_map.failing_mask(
+                0, np.ones(256, dtype=np.uint8), 328.0, np.array([0.5, 0.5])
+            )
+
 
 class TestWorstCase:
     @settings(max_examples=20, deadline=None)

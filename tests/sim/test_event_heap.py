@@ -23,6 +23,14 @@ class TestEventHeap:
         assert heap.prune_due(2.0) == ["a"]
         assert heap.next_time(99.0) == 99.0
 
+    def test_repost_same_time_consumes_latest_version(self):
+        heap = EventHeap()
+        heap.push(0, 5.0)
+        heap.push(0, 5.0)  # re-post at the identical time
+        heap.push(1, 5.0)
+        assert heap.prune_due(5.0) == [0, 1]
+        assert heap.prune_due(5.0) == []
+
     def test_prune_due_consumes_only_due(self):
         heap = EventHeap()
         heap.push("a", 1.0)
