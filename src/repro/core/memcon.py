@@ -21,7 +21,7 @@ Two implementations of the same mechanism:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Set
+from typing import Callable, Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -152,26 +152,22 @@ def simulate_refresh_reduction(
     Read-only pages are tested once at time zero when enabled.
 
     The accounting is evaluated in one vectorised pass over the flattened
-    write stream (all pages at once); the retired per-page loop survives
-    as :func:`_simulate_refresh_reduction_loop`, the equivalence oracle.
-    Results are bit-identical: the failing-page draws consume the same
-    RNG stream (one double per written page, in dict order) and both time
-    accumulators sum their contributions in the same order (``np.cumsum``
-    is sequential left-to-right, like the loop's ``+=``).
+    write stream (all pages at once). It is bit-identical to the retired
+    per-page loop kept as the test suite's equivalence oracle: the
+    failing-page draws consume the same RNG stream (one double per
+    written page, in dict order) and both time accumulators sum their
+    contributions in the same order (``np.cumsum`` is sequential
+    left-to-right, like the loop's ``+=``).
 
-    With a trace sink active the model also replays its verdicts as the
+    With a trace sink active the pass also replays its verdicts as the
     standard event stream (``pril_quantum``, ``test_*``,
-    ``ref_transition``), emitted in global time order so windowed
-    aggregation over the stream is meaningful; that path runs through the
-    loop implementation, which owns per-test event emission.
+    ``ref_transition``, plus ``pril_grant`` under forensics), built from
+    its own arrays and emitted as one batch in global time order so
+    windowed aggregation over the stream is meaningful.
     """
     config = config or MemconConfig()
     if not 0.0 <= failing_page_fraction <= 1.0:
         raise ValueError("failing_page_fraction must be a probability")
-    if obs.trace_active():
-        return _simulate_refresh_reduction_loop(
-            trace, config, failing_page_fraction, seed
-        )
     rng = np.random.default_rng(seed)
     quantum = config.quantum_ms
     window = trace.duration_ms
@@ -180,73 +176,68 @@ def simulate_refresh_reduction(
 
     lo_time_ms = 0.0
     testing_time_ms = 0.0
-    tests_total = 0
-    tests_failed = 0
-    tests_correct = 0
-    tests_mispredicted = 0
-    tests_aborted = 0
 
     # Flatten every page's (sorted) write times into one stream, keeping
     # dict order so the per-page failing draws consume the RNG exactly as
     # the loop did: one double per written page, skipping empty pages.
     kept_arrays = [times for times in trace.writes.values() if len(times)]
     n_written = len(kept_arrays)
-    if n_written:
-        page_fails = rng.random(n_written) < failing_page_fraction
-        counts = np.array([len(a) for a in kept_arrays], dtype=np.int64)
-        all_times = np.concatenate(kept_arrays)
-        n = len(all_times)
-        ends = np.cumsum(counts)
-        starts = ends - counts
-        first_of_page = np.zeros(n, dtype=bool)
-        first_of_page[starts] = True
-        # A write qualifies iff it is alone in its quantum (neither
-        # neighbour within the same page shares it). `quanta` stays
-        # float64: floor(t / q) is exact below 2**53, so comparisons and
-        # the boundary product below match the loop's int64 arithmetic
-        # bit for bit — and the candidate set is narrowed before any
-        # further full-width work (bursty traces are mostly non-single).
-        quanta = np.floor(all_times / quantum)
-        same_prev = np.zeros(n, dtype=bool)
-        same_prev[1:] = (quanta[1:] == quanta[:-1]) & ~first_of_page[1:]
-        same_next = np.zeros(n, dtype=bool)
-        same_next[:-1] = same_prev[1:]
-        single = np.flatnonzero(~(same_prev | same_next))
-        # The page must stay unwritten through the following quantum (the
-        # prediction boundary), which must land inside the window.
-        is_last = np.zeros(n, dtype=bool)
-        is_last[ends - 1] = True
-        next_write = np.where(
-            is_last[single], window, all_times[np.minimum(single + 1, n - 1)]
-        )
-        boundary = (quanta[single] + 2) * quantum
-        qualify = (boundary < window) & (next_write >= boundary)
-        idle = next_write[qualify]
-        start = boundary[qualify]
-        test_end = start + test_ms
-        page_of = np.searchsorted(starts, single[qualify], side="right") - 1
-        fails = page_fails[page_of]
+    page_fails = rng.random(n_written) < failing_page_fraction
+    counts = np.array([len(a) for a in kept_arrays], dtype=np.int64)
+    all_times = np.concatenate(kept_arrays) if n_written else np.empty(0)
+    n = len(all_times)
+    ends = np.cumsum(counts)
+    starts = ends - counts
+    first_of_page = np.zeros(n, dtype=bool)
+    first_of_page[starts] = True
+    # A write qualifies iff it is alone in its quantum (neither neighbour
+    # within the same page shares it). `quanta` stays float64: floor(t / q)
+    # is exact below 2**53, so comparisons and the boundary product below
+    # match the loop's int64 arithmetic bit for bit — and the candidate
+    # set is narrowed before any further full-width work (bursty traces
+    # are mostly non-single).
+    quanta = np.floor(all_times / quantum)
+    same_prev = np.zeros(n, dtype=bool)
+    same_prev[1:] = (quanta[1:] == quanta[:-1]) & ~first_of_page[1:]
+    same_next = np.zeros(n, dtype=bool)
+    same_next[:-1] = same_prev[1:]
+    single = np.flatnonzero(~(same_prev | same_next))
+    # The page must stay unwritten through the following quantum (the
+    # prediction boundary), which must land inside the window.
+    is_last = np.zeros(n, dtype=bool)
+    is_last[ends - 1] = True
+    next_write = np.where(
+        is_last[single], window, all_times[np.minimum(single + 1, n - 1)]
+    )
+    boundary = (quanta[single] + 2) * quantum
+    qualify = (boundary < window) & (next_write >= boundary)
+    tested = single[qualify]  # write-stream index of each test's write
+    idle = next_write[qualify]
+    start = boundary[qualify]
+    test_end = start + test_ms
+    page_of = np.searchsorted(starts, tested, side="right") - 1
+    fails = page_fails[page_of]
 
-        tests_total = int(qualify.sum())
-        tests_aborted = int(np.count_nonzero(idle < test_end))
-        tests_failed = int(np.count_nonzero(fails & (idle >= test_end)))
-        tests_correct = int(np.count_nonzero(idle - start > config.long_interval_ms))
-        tests_mispredicted = tests_total - tests_correct
-        if tests_total:
-            testing_contrib = np.minimum(
-                test_ms, np.maximum(0.0, idle - start)
-            )
-            testing_time_ms = float(np.cumsum(testing_contrib)[-1])
-            lo_mask = ~fails & (idle > test_end)
-            if lo_mask.any():
-                lo_contrib = (
-                    np.minimum(idle[lo_mask], window) - test_end[lo_mask]
-                )
-                lo_time_ms = float(np.cumsum(lo_contrib)[-1])
+    tests_total = len(tested)
+    tests_aborted = int(np.count_nonzero(idle < test_end))
+    tests_failed = int(np.count_nonzero(fails & (idle >= test_end)))
+    tests_correct = int(
+        np.count_nonzero(idle - start > config.long_interval_ms)
+    )
+    tests_mispredicted = tests_total - tests_correct
+    if tests_total:
+        testing_contrib = np.minimum(test_ms, np.maximum(0.0, idle - start))
+        testing_time_ms = float(np.cumsum(testing_contrib)[-1])
+        lo_mask = ~fails & (idle > test_end)
+        if lo_mask.any():
+            lo_contrib = np.minimum(idle[lo_mask], window) - test_end[lo_mask]
+            lo_time_ms = float(np.cumsum(lo_contrib)[-1])
 
     # Read-only pages: one test at start-up, then LO-REF for the window.
     n_read_only = trace.total_pages - n_written
-    if config.test_read_only_pages and n_read_only > 0:
+    ro_tested = config.test_read_only_pages and n_read_only > 0
+    n_ro_failing = 0
+    if ro_tested:
         n_ro_failing = int(round(n_read_only * failing_page_fraction))
         n_ro_passing = n_read_only - n_ro_failing
         tests_total += n_read_only
@@ -255,164 +246,135 @@ def simulate_refresh_reduction(
         testing_time_ms += n_read_only * test_ms
         lo_time_ms += n_ro_passing * max(0.0, window - test_ms)
 
+    if obs.trace_active():
+        _emit_verdicts(
+            trace, config, page_of, quanta[tested], all_times[tested],
+            start, test_end, idle, fails,
+            n_read_only if ro_tested else 0, n_ro_failing,
+        )
+
     return _memcon_report(
         trace, config, cost_ns, lo_time_ms, testing_time_ms, tests_total,
         tests_failed, tests_correct, tests_mispredicted, tests_aborted,
     )
 
 
-def _simulate_refresh_reduction_loop(
+#: Records one test can contribute, in lifecycle order: the forensic
+#: grant, test_started, hi->testing, its outcome, the outcome's
+#: transition and, for a passed test rewritten in the window, lo->hi.
+_TEST_SLOTS = 6
+
+
+def _emit_verdicts(
     trace: WriteTrace,
     config: MemconConfig,
-    failing_page_fraction: float = 0.0,
-    seed: int = 0,
-) -> MemconReport:
-    """The retired per-page accounting loop (equivalence oracle).
+    page_of: np.ndarray,
+    quanta: np.ndarray,
+    write_ms: np.ndarray,
+    start: np.ndarray,
+    test_end: np.ndarray,
+    idle: np.ndarray,
+    fails: np.ndarray,
+    n_read_only: int,
+    n_ro_failing: int,
+) -> None:
+    """Emit one accounting pass's verdicts as a single time-ordered batch.
 
-    Bit-identical to the vectorised path; also the implementation behind
-    traced runs, where it interleaves verdict events into the stream.
+    The array arguments hold one entry per PRIL-predicted test, in
+    write-stream order (``page_of`` indexes the written pages in dict
+    order; ``quanta`` is the quantum of the test's write). The
+    ``n_read_only`` start-up tests go to the lowest unwritten pages, the
+    first ``n_ro_failing`` of them failing.
+
+    Records are ordered by ``t_ms``. At one instant a ``pril_quantum``
+    record precedes the tests it predicts; otherwise records keep their
+    tests' order (page by page, write by write, read-only pages last) and
+    each test's lifecycle order (:data:`_TEST_SLOTS`). That is one stable
+    ``np.lexsort`` over (time, sequence number).
     """
-    rng = np.random.default_rng(seed)
-    quantum = config.quantum_ms
     window = trace.duration_ms
-    test_ms = config.test_duration_ms
-    cost_ns = test_cost_ns(config.test_mode)
-    emit_trace = obs.trace_active()
-    emit_forensics = emit_trace and obs.forensics_active()
-    # (t_ms, order, kind, fields); order ranks pril_quantum events ahead
-    # of the tests they predict at the same boundary instant.
-    trace_events: List[tuple] = []
-    predicted_per_quantum: Dict[int, int] = {}
-
-    lo_time_ms = 0.0
-    testing_time_ms = 0.0
-    tests_total = 0
-    tests_failed = 0
-    tests_correct = 0
-    tests_mispredicted = 0
-    tests_aborted = 0
-
-    written = set(trace.writes)
-    for page, times in trace.writes.items():
-        if len(times) == 0:
-            written.discard(page)
-            continue
-        page_fails = rng.random() < failing_page_fraction
-        quanta = np.floor(times / quantum).astype(np.int64)
-        unique, first_idx, counts = np.unique(
-            quanta, return_index=True, return_counts=True
-        )
-        next_write = np.append(times[1:], window)
-        for u, idx, count in zip(unique, first_idx, counts):
-            if count != 1:
-                continue
-            boundary = (u + 2) * quantum  # end of the following quantum
-            if boundary >= window:
-                continue  # the trace ends before PRIL could predict
-            if next_write[idx] < boundary:
-                continue  # written again before prediction fired
-            tests_total += 1
-            test_end = boundary + test_ms
-            idle_until = next_write[idx]
-            if idle_until < test_end:
-                tests_aborted += 1
-            testing_time_ms += min(test_ms, max(0.0, idle_until - boundary))
-            if idle_until - boundary > config.long_interval_ms:
-                tests_correct += 1
-            else:
-                tests_mispredicted += 1
-            if emit_trace:
-                q_start = int(u) + 2
-                predicted_per_quantum[q_start] = (
-                    predicted_per_quantum.get(q_start, 0) + 1
-                )
-                p = int(page)
-                if emit_forensics:
-                    # The grant and its write-interval evidence: the one
-                    # write that qualified the page, and how long the
-                    # page actually stayed idle (the trace's future).
-                    trace_events.append(
-                        (float(boundary), 1, "pril_grant",
-                         {"page": p, "quantum": q_start,
-                          "write_ms": float(times[idx]),
-                          "next_write_ms": float(idle_until)}))
-                trace_events.append(
-                    (float(boundary), 1, "test_started", {"page": p}))
-                trace_events.append((float(boundary), 1, "ref_transition",
-                                     {"page": p, "from": "hi_ref",
-                                      "to": "testing"}))
-                if idle_until < test_end:
-                    end = float(idle_until)
-                    trace_events.append((end, 1, "test_aborted", {"page": p}))
-                    trace_events.append((end, 1, "ref_transition",
-                                         {"page": p, "from": "testing",
-                                          "to": "hi_ref"}))
-                elif page_fails:
-                    trace_events.append(
-                        (float(test_end), 1, "test_failed", {"page": p}))
-                    trace_events.append((float(test_end), 1, "ref_transition",
-                                         {"page": p, "from": "testing",
-                                          "to": "hi_ref"}))
-                else:
-                    trace_events.append(
-                        (float(test_end), 1, "test_passed", {"page": p}))
-                    trace_events.append((float(test_end), 1, "ref_transition",
-                                         {"page": p, "from": "testing",
-                                          "to": "lo_ref"}))
-                    if idle_until < window:
-                        trace_events.append(
-                            (float(idle_until), 1, "ref_transition",
-                             {"page": p, "from": "lo_ref", "to": "hi_ref"}))
-            if page_fails:
-                if idle_until >= test_end:
-                    tests_failed += 1
-                continue
-            if idle_until > test_end:
-                lo_time_ms += min(idle_until, window) - test_end
-
-    # Read-only pages: one test at start-up, then LO-REF for the window.
-    n_read_only = trace.total_pages - len(written)
-    if config.test_read_only_pages and n_read_only > 0:
-        n_ro_failing = int(round(n_read_only * failing_page_fraction))
-        n_ro_passing = n_read_only - n_ro_failing
-        tests_total += n_read_only
-        tests_failed += n_ro_failing
-        tests_correct += n_read_only
-        testing_time_ms += n_read_only * test_ms
-        lo_time_ms += n_ro_passing * max(0.0, window - test_ms)
-        if emit_trace:
-            ro_pages = [
-                p for p in range(trace.total_pages) if p not in written
-            ][:n_read_only]
-            for i, p in enumerate(ro_pages):
-                trace_events.append((0.0, 1, "test_started", {"page": p}))
-                trace_events.append((0.0, 1, "ref_transition",
-                                     {"page": p, "from": "hi_ref",
-                                      "to": "testing"}))
-                outcome = "test_failed" if i < n_ro_failing else "test_passed"
-                state = "hi_ref" if i < n_ro_failing else "lo_ref"
-                trace_events.append(
-                    (float(test_ms), 1, outcome, {"page": p}))
-                trace_events.append((float(test_ms), 1, "ref_transition",
-                                     {"page": p, "from": "testing",
-                                      "to": state}))
-
-    if emit_trace:
-        for q, n in predicted_per_quantum.items():
-            trace_events.append(
-                (q * quantum, 0, "pril_quantum",
-                 {"quantum": q, "predicted": n, "buffer": n}))
-        trace_events.sort(key=lambda e: (e[0], e[1]))
-        for t_ms, _, kind, fields in trace_events:
-            if kind == "pril_quantum":
-                obs.emit(kind, **fields)
-            else:
-                obs.emit(kind, t_ms=t_ms, **fields)
-
-    return _memcon_report(
-        trace, config, cost_ns, lo_time_ms, testing_time_ms, tests_total,
-        tests_failed, tests_correct, tests_mispredicted, tests_aborted,
+    test_ms = float(config.test_duration_ms)
+    version = obs.SCHEMA_VERSION
+    written = np.array(
+        [page for page, times in trace.writes.items() if len(times)],
+        dtype=np.int64,
     )
+    page = written[page_of]
+    seq = np.arange(len(page), dtype=np.int64) * _TEST_SLOTS
+    times: List[np.ndarray] = []
+    seqs: List[np.ndarray] = []
+    records: List[dict] = []
+
+    def add(kind, t_ms, order, pages, fields=None):
+        times.append(t_ms)
+        seqs.append(order)
+        extra = fields or {}
+        records.extend([
+            {"v": version, "kind": kind, "t_ms": t, "page": p, **extra}
+            for t, p in zip(t_ms.tolist(), pages.tolist())
+        ])
+
+    # PRIL's predictions, one record per quantum boundary that started a
+    # test; sequence -1 puts each ahead of its tests at the same instant.
+    q_start = quanta.astype(np.int64) + 2
+    predicted_q, predicted = np.unique(q_start, return_counts=True)
+    times.append(predicted_q * config.quantum_ms)
+    seqs.append(np.full(len(predicted_q), -1, dtype=np.int64))
+    records.extend([
+        {"v": version, "kind": "pril_quantum", "quantum": q,
+         "predicted": count, "buffer": count}
+        for q, count in zip(predicted_q.tolist(), predicted.tolist())
+    ])
+    if obs.forensics_active():
+        # The grant and its write-interval evidence: the one write that
+        # qualified the page, and how long the page actually stayed idle
+        # (the trace's future).
+        times.append(start)
+        seqs.append(seq)
+        records.extend([
+            {"v": version, "kind": "pril_grant", "t_ms": t,
+             "page": p, "quantum": q, "write_ms": w, "next_write_ms": nw}
+            for t, p, q, w, nw in zip(
+                start.tolist(), page.tolist(), q_start.tolist(),
+                write_ms.tolist(), idle.tolist(),
+            )
+        ])
+    add("test_started", start, seq + 1, page)
+    add("ref_transition", start, seq + 2, page,
+        {"from": "hi_ref", "to": "testing"})
+    aborted = idle < test_end
+    passed = ~aborted & ~fails
+    for mask, kind, at, state in (
+        (aborted, "test_aborted", idle, "hi_ref"),
+        (~aborted & fails, "test_failed", test_end, "hi_ref"),
+        (passed, "test_passed", test_end, "lo_ref"),
+    ):
+        add(kind, at[mask], seq[mask] + 3, page[mask])
+        add("ref_transition", at[mask], seq[mask] + 4, page[mask],
+            {"from": "testing", "to": state})
+    rewritten = passed & (idle < window)
+    add("ref_transition", idle[rewritten], seq[rewritten] + 5,
+        page[rewritten], {"from": "lo_ref", "to": "hi_ref"})
+
+    if n_read_only:
+        unwritten = np.setdiff1d(np.arange(trace.total_pages), written)
+        ro_page = unwritten[:n_read_only]
+        ro_seq = len(page) * _TEST_SLOTS + 4 * np.arange(n_read_only)
+        at_zero = np.zeros(n_read_only)
+        at_end = np.full(n_read_only, test_ms)
+        add("test_started", at_zero, ro_seq, ro_page)
+        add("ref_transition", at_zero, ro_seq + 1, ro_page,
+            {"from": "hi_ref", "to": "testing"})
+        for kind, state, part in (
+            ("test_failed", "hi_ref", slice(None, n_ro_failing)),
+            ("test_passed", "lo_ref", slice(n_ro_failing, None)),
+        ):
+            add(kind, at_end[part], ro_seq[part] + 2, ro_page[part])
+            add("ref_transition", at_end[part], ro_seq[part] + 3,
+                ro_page[part], {"from": "testing", "to": state})
+
+    order = np.lexsort((np.concatenate(seqs), np.concatenate(times)))
+    obs.emit_many([records[i] for i in order.tolist()])
 
 
 def _memcon_report(

@@ -102,6 +102,7 @@ from .trace import (
     ListTraceSink,
     TraceSchemaError,
     emit,
+    emit_many,
     get_sink,
     read_trace,
     set_sink,
@@ -153,6 +154,7 @@ __all__ = [
     "ListTraceSink",
     "TraceSchemaError",
     "emit",
+    "emit_many",
     "get_sink",
     "read_trace",
     "set_sink",

@@ -32,9 +32,11 @@ order), and the in-progress window is sampled at :meth:`to_dict` time.
 from __future__ import annotations
 
 from collections import defaultdict
-from typing import Any, Dict, Iterable, List, Mapping, Optional, Tuple
+from typing import (
+    Any, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple,
+)
 
-from .trace import TraceSchemaError
+from .trace import TraceSchemaError, emit_batch
 
 __all__ = [
     "LATENCY_BUCKET_BOUNDS_NS",
@@ -61,6 +63,11 @@ class TeeSink:
     def emit(self, record: Mapping) -> None:
         for sink in self.sinks:
             sink.emit(record)
+
+    def emit_many(self, records: Sequence[Mapping]) -> None:
+        """Hand the batch to each child in turn (see :func:`emit_batch`)."""
+        for sink in self.sinks:
+            emit_batch(sink, records)
 
     def close(self) -> None:
         """Close every child that knows how to close (first error wins)."""
@@ -123,7 +130,9 @@ class AggregatingSink:
     stay referenced until the next read. Long-running producers should
     call :meth:`drain` at natural checkpoints (the experiment runner
     drains after each experiment; a live reporter drains every tick) to
-    keep memory proportional to the interval between drains.
+    keep memory proportional to the interval between drains. A batch
+    handed to :meth:`emit_many` is folded on arrival instead, so the
+    largest producer (MEMCON's verdict stream) never fills the buffer.
     """
 
     __slots__ = (
@@ -220,6 +229,11 @@ class AggregatingSink:
         "test_aborted": ("aborted", "aborted"),
     }
 
+    def emit_many(self, records: Sequence[Mapping]) -> None:
+        """Fold a batch now, after any records buffered before it."""
+        self.drain()
+        self._fold(records)
+
     def drain(self) -> None:
         """Fold every buffered record, in emission order.
 
@@ -231,7 +245,11 @@ class AggregatingSink:
             return
         self._buffer = []
         self.emit = self._buffer.append
-        self._events_total += len(buffer)
+        self._fold(buffer)
+
+    def _fold(self, records: Sequence[Mapping]) -> None:
+        """Fold ``records`` into the aggregation state, in order."""
+        self._events_total += len(records)
         # The fold is the hot path: bind all mutable state to locals and
         # dispatch on kind with a frequency-ordered if/elif chain.
         window_ms = self.window_ms
@@ -261,7 +279,7 @@ class AggregatingSink:
             next_boundary = float("-inf")
         else:
             next_boundary = (max_window + 1) * window_ms
-        for record in buffer:
+        for record in records:
             try:
                 kind = record["kind"]
             except KeyError:

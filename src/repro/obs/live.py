@@ -11,7 +11,8 @@ time — prints a one-line status::
 It holds no aggregation state of its own beyond run progress (the
 ``run_started``/``experiment_finished`` markers for the ETA); row
 populations and outstanding-test counts come straight from the shared
-aggregator, so watching a run costs one clock read per event.
+aggregator, so watching a run costs one clock read per event, or per
+batch for records delivered through ``emit_many``.
 
 With a :class:`~repro.obs.bus.TelemetryBus` attached (sharded runs),
 each repaint additionally prints one row per pool worker — current
@@ -35,7 +36,7 @@ from __future__ import annotations
 import os
 import sys
 import time
-from typing import Callable, Mapping, Optional, TextIO
+from typing import Callable, Mapping, Optional, Sequence, TextIO
 
 from .analytics import AggregatingSink
 
@@ -87,6 +88,17 @@ class LiveReporter:
         self.reports_written = 0
 
     def emit(self, record: Mapping) -> None:
+        self._track(record)
+        self.tick()
+
+    def emit_many(self, records: Sequence[Mapping]) -> None:
+        """Track a batch's run progress, then repaint at most once."""
+        for record in records:
+            self._track(record)
+        self.tick()
+
+    def _track(self, record: Mapping) -> None:
+        """Fold the run-progress markers into the ETA state."""
         kind = record.get("kind")
         if kind == "run_started":
             experiments = record.get("experiments")
@@ -98,9 +110,6 @@ class LiveReporter:
             )
         elif kind == "experiment_finished":
             self._experiments_done += 1
-        now = self._clock()
-        if now - self._last_report >= self.interval_s:
-            self._write_status(now)
 
     def tick(self) -> None:
         """Repaint on wall-clock alone (no record needed).

@@ -16,6 +16,13 @@ may carry context (workload name, channel id) beyond the schema floor.
 Sinks are anything with ``emit(record: dict)``; :class:`JsonlTraceSink`
 writes one compact JSON object per line, :class:`ListTraceSink` buffers
 records in memory for tests and in-process consumers.
+
+Producers that hold a whole batch of finished records (MEMCON's
+accounting pass replays every verdict of a trace at once) hand it over
+with :func:`emit_many`. A sink may take the batch in one call through an
+``emit_many(records)`` method of its own; one without it receives the
+records one ``emit`` at a time, so the stream a sink sees never depends
+on how the producer delivered it.
 """
 
 from __future__ import annotations
@@ -25,7 +32,11 @@ import heapq
 import io
 import json
 import os
-from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Union
+from json.encoder import c_make_encoder, encode_basestring_ascii
+from typing import (
+    Callable, Dict, Iterator, List, Mapping, Optional, Sequence, Tuple,
+    Union,
+)
 
 __all__ = [
     "EVENT_KINDS",
@@ -34,6 +45,7 @@ __all__ = [
     "ListTraceSink",
     "TraceSchemaError",
     "emit",
+    "emit_many",
     "get_sink",
     "read_trace",
     "set_sink",
@@ -118,6 +130,28 @@ class TraceSchemaError(ValueError):
     """A trace record does not match the event schema."""
 
 
+def _compact_encoder() -> Callable[[object, int], Tuple[str, ...]]:
+    """The encoder behind ``json.dumps(obj, separators=(",", ":"))``.
+
+    ``json.dumps`` builds a fresh encoder for every call; building it
+    once serves a whole batch. Same separators, ``ensure_ascii``,
+    ``allow_nan`` and ``TypeError`` for unserialisable values. The
+    circular-reference check is off: trace records are flat objects.
+    ``encode(obj, 0)`` returns the text in chunks.
+    """
+    base = json.JSONEncoder(separators=(",", ":"))
+    if c_make_encoder is None:  # an interpreter without the C accelerator
+        return lambda obj, _level: (base.encode(obj),)
+    return c_make_encoder(
+        None, base.default, encode_basestring_ascii, None,
+        base.key_separator, base.item_separator, base.sort_keys,
+        base.skipkeys, base.allow_nan,
+    )
+
+
+_ENCODE = _compact_encoder()
+
+
 class JsonlTraceSink:
     """Writes one compact JSON object per line to a file or stream.
 
@@ -167,6 +201,26 @@ class JsonlTraceSink:
         if self.flush_every and self.records_emitted % self.flush_every == 0:
             self._file.flush()
 
+    def emit_many(self, records: Sequence[Mapping]) -> None:
+        """Write a batch: the bytes ``emit`` would write record by record.
+
+        The batch is encoded before anything is written, so a record
+        that cannot be serialised raises ``TypeError`` with the file
+        untouched. The file is flushed once per batch (unless
+        ``flush_every`` is 0).
+        """
+        if self.closed:
+            raise ValueError("emit_many() on a closed JsonlTraceSink")
+        encode = _ENCODE
+        lines = ["".join(encode(record, 0)) for record in records]
+        if not lines:
+            return
+        lines.append("")  # the last record's newline
+        self._file.write("\n".join(lines))
+        self.records_emitted += len(records)
+        if self.flush_every:
+            self._file.flush()
+
     def close(self) -> None:
         """Flush and release the target; safe to call any number of times."""
         if self.closed:
@@ -198,6 +252,9 @@ class ListTraceSink:
 
     def emit(self, record: Mapping) -> None:
         self.records.append(dict(record))
+
+    def emit_many(self, records: Sequence[Mapping]) -> None:
+        self.records.extend([dict(record) for record in records])
 
     def kinds(self) -> Dict[str, int]:
         """Histogram of record kinds, a common assertion in tests."""
@@ -240,6 +297,28 @@ def emit(kind: str, **fields) -> None:
     record = {"v": SCHEMA_VERSION, "kind": kind}
     record.update(fields)
     sink.emit(record)
+
+
+def emit_many(records: Sequence[Mapping]) -> None:
+    """Hand a batch of finished records to the installed sink.
+
+    Each record already carries its envelope, keys in the order
+    :func:`emit` gives them: ``{"v": SCHEMA_VERSION, "kind": ..., ...}``.
+    """
+    sink = _sink
+    if sink is not None and records:
+        emit_batch(sink, records)
+
+
+def emit_batch(sink, records: Sequence[Mapping]) -> None:
+    """Give ``records`` to ``sink``: whole through its ``emit_many`` when
+    it has one, else one ``emit`` at a time, in order."""
+    batch = getattr(sink, "emit_many", None)
+    if batch is not None:
+        batch(records)
+    else:
+        for record in records:
+            sink.emit(record)
 
 
 #: Fields that must hold a plain number (not bool) whenever present.

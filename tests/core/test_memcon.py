@@ -155,8 +155,8 @@ class TestControllerAgreement:
 
 
 class TestTracedMatchesUntraced:
-    """A trace sink switches the accounting to the per-page loop; the
-    report must stay bit-identical to the vectorised pass's."""
+    """A trace sink only adds the verdict stream to the vectorised pass;
+    the report must stay bit-identical to an untraced run's."""
 
     @pytest.mark.parametrize("failing_page_fraction", [0.0, 0.3, 1.0])
     @pytest.mark.parametrize("name", ["BlurMotion", "Netflix", "SystemMgt"])

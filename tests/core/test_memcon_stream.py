@@ -1,0 +1,180 @@
+"""The vectorised MEMCON pass emits the per-page loop's verdict stream.
+
+``simulate_refresh_reduction`` builds its ``pril_quantum``,
+``pril_grant``, ``test_*`` and ``ref_transition`` records from the
+vectorised pass's arrays and emits them as one batch. The retired
+per-page loop (``tests/oracles/memcon_loop.py``) emits the same stream
+one record at a time. Both streams are compared as compact JSON lines,
+record for record, so a misplaced record, an ``int`` written where the
+loop writes a ``float`` or a leaked numpy scalar fails the comparison.
+"""
+
+import dataclasses
+import json
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from repro import obs
+from repro.core.memcon import MemconConfig, simulate_refresh_reduction
+from repro.traces.events import WriteTrace
+from repro.traces.generator import generate_trace
+from repro.traces.workloads import WORKLOADS
+from tests.oracles.memcon_loop import simulate_refresh_reduction_loop
+
+FRACTIONS = (0.0, 0.3, 1.0)
+
+
+def _stream(fn, trace, config, fraction, seed, forensics):
+    """Run one implementation under a list sink: (report, JSON lines)."""
+    sink = obs.ListTraceSink()
+    previous_sink = obs.set_sink(sink)
+    previous_gate = obs.set_forensics(forensics)
+    try:
+        report = fn(trace, config, fraction, seed)
+    finally:
+        obs.set_forensics(previous_gate)
+        obs.set_sink(previous_sink)
+    for record in sink.records:
+        for value in record.values():
+            # json.dumps accepts np.float64 (a float subclass) and writes
+            # it like a float, so pin the exact types as well.
+            assert type(value) in (int, float, str), record
+    lines = [json.dumps(r, separators=(",", ":")) for r in sink.records]
+    return report, lines
+
+
+def assert_streams_match(trace, config, fraction=0.0, seed=0,
+                         forensics=False):
+    report, lines = _stream(
+        simulate_refresh_reduction, trace, config, fraction, seed, forensics
+    )
+    oracle_report, oracle_lines = _stream(
+        simulate_refresh_reduction_loop, trace, config, fraction, seed,
+        forensics,
+    )
+    assert dataclasses.asdict(report) == dataclasses.asdict(oracle_report)
+    assert len(lines) == len(oracle_lines)
+    for index, (line, expected) in enumerate(zip(lines, oracle_lines)):
+        assert line == expected, f"record {index} differs"
+    return lines
+
+
+def _trace(writes, duration_ms, total_pages):
+    return WriteTrace(
+        duration_ms=duration_ms,
+        writes={p: np.asarray(t, dtype=np.float64) for p, t in writes.items()},
+        total_pages=total_pages,
+        name="stream",
+    )
+
+
+def _config(quantum_ms=1000.0, test_duration_ms=64.0, read_only=True):
+    return MemconConfig(quantum_ms=quantum_ms,
+                        test_duration_ms=test_duration_ms,
+                        test_read_only_pages=read_only)
+
+
+forensics_modes = pytest.mark.parametrize("forensics", [False, True])
+fractions = pytest.mark.parametrize("fraction", FRACTIONS)
+read_only_modes = pytest.mark.parametrize("read_only", [False, True])
+
+
+@forensics_modes
+@fractions
+@read_only_modes
+@pytest.mark.parametrize("name", ["BlurMotion", "Netflix", "SystemMgt"])
+def test_named_workloads(name, forensics, fraction, read_only):
+    trace = generate_trace(WORKLOADS[name], seed=2, duration_ms=8_000.0)
+    lines = assert_streams_match(
+        trace, _config(read_only=read_only), fraction, seed=5,
+        forensics=forensics,
+    )
+    assert any('"kind":"test_started"' in line for line in lines)
+
+
+@st.composite
+def traces(draw):
+    """Small traces on a coarse time grid, so instants tie often."""
+    grid = 16.0
+    quantum_ms = draw(st.sampled_from([64.0, 128.0, 256.0]))
+    test_ms = draw(st.sampled_from([16.0, 64.0, 128.0, 256.0]))
+    slots = draw(st.integers(3, 12)) * int(quantum_ms // grid)
+    slots += draw(st.sampled_from([0, 0, 1, 3]))  # window off a boundary
+    total_pages = draw(st.integers(1, 10))
+    pages = draw(st.permutations(range(total_pages)))
+    n_written = draw(st.integers(0, total_pages))
+    writes = {}
+    for page in pages[:n_written]:
+        ticks = draw(st.lists(st.integers(0, slots - 1), max_size=8))
+        writes[page] = [tick * grid for tick in sorted(ticks)]
+    trace = _trace(writes, slots * grid, total_pages)
+    config = _config(quantum_ms, test_ms, draw(st.booleans()))
+    return trace, config
+
+
+class TestGeneratedTraces:
+    @given(traces(), st.sampled_from(FRACTIONS), st.booleans(),
+           st.integers(0, 3))
+    @settings(max_examples=150, deadline=None)
+    def test_stream_matches_oracle(self, case, fraction, forensics, seed):
+        trace, config = case
+        assert_streams_match(trace, config, fraction, seed, forensics)
+
+
+@forensics_modes
+@fractions
+@read_only_modes
+class TestEdgeCases:
+    def test_next_write_exactly_at_test_end(self, forensics, fraction,
+                                            read_only):
+        # Predicted at 2000, the test ends at 2064 and the page is
+        # rewritten at exactly 2064: the test completes (idle ==
+        # test_end is not an abort) and the page leaves LO-REF at once.
+        trace = _trace({0: [100.0, 2064.0], 2: [10.0]}, 10_000.0, 4)
+        lines = assert_streams_match(
+            trace, _config(read_only=read_only), fraction, 1, forensics
+        )
+        assert not any("test_aborted" in line for line in lines)
+
+    def test_prediction_boundary_on_window_end(self, forensics, fraction,
+                                               read_only):
+        # Page 0's prediction lands exactly on the window end (no test);
+        # page 1's lands one quantum earlier, inside the window.
+        trace = _trace({0: [1100.0], 1: [100.0]}, 3000.0, 3)
+        lines = assert_streams_match(
+            trace, _config(read_only=read_only), fraction, 2, forensics
+        )
+        started = [json.loads(line) for line in lines
+                   if '"kind":"test_started"' in line]
+        assert {r["page"] for r in started if r["t_ms"] > 0} == {1}
+
+    def test_no_written_pages(self, forensics, fraction, read_only):
+        trace = _trace({3: []}, 5000.0, 6)
+        lines = assert_streams_match(
+            trace, _config(read_only=read_only), fraction, 3, forensics
+        )
+        assert len(lines) == (4 * 6 if read_only else 0)
+
+    def test_read_only_outcome_ties_with_quantum_boundary(
+        self, forensics, fraction, read_only
+    ):
+        # A 2000 ms test: read-only verdicts land at 2000, the instant
+        # PRIL predicts page 1 (write at 100, quantum 1000). Page 0's
+        # test comes first in page order but starts later, at 3000.
+        trace = _trace({0: [1100.0], 1: [100.0]}, 10_000.0, 5)
+        lines = assert_streams_match(
+            trace, _config(test_duration_ms=2000.0, read_only=read_only),
+            fraction, 4, forensics,
+        )
+        at_boundary = [json.loads(line) for line in lines
+                       if '"t_ms":2000.0' in line or "pril_quantum" in line]
+        kinds = [(r["kind"], r.get("page")) for r in at_boundary]
+        # PRIL's prediction, then page 1's test, then the read-only
+        # verdicts: the loop tests written pages before read-only ones.
+        assert kinds[0] == ("pril_quantum", None)
+        started = kinds.index(("test_started", 1))
+        assert all(page == 1 for _, page in kinds[1:started + 2])
+        if read_only:
+            assert {page for _, page in kinds[started + 2:]} >= {2, 3, 4}

@@ -1,0 +1,88 @@
+"""Runner-level gate: traced runs equal untraced ones, serial equals sharded.
+
+A traced MEMCON experiment runs the same accounting code as an untraced
+one and only adds the verdict stream, which pool workers write to their
+trace shards in batches. fig14 is narrowed to two workloads and one
+quantum (the pool forks, so its workers see the narrowed experiment too)
+and run three ways: untraced, traced with forensics, and the same traced
+run on two workers.
+"""
+
+import dataclasses
+import json
+
+import pytest
+
+from repro import obs
+from repro.experiments import fig14
+from repro.experiments.runner import main
+
+#: The two cheapest fig14 workloads to generate.
+WORKLOADS = ("BlurMotion", "Netflix")
+
+
+def _stream(path):
+    """The trace as compact JSON lines, wall-clock fields removed."""
+    return [
+        json.dumps({k: v for k, v in record.items() if k != "wall_s"},
+                   separators=(",", ":"))
+        for record in obs.read_trace(str(path), validate=False)
+    ]
+
+
+@pytest.fixture(scope="module")
+def runs(tmp_path_factory):
+    root = tmp_path_factory.mktemp("traced")
+    every_unit = fig14.units
+
+    def narrowed(quick=True, seed=1):
+        chosen = [u for u in every_unit(quick, seed) if u.unit_id in WORKLOADS]
+        return [dataclasses.replace(u, seq=i) for i, u in enumerate(chosen)]
+
+    def run(label, traced, *extra):
+        out, manifest, trace = (
+            root / label / name for name in ("t.md", "m.json", "t.jsonl")
+        )
+        if traced:
+            extra += ("--trace", str(trace), "--forensics")
+        assert main(["fig14", "--out", str(out), "--manifest", str(manifest),
+                     *extra]) == 0
+        return {"out": out, "manifest": obs.load_manifest(str(manifest)),
+                "trace": trace}
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(fig14, "units", narrowed)
+        patch.setattr(fig14, "QUANTA_MS", (1024.0,))
+        assert [u.unit_id for u in fig14.units()] == list(WORKLOADS)
+        return {
+            "untraced": run("untraced", False),
+            "serial": run("serial", True),
+            "jobs": run("jobs", True, "--jobs", "2"),
+        }
+
+
+class TestTracedRunsGate:
+    def test_tables_byte_identical(self, runs):
+        untraced = runs["untraced"]["out"].read_bytes()
+        assert WORKLOADS[1].encode() in untraced
+        assert b"ACBrotherHood" not in untraced  # the narrowing took
+        assert runs["serial"]["out"].read_bytes() == untraced
+        assert runs["jobs"]["out"].read_bytes() == untraced
+
+    @pytest.mark.parametrize("label", ["serial", "jobs"])
+    def test_trace_valid_and_rollups_match(self, runs, label):
+        run = runs[label]
+        records = list(obs.read_trace(str(run["trace"]), validate=True))
+        kinds = {record["kind"] for record in records}
+        assert {"pril_quantum", "pril_grant", "test_passed"} <= kinds
+        assert run["manifest"]["timeseries"] == obs.aggregate_trace(
+            obs.read_trace(str(run["trace"]))
+        )
+
+    def test_sharded_trace_equals_serial(self, runs):
+        serial = _stream(runs["serial"]["trace"])
+        assert len(serial) > 1000
+        assert _stream(runs["jobs"]["trace"]) == serial
+        ledger = "t.forensics.jsonl"
+        assert (runs["jobs"]["trace"].parent / ledger).read_bytes() == (
+            runs["serial"]["trace"].parent / ledger).read_bytes()

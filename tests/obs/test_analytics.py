@@ -363,3 +363,76 @@ class TestMemconRollupSemantics:
             assert quantum["resolved"] + quantum["aborted"] == (
                 quantum["started"]
             )
+
+
+def _verdict_stream(seed=5):
+    """A traced MEMCON accounting run's records, forensic grants included."""
+    from repro.core.memcon import simulate_refresh_reduction
+
+    capture = obs.ListTraceSink()
+    previous = obs.set_sink(capture)
+    gate = obs.set_forensics(True)
+    try:
+        simulate_refresh_reduction(
+            _memcon_trace(seed), MemconConfig(quantum_ms=1024.0),
+            failing_page_fraction=0.3, seed=seed,
+        )
+    finally:
+        obs.set_forensics(gate)
+        obs.set_sink(previous)
+    return capture.records
+
+
+class TestBatchIngestion:
+    """``emit_many`` folds exactly what per-record ``emit`` folds."""
+
+    __test__ = True
+
+    def test_aggregating_batch_equals_per_record(self):
+        records = _verdict_stream()
+        lifecycle = [_rec("experiment_started", experiment="fig14")]
+        one_by_one = AggregatingSink(window_ms=1024.0, total_pages=64)
+        for record in lifecycle + records:
+            one_by_one.emit(record)
+        batched = AggregatingSink(window_ms=1024.0, total_pages=64)
+        # A buffered record ahead of the batch keeps its place.
+        batched.emit(lifecycle[0])
+        batched.emit_many(records)
+        assert not batched._buffer  # folded on arrival, not buffered
+        assert batched.events_total == one_by_one.events_total
+        assert batched.to_dict() == one_by_one.to_dict()
+
+    def test_aggregating_batches_compose(self):
+        records = _verdict_stream(seed=6)
+        whole = AggregatingSink(window_ms=1024.0)
+        whole.emit_many(records)
+        halves = AggregatingSink(window_ms=1024.0)
+        middle = len(records) // 2
+        halves.emit_many(records[:middle])
+        halves.emit_many(records[middle:])
+        assert halves.to_dict() == whole.to_dict()
+
+    def test_tee_batch_reaches_emit_only_child(self):
+        class EmitOnly:
+            def __init__(self):
+                self.records = []
+
+            def emit(self, record):
+                self.records.append(record)
+
+        batched, plain = obs.ListTraceSink(), EmitOnly()
+        records = [_rec("run_started", experiments=["fig14"]),
+                   _rec("run_finished", wall_s=1.0)]
+        TeeSink(batched, plain).emit_many(records)
+        assert plain.records == records
+        assert batched.records == records
+
+    def test_tee_batch_writes_the_per_record_bytes(self):
+        records = _verdict_stream(seed=7)
+        one_by_one, batched = io.StringIO(), io.StringIO()
+        tee = TeeSink(obs.JsonlTraceSink(one_by_one), AggregatingSink())
+        for record in records:
+            tee.emit(record)
+        TeeSink(obs.JsonlTraceSink(batched), AggregatingSink()).emit_many(
+            records)
+        assert batched.getvalue() == one_by_one.getvalue()

@@ -137,6 +137,47 @@ class TestLiveReporter:
         assert "[live]" in capsys.readouterr().err
 
 
+class TestBatch:
+    __test__ = True
+
+    def test_batch_tracks_progress_and_repaints_at_most_once(self):
+        live, aggregator, stream, clock = _reporter(interval_s=0.0)
+        reads = []
+
+        def counting_clock():
+            reads.append(True)
+            return clock()
+
+        live._clock = counting_clock
+        clock.advance(5.0)
+        batch = [
+            _rec("run_started", experiments=["fig14", "fig17", "fig18"]),
+            _rec("test_started", t_ms=0.0, page=1),
+            _rec("experiment_finished", experiment="fig14", wall_s=1.0),
+            _rec("test_passed", t_ms=64.0, page=1),
+            _rec("experiment_finished", experiment="fig17", wall_s=1.0),
+        ]
+        aggregator.emit_many(batch)
+        live.emit_many(batch)
+        assert live._experiments_done == 2
+        assert live.reports_written == 1
+        assert len(reads) == 1  # one clock read for the whole batch
+        assert "experiments 2/3" in stream.getvalue()
+
+    def test_tee_delivers_the_batch_whole(self):
+        live, aggregator, stream, clock = _reporter(interval_s=0.0)
+        clock.advance(5.0)
+        tee = obs.TeeSink(aggregator, live)
+        tee.emit_many([
+            _rec("run_started", experiments=["fig14", "fig17"]),
+            _rec("experiment_finished", experiment="fig14", wall_s=1.0),
+            _rec("experiment_finished", experiment="fig17", wall_s=1.0),
+        ])
+        assert live.reports_written == 1
+        line = stream.getvalue()
+        assert "3 events" in line and "experiments 2/2" in line
+
+
 class TestZeroExperiments:
     __test__ = True
 

@@ -3,6 +3,7 @@
 import io
 import json
 
+import numpy as np
 import pytest
 
 from repro.obs import (
@@ -12,6 +13,7 @@ from repro.obs import (
     ListTraceSink,
     TraceSchemaError,
     emit,
+    emit_many,
     read_trace,
     set_sink,
     trace_active,
@@ -50,6 +52,131 @@ class TestEmit:
         emit("test_started", t_ms=1.0, page=2)
         emit("test_passed", t_ms=2.0, page=1)
         assert list_sink.kinds() == {"test_started": 2, "test_passed": 1}
+
+
+class TestEmitMany:
+    def test_without_sink_is_noop(self):
+        previous = set_sink(None)
+        try:
+            emit_many([{"v": SCHEMA_VERSION, "kind": "run_started",
+                        "experiments": []}])
+        finally:
+            set_sink(previous)
+
+    def test_sink_without_batch_method_gets_each_record(self):
+        class EmitOnly:
+            def __init__(self):
+                self.records = []
+
+            def emit(self, record):
+                self.records.append(record)
+
+        sink = EmitOnly()
+        records = [{"v": SCHEMA_VERSION, "kind": "test_started",
+                    "t_ms": float(i), "page": i} for i in range(3)]
+        previous = set_sink(sink)
+        try:
+            emit_many(records)
+        finally:
+            set_sink(previous)
+        assert sink.records == records
+
+    def test_list_sink_copies_records(self, list_sink):
+        record = {"v": SCHEMA_VERSION, "kind": "test_started",
+                  "t_ms": 0.0, "page": 1}
+        emit_many([record])
+        record["page"] = 99
+        assert list_sink.records == [
+            {"v": SCHEMA_VERSION, "kind": "test_started",
+             "t_ms": 0.0, "page": 1},
+        ]
+        assert list_sink.records[0] is not record
+
+
+#: Records whose encoding exercises escaping, float repr and nesting.
+BATCH = [
+    {"v": SCHEMA_VERSION, "kind": "run_started",
+     "experiments": ["fig14", "fig17"], "seed": 1, "quick": True},
+    {"v": SCHEMA_VERSION, "kind": "experiment_started",
+     "experiment": "caf\u00e9 \u2603 \"quoted\" \\ tab\t"},
+    {"v": SCHEMA_VERSION, "kind": "test_started", "t_ms": 1e-07, "page": 0},
+    {"v": SCHEMA_VERSION, "kind": "test_passed", "t_ms": 1e16, "page": 1},
+    {"v": SCHEMA_VERSION, "kind": "ref_transition", "t_ms": 2048.5,
+     "page": 2, "from": "testing", "to": "lo_ref"},
+    {"v": SCHEMA_VERSION, "kind": "forensic_row", "row": 3,
+     "verdict": None, "rows_sample": [1, 2.5, {"nested": False}]},
+]
+
+
+class TestJsonlEmitMany:
+    def test_bytes_identical_to_per_record_emit(self):
+        one_by_one = io.StringIO()
+        sink = JsonlTraceSink(one_by_one)
+        for record in BATCH:
+            sink.emit(record)
+        batched = io.StringIO()
+        JsonlTraceSink(batched).emit_many(BATCH)
+        assert batched.getvalue() == one_by_one.getvalue()
+        assert "1e-07" in batched.getvalue()
+        assert "1e+16" in batched.getvalue()
+        assert "\\u2603" in batched.getvalue()  # ensure_ascii, as emit
+
+    def test_numpy_integer_raises_like_emit(self):
+        record = {"v": SCHEMA_VERSION, "kind": "test_started",
+                  "t_ms": 0.0, "page": np.int64(3)}
+        stream = io.StringIO()
+        sink = JsonlTraceSink(stream)
+        with pytest.raises(TypeError) as per_record:
+            sink.emit(record)
+        with pytest.raises(TypeError) as batched:
+            sink.emit_many([BATCH[2], record])
+        assert str(batched.value) == str(per_record.value)
+        # Encoded before written: the failed batch left no partial line.
+        assert stream.getvalue() == ""
+        assert sink.records_emitted == 0
+
+    def test_counts_and_flushes_once_per_batch(self):
+        flushes = []
+
+        class CountingStream(io.StringIO):
+            def flush(self):
+                flushes.append(True)
+                return super().flush()
+
+        sink = JsonlTraceSink(CountingStream(), flush_every=1000)
+        sink.emit_many(BATCH)
+        sink.emit_many(BATCH)
+        assert sink.records_emitted == 2 * len(BATCH)
+        assert len(flushes) == 2
+
+    def test_flush_zero_disables_batch_flush(self):
+        flushes = []
+
+        class CountingStream(io.StringIO):
+            def flush(self):
+                flushes.append(True)
+                return super().flush()
+
+        JsonlTraceSink(CountingStream(), flush_every=0).emit_many(BATCH)
+        assert not flushes
+
+    def test_empty_batch_writes_nothing(self):
+        stream = io.StringIO()
+        sink = JsonlTraceSink(stream)
+        sink.emit_many([])
+        assert stream.getvalue() == "" and sink.records_emitted == 0
+
+    def test_closed_sink_raises(self, tmp_path):
+        sink = JsonlTraceSink(str(tmp_path / "t.jsonl"))
+        sink.close()
+        with pytest.raises(ValueError, match="closed"):
+            sink.emit_many(BATCH)
+
+    def test_round_trips_through_read_trace(self, tmp_path):
+        path = str(tmp_path / "t.jsonl")
+        with JsonlTraceSink(path) as sink:
+            sink.emit_many(BATCH)
+        assert list(read_trace(path, validate=False)) == BATCH
 
 
 class TestValidation:
