@@ -1,7 +1,9 @@
 """Microbenchmarks for the vectorised batch fault-evaluation engine.
 
 Two hot paths from the experiments, each measured against the retained
-legacy per-cell implementation on an identically-seeded module:
+legacy per-cell implementation (``tests/oracles/fault_cells.py``; run
+this file from the repository root with ``python -m pytest``) on an
+identically-seeded module:
 
 * the full-module ALL-FAIL scan (Figure 4's worst-case bound), and
 * a row-test sweep (the SoftMC battery / online-testing inner loop).
@@ -16,6 +18,7 @@ import numpy as np
 import pytest
 
 from repro.dram.faults import FaultMap, FaultModelConfig
+from tests.oracles.fault_cells import cell_fails, row_can_ever_fail
 
 ROWS = 4096
 BITS = 65536 + 256  # one 8 KB row plus spare columns
@@ -43,7 +46,7 @@ class TestAllFailScan:
             legacy_map = _fresh_map()
             legacy, legacy_s = _timed(lambda: [
                 row for row in range(ROWS)
-                if legacy_map.row_can_ever_fail(row, INTERVAL_MS)
+                if row_can_ever_fail(legacy_map, row, INTERVAL_MS)
             ])
             vector_map = _fresh_map()
             vectorised, vector_s = _timed(
@@ -82,7 +85,7 @@ class TestRowTestSweep:
             )
             legacy, legacy_s = _timed(lambda: [
                 sum(
-                    fault_map.cell_fails(cell, bits, INTERVAL_MS)
+                    cell_fails(fault_map, cell, bits, INTERVAL_MS)
                     for cell in fault_map.cells_in_row(row)
                 )
                 for row in rows

@@ -1,10 +1,13 @@
-"""Fleet service at quick scale: 1000 hosts, bounded memory.
+"""Fleet experiment at scale: 1000 hosts through the runner, bounded memory.
 
-The ISSUE acceptance gate: a 1000-host fleet run must finish with the
-resident-rows budget enforced on every host's fault screen and the
-service's peak RSS bounded — per-host state must not accumulate
-unboundedly in the scheduler, registry, or aggregator. Headline numbers
-land in ``BENCH_fleet.json``.
+Runs ``python -m repro.experiments fleet --checkpoint FILE`` in process
+with :data:`repro.experiments.fleet.TENANTS` swapped for one
+``batch``-style tenant of 1000 SystemMgt hosts at 2048 ms, each screened
+under a 64-row residency budget. Every host's fault screen must stay
+within the budget (read back from the checkpoint journal), the budget
+must actually evict rows, and the process RSS must stay bounded: the
+runner keeps O(hosts) small payloads, never O(hosts) fault maps. The
+headline numbers land in ``BENCH_fleet.json``.
 """
 
 import json
@@ -12,9 +15,11 @@ import os
 import time
 
 from repro import obs
-from repro.fleet.client import FleetClient
-from repro.fleet.server import FleetService, run_service_in_thread
+from repro.dram.faults import ROWS_EVICTED_COUNTER
+from repro.experiments import fleet
+from repro.experiments.runner import main
 from repro.obs.bus import rss_bytes
+from repro.parallel import CheckpointJournal
 
 BENCH_FLEET_PATH = os.path.join(
     os.path.dirname(os.path.abspath(__file__)), os.pardir,
@@ -23,97 +28,66 @@ BENCH_FLEET_PATH = os.path.join(
 
 HOSTS = 1000
 RESIDENT_BUDGET = 64
-#: RSS growth ceiling for the whole run. Host payloads/tables are
-#: retained by the registry on purpose (they are the serveable results),
-#: so the bound covers O(hosts) small dicts — not the fault maps, whose
-#: row populations must be evicted under RESIDENT_BUDGET.
+#: RSS growth ceiling for the whole run: host payloads are kept until
+#: the table is merged, so the bound covers O(hosts) small dicts, not
+#: the fault maps, whose row populations must be evicted under budget.
 RSS_DELTA_LIMIT = 400 * 1024 * 1024
 
 TENANT = {
-    "tenant_id": "scale",
+    "tenant": "batch",
+    "workload": "SystemMgt",
+    "seed_base": 23,
     "duration_ms": 2048.0,
-    "seed_base": 404,
-    "fault_screen": {
-        "max_resident_rows": RESIDENT_BUDGET,
-        "bits_per_row": 512,
-        "chunk_rows": 64,
-        "vulnerable_cell_rate": 5.0e-4,
-    },
+    "hosts": (HOSTS, HOSTS),
+    "fault_screen": dict(
+        fleet.BATCH_SCREEN, max_resident_rows=RESIDENT_BUDGET),
 }
 
-WRITES = {3: [10.0, 750.0, 1400.0], 97: [5.0, 1900.0]}
 
-
-def test_thousand_host_fleet_bounded_rss(run_once, obs_env, record_bench):
-    _registry, _sink = obs_env
+def test_thousand_host_fleet_bounded_rss(
+    run_once, record_bench, monkeypatch, tmp_path, capsys
+):
+    monkeypatch.setattr(fleet, "TENANTS", (TENANT,))
+    checkpoint = str(tmp_path / "fleet.checkpoint.jsonl")
+    registry = obs.MetricsRegistry(enabled=True)
+    previous = obs.set_registry(registry)
     rss_before = rss_bytes() or 0
-    service = FleetService(jobs=1, batch_max=64)
-    server, thread = run_service_in_thread(service)
-    client = FleetClient(port=server.port)
     try:
         started = time.perf_counter()
-
-        def drive():
-            client.register_tenant(dict(TENANT))
-            for i in range(HOSTS):
-                host_id = f"scale-{i:04d}"
-                client.register_host({
-                    "host_id": host_id, "tenant": "scale",
-                    "total_pages": 256,
-                })
-                client.stream_trace(host_id, WRITES)
-                client.seal(host_id)
-            return client.wait_all_done(timeout_s=1800.0)
-
-        status = run_once(drive)
-        drive_wall_s = time.perf_counter() - started
+        assert run_once(main, ["fleet", "--checkpoint", checkpoint, "-q"]) == 0
+        wall_s = time.perf_counter() - started
     finally:
-        try:
-            client.shutdown()
-        except Exception:
-            pass
-        thread.join(timeout=60)
-        service.close(wait=True)
-    rss_after = rss_bytes() or 0
+        obs.set_registry(previous)
+    rss_delta = (rss_bytes() or 0) - rss_before
+    capsys.readouterr()  # the 1000-row table
 
-    counts = status["hosts"]
-    assert counts["done"] == HOSTS, counts
-    assert counts["failed"] == 0, counts
+    payloads = [
+        entry["payload"]
+        for entry in CheckpointJournal(checkpoint).load().values()
+    ]
+    assert len(payloads) == HOSTS
 
     # Resident-rows budget enforced on every single host's screen.
-    fleet = status["fleet"]
-    assert fleet["resident_rows"]["peak"] <= RESIDENT_BUDGET
-    over_budget = [
-        state.spec.host_id
-        for state in service.registry._hosts.values()
-        if state.payload["screen"]["resident_rows_peak"] > RESIDENT_BUDGET
-    ]
-    assert not over_budget, over_budget[:5]
-    assert fleet["resident_rows"]["evicted"] > 0
+    peaks = [payload["screen"]["resident_rows_peak"] for payload in payloads]
+    assert max(peaks) <= RESIDENT_BUDGET
+    rows_evicted = registry.counter(ROWS_EVICTED_COUNTER).value
+    assert rows_evicted > 0
 
-    # Peak RSS bounded: the service holds O(hosts) result dicts, never
-    # O(hosts) fault maps.
-    rss_delta = rss_after - rss_before
     assert rss_delta < RSS_DELTA_LIMIT, f"RSS grew {rss_delta / 2**20:.0f} MiB"
 
-    wall_s = status["queue"]  # scheduler counters for the record
+    reports = [payload["report"] for payload in payloads]
     record_bench(
-        "fleet_thousand_hosts",
+        "fleet_runner_thousand_hosts",
         path=BENCH_FLEET_PATH,
         hosts=HOSTS,
-        wall_s=drive_wall_s,
-        hosts_per_s=HOSTS / drive_wall_s,
-        batches=wall_s["batches"],
-        units_executed=wall_s["units_executed"],
-        ingest_records=fleet["ingest"]["records"],
-        resident_rows_peak=fleet["resident_rows"]["peak"],
+        wall_s=wall_s,
+        hosts_per_s=HOSTS / wall_s,
         resident_budget=RESIDENT_BUDGET,
-        rows_evicted=fleet["resident_rows"]["evicted"],
+        resident_rows_peak=max(peaks),
+        rows_evicted=rows_evicted,
         rss_delta_bytes=rss_delta,
-        coverage_mean=fleet["coverage"]["mean"],
-        pril_hit_rate=fleet["pril_hit_rate"],
-        wall_p95_s=fleet["wall"]["p95_s"],
+        coverage_mean=sum(r["lo_ref_time_fraction"] for r in reports) / HOSTS,
+        reduction_mean=sum(r["refresh_reduction"] for r in reports) / HOSTS,
     )
-    path = os.path.abspath(BENCH_FLEET_PATH)
-    with open(path, "r", encoding="utf-8") as handle:
-        assert "fleet_thousand_hosts" in json.load(handle)
+    with open(os.path.abspath(BENCH_FLEET_PATH), encoding="utf-8") as handle:
+        assert "fleet_runner_thousand_hosts" in json.load(handle)

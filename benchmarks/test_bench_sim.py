@@ -1,9 +1,12 @@
 """Simulator engine bench: event-heap loop vs the poll-loop oracle.
 
-Times the same simulation twice — ``engine="event"`` (the heap-scheduled
-discrete-event loop) against ``engine="poll"`` (the retired
-poll-everything loop kept as the equivalence oracle) — and records wall
-clock, loop iterations and events/sec per engine into ``BENCH_sim.json``.
+Times the same simulation twice — ``SystemSimulator.run`` (the
+heap-scheduled discrete-event loop) against ``poll_run`` from
+``tests/oracles/sim_poll.py`` (the retired poll-everything loop kept as
+the equivalence oracle) — and records wall clock, loop iterations and
+events/sec per engine into ``BENCH_sim.json``. The oracle import needs
+the repository root on ``sys.path``: run this file from the root with
+``python -m pytest``.
 
 Honest numbers, recorded PR-4 style: bit-identity with the oracle pins
 the event engine to the *same instant grid* the poll loop walks (the
@@ -25,14 +28,11 @@ from repro import obs
 from repro.mc.controller import RefreshSettings, TestTrafficSettings
 from repro.sim.system import SystemConfig, SystemSimulator
 from repro.traces.spec import get_benchmark
+from tests.oracles.sim_poll import poll_run
 
 BENCH_SIM_PATH = os.path.join(
     os.path.dirname(os.path.abspath(__file__)), os.pardir, "BENCH_sim.json"
 )
-
-#: The speed gate only arms while the poll oracle is still in the tree;
-#: once it is retired the bench records event-engine numbers alone.
-ORACLE_AVAILABLE = hasattr(SystemSimulator, "_reference_run")
 
 SCENARIOS = {
     # fig15/table3 shape: 4 cores, one channel, MEMCON test traffic.
@@ -69,7 +69,10 @@ def _timed_run(spec, engine):
     try:
         simulator = _simulator(spec)
         started = time.perf_counter()
-        result = simulator.run(spec["window_ns"], engine=engine)
+        if engine == "poll":
+            result = poll_run(simulator, spec["window_ns"])
+        else:
+            result = simulator.run(spec["window_ns"])
         wall_s = time.perf_counter() - started
     finally:
         obs.set_registry(previous)
@@ -79,35 +82,30 @@ def _timed_run(spec, engine):
 def test_bench_sim_engines(record_bench):
     for name, spec in SCENARIOS.items():
         event_result, event_s, event_iters = _timed_run(spec, "event")
-        if ORACLE_AVAILABLE:
-            poll_result, poll_s, poll_iters = _timed_run(spec, "poll")
-            # Correctness before speed: the engines must agree exactly.
-            assert asdict(event_result) == asdict(poll_result)
-        else:
-            poll_s = poll_iters = None
+        poll_result, poll_s, poll_iters = _timed_run(spec, "poll")
+        # Correctness before speed: the engines must agree exactly.
+        assert asdict(event_result) == asdict(poll_result)
 
-        entry = dict(
+        speedup = poll_s / event_s if event_s > 0 else 0.0
+        # No-regression bound (generous: 1-cpu CI boxes are noisy).
+        # Bit-identity caps the upside — see the module docstring — so
+        # the gate guards against the event engine losing ground, not
+        # for a multiple the instant grid cannot produce.
+        assert speedup >= 0.6, (
+            f"{name}: event engine regressed vs poll oracle "
+            f"({event_s:.3f}s vs {poll_s:.3f}s)"
+        )
+        record_bench(
+            name,
+            path=BENCH_SIM_PATH,
             cores=len(spec["benches"]),
             channels=spec["channels"],
             window_ns=spec["window_ns"],
             event_s=round(event_s, 6),
             event_iterations=event_iters,
             event_iters_per_s=round(event_iters / event_s, 1),
+            poll_s=round(poll_s, 6),
+            poll_iterations=poll_iters,
+            poll_iters_per_s=round(poll_iters / poll_s, 1),
+            speedup=round(speedup, 3),
         )
-        if ORACLE_AVAILABLE:
-            speedup = poll_s / event_s if event_s > 0 else 0.0
-            entry.update(
-                poll_s=round(poll_s, 6),
-                poll_iterations=poll_iters,
-                poll_iters_per_s=round(poll_iters / poll_s, 1),
-                speedup=round(speedup, 3),
-            )
-            # No-regression bound (generous: 1-cpu CI boxes are noisy).
-            # Bit-identity caps the upside — see the module docstring —
-            # so the gate guards against the event engine losing ground,
-            # not for a multiple the instant grid cannot produce.
-            assert speedup >= 0.6, (
-                f"{name}: event engine regressed vs poll oracle "
-                f"({event_s:.3f}s vs {poll_s:.3f}s)"
-            )
-        record_bench(name, path=BENCH_SIM_PATH, **entry)

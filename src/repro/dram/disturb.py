@@ -46,7 +46,6 @@ pure content predicate at zero pressure.
 from __future__ import annotations
 
 import math
-from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Dict, Mapping, Optional, Sequence, Tuple, Union
 
@@ -60,11 +59,9 @@ from .faults import (
     _MASK64,
     _TAG_POLARITY,
     _U64,
-    RESIDENT_ROWS_GAUGE,
     _binomial_quantile,
     _draw_distinct_columns,
     _draw_lognormal_thresholds,
-    _evict_lru_rows,
     _mix64,
     _note_residency,
     _unit,
@@ -156,19 +153,15 @@ class DisturbMap:
         bits_per_row: int,
         config: DisturbModelConfig = DisturbModelConfig(),
         seed: int = 0,
-        max_resident_rows: Optional[int] = None,
     ) -> None:
         if total_rows <= 0 or bits_per_row <= 0:
             raise ValueError("rows and bits_per_row must be positive")
-        if max_resident_rows is not None and max_resident_rows < 1:
-            raise ValueError("max_resident_rows must be positive or None")
         self.total_rows = total_rows
         self.bits_per_row = bits_per_row
         self.config = config
         self.seed = seed
-        self.max_resident_rows = max_resident_rows
         self._seed_base = _mix64(np.array(seed & _MASK64, dtype=_U64))
-        self._populations: "OrderedDict[int, _HammerRow]" = OrderedDict()
+        self._populations: Dict[int, _HammerRow] = {}
 
     # ------------------------------------------------------------------
     # Population generation
@@ -178,38 +171,17 @@ class DisturbMap:
             return _mix64(self._seed_base ^ (rows.astype(_U64) * _GOLDEN))
 
     def _ensure_rows(self, rows: np.ndarray) -> None:
-        pops = self._populations
-        unique = np.unique(rows)
-        missing = [int(r) for r in unique if int(r) not in pops]
-        evicted = 0
-        if self.max_resident_rows is not None:
-            if len(missing) < len(unique):
-                for r in unique:
-                    r = int(r)
-                    if r in pops:
-                        pops.move_to_end(r)
-            evicted = _evict_lru_rows(
-                pops, self.max_resident_rows, len(unique), len(missing)
-            )
+        missing = [
+            int(r) for r in np.unique(rows)
+            if int(r) not in self._populations
+        ]
         if missing:
             self._generate_rows(np.asarray(missing, dtype=np.int64))
-        _note_residency(len(missing), evicted)
+        _note_residency(len(missing), 0)
 
     def resident_rows(self) -> int:
         """How many rows currently hold materialized population state."""
         return len(self._populations)
-
-    def release(self) -> None:
-        """Drop all resident row state and square up the process gauge.
-
-        Mirrors :meth:`~repro.dram.faults.FaultMap.release`: populations
-        regenerate bitwise-identically on the next touch, and releasing
-        keeps the shared resident-rows gauge an account of live state.
-        """
-        resident = len(self._populations)
-        self._populations.clear()
-        if resident:
-            obs.get_registry().gauge(RESIDENT_ROWS_GAUGE).add(-resident)
 
     def _generate_rows(self, rows: np.ndarray) -> None:
         """Generate populations for (unique, uncached) ``rows`` in one pass."""
@@ -263,8 +235,6 @@ class DisturbMap:
         if pop is None:
             self._ensure_rows(np.array([row_index], dtype=np.int64))
             pop = self._populations[row_index]
-        elif self.max_resident_rows is not None:
-            self._populations.move_to_end(row_index)
         return pop
 
     def _check_rows(self, rows: np.ndarray) -> None:

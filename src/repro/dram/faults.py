@@ -39,9 +39,7 @@ Row populations are stored as structured ndarrays (sorted physical
 columns + aligned thresholds), so failure evaluation for a whole row — or
 a whole module — is a handful of array operations instead of a per-cell
 Python loop. The object-returning methods (:meth:`FaultMap.cells_in_row`,
-:meth:`FaultMap.failing_cells`) are thin wrappers over the arrays, and
-:meth:`FaultMap.cell_fails` keeps the scalar per-cell evaluation as the
-reference oracle the vectorised paths are property-tested against.
+:meth:`FaultMap.failing_cells`) are thin wrappers over the arrays.
 """
 
 from __future__ import annotations
@@ -528,35 +526,6 @@ class FaultMap:
         )
 
     # ------------------------------------------------------------------
-    # Per-cell oracle (kept scalar on purpose: the reference semantics)
-    # ------------------------------------------------------------------
-    def cell_fails(
-        self,
-        cell: VulnerableCell,
-        physical_row_bits: np.ndarray,
-        refresh_interval_ms: float,
-    ) -> bool:
-        """Whether one vulnerable cell flips, given silicon-order content.
-
-        Only a *charged* cell can lose data: a true-cell fails only while
-        storing 1, an anti-cell only while storing 0. A physical neighbour
-        is an aggressor when it holds the opposite stored value.
-        """
-        col = cell.physical_column
-        if col >= len(physical_row_bits):
-            return False  # cell sits past this row's physical width
-        value = int(physical_row_bits[col])
-        charged = value == 1 if cell.true_cell else value == 0
-        if not charged:
-            return False
-        aggressors = 0
-        if col > 0 and int(physical_row_bits[col - 1]) != value:
-            aggressors += 1
-        if col + 1 < len(physical_row_bits) and int(physical_row_bits[col + 1]) != value:
-            aggressors += 1
-        return self.stress(aggressors, refresh_interval_ms) >= cell.threshold
-
-    # ------------------------------------------------------------------
     # Vectorised evaluation
     # ------------------------------------------------------------------
     def failing_mask(
@@ -778,19 +747,6 @@ class FaultMap:
     # ------------------------------------------------------------------
     # Worst-case (ALL-FAIL) queries
     # ------------------------------------------------------------------
-    def row_can_ever_fail(self, row_index: int, refresh_interval_ms: float) -> bool:
-        """Worst-case (ALL-FAIL) check: does *any* content break this row?
-
-        The worst case for a vulnerable cell is being charged with both
-        neighbours aggressing, so a row can ever fail iff it holds a
-        vulnerable cell whose threshold is within worst-case stress.
-
-        Kept as the scalar per-cell reference; module-scale scans should
-        use :meth:`rows_can_ever_fail`.
-        """
-        worst = self.stress(2, refresh_interval_ms)
-        return any(c.threshold <= worst for c in self.cells_in_row(row_index))
-
     def rows_can_ever_fail(
         self,
         rows: Union[Sequence[int], np.ndarray],

@@ -20,6 +20,7 @@ from . import (
     fig17,
     fig18,
     fig19,
+    fleet,
     hammer01,
     hammer02,
     table3,
@@ -42,6 +43,7 @@ __all__ = [
     "fig17",
     "fig18",
     "fig19",
+    "fleet",
     "hammer01",
     "hammer02",
     "percent",

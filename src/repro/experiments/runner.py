@@ -71,7 +71,8 @@ from ..parallel import (
 )
 from . import (
     fig03, fig04, fig06, fig07, fig08, fig09, fig11, fig12,
-    fig14, fig15, fig16, fig17, fig18, fig19, hammer01, hammer02, table3,
+    fig14, fig15, fig16, fig17, fig18, fig19, fleet, hammer01, hammer02,
+    table3,
 )
 from .common import ExperimentResult
 
@@ -97,6 +98,9 @@ EXPERIMENTS: Dict[str, Callable[..., ExperimentResult]] = {
     # figures so an `all` run prints the reproduction tables first.
     "hammer01": hammer01.run,
     "hammer02": hammer02.run,
+    # The fleet runs the Figure 14 accounting on many hosts; it comes
+    # last because it extends the paper rather than reproducing it.
+    "fleet": fleet.run,
 }
 
 

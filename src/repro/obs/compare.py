@@ -56,14 +56,13 @@ WALL_CLOCK_THRESHOLD = 0.30
 #: ("attributed" is the profiler's span-attribution fraction — it must
 #: win over the generic "fraction" lower-is-better token below.)
 _HIGHER_TOKENS = ("speedup", "reduction", "hit_rate", "coverage", "ipc",
-                  "attributed", "hosts_done", "bandwidth")
+                  "attributed")
 #: Name fragments / suffixes implying "smaller is better".
 #: ("flip"/"pressure" cover the read-disturbance metrics: more hammer
 #: flips or victim pressure is a reliability regression; "rss" covers
-#: the bus/profiler memory high-water marks; "backlog"/"resident" cover
-#: the fleet service's ingest queue and row-residency budgets.)
+#: the bus/profiler memory high-water marks.)
 _LOWER_TOKENS = ("overhead", "latency", "fraction", "flip", "pressure",
-                 "rss", "backlog", "resident", "hosts_failed")
+                 "rss")
 _LOWER_SUFFIXES = ("_s", "_ns", "_ms")
 #: Fragments whose metrics are as noisy as wall clock (allocator and
 #: page-cache behavior swing RSS across runs the same way CI runners
@@ -186,7 +185,6 @@ def _metrics_of_manifest(
     for field_name in ("records", "rows"):
         if _is_number(forensics.get(field_name)):
             metrics[f"forensics.{field_name}"] = float(forensics[field_name])
-    _fleet_metrics(data, metrics, warnings)
     workers = _mapping_of(data, "workers", warnings)
     telemetry = _mapping_of(workers, "telemetry", warnings)
     rss_peaks = [
@@ -197,62 +195,6 @@ def _metrics_of_manifest(
     if rss_peaks:
         metrics["workers.rss_peak_bytes"] = float(max(rss_peaks))
     return metrics
-
-
-def _fleet_metrics(
-    data: Mapping,
-    metrics: Dict[str, float],
-    warnings: Optional[List[str]],
-) -> None:
-    """Flatten the fleet service's manifest section (fleet/aggregator.py).
-
-    Manifests written before the fleet service existed simply have no
-    ``"fleet"`` key; every read here is warn-only so old-vs-new
-    comparisons keep gating the sections both sides share.
-    """
-    fleet = _mapping_of(data, "fleet", warnings)
-    if not fleet:
-        return
-    hosts = _mapping_of(fleet, "hosts", warnings)
-    if _is_number(hosts.get("done")):
-        metrics["fleet.hosts_done"] = float(hosts["done"])
-    if _is_number(hosts.get("failed")):
-        metrics["fleet.hosts_failed"] = float(hosts["failed"])
-    coverage = _mapping_of(fleet, "coverage", warnings)
-    if _is_number(coverage.get("mean")):
-        metrics["fleet.coverage_mean"] = float(coverage["mean"])
-    if _is_number(fleet.get("pril_hit_rate")):
-        metrics["fleet.pril_hit_rate"] = float(fleet["pril_hit_rate"])
-    tests = _mapping_of(fleet, "tests", warnings)
-    if _is_number(tests.get("bandwidth_per_s")):
-        metrics["fleet.test_bandwidth_per_s"] = float(
-            tests["bandwidth_per_s"])
-    wall = _mapping_of(fleet, "wall", warnings)
-    for field_name in ("p50_s", "p95_s", "p99_s"):
-        if _is_number(wall.get(field_name)):
-            metrics[f"fleet.wall_{field_name}"] = float(wall[field_name])
-    ingest = _mapping_of(fleet, "ingest", warnings)
-    if _is_number(ingest.get("records")):
-        metrics["fleet.ingest_records"] = float(ingest["records"])
-    if _is_number(ingest.get("backlog_peak")):
-        metrics["fleet.ingest_backlog_peak"] = float(ingest["backlog_peak"])
-    resident = _mapping_of(fleet, "resident_rows", warnings)
-    if _is_number(resident.get("peak")):
-        metrics["fleet.resident_rows_peak"] = float(resident["peak"])
-    for tenant_id, fold in sorted(
-        _mapping_of(fleet, "tenants", warnings).items()
-    ):
-        if not isinstance(fold, Mapping):
-            _warn(warnings, f"fleet.tenants[{tenant_id!r}]: expected a "
-                            f"mapping, got {type(fold).__name__}; skipping")
-            continue
-        t_coverage = _mapping_of(fold, "coverage", warnings)
-        if _is_number(t_coverage.get("mean")):
-            metrics[f"fleet.tenant.{tenant_id}.coverage_mean"] = float(
-                t_coverage["mean"])
-        if _is_number(fold.get("pril_hit_rate")):
-            metrics[f"fleet.tenant.{tenant_id}.pril_hit_rate"] = float(
-                fold["pril_hit_rate"])
 
 
 def _metrics_of_bench(data: Mapping) -> Dict[str, float]:

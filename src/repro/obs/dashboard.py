@@ -832,72 +832,6 @@ def _workers_section(manifest: Mapping[str, Any]) -> str:
     )
 
 
-def _fleet_section(manifest: Mapping[str, Any]) -> str:
-    fleet = manifest.get("fleet")
-    if not isinstance(fleet, Mapping):
-        return ""
-    hosts = fleet.get("hosts") or {}
-    coverage = fleet.get("coverage") or {}
-    edges = coverage.get("bin_edges") or []
-    counts = coverage.get("bin_counts") or []
-    histogram = ""
-    if len(edges) == len(counts) + 1 and any(counts):
-        histogram = _hbar_chart([
-            (f"{edges[i]:.1f}–{edges[i + 1]:.1f}", float(counts[i]))
-            for i in range(len(counts))
-        ])
-    tenant_rows = []
-    for tenant_id, fold in sorted((fleet.get("tenants") or {}).items()):
-        if not isinstance(fold, Mapping):
-            continue
-        t_coverage = fold.get("coverage") or {}
-        t_tests = fold.get("tests") or {}
-        tenant_rows.append(
-            "<tr>"
-            f"<td>{_esc(tenant_id)}</td>"
-            f"<td>{_cell(fold.get('hosts_done'))}</td>"
-            f"<td>{_cell(fold.get('hosts_failed'))}</td>"
-            f"<td>{_cell(t_coverage.get('mean'))}</td>"
-            f"<td>{_cell(t_coverage.get('p95'))}</td>"
-            f"<td>{_cell(fold.get('refresh_reduction_mean'))}</td>"
-            f"<td>{_cell(t_tests.get('total'))}</td>"
-            f"<td>{_cell(fold.get('pril_hit_rate'))}</td>"
-            f"<td>{_cell(fold.get('test_bandwidth_per_s'))}</td>"
-            "</tr>"
-        )
-    tenant_table = ""
-    if tenant_rows:
-        head = (
-            "<tr><th>tenant</th><th>done</th><th>failed</th>"
-            "<th>coverage μ</th><th>coverage p95</th><th>reduction μ</th>"
-            "<th>tests</th><th>PRIL hit</th><th>tests/s</th></tr>"
-        )
-        tenant_table = f"<table>{head}{''.join(tenant_rows)}</table>"
-    wall = fleet.get("wall") or {}
-    ingest = fleet.get("ingest") or {}
-    resident = fleet.get("resident_rows") or {}
-    bits = [
-        f"{_fmt(hosts.get('done'))} hosts done, "
-        f"{_fmt(hosts.get('failed'))} failed",
-        f"host wall p50/p95/p99: {_fmt(wall.get('p50_s'))}/"
-        f"{_fmt(wall.get('p95_s'))}/{_fmt(wall.get('p99_s'))} s",
-        f"ingest: {_fmt(ingest.get('records'))} records, backlog peak "
-        f"{_fmt(ingest.get('backlog_peak'))}",
-        f"resident rows peak {_fmt(resident.get('peak'))}",
-    ]
-    if histogram:
-        histogram = (
-            "<details open><summary>LO-REF coverage distribution "
-            "(hosts per bin)</summary>" + histogram + "</details>"
-        )
-    return _section(
-        "Fleet",
-        tenant_table,
-        histogram,
-        sub=" · ".join(bits),
-    )
-
-
 def _forensics_section(manifest: Mapping[str, Any]) -> str:
     forensics = manifest.get("forensics")
     if not isinstance(forensics, Mapping):
@@ -970,7 +904,6 @@ def render_dashboard(
         _timeseries_sections(timeseries),
         _flame_section(manifest),
         _workers_section(manifest),
-        _fleet_section(manifest),
         _forensics_section(manifest),
         _bench_section(bench_files or {}),
     ]

@@ -72,10 +72,6 @@ class RunManifest:
     #: Forensic ledger census (obs/forensics.py): record counts by kind,
     #: verdict histogram, distinct rows, and the ledger file path.
     forensics: Optional[Dict[str, Any]] = None
-    #: Fleet-service rollup (fleet/aggregator.py): host counts, per-tenant
-    #: coverage/test/PRIL folds, wall tail percentiles, ingest backlog,
-    #: resident-rows and trace-cache accounting.
-    fleet: Optional[Dict[str, Any]] = None
     wall_s: float = 0.0
 
     @classmethod
@@ -123,7 +119,6 @@ class RunManifest:
             "workers": self.workers,
             "profile": self.profile,
             "forensics": self.forensics,
-            "fleet": self.fleet,
         }
 
     @classmethod
@@ -154,7 +149,6 @@ class RunManifest:
             workers=data.get("workers"),
             profile=data.get("profile"),
             forensics=data.get("forensics"),
-            fleet=data.get("fleet"),
             wall_s=data.get("wall_s", 0.0),
         )
 

@@ -42,29 +42,8 @@ class CheckpointJournal:
         not resume with holes.
         """
         entries: Dict[str, Dict[str, Any]] = {}
-        for entry in self._iter_entries():
-            entries[entry["key"]] = entry
-        return entries
-
-    def load_by_fingerprint(self) -> Dict[Any, Dict[str, Any]]:
-        """Journalled entries keyed by ``(key, fingerprint)`` pairs.
-
-        A one-shot run never sees the same unit key under two
-        fingerprints, so :meth:`load`'s last-write-wins is enough. A
-        persistent service does — the same ``fig04:scan00`` key recurs
-        across host jobs with different seeds — and collapsing those to
-        one entry would forget completed work. This view keeps one entry
-        per distinct (key, fp), letting the fleet scheduler build an
-        exact per-job ``done`` map.
-        """
-        entries: Dict[Any, Dict[str, Any]] = {}
-        for entry in self._iter_entries():
-            entries[(entry["key"], entry["fp"])] = entry
-        return entries
-
-    def _iter_entries(self):
         if not os.path.exists(self.path):
-            return
+            return entries
         with open(self.path, "r", encoding="utf-8") as handle:
             lines = handle.readlines()
         for index, line in enumerate(lines):
@@ -83,7 +62,8 @@ class CheckpointJournal:
                 continue  # future journal versions are skipped, not fatal
             key = entry.get("key")
             if isinstance(key, str) and "fp" in entry and "payload" in entry:
-                yield entry
+                entries[key] = entry
+        return entries
 
     # ------------------------------------------------------------------
     def append(

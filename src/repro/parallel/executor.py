@@ -391,9 +391,6 @@ class ParallelExecutor:
         journal: Optional[CheckpointJournal] = None,
         done: Optional[Mapping[str, Mapping[str, Any]]] = None,
         on_unit: Optional[Callable[[WorkUnit, bool], None]] = None,
-        on_result: Optional[Callable[[WorkUnit, Any], None]] = None,
-        quick: Optional[bool] = None,
-        seed: Optional[int] = None,
     ) -> Tuple[List[Any], ExecutionStats]:
         """Execute ``units``, returning payloads in ``seq`` order.
 
@@ -401,23 +398,11 @@ class ParallelExecutor:
         a unit is skipped iff its entry's fingerprint matches the unit's
         current fingerprint. Freshly accepted payloads are appended to
         ``journal`` the moment they arrive. ``on_unit(unit, skipped)``
-        fires once per resolved unit (progress reporting);
-        ``on_result(unit, payload)`` fires with every resolved payload —
-        fresh or journal-skipped — as it lands, so a long-lived caller
-        (the fleet scheduler) can stream results out mid-batch.
-
-        ``quick``/``seed`` override the executor-wide defaults for this
-        call only: a persistent service reuses one warm pool across jobs
-        with differing seeds, where the one-shot runner pins them at
-        construction. Fingerprints are computed against the effective
-        values, so a journal written under one seed is never silently
-        replayed under another.
+        fires once per resolved unit (progress reporting).
         """
-        run_quick = self.quick if quick is None else quick
-        run_seed = self.seed if seed is None else seed
         stats = ExecutionStats()
         fingerprints = {
-            unit.key: unit_fingerprint(unit, run_quick, run_seed)
+            unit.key: unit_fingerprint(unit, self.quick, self.seed)
             for unit in units
         }
         results: Dict[int, Any] = {}
@@ -429,8 +414,6 @@ class ParallelExecutor:
                 stats.skipped += 1
                 if on_unit:
                     on_unit(unit, True)
-                if on_result:
-                    on_result(unit, entry["payload"])
             else:
                 pending.append(unit)
 
@@ -451,20 +434,12 @@ class ParallelExecutor:
                 )
             if on_unit:
                 on_unit(unit, False)
-            if on_result:
-                on_result(unit, payload)
 
         if pending:
             if self.jobs == 1:
-                self._run_inline(
-                    pending, accept, emit_markers=False,
-                    quick=run_quick, seed=run_seed,
-                )
+                self._run_inline(pending, accept, emit_markers=False)
             else:
-                self._run_pooled(
-                    pending, accept, stats, fingerprints,
-                    quick=run_quick, seed=run_seed,
-                )
+                self._run_pooled(pending, accept, stats, fingerprints)
         return [results[unit.seq] for unit in units], stats
 
     # -- inline (jobs == 1, and the serial-degrade path) ----------------
@@ -473,13 +448,9 @@ class ParallelExecutor:
         units: Sequence[WorkUnit],
         accept: Callable[..., None],
         emit_markers: bool,
-        quick: Optional[bool] = None,
-        seed: Optional[int] = None,
     ) -> None:
         from .. import obs
 
-        run_quick = self.quick if quick is None else quick
-        run_seed = self.seed if seed is None else seed
         for unit in units:
             self._attempts_issued += 1
             attempt = self._attempts_issued
@@ -489,7 +460,7 @@ class ParallelExecutor:
                     unit=unit.unit_id, seq=unit.seq, attempt=attempt,
                 )
             started = time.perf_counter()
-            payload = execute_unit(unit, quick=run_quick, seed=run_seed)
+            payload = execute_unit(unit, quick=self.quick, seed=self.seed)
             wall_s = time.perf_counter() - started
             if emit_markers:
                 obs.emit(
@@ -557,11 +528,7 @@ class ParallelExecutor:
         accept: Callable[..., None],
         stats: ExecutionStats,
         fingerprints: Mapping[str, str],
-        quick: Optional[bool] = None,
-        seed: Optional[int] = None,
     ) -> None:
-        run_quick = self.quick if quick is None else quick
-        run_seed = self.seed if seed is None else seed
         queue = deque(self._chunk(units))
         attempts: Dict[str, int] = {}
         in_flight: Dict[Any, Tuple[List[Tuple[WorkUnit, int]], float]] = {}
@@ -575,7 +542,7 @@ class ParallelExecutor:
                 tagged.append((unit, self._attempts_issued))
             payload = [(unit.as_dict(), attempt) for unit, attempt in tagged]
             future = pool.submit(
-                _run_unit_chunk, payload, run_quick, run_seed
+                _run_unit_chunk, payload, self.quick, self.seed
             )
             in_flight[future] = (tagged, time.monotonic())
 
@@ -593,10 +560,7 @@ class ParallelExecutor:
                         "degrade", unit=unit.key, reason=reason,
                         attempts=count,
                     )
-                self._run_inline(
-                    [unit], accept, emit_markers=True,
-                    quick=run_quick, seed=run_seed,
-                )
+                self._run_inline([unit], accept, emit_markers=True)
             else:
                 logger.warning(
                     "unit %s failed (%s); retrying (%d/%d)",

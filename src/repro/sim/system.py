@@ -208,19 +208,10 @@ class SystemSimulator:
 
     # ------------------------------------------------------------------
     @obs.timed("sim.run")
-    def run(self, window_ns: float, engine: str = "event") -> SystemResult:
-        """Simulate ``window_ns`` of wall-clock time and report results.
-
-        ``engine`` selects the inner loop: ``"event"`` (default) is the
-        heap-scheduled discrete-event engine; ``"poll"`` is the retired
-        cycle-polling loop, kept verbatim as the equivalence oracle.
-        """
+    def run(self, window_ns: float) -> SystemResult:
+        """Simulate ``window_ns`` of wall-clock time and report results."""
         if window_ns <= 0:
             raise ValueError("window_ns must be positive")
-        if engine == "poll":
-            return self._reference_run(window_ns)
-        if engine != "event":
-            raise ValueError(f"unknown engine {engine!r}")
 
         c_iterations = obs.get_registry().counter("sim.loop_iterations")
         controllers = self.controllers
@@ -397,65 +388,8 @@ class SystemSimulator:
         c_iterations.inc(iterations)
         return self._collect_result(window_ns)
 
-    def _reference_run(self, window_ns: float) -> SystemResult:
-        """The retired cycle-polling loop, kept as the equivalence oracle.
-
-        Polls every core and ticks every controller each iteration —
-        including the historical global-holdback behaviour in which one
-        refused request stops polling all remaining cores. Used by the
-        engine-equivalence property suite and the BENCH_sim benchmarks;
-        not a supported production path.
-        """
-        if window_ns <= 0:
-            raise ValueError("window_ns must be positive")
-        c_iterations = obs.get_registry().counter("sim.loop_iterations")
-        now = 0.0
-        guard = 0
-        max_iterations = int(window_ns * 50)  # safety net, never binding
-        holdback: List[Request] = []  # requests refused by a full queue
-        tck = self.controllers[0].timing.tCK
-        while now < window_ns:
-            guard += 1
-            c_iterations.inc()
-            if guard > max_iterations:
-                raise RuntimeError("simulator failed to make progress")
-            # Retry requests that a full queue refused earlier.
-            holdback = [
-                r for r in holdback
-                if not self.controllers[r.channel].enqueue(r)
-            ]
-            # Pull any core requests that are due (with backpressure).
-            for core in self.cores:
-                while not holdback:
-                    request = core.next_request(now)
-                    if request is None:
-                        break
-                    if not self.controllers[request.channel].enqueue(request):
-                        holdback.append(request)
-            next_event = min(
-                controller.tick(now) for controller in self.controllers
-            )
-            # Deliver completed reads to their cores.
-            if self._completed_reads:
-                for request in self._completed_reads:
-                    self.cores[request.core].complete_read(
-                        request, request.completion_ns
-                    )
-                    self._reads_done[request.core].append(request)
-                self._completed_reads.clear()
-            # Advance: to the next controller event, bounded by the next
-            # core request arrival (cores generate work lazily).
-            arrivals = [
-                hint
-                for hint in (core.next_arrival_hint(now) for core in self.cores)
-                if hint is not None
-            ]
-            step_to = min([next_event] + arrivals) if arrivals else next_event
-            now = max(now + tck, step_to)
-        return self._collect_result(window_ns)
-
     def _collect_result(self, window_ns: float) -> SystemResult:
-        """Assemble the :class:`SystemResult` (shared by both engines)."""
+        """Assemble the :class:`SystemResult` of a finished window."""
         stats = self.controllers[0].stats()
         for controller in self.controllers[1:]:
             other = controller.stats()

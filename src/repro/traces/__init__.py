@@ -7,7 +7,6 @@ from .generator import (
     generate_page_writes,
     generate_trace,
     pareto_gaps,
-    set_trace_cache_limit,
     trace_cache_info,
 )
 from .io import load_trace, save_trace
@@ -45,7 +44,6 @@ __all__ = [
     "clear_trace_cache",
     "generate_page_writes",
     "generate_trace",
-    "set_trace_cache_limit",
     "trace_cache_info",
     "get_benchmark",
     "get_workload",

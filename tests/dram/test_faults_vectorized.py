@@ -2,8 +2,9 @@
 
 The batch APIs (``failing_mask``, ``rows_fail``, ``failing_cells_batch``,
 ``rows_can_ever_fail``) must agree cell-for-cell with the legacy per-cell
-path (``cell_fails`` / ``row_can_ever_fail``), which is kept as the
-reference implementation. Also covers the RNG-stream regression: row
+path (``cell_fails`` / ``row_can_ever_fail`` in
+``tests/oracles/fault_cells.py``), kept as the reference implementation.
+Also covers the RNG-stream regression: row
 polarity must be drawn independently of the cell layout.
 """
 
@@ -12,6 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.dram.faults import FaultMap, FaultModelConfig
+from tests.oracles.fault_cells import cell_fails, row_can_ever_fail
 
 # Dense enough that a 64-row slice holds many vulnerable cells.
 DENSE = FaultModelConfig(vulnerable_cell_rate=5e-3)
@@ -23,7 +25,7 @@ def _map(seed: int, rows: int = 64, bits: int = 256) -> FaultMap:
 
 def _oracle_mask(fault_map, row, bits, interval):
     return np.array(
-        [fault_map.cell_fails(c, bits, interval)
+        [cell_fails(fault_map, c, bits, interval)
          for c in fault_map.cells_in_row(row)],
         dtype=bool,
     )
@@ -144,7 +146,7 @@ class TestWorstCase:
     def test_rows_can_ever_fail_matches_legacy_scan(self, seed, interval):
         fault_map = _map(seed)
         rows = np.arange(64)
-        expected = [fault_map.row_can_ever_fail(int(r), interval) for r in rows]
+        expected = [row_can_ever_fail(fault_map, int(r), interval) for r in rows]
         got = fault_map.rows_can_ever_fail(rows, interval)
         assert got.tolist() == expected
 
@@ -152,7 +154,7 @@ class TestWorstCase:
         fault_map = _map(seed=9, rows=128)
         legacy = [
             row for row in range(128)
-            if fault_map.row_can_ever_fail(row, 328.0)
+            if row_can_ever_fail(fault_map, row, 328.0)
         ]
         assert fault_map.all_fail_rows(328.0) == legacy
 

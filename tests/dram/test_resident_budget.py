@@ -2,8 +2,9 @@
 
 Population generation is a pure function of (seed, row) counter streams,
 so evicting a row and regenerating it on the next touch must reproduce
-the exact same arrays — these tests drive budgeted maps through
-arbitrary access orders and compare against an unbudgeted twin.
+the exact same arrays — these tests drive budgeted fault maps through
+arbitrary access orders and compare against an unbudgeted twin. The
+hammer population has no budget, but regenerates the same way.
 """
 
 import numpy as np
@@ -36,7 +37,7 @@ def test_budget_rejects_nonpositive():
     with pytest.raises(ValueError):
         FaultMap(ROWS, BITS, CFG, seed=1, max_resident_rows=0)
     with pytest.raises(ValueError):
-        DisturbMap(ROWS, BITS, DCFG, seed=1, max_resident_rows=-3)
+        FaultMap(ROWS, BITS, CFG, seed=1, max_resident_rows=-3)
 
 
 def test_faultmap_eviction_respects_budget():
@@ -75,18 +76,19 @@ def test_faultmap_regeneration_is_bitwise_identical():
 
 def test_disturbmap_regeneration_is_bitwise_identical():
     reference = DisturbMap(ROWS, BITS, DCFG, seed=13)
-    budgeted = DisturbMap(ROWS, BITS, DCFG, seed=13, max_resident_rows=16)
     rng = np.random.default_rng(2)
     for _ in range(30):
+        # A fresh map per batch regenerates every row it touches.
+        fresh = DisturbMap(ROWS, BITS, DCFG, seed=13)
         victims = np.unique(rng.integers(0, ROWS, size=rng.integers(1, 40)))
         pressures = rng.uniform(0.0, 200.0, size=len(victims))
         np.testing.assert_array_equal(
-            budgeted.rows_flip(victims, pressures, 64.0),
+            fresh.rows_flip(victims, pressures, 64.0),
             reference.rows_flip(victims, pressures, 64.0),
         )
-        assert budgeted.resident_rows() <= max(16, len(victims))
+        assert fresh.resident_rows() == len(victims)
         probe = int(victims[0])
-        assert _pop_state(budgeted.row_population(probe)) == _pop_state(
+        assert _pop_state(fresh.row_population(probe)) == _pop_state(
             reference.row_population(probe)
         )
 
@@ -107,7 +109,7 @@ def test_resident_rows_gauge_and_eviction_counter():
     previous = obs.set_registry(registry)
     try:
         fm = FaultMap(ROWS, BITS, CFG, seed=5, max_resident_rows=8)
-        dm = DisturbMap(ROWS, BITS, DCFG, seed=5, max_resident_rows=8)
+        dm = DisturbMap(ROWS, BITS, DCFG, seed=5)
         fm.rows_can_ever_fail(np.arange(24), 328.0)
         dm.rows_flip(np.arange(24), np.full(24, 10.0), 64.0)
         gauge = registry.gauge(RESIDENT_ROWS_GAUGE)

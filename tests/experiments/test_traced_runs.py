@@ -6,6 +6,12 @@ trace shards in batches. fig14 is narrowed to two workloads and one
 quantum (the pool forks, so its workers see the narrowed experiment too)
 and run three ways: untraced, traced with forensics, and the same traced
 run on two workers.
+
+Every other experiment gets the unit-level form of the same gate: one
+cheap unit runs traced with forensics and untraced, and the payloads
+must be equal. The simulator-bound experiments (fig15, fig16, table3),
+whose cheapest units take seconds, are covered by one short
+``simulate_workload`` window instead.
 """
 
 import dataclasses
@@ -15,10 +21,36 @@ import pytest
 
 from repro import obs
 from repro.experiments import fig14
-from repro.experiments.runner import main
+from repro.experiments.runner import EXPERIMENTS, main
+from repro.parallel.units import decompose, execute_unit
+from repro.sim.system import simulate_workload
 
 #: The two cheapest fig14 workloads to generate.
 WORKLOADS = ("BlurMotion", "Netflix")
+
+
+#: A cheap unit of every experiment that does not run the simulator over
+#: a long window (unit ids at quick scale, seed 1).
+CHEAP_UNITS = {
+    "fig03": "pat004",
+    "fig04": "bench-lbm",
+    "fig06": "lo64-read_and_compare",
+    "fig07": "Netflix",
+    "fig08": "Netflix",
+    "fig09": "Netflix",
+    "fig11": "Netflix",
+    "fig12": "Netflix",
+    "fig14": "Netflix",
+    "fig17": "Netflix",
+    "fig18": "Netflix",
+    "fig19": "cil1024",
+    "hammer01": "bench-lbm",
+    "hammer02": "HI-16ms-trr-thr4",
+    # A web host: its rollup sink rides beside the trace sink.
+    "fleet": "web-000",
+}
+
+SIMULATOR_BOUND = ("fig15", "fig16", "table3")
 
 
 def _stream(path):
@@ -86,3 +118,36 @@ class TestTracedRunsGate:
         ledger = "t.forensics.jsonl"
         assert (runs["jobs"]["trace"].parent / ledger).read_bytes() == (
             runs["serial"]["trace"].parent / ledger).read_bytes()
+
+
+class TestEveryExperimentTraced:
+    @pytest.mark.parametrize(
+        "name", [n for n in EXPERIMENTS if n not in SIMULATOR_BOUND]
+    )
+    def test_traced_unit_payload_equals_untraced(self, name):
+        (unit,) = [
+            u for u in decompose(name) if u.unit_id == CHEAP_UNITS[name]
+        ]
+        previous_sink = obs.set_sink(obs.ListTraceSink())
+        previous_forensics = obs.set_forensics(True)
+        try:
+            traced = execute_unit(unit)
+        finally:
+            obs.set_forensics(previous_forensics)
+            obs.set_sink(previous_sink)
+        assert execute_unit(unit) == traced
+
+    def test_simulate_workload_traced_equals_untraced(self):
+        names = ("mcf", "libquantum", "gcc", "tonto")
+        kwargs = dict(
+            refresh_reduction=0.6, concurrent_tests=256,
+            window_ns=20_000.0, channels=2, seed=3,
+        )
+        sink = obs.ListTraceSink()
+        previous_sink = obs.set_sink(sink)
+        try:
+            traced = simulate_workload(names, **kwargs)
+        finally:
+            obs.set_sink(previous_sink)
+        assert sink.records
+        assert simulate_workload(names, **kwargs) == traced

@@ -379,95 +379,3 @@ class TestMalformedSections:
         assert main([old, new]) == 0
         err = capsys.readouterr().err
         assert "warning" in err and "profile" in err
-
-
-def _fleet_section():
-    return {
-        "hosts": {"done": 8, "failed": 0},
-        "tenants": {
-            "web": {
-                "hosts_done": 4, "hosts_failed": 0,
-                "coverage": {"mean": 0.62, "min": 0.5, "max": 0.7,
-                             "p50": 0.6, "p95": 0.7},
-                "refresh_reduction_mean": 0.55,
-                "tests": {"total": 40, "failed": 2, "correct": 36,
-                          "mispredicted": 2, "aborted": 0},
-                "pril_hit_rate": 0.9,
-                "test_bandwidth_per_s": 5.0,
-            },
-        },
-        "coverage": {"mean": 0.6, "bin_edges": [0.0, 0.5, 1.0],
-                     "bin_counts": [3, 5]},
-        "wall": {"hosts_timed": 8, "p50_s": 0.2, "p95_s": 0.5,
-                 "p99_s": 0.6, "max_s": 0.7},
-        "tests": {"total": 80, "bandwidth_per_s": 9.5},
-        "pril_hit_rate": 0.88,
-        "ingest": {"records": 1200, "backlog_peak": 3},
-        "resident_rows": {"peak": 120, "evicted": 900.0},
-        "trace_cache": {"hits": 5.0, "misses": 7.0},
-    }
-
-
-class TestFleetMetrics:
-    """The fleet service's manifest section feeds the regression gate."""
-
-    @pytest.mark.parametrize("name,expected", [
-        ("fleet.hosts_done", "higher"),
-        ("fleet.hosts_failed", "lower"),
-        ("fleet.test_bandwidth_per_s", "higher"),
-        ("fleet.ingest_backlog_peak", "lower"),
-        ("fleet.resident_rows_peak", "lower"),
-        ("fleet.tenant.web.coverage_mean", "higher"),
-        ("fleet.ingest_records", None),
-    ])
-    def test_fleet_direction_tokens(self, name, expected):
-        assert classify_direction(name) == expected
-
-    def test_fleet_section_extracted(self):
-        data = _manifest_dict()
-        data["fleet"] = _fleet_section()
-        warnings = []
-        metrics = extract_metrics(data, warnings)
-        assert metrics["fleet.hosts_done"] == 8.0
-        assert metrics["fleet.hosts_failed"] == 0.0
-        assert metrics["fleet.coverage_mean"] == 0.6
-        assert metrics["fleet.pril_hit_rate"] == 0.88
-        assert metrics["fleet.test_bandwidth_per_s"] == 9.5
-        assert metrics["fleet.wall_p95_s"] == 0.5
-        assert metrics["fleet.ingest_records"] == 1200.0
-        assert metrics["fleet.ingest_backlog_peak"] == 3.0
-        assert metrics["fleet.resident_rows_peak"] == 120.0
-        assert metrics["fleet.tenant.web.coverage_mean"] == 0.62
-        assert metrics["fleet.tenant.web.pril_hit_rate"] == 0.9
-        assert warnings == []
-
-    def test_old_manifest_without_fleet_is_silent(self):
-        warnings = []
-        metrics = extract_metrics(_manifest_dict(), warnings)
-        assert not any(name.startswith("fleet.") for name in metrics)
-        assert warnings == []
-
-    def test_malformed_fleet_warns_not_raises(self):
-        data = _manifest_dict()
-        data["fleet"] = "corrupt"
-        warnings = []
-        metrics = extract_metrics(data, warnings)
-        assert not any(name.startswith("fleet.") for name in metrics)
-        assert any("fleet" in w for w in warnings)
-
-    def test_malformed_tenant_fold_skipped(self):
-        data = _manifest_dict()
-        data["fleet"] = dict(_fleet_section(), tenants={"bad": [1]})
-        warnings = []
-        metrics = extract_metrics(data, warnings)
-        assert metrics["fleet.hosts_done"] == 8.0
-        assert not any(".tenant." in name for name in metrics)
-        assert any("tenants" in w for w in warnings)
-
-    def test_fleet_regression_gates(self):
-        old = {"fleet.hosts_done": 8.0, "fleet.ingest_backlog_peak": 3.0}
-        new = {"fleet.hosts_done": 6.0, "fleet.ingest_backlog_peak": 3.0}
-        result = compare_metrics(old, new)
-        assert not result.ok()
-        assert any(d.name == "fleet.hosts_done" and d.verdict == "regression"
-                   for d in result.deltas)

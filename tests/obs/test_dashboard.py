@@ -343,51 +343,3 @@ class TestForensicsSection:
     def test_malformed_census_ignored(self):
         html_text = render_dashboard(_manifest(forensics=[1, 2]))
         assert "Failure forensics" not in html_text
-
-
-class TestFleetSection:
-    def _fleet(self):
-        return {
-            "hosts": {"done": 8, "failed": 1},
-            "tenants": {
-                "web": {
-                    "hosts_done": 4, "hosts_failed": 0,
-                    "coverage": {"mean": 0.62, "p50": 0.6, "p95": 0.7},
-                    "refresh_reduction_mean": 0.55,
-                    "tests": {"total": 40},
-                    "pril_hit_rate": 0.9,
-                    "test_bandwidth_per_s": 5.0,
-                },
-            },
-            "coverage": {"mean": 0.6,
-                         "bin_edges": [0.0, 0.5, 1.0],
-                         "bin_counts": [3, 5]},
-            "wall": {"hosts_timed": 8, "p50_s": 0.2, "p95_s": 0.5,
-                     "p99_s": 0.6, "max_s": 0.7},
-            "tests": {"total": 80, "bandwidth_per_s": 9.5},
-            "pril_hit_rate": 0.88,
-            "ingest": {"records": 1200, "backlog_peak": 3},
-            "resident_rows": {"peak": 120, "evicted": 900.0},
-            "trace_cache": {"hits": 5.0, "misses": 7.0},
-        }
-
-    def test_fleet_rendered(self):
-        html_text = render_dashboard(_manifest(fleet=self._fleet()))
-        assert "<h2>Fleet</h2>" in html_text
-        assert "web" in html_text
-        assert "coverage" in html_text
-        assert "backlog peak" in html_text
-
-    def test_absent_without_fleet(self):
-        assert "<h2>Fleet</h2>" not in render_dashboard(_manifest())
-
-    def test_malformed_fleet_ignored(self):
-        html_text = render_dashboard(_manifest(fleet=[1, 2]))
-        assert "<h2>Fleet</h2>" not in html_text
-
-    def test_hostile_tenant_name_escaped(self):
-        fleet = self._fleet()
-        fleet["tenants"]["<script>alert(1)</script>"] = (
-            fleet["tenants"]["web"])
-        html_text = render_dashboard(_manifest(fleet=fleet))
-        assert "<script>alert(1)" not in html_text

@@ -59,20 +59,6 @@ class TestJournal:
             journal.append("a", "fp", "new")
         assert CheckpointJournal(path).load()["a"]["payload"] == "new"
 
-    def test_load_by_fingerprint_keeps_same_key_variants(self, tmp_path):
-        # One key under two fingerprints (a persistent service running
-        # the same experiment for two seeds): load() collapses them,
-        # load_by_fingerprint() keeps both.
-        path = str(tmp_path / "j.jsonl")
-        with CheckpointJournal(path) as journal:
-            journal.append("fig04:scan00", "fp-seed1", {"s": 1})
-            journal.append("fig04:scan00", "fp-seed2", {"s": 2})
-        journal = CheckpointJournal(path)
-        assert journal.load()["fig04:scan00"]["payload"] == {"s": 2}
-        by_fp = journal.load_by_fingerprint()
-        assert by_fp[("fig04:scan00", "fp-seed1")]["payload"] == {"s": 1}
-        assert by_fp[("fig04:scan00", "fp-seed2")]["payload"] == {"s": 2}
-
     def test_parent_directories_created(self, tmp_path):
         path = str(tmp_path / "deep" / "nest" / "j.jsonl")
         with CheckpointJournal(path) as journal:

@@ -147,55 +147,6 @@ class TestSkipAndJournal:
             )
         assert sorted(seen) == [("u0", True), ("u1", False)]
 
-    def test_on_result_streams_fresh_and_skipped_payloads(self):
-        units = _fake_units(3)
-        done = {
-            units[0].key: {
-                "fp": unit_fingerprint(units[0], True, 1),
-                "payload": {"value": -1, "squared": 1},
-            }
-        }
-        streamed = {}
-        with ParallelExecutor(1) as ex:
-            payloads, _ = ex.run_units(
-                units, done=done,
-                on_result=lambda u, p: streamed.setdefault(u.unit_id, p),
-            )
-        assert streamed == {
-            "u0": {"value": -1, "squared": 1},
-            "u1": payloads[1],
-            "u2": payloads[2],
-        }
-
-    def test_per_call_seed_override_controls_fingerprints(self):
-        # A journal written under one seed must not satisfy a run under
-        # another seed through the same warm executor.
-        units = _fake_units(2)
-        done = {
-            u.key: {
-                "fp": unit_fingerprint(u, True, 7),
-                "payload": {"value": 0, "squared": 0},
-            }
-            for u in units
-        }
-        with ParallelExecutor(1, seed=1) as ex:
-            _, stats_other = ex.run_units(units, done=done, seed=8)
-            _, stats_match = ex.run_units(units, done=done, seed=7)
-        assert stats_other.skipped == 0 and stats_other.executed == 2
-        assert stats_match.skipped == 2 and stats_match.executed == 0
-
-    def test_per_call_quick_override_controls_fingerprints(self):
-        units = _fake_units(1)
-        done = {
-            units[0].key: {
-                "fp": unit_fingerprint(units[0], False, 1),
-                "payload": {"value": 0, "squared": 0},
-            }
-        }
-        with ParallelExecutor(1, quick=True) as ex:
-            _, stats = ex.run_units(units, done=done, quick=False)
-        assert stats.skipped == 1
-
 
 class TestShardPaths:
     def test_trace_shard_path_keeps_extension(self):

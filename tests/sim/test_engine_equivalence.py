@@ -1,16 +1,15 @@
 """Equivalence tests: the event-heap engine vs the poll-loop oracle.
 
-``SystemSimulator.run(engine="event")`` must be bit-identical to the
-retired cycle-polling loop (``engine="poll"``, kept as the reference
-implementation — the same oracle pattern the vectorised fault engine
-uses): identical ``SystemResult``s and identical traced event streams
-across randomized configurations. The one intentional divergence is
-backpressure fairness, covered by its own regression test.
+``SystemSimulator.run`` must be bit-identical to the retired
+cycle-polling loop (``tests/oracles/sim_poll.py`` — the same oracle
+pattern the vectorised fault engine uses): identical ``SystemResult``s
+and identical traced event streams across randomized configurations.
+The one intentional divergence is backpressure fairness, covered by its
+own regression test.
 """
 
 from dataclasses import asdict
 
-import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro import obs
@@ -20,6 +19,7 @@ from repro.mc.scheduler import FrFcfsScheduler, SchedulerConfig
 from repro.sim.core import CoreConfig
 from repro.sim.system import SystemConfig, SystemSimulator
 from repro.traces.spec import get_benchmark
+from tests.oracles.sim_poll import poll_run
 
 BENCH_POOL = ["mcf", "tonto", "libquantum", "gcc"]
 
@@ -36,6 +36,13 @@ def _config(channels, tests, reduction, row_refresh):
     )
 
 
+def _simulate(simulator, window_ns, engine):
+    """Run ``simulator`` with the event loop or the poll-loop oracle."""
+    if engine == "poll":
+        return poll_run(simulator, window_ns)
+    return simulator.run(window_ns)
+
+
 def _run(engine, bench_names, config, seed, window_ns, traced=False):
     """One fresh simulator run; returns (result dict, trace records)."""
     benchmarks = [get_benchmark(name) for name in bench_names]
@@ -45,12 +52,12 @@ def _run(engine, bench_names, config, seed, window_ns, traced=False):
         sink = obs.ListTraceSink()
         previous = obs.set_sink(sink)
         try:
-            result = simulator.run(window_ns, engine=engine)
+            result = _simulate(simulator, window_ns, engine)
         finally:
             obs.set_sink(previous)
         records = sink.records
     else:
-        result = simulator.run(window_ns, engine=engine)
+        result = _simulate(simulator, window_ns, engine)
     return (
         {
             "window_ns": result.window_ns,
@@ -125,7 +132,7 @@ class TestEngineMatchesOracle:
         snapshots = {}
         for engine in ("poll", "event"):
             simulator = SystemSimulator(benchmarks, config, seed=seed)
-            simulator.run(window_ns, engine=engine)
+            _simulate(simulator, window_ns, engine)
             snapshots[engine] = simulator.activation_snapshot(window_ns)
         assert snapshots["event"] == snapshots["poll"]
 
@@ -141,7 +148,7 @@ class TestEngineMatchesOracle:
             simulator = SystemSimulator(
                 [get_benchmark("mcf")], config, seed=7,
             )
-            simulator.run(50_000.0, engine=engine)
+            _simulate(simulator, 50_000.0, engine)
             snapshots[engine] = simulator.activation_snapshot(50_000.0)
         assert snapshots["event"] == snapshots["poll"]
         assert len(snapshots["event"]) > 10
@@ -155,11 +162,6 @@ class TestEngineMatchesOracle:
         got, _ = _run("event", ["tonto"], config, 3, 50.0)
         assert got == expected
         assert all(core["reads_completed"] == 0 for core in got["cores"])
-
-    def test_unknown_engine_rejected(self):
-        simulator = SystemSimulator([get_benchmark("mcf")], SystemConfig())
-        with pytest.raises(ValueError):
-            simulator.run(1_000.0, engine="cycle")
 
 
 class TestHoldbackFairness:
@@ -184,7 +186,7 @@ class TestHoldbackFairness:
                     read_queue_capacity=2,
                     write_queue_capacity=2,
                 ))
-            result = simulator.run(100_000.0, engine=engine)
+            result = _simulate(simulator, 100_000.0, engine)
         finally:
             obs.set_registry(previous)
         rejected = registry.counter("mc.sched.rejected").value

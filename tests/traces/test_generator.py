@@ -6,12 +6,12 @@ import numpy as np
 import pytest
 
 from repro import obs
+from repro.traces import generator
 from repro.traces.generator import (
     clear_trace_cache,
     generate_page_writes,
     generate_trace,
     pareto_gaps,
-    set_trace_cache_limit,
     trace_cache_info,
 )
 from repro.traces.workloads import WORKLOADS, WorkloadProfile
@@ -123,10 +123,8 @@ class TestGenerateTrace:
 class TestTraceCache:
     @pytest.fixture(autouse=True)
     def fresh_cache(self):
-        previous = set_trace_cache_limit(32)
         clear_trace_cache()
         yield
-        set_trace_cache_limit(previous)
         clear_trace_cache()
 
     def test_repeat_call_hits_cache(self):
@@ -134,8 +132,8 @@ class TestTraceCache:
         b = generate_trace(WORKLOADS["Netflix"], seed=4, duration_ms=2_000.0)
         assert a is b
 
-    def test_limit_is_configurable_and_evicts_lru(self):
-        set_trace_cache_limit(2)
+    def test_limit_is_configurable_and_evicts_lru(self, monkeypatch):
+        monkeypatch.setattr(generator, "_TRACE_CACHE_LIMIT", 2)
         first = generate_trace(WORKLOADS["Netflix"], seed=5,
                                duration_ms=1_000.0)
         generate_trace(WORKLOADS["BlurMotion"], seed=5, duration_ms=1_000.0)
@@ -152,16 +150,12 @@ class TestTraceCache:
                                duration_ms=1_000.0)
         assert fresh is again
 
-    def test_zero_limit_disables_caching(self):
-        set_trace_cache_limit(0)
+    def test_zero_limit_disables_caching(self, monkeypatch):
+        monkeypatch.setattr(generator, "_TRACE_CACHE_LIMIT", 0)
         a = generate_trace(WORKLOADS["Netflix"], seed=6, duration_ms=1_000.0)
         b = generate_trace(WORKLOADS["Netflix"], seed=6, duration_ms=1_000.0)
         assert a is not b
         assert trace_cache_info() == {"size": 0, "limit": 0}
-
-    def test_negative_limit_rejected(self):
-        with pytest.raises(ValueError):
-            set_trace_cache_limit(-1)
 
     def test_profile_subclass_never_aliases(self):
         class ShadowProfile(WorkloadProfile):
