@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from typing import Optional, Tuple
 
 import numpy as np
-from scipy import stats
 
 
 @dataclass(frozen=True)
@@ -52,6 +51,30 @@ def empirical_ccdf(
     return x_values, counts / len(sorted_samples)
 
 
+def _linregress(x: np.ndarray, y: np.ndarray) -> Tuple[float, float, float]:
+    """Least-squares line through ``(x, y)``: ``(slope, intercept, r)``.
+
+    The arithmetic of ``scipy.stats.linregress``, step for step, so every
+    fit is bit-identical to it. Without variance in ``y`` the correlation
+    is undefined: ``r`` is nan (0.0 if the covariance is somehow nonzero)
+    and no warning is raised.
+    """
+    if np.amax(x) == np.amin(x) and len(x) > 1:
+        raise ValueError(
+            "Cannot calculate a linear regression if all x values are "
+            "identical"
+        )
+    xmean = np.mean(x, None)
+    ymean = np.mean(y, None)
+    ssxm, ssxym, _, ssym = np.cov(x, y, bias=1).flat
+    if ssxm == 0.0 or ssym == 0.0:
+        r = np.nan if ssxym == 0 else 0.0
+    else:
+        r = np.clip(ssxym / np.sqrt(ssxm * ssym), -1.0, 1.0)
+    slope = ssxym / ssxm
+    return slope, ymean - slope * xmean, r
+
+
 def fit_pareto(
     samples: np.ndarray,
     x_min: float = 1.0,
@@ -80,13 +103,13 @@ def fit_pareto(
     keep = ccdf > 0
     if keep.sum() < 3:
         raise ValueError("not enough non-empty CCDF points to fit")
-    log_x = np.log10(x_grid[keep])
-    log_p = np.log10(ccdf[keep])
-    result = stats.linregress(log_x, log_p)
+    slope, intercept, r = _linregress(
+        np.log10(x_grid[keep]), np.log10(ccdf[keep])
+    )
     return ParetoFit(
-        alpha=-float(result.slope),
-        k=float(10 ** result.intercept),
-        r_squared=float(result.rvalue ** 2),
+        alpha=-float(slope),
+        k=float(10 ** intercept),
+        r_squared=float(r ** 2),
         n_samples=len(samples),
         x_min=x_min,
     )

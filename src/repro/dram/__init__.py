@@ -12,7 +12,6 @@ This package models everything below the memory controller:
 
 from .cell_array import CellArray, bits_to_bytes, bytes_to_bits
 from .device import DeviceError, DramDevice
-from .disturb import DisturbMap, DisturbModelConfig
 from .faults import FaultMap, FaultModelConfig, VulnerableCell
 from .geometry import PAPER_MODULE, TINY_MODULE, DramGeometry, RowAddress
 from .scramble import (
@@ -44,8 +43,6 @@ __all__ = [
     "REFERENCE_TEMPERATURE_C",
     "RetentionTemperatureModel",
     "DeviceError",
-    "DisturbMap",
-    "DisturbModelConfig",
     "DramDevice",
     "DramGeometry",
     "FaultMap",

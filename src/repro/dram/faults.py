@@ -54,8 +54,8 @@ import numpy as np
 
 from .. import obs
 
-#: Registry names for resident-row accounting, shared by FaultMap and
-#: DisturbMap so the gauge reads total dense row state per process.
+#: Registry names for resident-row accounting: the gauge reads the
+#: dense row state a process holds across every live fault map.
 RESIDENT_ROWS_GAUGE = "dram.resident_rows"
 ROWS_EVICTED_COUNTER = "dram.rows_evicted"
 
@@ -141,10 +141,7 @@ def _draw_distinct_columns(
     A cell's draw is rejected iff it matches the column of a lower-``j``
     cell of the same row, and redrawn on the next counter value — a rule
     that depends only on the row's own draws, keeping the result
-    independent of how rows are batched. Shared by the content-dependent
-    population (:class:`FaultMap`) and the read-disturbance population
-    (:class:`~repro.dram.disturb.DisturbMap`), each under its own ``tag``
-    so the two populations of one chip seed never correlate.
+    independent of how rows are batched.
     """
     attempts = np.zeros(len(j), dtype=np.int64)
     cols = np.empty(len(j), dtype=np.int64)
@@ -533,20 +530,12 @@ class FaultMap:
         row_index: int,
         physical_row_bits: np.ndarray,
         refresh_interval_ms: float,
-        disturb_stress: float = 0.0,
     ) -> np.ndarray:
         """Boolean mask over :meth:`cells_in_row` — True where the cell fails.
 
         One vectorised pass: gather each vulnerable cell's stored value and
         both neighbours, count aggressors by array comparison, and compare
         the stress table against the per-cell thresholds.
-
-        ``disturb_stress`` composes the read-disturbance channel into the
-        predicate: the row's activation-pressure stress (from
-        :meth:`~repro.dram.disturb.DisturbMap.stress_contribution`) adds to
-        the content-coupling stress before the threshold compare. At the
-        default 0.0 the mask is bit-identical to the pure content
-        predicate.
         """
         pop = self.row_population(row_index)
         return self._evaluate(
@@ -556,7 +545,6 @@ class FaultMap:
             np.asarray(physical_row_bits),
             None,
             refresh_interval_ms,
-            disturb_stress,
         )
 
     def failing_columns(
@@ -579,16 +567,11 @@ class FaultMap:
         bits: np.ndarray,
         row_pos: Optional[np.ndarray],
         refresh_interval_ms: float,
-        disturb_stress: Union[float, np.ndarray, None] = None,
     ) -> np.ndarray:
         """Failure mask for a flat batch of cells against content bits.
 
         ``bits`` is one row (1-D, shared by every cell) or a matrix whose
-        rows are indexed by ``row_pos``. ``disturb_stress`` — a scalar, or
-        an array aligned with the batch's rows (indexed by ``row_pos``) —
-        adds activation-pressure stress from the read-disturbance channel
-        on top of the content-coupling stress; ``None``/``0.0`` keeps the
-        pure content predicate, expression-for-expression.
+        rows are indexed by ``row_pos``.
         """
         if len(cols) == 0:
             return np.zeros(0, dtype=bool)
@@ -608,19 +591,7 @@ class FaultMap:
         charged = np.where(true_cell, value == 1, value == 0)
         aggressors = ((cols > 0) & (left_value != value)).astype(np.int64)
         aggressors += ((cols + 1 < width) & (right_value != value)).astype(np.int64)
-        table = self._stress_table(refresh_interval_ms)
-        stress = table[aggressors]
-        if disturb_stress is not None:
-            extra = np.asarray(disturb_stress, dtype=np.float64)
-            if extra.ndim == 0:
-                if float(extra) != 0.0:
-                    stress = stress + float(extra)
-            elif row_pos is not None:
-                stress = stress + extra[row_pos]
-            else:
-                raise ValueError(
-                    "per-row disturb_stress needs a batched evaluation"
-                )
+        stress = self._stress_table(refresh_interval_ms)[aggressors]
         return valid & charged & (stress >= thresholds)
 
     def _gather(
@@ -651,30 +622,23 @@ class FaultMap:
         rows: Union[Sequence[int], np.ndarray],
         physical_bits: np.ndarray,
         refresh_interval_ms: float,
-        disturb_stress: Union[float, np.ndarray, None] = None,
     ) -> np.ndarray:
         """Which of ``rows`` lose at least one bit with the given content.
 
         ``physical_bits`` is either one silicon-order row shared by every
         row in the batch, or a ``(len(rows), width)`` matrix of per-row
         content. Returns a boolean array aligned with ``rows``.
-        ``disturb_stress`` is a scalar, or an array aligned with ``rows``,
-        of read-disturbance stress composed into the failure predicate.
         """
         rows = np.asarray(rows, dtype=np.int64)
         self._check_rows(rows)
         row_pos, cols, thresholds, true_cell = self._gather(rows)
         bits = np.asarray(physical_bits)
         fails = self._evaluate(
-            cols, thresholds, true_cell,
-            bits, row_pos, refresh_interval_ms,
-            disturb_stress,
+            cols, thresholds, true_cell, bits, row_pos, refresh_interval_ms,
         )
         result = np.bincount(row_pos[fails], minlength=len(rows)) > 0
         if obs.forensics_active() and obs.trace_active():
-            self._emit_predicate_eval(
-                rows, bits, refresh_interval_ms, disturb_stress, result
-            )
+            self._emit_predicate_eval(rows, bits, refresh_interval_ms, result)
         return result
 
     @staticmethod
@@ -682,20 +646,14 @@ class FaultMap:
         rows: np.ndarray,
         bits: np.ndarray,
         refresh_interval_ms: float,
-        disturb_stress: Union[float, np.ndarray, None],
         result: np.ndarray,
     ) -> None:
         """Ledger record for one batch predicate evaluation (forensics).
 
         Captures the evaluation's inputs compactly: the CRC of the exact
         content snapshot (dtype-tagged, so byte-equal content hashes
-        equal), the stress summary, and up to 64 failing rows by id.
+        equal) and up to 64 failing rows by id.
         """
-        if disturb_stress is None:
-            stress_max = 0.0
-        else:
-            stress_arr = np.asarray(disturb_stress, dtype=np.float64)
-            stress_max = float(stress_arr.max()) if stress_arr.size else 0.0
         crc = zlib.crc32(bits.dtype.char.encode())
         crc = zlib.crc32(np.ascontiguousarray(bits).tobytes(), crc)
         failing = rows[result]
@@ -704,7 +662,6 @@ class FaultMap:
             interval_ms=float(refresh_interval_ms),
             rows=int(len(rows)),
             failed=int(len(failing)),
-            stress_max=stress_max,
             content_crc=int(crc),
             rows_failed_sample=[int(r) for r in failing[:64]],
         )
@@ -714,7 +671,6 @@ class FaultMap:
         rows: Union[Sequence[int], np.ndarray],
         physical_bits: np.ndarray,
         refresh_interval_ms: float,
-        disturb_stress: Union[float, np.ndarray, None] = None,
     ) -> Tuple[np.ndarray, np.ndarray]:
         """(row_index, physical_column) of every failing cell in the batch.
 
@@ -727,7 +683,6 @@ class FaultMap:
         fails = self._evaluate(
             cols, thresholds, true_cell,
             np.asarray(physical_bits), row_pos, refresh_interval_ms,
-            disturb_stress,
         )
         return rows[row_pos[fails]], cols[fails]
 

@@ -21,8 +21,6 @@ from . import (
     fig18,
     fig19,
     fleet,
-    hammer01,
-    hammer02,
     table3,
 )
 from .common import ExperimentResult, percent
@@ -44,8 +42,6 @@ __all__ = [
     "fig18",
     "fig19",
     "fleet",
-    "hammer01",
-    "hammer02",
     "percent",
     "table3",
 ]

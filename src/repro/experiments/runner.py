@@ -38,8 +38,8 @@ run, and the manifest records the worker topology under ``"workers"``.
 
 ``--forensics`` additionally records the decision-provenance ledger
 (:mod:`repro.obs.forensics`): PRIL LO-REF grants/revocations with their
-write-interval evidence, the MEMCON test lifecycle, TRR neighbour
-refreshes, disturbance dose crossings and fault-predicate evaluations.
+write-interval evidence, the MEMCON test lifecycle, refresh-ledger
+transitions and fault-predicate evaluations.
 The ledger is extracted to ``<trace stem>.forensics.jsonl`` after the
 run (``--forensics-out`` overrides), its census lands in the manifest
 under ``"forensics"``, and ``python -m repro.obs.why --row R`` answers
@@ -71,8 +71,7 @@ from ..parallel import (
 )
 from . import (
     fig03, fig04, fig06, fig07, fig08, fig09, fig11, fig12,
-    fig14, fig15, fig16, fig17, fig18, fig19, fleet, hammer01, hammer02,
-    table3,
+    fig14, fig15, fig16, fig17, fig18, fig19, fleet, table3,
 )
 from .common import ExperimentResult
 
@@ -94,10 +93,6 @@ EXPERIMENTS: Dict[str, Callable[..., ExperimentResult]] = {
     "fig18": fig18.run,
     "fig19": fig19.run,
     "table3": table3.run,
-    # The read-disturbance channel studies sit after the paper's own
-    # figures so an `all` run prints the reproduction tables first.
-    "hammer01": hammer01.run,
-    "hammer02": hammer02.run,
     # The fleet runs the Figure 14 accounting on many hosts; it comes
     # last because it extends the paper rather than reproducing it.
     "fleet": fleet.run,
@@ -267,9 +262,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument(
         "--forensics", action="store_true",
         help="record the decision-provenance ledger (PRIL grants/"
-        "revocations, MEMCON test evidence, TRR refreshes, dose "
-        "crossings, predicate evaluations) and extract it next to the "
-        "trace; implies --trace (a default path is derived when absent)",
+        "revocations, MEMCON test evidence, refresh transitions, "
+        "predicate evaluations) and extract it next to the trace; "
+        "implies --trace (a default path is derived when absent)",
     )
     parser.add_argument(
         "--forensics-out", metavar="FILE", default=None,

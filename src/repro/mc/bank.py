@@ -2,77 +2,10 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Optional, Tuple
+from dataclasses import dataclass
+from typing import Optional
 
 from ..dram.timing import TimingParameters
-
-
-class BankActivationLog:
-    """Per-row ACT counts and open-row on-time for one bank.
-
-    The read-disturbance channel (:mod:`repro.dram.disturb`) consumes the
-    controller's *real* ACT stream: every activate records the row id, and
-    every row close (PRE, REF, row refresh) accrues the interval the row
-    spent open — the RowPress signal. The log is opt-in (``BankState.act_log``
-    is ``None`` by default) so untracked runs pay nothing and stay
-    bit-identical.
-
-    Counts survive auto-refresh on purpose: an all-bank REF restores the
-    *victims'* charge, but per-victim accounting lives in the disturbance
-    model's refresh-interval scaling; the log's job is only to report how
-    often each aggressor row activated. Target-row-refresh mitigation
-    resets an aggressor through :meth:`reset_row` when it refreshes the
-    neighbours.
-    """
-
-    __slots__ = ("counts", "on_ns", "open_row", "open_since_ns")
-
-    def __init__(self) -> None:
-        self.counts: Dict[int, int] = {}
-        self.on_ns: Dict[int, float] = {}
-        self.open_row: Optional[int] = None
-        self.open_since_ns = 0.0
-
-    def activate(self, row: int, t_ns: float) -> None:
-        """Record an ACT of ``row`` at ``t_ns`` (closes any open interval)."""
-        if self.open_row is not None:
-            self.close(t_ns)
-        self.counts[row] = self.counts.get(row, 0) + 1
-        self.open_row = row
-        self.open_since_ns = t_ns
-
-    def close(self, t_ns: float) -> None:
-        """Record the PRE of the open row at ``t_ns`` (no-op when closed)."""
-        row = self.open_row
-        if row is None:
-            return
-        duration = t_ns - self.open_since_ns
-        if duration > 0.0:
-            self.on_ns[row] = self.on_ns.get(row, 0.0) + duration
-        self.open_row = None
-
-    def reset_row(self, row: int) -> None:
-        """Forget a row's accumulated pressure (TRR mitigation hook).
-
-        Callers close any open interval first (mitigation precharges the
-        bank), so dropping the dict entries is the whole reset.
-        """
-        self.counts.pop(row, None)
-        self.on_ns.pop(row, None)
-
-    def snapshot(
-        self, now_ns: float
-    ) -> Tuple[Dict[int, int], Dict[int, float]]:
-        """(counts, on_ns) copies with the open interval virtually closed."""
-        counts = dict(self.counts)
-        on_ns = dict(self.on_ns)
-        row = self.open_row
-        if row is not None:
-            duration = now_ns - self.open_since_ns
-            if duration > 0.0:
-                on_ns[row] = on_ns.get(row, 0.0) + duration
-        return counts, on_ns
 
 
 @dataclass
@@ -81,18 +14,13 @@ class BankState:
 
     ``ready_ns`` is when the bank can accept its next command;
     ``open_row`` is the row latched in the sense amps (None = precharged).
-    ``act_log``, when attached, mirrors the ACT/PRE stream as per-row
-    aggressor counters for the read-disturbance model.
     """
 
     ready_ns: float = 0.0
     open_row: Optional[int] = None
-    activations: int = 0
-    precharges: int = 0
     row_hits: int = 0
     row_misses: int = 0
     row_conflicts: int = 0
-    act_log: Optional[BankActivationLog] = None
 
 
 @dataclass
@@ -125,22 +53,12 @@ def service_request(
         column_at = start
     elif bank.open_row is None:
         bank.row_misses += 1
-        bank.activations += 1
         column_at = start + timing.tRCD
         bank.open_row = row
-        if bank.act_log is not None:
-            bank.act_log.activate(row, start)
     else:
         bank.row_conflicts += 1
-        bank.precharges += 1
-        bank.activations += 1
         column_at = start + timing.tRP + timing.tRCD
         bank.open_row = row
-        if bank.act_log is not None:
-            # PRE of the old row issues at `start`; the new row's ACT
-            # follows one tRP later.
-            bank.act_log.close(start)
-            bank.act_log.activate(row, start + timing.tRP)
     burst_ns = timing.burst_cycles * timing.tCK
     # The data burst must also wait for the shared bus.
     data_start = max(column_at + timing.tCAS, rank.bus_free_ns)
@@ -168,6 +86,4 @@ def issue_refresh(
     for bank in banks:
         bank.open_row = None
         bank.ready_ns = max(bank.ready_ns, end)
-        if bank.act_log is not None:
-            bank.act_log.close(now_ns)
     return end

@@ -15,22 +15,15 @@ the test window (Table 3's overhead study).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 
 from .. import obs
 from ..dram.timing import DDR3_1600, TimingParameters
-from .bank import (
-    BankActivationLog,
-    BankState,
-    RankState,
-    issue_refresh,
-    service_request,
-)
+from .bank import BankState, RankState, issue_refresh, service_request
 from .request import Request, RequestKind
-from .rowrefresh import TargetRowRefresh, TrrSettings
 from .schedule import ArrivalSchedule
 from .scheduler import FrFcfsScheduler, SchedulerConfig
 
@@ -131,26 +124,13 @@ class MemoryController:
         row_refresh: Optional["RowRefreshScheduler"] = None,
         seed: int = 0,
         channel: int = 0,
-        track_activations: bool = False,
-        trr: Optional[TrrSettings] = None,
     ) -> None:
         if banks <= 0 or rows_per_bank <= 0:
             raise ValueError("banks and rows_per_bank must be positive")
         if channel < 0:
             raise ValueError("channel must be non-negative")
         self.timing = timing
-        # TRR needs the ACT counters, so configuring it implies tracking.
-        self.track_activations = track_activations or trr is not None
-        self.banks = [
-            BankState(
-                act_log=BankActivationLog() if self.track_activations else None
-            )
-            for _ in range(banks)
-        ]
-        self.trr = (
-            TargetRowRefresh(trr, timing, rows_per_bank)
-            if trr is not None else None
-        )
+        self.banks = [BankState() for _ in range(banks)]
         self.rows_per_bank = rows_per_bank
         self.rank = RankState()
         self.refresh = refresh or RefreshSettings()
@@ -305,33 +285,10 @@ class MemoryController:
         if self.scheduler.pending and now_ns >= self.rank.refresh_until_ns:
             request = self.scheduler.next_request(self.banks, now_ns)
             if request is not None:
-                bank = self.banks[request.bank]
-                done = service_request(
-                    bank, self.rank, request.row, now_ns, self.timing,
+                request.completion_ns = service_request(
+                    self.banks[request.bank], self.rank, request.row, now_ns,
+                    self.timing,
                 )
-                request.completion_ns = done
-                if self.trr is not None:
-                    fired = self.trr.observe(bank, request.row, now_ns)
-                    if (
-                        fired
-                        and obs.trace_active()
-                        and obs.forensics_active()
-                    ):
-                        # Row id uses the module-flat convention of
-                        # activation snapshots so ledger rows line up
-                        # with the disturbance model's victims.
-                        flat = (
-                            self.channel * len(self.banks) + request.bank
-                        ) * self.rows_per_bank + request.row
-                        obs.emit(
-                            "trr_refresh",
-                            t_ns=now_ns,
-                            bank=request.bank,
-                            row=flat,
-                            bank_row=request.row,
-                            channel=self.channel,
-                            neighbors=self.trr.last_neighbors,
-                        )
                 self._account(request)
                 return request
         return None
@@ -406,18 +363,6 @@ class MemoryController:
                 latency_ns=request.latency_ns,
                 channel=self.channel,
             )
-
-    # ------------------------------------------------------------------
-    def activation_snapshot(
-        self, now_ns: float
-    ) -> List[Tuple[Dict[int, int], Dict[int, float]]]:
-        """Per-bank (ACT counts, on-time ns) with open intervals closed
-        virtually at ``now_ns``; requires activation tracking."""
-        if not self.track_activations:
-            raise ValueError(
-                "controller built without track_activations/trr"
-            )
-        return [bank.act_log.snapshot(now_ns) for bank in self.banks]
 
     # ------------------------------------------------------------------
     def flush_metrics(self) -> None:

@@ -111,96 +111,8 @@ class RowRefreshScheduler:
         start = max(now_ns, bank.ready_ns)
         bank.ready_ns = start + self.row_cycle_ns
         bank.open_row = None
-        if bank.act_log is not None:
-            bank.act_log.close(start)
         self._next_bank = (self._next_bank + 1) % self.banks
         self._next_refresh_ns += self.settings.command_interval_ns
         self.commands_issued += 1
         self.busy_ns += self.row_cycle_ns
-        return True
-
-
-@dataclass(frozen=True)
-class TrrSettings:
-    """Target-row-refresh mitigation: per-row ACT threshold and reach.
-
-    When a row's activation count (since its last reset) reaches
-    ``threshold``, the controller refreshes its ``neighbor_radius``
-    nearest rows on each side — each costing one row cycle of bank
-    occupancy — and resets the aggressor's counter, the
-    counter-based TRR scheme modern DDR4 devices implement in-DRAM.
-    """
-
-    threshold: int
-    neighbor_radius: int = 1
-
-    def __post_init__(self) -> None:
-        if self.threshold <= 0:
-            raise ValueError("threshold must be positive")
-        if self.neighbor_radius <= 0:
-            raise ValueError("neighbor_radius must be positive")
-
-
-class TargetRowRefresh:
-    """Counter-based TRR engine driven by the banks' activation logs.
-
-    The controller calls :meth:`observe` after servicing each request;
-    when the serviced row's ACT count reaches the threshold the engine
-    precharges the bank, occupies it for one row cycle per refreshed
-    neighbour, and resets the aggressor's counters. Victim rows whose
-    charge was just restored contribute no further flips until the
-    aggressor re-accumulates activations — exactly the reset semantics
-    the disturbance model assumes.
-    """
-
-    def __init__(
-        self,
-        settings: TrrSettings,
-        timing: TimingParameters,
-        rows_per_bank: int,
-    ) -> None:
-        if rows_per_bank <= 0:
-            raise ValueError("rows_per_bank must be positive")
-        self.settings = settings
-        self.timing = timing
-        self.rows_per_bank = rows_per_bank
-        self.refreshes_issued = 0
-        self.triggers = 0
-        self.busy_ns = 0.0
-        #: Neighbours refreshed by the most recent trigger (forensics).
-        self.last_neighbors = 0
-
-    @property
-    def row_cycle_ns(self) -> float:
-        """Bank occupancy of one neighbour refresh (ACT + PRE)."""
-        return self.timing.tRAS + self.timing.tRP
-
-    def observe(self, bank, row: int, now_ns: float) -> bool:
-        """Check ``row``'s counter after a service; mitigate when due.
-
-        Returns True when a target-row refresh fired. Requires the bank
-        to carry an activation log (the controller attaches one whenever
-        TRR is configured).
-        """
-        log = bank.act_log
-        if log is None or log.counts.get(row, 0) < self.settings.threshold:
-            return False
-        # Mitigation precharges the bank, then walks the neighbours.
-        start = max(now_ns, bank.ready_ns)
-        if bank.open_row is not None:
-            log.close(start)
-            bank.open_row = None
-        radius = self.settings.neighbor_radius
-        neighbors = 0
-        for distance in range(1, radius + 1):
-            if row - distance >= 0:
-                neighbors += 1
-            if row + distance < self.rows_per_bank:
-                neighbors += 1
-        bank.ready_ns = start + neighbors * self.row_cycle_ns
-        self.busy_ns += neighbors * self.row_cycle_ns
-        self.refreshes_issued += neighbors
-        self.triggers += 1
-        self.last_neighbors = neighbors
-        log.reset_row(row)
         return True

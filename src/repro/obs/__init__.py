@@ -35,10 +35,9 @@ Four cooperating pieces, all near-zero-overhead until switched on:
   per-metric noise thresholds and exits non-zero on regression.
 * **failure forensics** (:mod:`.forensics`, :mod:`.why`) — opt-in
   (``--forensics``) decision-provenance ledger of every causal decision
-  touching a row (PRIL grants/revocations, MEMCON tests, TRR refreshes,
-  dose crossings, predicate evaluations); ``python -m repro.obs.why
-  --row R`` prints a row's causal chain plus a counterfactual replay
-  verdict (content-dependent / disturb-driven / composed / memcon-miss).
+  touching a row (PRIL grants/revocations, MEMCON tests, refresh
+  transitions, predicate evaluations); ``python -m repro.obs.why --row
+  R`` prints a row's causal chain.
 
 ``python -m repro.obs.report TRACE [--manifest FILE] [--timeseries]``
 renders a trace, manifest and rollups into human-readable tables.
@@ -63,8 +62,6 @@ from .compare import (
 from .forensics import (
     FORENSIC_KINDS,
     LEDGER_KINDS,
-    VERDICTS,
-    classify_verdict,
     extract_ledger,
     forensics_active,
     ledger_census,
@@ -124,8 +121,6 @@ __all__ = [
     "compare_metrics",
     "FORENSIC_KINDS",
     "LEDGER_KINDS",
-    "VERDICTS",
-    "classify_verdict",
     "extract_ledger",
     "forensics_active",
     "ledger_census",

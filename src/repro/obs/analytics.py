@@ -140,7 +140,6 @@ class AggregatingSink:
         "_kinds", "_tests", "_mc", "_ref_samples", "_max_window",
         "_page_state", "_pages_seen", "_n_lo", "_n_testing", "_pril",
         "_current_quantum", "_outstanding", "_energy", "_energy_totals",
-        "_disturb", "_disturb_totals",
     )
 
     def __init__(
@@ -181,11 +180,6 @@ class AggregatingSink:
         self._energy: List[Dict[str, float]] = []
         self._energy_totals = {
             "refresh_pj": 0.0, "access_pj": 0.0, "background_pj": 0.0,
-        }
-        # Read-disturbance rollups fold per window; totals ride alongside.
-        self._disturb: Dict[int, Dict[str, float]] = {}
-        self._disturb_totals = {
-            "flips": 0, "rows_flipped": 0, "max_pressure": 0.0,
         }
 
     # -- live counters -------------------------------------------------
@@ -442,34 +436,6 @@ class AggregatingSink:
                         "aborted": 0,
                     }
                     pril_append(current_quantum)
-                elif kind == "disturb_rollup":
-                    kinds[kind] += 1
-                    window = int(record["t_ms"] // window_ms)
-                    if max_window is None:
-                        max_window = window
-                        next_boundary = (max_window + 1) * window_ms
-                    elif window > max_window:
-                        sample = (n_lo, n_testing, pages_seen)
-                        for index in range(max_window, window):
-                            ref_samples[index] = sample
-                        max_window = window
-                        next_boundary = (max_window + 1) * window_ms
-                    entry = self._disturb.get(window)
-                    if entry is None:
-                        entry = self._disturb[window] = {
-                            "flips": 0, "rows_flipped": 0,
-                            "max_pressure": 0.0,
-                        }
-                    entry["flips"] += record["flips"]
-                    entry["rows_flipped"] += record["rows_flipped"]
-                    pressure = record["max_pressure"]
-                    if pressure > entry["max_pressure"]:
-                        entry["max_pressure"] = pressure
-                    totals = self._disturb_totals
-                    totals["flips"] += record["flips"]
-                    totals["rows_flipped"] += record["rows_flipped"]
-                    if pressure > totals["max_pressure"]:
-                        totals["max_pressure"] = pressure
                 elif kind == "energy_rollup":
                     kinds[kind] += 1
                     entry = {
@@ -514,11 +480,7 @@ class AggregatingSink:
                 self._max_window,
                 (self._n_lo, self._n_testing, self._pages_seen),
             )
-        indices = sorted(
-            set(self._tests) | set(self._mc) | set(ref_samples)
-            | set(self._disturb)
-        )
-        disturb_seen = bool(self._disturb)
+        indices = sorted(set(self._tests) | set(self._mc) | set(ref_samples))
         windows = []
         for index in indices:
             entry: Dict[str, Any] = {
@@ -564,11 +526,6 @@ class AggregatingSink:
                 }
             else:
                 entry["mc"] = None
-            if disturb_seen:
-                # Key present only on runs that emitted disturbance
-                # events, so rollups of untracked runs are unchanged.
-                disturb = self._disturb.get(index)
-                entry["disturb"] = dict(disturb) if disturb else None
             windows.append(entry)
         pril = []
         for quantum in self._pril:
@@ -588,10 +545,6 @@ class AggregatingSink:
                 "rollups": [dict(e) for e in self._energy],
                 "totals": dict(self._energy_totals),
             } if self._energy else None,
-            **(
-                {"disturb": {"totals": dict(self._disturb_totals)}}
-                if disturb_seen else {}
-            ),
         }
 
 

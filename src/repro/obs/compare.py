@@ -58,11 +58,8 @@ WALL_CLOCK_THRESHOLD = 0.30
 _HIGHER_TOKENS = ("speedup", "reduction", "hit_rate", "coverage", "ipc",
                   "attributed")
 #: Name fragments / suffixes implying "smaller is better".
-#: ("flip"/"pressure" cover the read-disturbance metrics: more hammer
-#: flips or victim pressure is a reliability regression; "rss" covers
-#: the bus/profiler memory high-water marks.)
-_LOWER_TOKENS = ("overhead", "latency", "fraction", "flip", "pressure",
-                 "rss")
+#: ("rss" covers the bus/profiler memory high-water marks.)
+_LOWER_TOKENS = ("overhead", "latency", "fraction", "rss")
 _LOWER_SUFFIXES = ("_s", "_ns", "_ms")
 #: Fragments whose metrics are as noisy as wall clock (allocator and
 #: page-cache behavior swing RSS across runs the same way CI runners

@@ -6,8 +6,7 @@ perf trajectories) into a single HTML file with inline SVG charts:
 
 * **run provenance** — experiments, seed, git revision, wall time;
 * **rollup time series** — LO-REF / testing row coverage, test outcomes
-  per window, controller latency percentiles, and (when the run tracked
-  read disturbance) disturb pressure, all from the manifest's
+  per window and controller latency percentiles, all from the manifest's
   ``"timeseries"`` rollups (recomputed offline from the traces when the
   manifest lacks them);
 * **flame view** — the sampled profiler's collapsed stacks
@@ -17,8 +16,8 @@ perf trajectories) into a single HTML file with inline SVG charts:
   telemetry bus heartbeats (``workers.telemetry``), with stall/lost
   markers;
 * **failure forensics** — the ledger census a ``--forensics`` run folds
-  into the manifest: verdict histogram, record counts per ledger kind,
-  and a pointer at the why-CLI;
+  into the manifest: record counts per ledger kind and a pointer at the
+  why-CLI;
 * **BENCH trajectories** — sparkline small-multiples over the history
   lists in ``BENCH_*.json`` files passed via ``--bench``.
 
@@ -726,25 +725,6 @@ def _timeseries_sections(timeseries: Optional[Mapping[str, Any]]) -> str:
             sub="controller read-latency bucket quantiles per window",
         ))
 
-    disturb_windows = [w for w in windows if w.get("disturb")]
-    if disturb_windows:
-        x = [w["t_ms"] for w in disturb_windows]
-        chart = _line_chart(
-            [
-                {"color": "--series-2",
-                 "points": [w["disturb"].get("max_pressure")
-                            for w in disturb_windows]},
-            ],
-            x, x_unit=" ms",
-        )
-        out.append(_section(
-            "Disturb pressure",
-            chart,
-            _legend([("max pressure (fraction of effective threshold)",
-                      "--series-2")]),
-            sub="read-disturbance dose high-water mark per window",
-        ))
-
     if not out:
         # Lifecycle-only traces (pure fault-engine experiments) still
         # carry an event census worth a glance.
@@ -836,12 +816,7 @@ def _forensics_section(manifest: Mapping[str, Any]) -> str:
     forensics = manifest.get("forensics")
     if not isinstance(forensics, Mapping):
         return ""
-    verdicts = forensics.get("verdicts") or {}
     kinds = forensics.get("kinds") or {}
-    verdict_chart = _hbar_chart(sorted(
-        ((str(k), float(v)) for k, v in verdicts.items()),
-        key=lambda kv: kv[1], reverse=True,
-    )) if isinstance(verdicts, Mapping) else ""
     table = ""
     if isinstance(kinds, Mapping) and kinds:
         head = "<tr><th>ledger kind</th><th>records</th></tr>"
@@ -863,12 +838,7 @@ def _forensics_section(manifest: Mapping[str, Any]) -> str:
     bits.append(
         "ask `python -m repro.obs.why --row R` for a row's causal chain"
     )
-    return _section(
-        "Failure forensics",
-        verdict_chart,
-        table,
-        sub=" · ".join(bits),
-    )
+    return _section("Failure forensics", table, sub=" · ".join(bits))
 
 
 def _bench_section(bench_files: Mapping[str, Mapping[str, Any]]) -> str:

@@ -2,12 +2,11 @@
 
 Aggregate observability (rollups, gantts, flamegraphs) answers *how
 much*; this layer answers *why this row*. When the forensics gate is on,
-instrumented decision points — PRIL LO-REF grants and revocations, the
-MEMCON test lifecycle, TRR neighbour refreshes, disturbance dose
-crossings, and every batch fault-predicate evaluation — emit compact
-records into the normal event trace (:mod:`repro.obs.trace`). Because
-they ride the same stream, sharded runs reconstruct the exact per-row
-history through the existing unit-block splice
+instrumented decision points — PRIL LO-REF grants and revocations and
+every batch fault-predicate evaluation — emit compact records into the
+normal event trace (:mod:`repro.obs.trace`). Because they ride the same
+stream, sharded runs reconstruct the exact per-row history through the
+existing unit-block splice
 (:mod:`repro.parallel.merge`): a serial ledger and a ``--jobs N`` ledger
 are byte-identical.
 
@@ -17,13 +16,10 @@ attribute load per *decision* (not per access) on already-instrumented
 paths and nothing anywhere else.
 
 :func:`extract_ledger` filters a (merged) trace down to the append-only
-forensic ledger file and returns a census — record counts by kind plus
-a verdict histogram from ``forensic_row`` records — that the runner
-folds into the manifest. :func:`classify_verdict` is the single source
-of truth for mapping counterfactual outcomes to verdicts; both the
-inline attribution in ``experiments/hammer01.py`` and the offline
-replay in :mod:`repro.obs.why` use it, so the ledger and the CLI can
-never disagree on the rules.
+forensic ledger file — the forensic records plus the MEMCON test
+lifecycle and refresh-ledger transitions — and returns a census (record
+counts by kind, distinct pages) that the runner folds into the manifest.
+:mod:`repro.obs.why` prints one row's causal chain from that ledger.
 """
 
 from __future__ import annotations
@@ -36,28 +32,15 @@ from . import trace as _trace
 __all__ = [
     "FORENSIC_KINDS",
     "LEDGER_KINDS",
-    "VERDICTS",
-    "classify_verdict",
     "extract_ledger",
     "forensics_active",
     "iter_ledger",
     "ledger_census",
-    "record_row",
     "set_forensics",
 ]
 
 #: Kinds that exist only for forensics (emitted behind the gate).
-FORENSIC_KINDS = frozenset(
-    {
-        "pril_grant",
-        "pril_revoke",
-        "trr_refresh",
-        "dose_crossing",
-        "predicate_eval",
-        "forensic_row",
-        "mitigation_cell",
-    }
-)
+FORENSIC_KINDS = frozenset({"pril_grant", "pril_revoke", "predicate_eval"})
 
 #: Kinds copied into the ledger: the forensic kinds plus the causal
 #: slice of the ordinary stream (test lifecycle and refresh-ledger
@@ -71,15 +54,6 @@ LEDGER_KINDS = FORENSIC_KINDS | frozenset(
         "test_failed",
         "ref_transition",
     }
-)
-
-#: The closed verdict vocabulary, in precedence order.
-VERDICTS = (
-    "content-dependent",
-    "disturb-driven",
-    "composed",
-    "memcon-miss",
-    "safe",
 )
 
 _enabled = False
@@ -98,55 +72,6 @@ def set_forensics(enabled: bool) -> bool:
     return previous
 
 
-def record_row(row: int, verdict: str, **fields) -> None:
-    """Emit one ``forensic_row`` attribution record (gate pre-checked).
-
-    Callers should pass every coordinate needed to rebuild the
-    predicate inputs offline (seed, quick flag, content row index,
-    stress, intervals) so :mod:`repro.obs.why` can replay the row
-    without re-running the simulation.
-    """
-    if verdict not in VERDICTS:
-        raise ValueError(f"unknown verdict: {verdict!r}")
-    _trace.emit("forensic_row", row=row, verdict=verdict, **fields)
-
-
-def classify_verdict(
-    factual: bool,
-    no_disturb: bool,
-    alt_content: bool,
-    flipped: bool = False,
-) -> str:
-    """Map counterfactual outcomes to a verdict.
-
-    ``factual``     — the composed predicate (content + disturbance
-                      stress at the tested interval) flags the row.
-    ``no_disturb``  — the same predicate with disturbance stress zeroed.
-    ``alt_content`` — the composed predicate with the inverted content
-                      pattern.
-    ``flipped``     — the disturbance model alone flips a bit in the
-                      row (used for the tested-then-flipped miss case).
-
-    Precedence: a row that fails with no disturbance at all is
-    *content-dependent* regardless of what disturbance adds. A row that
-    fails under both content patterns needs no particular content, so
-    it is *disturb-driven*. A factual failure that needs both its
-    content and its dose is *composed*. A row the predicates clear but
-    the disturbance model still flips is a *memcon-miss* — MEMCON
-    tested it (or would have) and the test cannot see the access
-    pattern. Anything else is *safe*.
-    """
-    if no_disturb:
-        return "content-dependent"
-    if factual and alt_content:
-        return "disturb-driven"
-    if factual:
-        return "composed"
-    if flipped:
-        return "memcon-miss"
-    return "safe"
-
-
 def iter_ledger(records: Iterable[Mapping]) -> Iterator[Mapping]:
     """Filter a record stream down to ledger kinds, preserving order."""
     for record in records:
@@ -155,25 +80,20 @@ def iter_ledger(records: Iterable[Mapping]) -> Iterator[Mapping]:
 
 
 def ledger_census(records: Iterable[Mapping]) -> Dict[str, Any]:
-    """Summarise ledger records: counts by kind, verdicts, distinct rows."""
+    """Summarise ledger records: counts by kind and distinct pages."""
     kinds: Dict[str, int] = {}
-    verdicts: Dict[str, int] = {}
     rows = set()
     total = 0
     for record in records:
         total += 1
         kind = record.get("kind", "?")
         kinds[kind] = kinds.get(kind, 0) + 1
-        if kind == "forensic_row":
-            verdict = record.get("verdict", "?")
-            verdicts[verdict] = verdicts.get(verdict, 0) + 1
-        subject = record.get("row", record.get("page"))
-        if isinstance(subject, int) and not isinstance(subject, bool):
-            rows.add(subject)
+        page = record.get("page")
+        if isinstance(page, int) and not isinstance(page, bool):
+            rows.add(page)
     return {
         "records": total,
         "kinds": dict(sorted(kinds.items())),
-        "verdicts": dict(sorted(verdicts.items())),
         "rows": len(rows),
     }
 

@@ -70,7 +70,7 @@ class RunManifest:
     #: sample counts, attribution fraction, optional memory peaks.
     profile: Optional[Dict[str, Any]] = None
     #: Forensic ledger census (obs/forensics.py): record counts by kind,
-    #: verdict histogram, distinct rows, and the ledger file path.
+    #: distinct rows, and the ledger file path.
     forensics: Optional[Dict[str, Any]] = None
     wall_s: float = 0.0
 

@@ -153,12 +153,6 @@ def render_manifest(manifest: Dict[str, Any]) -> str:
                 if forensics.get("ledger_path") else ""
             )
         )
-        verdicts = forensics.get("verdicts") or {}
-        if verdicts:
-            lines.append(_table(
-                sorted(verdicts.items(), key=lambda kv: (-kv[1], kv[0])),
-                header=("verdict", "rows"),
-            ))
     profile = manifest.get("profile")
     if profile:
         lines.append("")

@@ -79,10 +79,6 @@ EVENT_KINDS: Dict[str, frozenset] = {
     "energy_rollup": frozenset(
         {"window_ns", "refresh_pj", "access_pj", "background_pj"}
     ),
-    # Read-disturbance counters per simulated window (experiments/hammer*)
-    "disturb_rollup": frozenset(
-        {"t_ms", "flips", "rows_flipped", "max_pressure"}
-    ),
     # Experiment runner lifecycle (experiments/runner.py)
     "run_started": frozenset({"experiments"}),
     "run_finished": frozenset({"wall_s"}),
@@ -108,21 +104,9 @@ EVENT_KINDS: Dict[str, frozenset] = {
     # PRIL dropped a LO-REF candidate before the grant could be used
     # (cross-quantum write, repeat write, buffer overflow) (core/pril.py).
     "pril_revoke": frozenset({"page", "reason"}),
-    # TRR fired: the aggressor crossed its activation threshold and the
-    # neighbourhood was refreshed out of turn (mc/controller.py).
-    "trr_refresh": frozenset({"t_ns", "bank", "row", "neighbors"}),
-    # A disturbance-dose evaluation found victims over threshold
-    # (dram/disturb.py); ``rows_sample`` carries up to 64 affected rows.
-    "dose_crossing": frozenset({"interval_ms", "rows_over", "max_pressure"}),
     # One batch evaluation of the content-dependent fault predicate,
     # with the CRC of the content snapshot it used (dram/faults.py).
     "predicate_eval": frozenset({"interval_ms", "rows", "failed"}),
-    # Per-row failure attribution with the reconstruction coordinates
-    # needed for counterfactual replay (experiments/hammer01.py).
-    "forensic_row": frozenset({"row", "verdict"}),
-    # Per-grid-cell mitigation outcome for the TRR sweep
-    # (experiments/hammer02.py).
-    "mitigation_cell": frozenset({"refresh", "trr", "flips", "rows_flipped"}),
 }
 
 

@@ -1,154 +1,34 @@
 """``python -m repro.obs.why --row R`` — why did this row fail (or not)?
 
-Answers come in two parts, both computed from a forensic ledger (see
-:mod:`repro.obs.forensics`) recorded by a ``--forensics`` run:
-
-* the **causal chain** — every ledger record naming the row, in
-  simulated-time order: PRIL grants/revocations, MEMCON test lifecycle,
-  refresh-ledger transitions, TRR neighbour refreshes, dose crossings
-  and predicate evaluations;
-* the **counterfactual table** — when the ledger holds a
-  ``forensic_row`` attribution record, its reconstruction coordinates
-  (seed, quick flag, benchmark, content row, stress, intervals) are
-  enough to rebuild the pure batch predicates offline and re-evaluate
-  the row under toggled factors: disturbance off, nominal refresh,
-  inverted content. The verdict mapping is shared with the inline
-  attribution (:func:`repro.obs.forensics.classify_verdict`), so the
-  replay either confirms the ledger or exposes a real discrepancy.
-
-Replay needs no simulation: the fault and disturbance populations are
-counter-based streams keyed by seed, so rebuilding a :class:`FaultMap`
-and one benchmark's silicon image is milliseconds of work.
+The answer is the row's **causal chain**, read from a forensic ledger
+(see :mod:`repro.obs.forensics`) recorded by a ``--forensics`` run:
+every ledger record naming the row or page, in stream (simulated-time)
+order — PRIL LO-REF grants, the MEMCON test lifecycle, refresh-ledger
+transitions, and the fault-predicate evaluations that found it failing.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
-from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence
+from typing import Iterable, List, Mapping, Optional, Sequence
 
-import numpy as np
-
-from . import forensics
 from .manifest import load_manifest
 from .trace import _record_time, read_trace
 
-__all__ = [
-    "causal_chain",
-    "counterfactuals",
-    "main",
-    "render_chain",
-    "render_counterfactuals",
-    "replay_row",
-]
-
-#: Scenario key -> human label, in display order.
-SCENARIOS = (
-    ("factual", "factual (content + dose)"),
-    ("no_disturb", "disturbance off"),
-    ("nominal_refresh", "nominal refresh"),
-    ("alt_content", "inverted content"),
-)
-
-
-def counterfactuals(
-    fault_map,
-    row: int,
-    content_bits,
-    test_interval_ms: float,
-    stress: float,
-    nominal_interval_ms: float = 64.0,
-) -> Dict[str, bool]:
-    """Evaluate one row's fault predicate under toggled factors.
-
-    Each scenario is a direct :meth:`FaultMap.failing_mask` call — the
-    same pure predicate the experiments batch over — with exactly one
-    factor changed from the factual configuration:
-
-    * ``factual``         — recorded content, recorded disturbance
-                            stress, the tested refresh interval;
-    * ``no_disturb``      — stress zeroed (was the dose necessary?);
-    * ``nominal_refresh`` — interval back at nominal (was the relaxed
-                            interval necessary?);
-    * ``alt_content``     — every data bit inverted (was this content
-                            necessary?).
-    """
-    content = np.asarray(content_bits)
-    if content.dtype == np.bool_:
-        alt = ~content
-    else:
-        alt = (1 - content).astype(content.dtype)
-
-    def fails(bits, interval_ms: float, disturb_stress: float) -> bool:
-        mask = fault_map.failing_mask(
-            row, bits, interval_ms, disturb_stress=disturb_stress
-        )
-        return bool(np.asarray(mask).any())
-
-    return {
-        "factual": fails(content, test_interval_ms, stress),
-        "no_disturb": fails(content, test_interval_ms, 0.0),
-        "nominal_refresh": fails(content, nominal_interval_ms, stress),
-        "alt_content": fails(alt, test_interval_ms, stress),
-    }
-
-
-def replay_row(record: Mapping) -> Dict[str, Any]:
-    """Rebuild predicates from a ``forensic_row`` record and re-evaluate.
-
-    Returns ``{"scenarios": {...}, "verdict": str, "ledger_verdict":
-    str, "agrees": bool}``. Raises ``KeyError``/``ValueError`` when the
-    record lacks reconstruction coordinates (older or hand-built
-    ledgers) — callers should degrade to chain-only output.
-    """
-    from ..parallel.units import experiment_module
-
-    module = experiment_module(str(record["experiment"]))
-    quick = bool(record.get("quick", True))
-    seed = int(record.get("seed", 1))
-    mapping, fault_map, _disturb_map = module._setup(quick, seed)
-    silicon = module._silicon_images(
-        str(record["benchmark"]), mapping, int(record["image_rows"]), seed
-    )
-    content = silicon[int(record["content_row"])]
-    scenarios = counterfactuals(
-        fault_map,
-        int(record["row"]),
-        content,
-        float(record["test_interval_ms"]),
-        float(record.get("stress", 0.0)),
-        nominal_interval_ms=float(record.get("interval_ms", 64.0)),
-    )
-    verdict = forensics.classify_verdict(
-        scenarios["factual"],
-        scenarios["no_disturb"],
-        scenarios["alt_content"],
-        flipped=bool(record.get("flipped", False)),
-    )
-    ledger_verdict = str(record.get("verdict", "?"))
-    return {
-        "scenarios": scenarios,
-        "verdict": verdict,
-        "ledger_verdict": ledger_verdict,
-        "agrees": verdict == ledger_verdict,
-    }
+__all__ = ["causal_chain", "main", "render_chain"]
 
 
 def causal_chain(records: Iterable[Mapping], row: int) -> List[dict]:
     """All ledger records naming ``row``, in stream (time) order.
 
-    Aggregate records (``dose_crossing``, ``predicate_eval``) name rows
-    through their bounded ``rows_sample`` / ``rows_failed_sample``
-    lists, so a row past the sample cap may miss those entries — the
-    per-row kinds are never sampled.
+    ``predicate_eval`` records name rows through their bounded
+    ``rows_failed_sample`` list, so a row past the sample cap misses
+    those entries; the per-page kinds are never sampled.
     """
     chain: List[dict] = []
     for record in records:
-        subject = record.get("row", record.get("page"))
-        if subject == row:
-            chain.append(dict(record))
-            continue
-        if row in (record.get("rows_sample") or ()) or row in (
+        if record.get("page") == row or row in (
             record.get("rows_failed_sample") or ()
         ):
             chain.append(dict(record))
@@ -176,17 +56,6 @@ def _describe(record: Mapping) -> str:
         return "MEMCON test failed -> stays HI-REF"
     if kind == "ref_transition":
         return f"refresh ledger: {record.get('from')} -> {record.get('to')}"
-    if kind == "trr_refresh":
-        return (
-            f"TRR fired: refreshed {record.get('neighbors')} neighbours "
-            f"(bank {record.get('bank')})"
-        )
-    if kind == "dose_crossing":
-        return (
-            f"disturbance dose over threshold for {record.get('rows_over')} "
-            f"rows (max pressure {record.get('max_pressure'):.2f}, "
-            f"interval {record.get('interval_ms')} ms)"
-        )
     if kind == "predicate_eval":
         crc = record.get("content_crc")
         crc_text = f", content crc {crc:08x}" if isinstance(crc, int) else ""
@@ -194,19 +63,6 @@ def _describe(record: Mapping) -> str:
             f"fault predicate over {record.get('rows')} rows -> "
             f"{record.get('failed')} failing "
             f"(interval {record.get('interval_ms')} ms{crc_text})"
-        )
-    if kind == "forensic_row":
-        return (
-            f"attributed: {record.get('verdict')} "
-            f"(flipped={record.get('flipped')}, "
-            f"composed={record.get('composed')}, "
-            f"content_only={record.get('content_only')})"
-        )
-    if kind == "mitigation_cell":
-        return (
-            f"mitigation cell {record.get('refresh')}/{record.get('trr')}: "
-            f"{record.get('flips')} flips over "
-            f"{record.get('rows_flipped')} rows"
         )
     return str(dict(record))
 
@@ -217,35 +73,6 @@ def render_chain(chain: Sequence[Mapping], row: int) -> str:
         t = _record_time(record)
         stamp = f"{t:>12.3f} ms" if t is not None else " " * 15
         lines.append(f"  {stamp}  {_describe(record)}")
-    return "\n".join(lines)
-
-
-def render_counterfactuals(record: Mapping, replay: Mapping) -> str:
-    scenarios = replay["scenarios"]
-    lines = [
-        (
-            f"counterfactual replay ({record.get('experiment')} / "
-            f"{record.get('benchmark')}, seed {record.get('seed')}, "
-            f"{'quick' if record.get('quick', True) else 'full'}):"
-        ),
-        f"  {'scenario':<28} fails",
-    ]
-    for key, label in SCENARIOS:
-        extra = ""
-        if key == "factual":
-            extra = f" @{record.get('test_interval_ms')} ms"
-        elif key == "nominal_refresh":
-            extra = f" ({record.get('interval_ms')} ms)"
-        name = f"{label}{extra}"
-        lines.append(
-            f"  {name:<28} {'yes' if scenarios[key] else 'no'}"
-        )
-    agreement = (
-        "ledger agrees"
-        if replay["agrees"]
-        else f"ledger says {replay['ledger_verdict']!r} — MISMATCH"
-    )
-    lines.append(f"verdict: {replay['verdict']} ({agreement})")
     return "\n".join(lines)
 
 
@@ -273,8 +100,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.obs.why",
         description=(
-            "Print a row's causal decision chain and counterfactual "
-            "replay verdict from a forensic ledger."
+            "Print a row's causal decision chain from a forensic ledger."
         ),
     )
     parser.add_argument("--row", type=int, required=True, help="row/page id")
@@ -286,11 +112,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         nargs="+",
         metavar="FILE",
         help="ledger or trace file(s); several shards are time-merged",
-    )
-    parser.add_argument(
-        "--no-replay",
-        action="store_true",
-        help="print the chain only, skip predicate reconstruction",
     )
     args = parser.parse_args(argv)
 
@@ -306,27 +127,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print(f"no ledger records for row {args.row}", file=sys.stderr)
         return 1
     print(render_chain(chain, args.row))
-
-    attribution = next(
-        (r for r in reversed(chain) if r.get("kind") == "forensic_row"), None
-    )
-    if attribution is None or args.no_replay:
-        if not args.no_replay:
-            print(
-                "\nno attribution record for this row — counterfactual "
-                "replay unavailable (row was never predicate-flagged)"
-            )
-        return 0
-    try:
-        replay = replay_row(attribution)
-    except (KeyError, ValueError, ImportError) as exc:
-        print(
-            f"\ncounterfactual replay unavailable: {exc!r} "
-            "(ledger record lacks reconstruction coordinates)"
-        )
-        return 0
-    print()
-    print(render_counterfactuals(attribution, replay))
     return 0
 
 

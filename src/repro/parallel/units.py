@@ -44,7 +44,6 @@ __all__ = [
     "experiment_module",
     "merge_payloads",
     "register_experiment",
-    "unit_context",
     "unit_fingerprint",
 ]
 
@@ -102,20 +101,6 @@ class WorkUnit:
             seq=int(data.get("seq", 0)),
             module=data.get("module"),
         )
-
-
-def unit_context(unit: WorkUnit) -> Dict[str, Any]:
-    """Labelling fields for trace records emitted while running a unit.
-
-    Both the serial path and pool workers run the same unit objects, so
-    stamping emissions with these fields (rather than anything
-    process-derived) keeps serial and sharded streams byte-identical.
-    """
-    return {
-        "experiment": unit.experiment,
-        "unit": unit.unit_id,
-        "seq": unit.seq,
-    }
 
 
 def _module_path(name: str) -> str:

@@ -12,7 +12,7 @@ for its Figure 15/16 and Table 3 studies.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
 from .. import obs
 from ..dram.timing import DDR3_1600, TimingParameters, trfc_for_density_ns
@@ -22,7 +22,7 @@ from ..mc.controller import (
     TestTrafficSettings,
 )
 from ..mc.request import Request, RequestKind
-from ..mc.rowrefresh import RowRefreshScheduler, RowRefreshSettings, TrrSettings
+from ..mc.rowrefresh import RowRefreshScheduler, RowRefreshSettings
 from ..traces.spec import BenchmarkProfile, get_benchmark
 from .core import CoreConfig, TraceCore
 from .energy import energy_of_run
@@ -47,11 +47,6 @@ class SystemConfig:
     test_traffic: TestTrafficSettings = field(default_factory=TestTrafficSettings)
     #: Row-granularity refresh population; replaces all-bank REF when set.
     row_refresh: Optional[RowRefreshSettings] = None
-    #: Record per-row ACT counts and open-row on-time (the read-disturbance
-    #: channel's input). Off by default: untracked runs are bit-identical.
-    track_activations: bool = False
-    #: Counter-based target-row-refresh mitigation; implies tracking.
-    trr: Optional[TrrSettings] = None
 
     def __post_init__(self) -> None:
         if self.channels <= 0:
@@ -155,8 +150,6 @@ class SystemSimulator:
                 ),
                 seed=seed + 1009 * channel,
                 channel=channel,
-                track_activations=self.config.track_activations,
-                trr=self.config.trr,
             )
             for channel in range(self.config.channels)
         ]
@@ -181,30 +174,6 @@ class SystemSimulator:
 
     def _read_done(self, request: Request) -> None:
         self._completed_reads.append(request)
-
-    def activation_snapshot(
-        self, now_ns: float
-    ) -> Dict[int, Tuple[int, float]]:
-        """Module-flat aggressor counters: ``flat row -> (acts, on_ns)``.
-
-        Flat index = ``(channel * banks + bank) * rows_per_bank + row``,
-        so physical neighbourhoods never straddle a bank: in-bank
-        neighbours are adjacent flat indices and bank edges fall on
-        ``rows_per_bank`` multiples (the disturbance model masks pairs
-        crossing those edges). Requires ``track_activations`` (or TRR).
-        """
-        rows_per_bank = self.config.rows_per_bank
-        flat: Dict[int, tuple] = {}
-        for controller in self.controllers:
-            for bank_index, (counts, on_ns) in enumerate(
-                controller.activation_snapshot(now_ns)
-            ):
-                base = (
-                    controller.channel * self.config.banks + bank_index
-                ) * rows_per_bank
-                for row, acts in counts.items():
-                    flat[base + row] = (acts, on_ns.get(row, 0.0))
-        return flat
 
     # ------------------------------------------------------------------
     @obs.timed("sim.run")

@@ -28,9 +28,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
-from .content import ContentProfile
-from .spec import BenchmarkProfile
-
 
 @dataclass(frozen=True)
 class WorkloadProfile:
@@ -134,50 +131,6 @@ WORKLOADS: Dict[str, WorkloadProfile] = {
 REPRESENTATIVE_WORKLOADS: Tuple[str, str, str] = (
     "ACBrotherHood", "Netflix", "SystemMgt",
 )
-
-
-def as_benchmark(profile: WorkloadProfile) -> BenchmarkProfile:
-    """Express a Table 1 workload as a simulator benchmark profile.
-
-    The write-trace generator knobs describe the workload's memory
-    behaviour at page granularity; driving the cycle simulator needs the
-    request-stream view (:class:`~repro.traces.spec.BenchmarkProfile`).
-    The mapping is a deterministic pure function of the published facts
-    and generator calibration, so experiments over the twelve workloads
-    stay reproducible:
-
-    * memory intensity grows with footprint and thread count (more
-      concurrent working set -> more LLC misses),
-    * row-buffer locality grows with the streaming-page share (bursts to
-      a buffer page are dense and sequential) and burst length,
-    * the write share follows the written-page fraction, and
-    * the content mixture leans float-dense for streaming-heavy media
-      applications and zero/pointer-heavy for sparse writers — the same
-      correspondence the SPEC content profiles encode.
-    """
-    streaming = profile.streaming_page_fraction
-    written = profile.written_page_fraction
-    mpki = min(3.0 + 2.8 * profile.mem_gb + 1.1 * profile.threads, 40.0)
-    row_hit_rate = min(
-        0.40 + 1.6 * streaming + 0.004 * profile.burst_length_mean, 0.90
-    )
-    write_fraction = min(0.15 + 0.55 * written, 0.60)
-    mixture = {
-        "floatdata": 0.20 + 1.8 * streaming,
-        "intdata": 0.25 * written + 0.10,
-        "pointer": 0.12,
-        "zero": max(0.45 - written, 0.10),
-    }
-    total = sum(mixture.values())
-    mixture = {kind: share / total for kind, share in mixture.items()}
-    return BenchmarkProfile(
-        name=profile.name,
-        suite="table1",
-        content=ContentProfile(name=profile.name, mixture=mixture),
-        mpki=mpki,
-        row_hit_rate=row_hit_rate,
-        write_fraction=write_fraction,
-    )
 
 
 def workload_names() -> List[str]:

@@ -129,13 +129,6 @@ class TestBatchRowEvaluation:
             np.isin(rows, got_rows),
         )
 
-    def test_per_row_stress_needs_batch(self):
-        fault_map = _map(seed=1)
-        with pytest.raises(ValueError, match="per-row disturb_stress"):
-            fault_map.failing_mask(
-                0, np.ones(256, dtype=np.uint8), 328.0, np.array([0.5, 0.5])
-            )
-
 
 class TestWorstCase:
     @settings(max_examples=20, deadline=None)

@@ -1,6 +1,7 @@
 """Tests for the command-line entry point."""
 
 import json
+import logging
 
 import pytest
 
@@ -327,15 +328,17 @@ class TestForensicsCli:
 
     @pytest.fixture(scope="class")
     def forensic_runs(self, tmp_path_factory):
-        """hammer01 three ways: plain, forensics serial, forensics --jobs 2."""
+        """fig04 fig18 three ways: plain, forensics serial, forensics
+        --jobs 2. fig04 evaluates the fault predicate (predicate_eval);
+        fig18 runs MEMCON's accounting pass (pril_grant)."""
         root = tmp_path_factory.mktemp("forensics")
 
         def run(label, *extra):
             out = root / label / "t.md"
             manifest = root / label / "m.json"
             assert main([
-                "hammer01", "--out", str(out), "--manifest", str(manifest),
-                *extra,
+                "fig04", "fig18", "--out", str(out),
+                "--manifest", str(manifest), *extra,
             ]) == 0
             return out, manifest
 
@@ -362,11 +365,9 @@ class TestForensicsCli:
         manifest = json.loads(manifest_path.read_text())
         census = manifest["forensics"]
         assert census["records"] > 0
-        assert census["kinds"].get("forensic_row", 0) > 0
-        assert set(census["verdicts"]) <= {
-            "content-dependent", "disturb-driven", "composed",
-            "memcon-miss", "safe",
-        }
+        assert census["kinds"].get("predicate_eval", 0) > 0
+        assert census["kinds"].get("pril_grant", 0) > 0
+        assert census["rows"] > 0
         ledger = serial_out.parent / "t.trace.forensics.jsonl"
         assert str(ledger) == census["ledger_path"]
         records = list(obs.read_trace(str(ledger), validate=False))
@@ -380,12 +381,20 @@ class TestForensicsCli:
         assert manifest["config"]["forensics"] is False
         assert not (plain_out.parent / "t.trace.forensics.jsonl").exists()
 
-    def test_forensics_implies_trace(self, tmp_path, capsys):
+    def test_forensics_implies_trace(self, tmp_path, capsys, caplog):
         out = tmp_path / "r.md"
-        assert main(["fig06", "--out", str(out), "--forensics"]) == 0
-        assert (tmp_path / "r.trace.jsonl").exists()
+        # The runner's "repro" logger does not propagate to the root
+        # logger caplog listens on, so attach caplog's handler directly.
+        runner_logger = logging.getLogger("repro.experiments.runner")
+        runner_logger.addHandler(caplog.handler)
+        try:
+            assert main(["fig06", "--out", str(out), "--forensics"]) == 0
+        finally:
+            runner_logger.removeHandler(caplog.handler)
+        trace = tmp_path / "r.trace.jsonl"
+        assert trace.exists()
         assert (tmp_path / "r.trace.forensics.jsonl").exists()
-        assert "forensics" in capsys.readouterr().err.lower() or True
+        assert f"--forensics: tracing to {trace}" in caplog.messages
 
     def test_forensics_out_flag(self, tmp_path, capsys):
         out = tmp_path / "r.md"

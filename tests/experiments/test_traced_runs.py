@@ -44,8 +44,6 @@ CHEAP_UNITS = {
     "fig17": "Netflix",
     "fig18": "Netflix",
     "fig19": "cil1024",
-    "hammer01": "bench-lbm",
-    "hammer02": "HI-16ms-trr-thr4",
     # A web host: its rollup sink rides beside the trace sink.
     "fleet": "web-000",
 }

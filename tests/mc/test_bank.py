@@ -3,13 +3,7 @@
 import pytest
 
 from repro.dram.timing import DDR3_1600
-from repro.mc.bank import (
-    BankActivationLog,
-    BankState,
-    RankState,
-    issue_refresh,
-    service_request,
-)
+from repro.mc.bank import BankState, RankState, issue_refresh, service_request
 
 T = DDR3_1600
 BURST_NS = T.burst_cycles * T.tCK
@@ -58,23 +52,26 @@ class TestServiceRequest:
         assert (bank.row_misses, bank.row_hits, bank.row_conflicts) == (1, 1, 1)
 
     def test_activation_accounting_invariant(self):
-        """Regression pin for the ACT bookkeeping across all three branches.
+        """Regression pin for the row-buffer branch taken per request.
 
         A hit issues no ACT/PRE, a miss exactly one ACT, a conflict
-        exactly one PRE + one ACT — so after any request mix,
-        ``activations == row_misses + row_conflicts`` and
-        ``precharges == row_conflicts`` (REF-side precharges are rank
-        bookkeeping, not bank counters).
+        exactly one PRE + one ACT; every request takes exactly one of
+        the three branches, so the ACT count is ``row_misses +
+        row_conflicts`` and the PRE count is ``row_conflicts``.
         """
         bank, rank = BankState(), RankState()
         t = 0.0
-        for row in (1, 1, 2, 3, 3, 3, 1, 2):  # miss,hit,conf,conf,hit,hit,...
+        for served, row in enumerate((1, 1, 2, 3, 3, 3, 1, 2), start=1):
             service_request(bank, rank, row=row, now_ns=t, timing=T)
-            assert bank.activations == bank.row_misses + bank.row_conflicts
-            assert bank.precharges == bank.row_conflicts
+            branches = bank.row_hits + bank.row_misses + bank.row_conflicts
+            assert branches == served
+            assert bank.open_row == row
             t += 1000.0
-        assert bank.activations == 5  # 1 miss + 4 conflicts
-        assert bank.row_hits == 3
+        # miss, hit, conflict, conflict, hit, hit, conflict, conflict:
+        # 5 ACTs (1 miss + 4 conflicts) and 4 PREs.
+        assert (bank.row_misses, bank.row_hits, bank.row_conflicts) == (
+            1, 3, 4,
+        )
 
 
 class TestRefresh:
@@ -94,64 +91,3 @@ class TestRefresh:
         issue_refresh(rank, [BankState()], now_ns=2000.0, timing=T)
         assert rank.refreshes_issued == 2
         assert rank.refresh_busy_ns == 2 * T.tRFC
-
-
-class TestActivationLog:
-    def test_untracked_bank_has_no_log(self):
-        assert BankState().act_log is None
-
-    def test_miss_records_one_act(self):
-        bank = BankState(act_log=BankActivationLog())
-        rank = RankState()
-        service_request(bank, rank, row=7, now_ns=0.0, timing=T)
-        assert bank.act_log.counts == {7: 1}
-        assert bank.act_log.open_row == 7
-
-    def test_hit_records_nothing(self):
-        bank = BankState(act_log=BankActivationLog())
-        rank = RankState()
-        service_request(bank, rank, row=7, now_ns=0.0, timing=T)
-        service_request(bank, rank, row=7, now_ns=1000.0, timing=T)
-        assert bank.act_log.counts == {7: 1}
-
-    def test_conflict_closes_old_row_and_acts_new(self):
-        bank = BankState(act_log=BankActivationLog())
-        rank = RankState()
-        service_request(bank, rank, row=7, now_ns=0.0, timing=T)
-        service_request(bank, rank, row=9, now_ns=5000.0, timing=T)
-        log = bank.act_log
-        assert log.counts == {7: 1, 9: 1}
-        # Row 7 was open from its ACT at t=0 until the PRE at t=5000.
-        assert log.on_ns[7] == pytest.approx(5000.0)
-        # Row 9's ACT issues one tRP after the PRE.
-        assert log.open_row == 9
-        assert log.open_since_ns == pytest.approx(5000.0 + T.tRP)
-
-    def test_refresh_closes_interval_but_keeps_counts(self):
-        bank = BankState(act_log=BankActivationLog())
-        rank = RankState()
-        service_request(bank, rank, row=3, now_ns=0.0, timing=T)
-        issue_refresh(rank, [bank], now_ns=4000.0, timing=T)
-        assert bank.act_log.open_row is None
-        assert bank.act_log.counts == {3: 1}
-        assert bank.act_log.on_ns[3] == pytest.approx(4000.0)
-
-    def test_snapshot_virtually_closes_open_interval(self):
-        log = BankActivationLog()
-        log.activate(5, 100.0)
-        counts, on_ns = log.snapshot(600.0)
-        assert counts == {5: 1}
-        assert on_ns[5] == pytest.approx(500.0)
-        # The snapshot did not mutate the live log.
-        assert log.open_row == 5
-        assert log.on_ns == {}
-
-    def test_reset_row_forgets_pressure(self):
-        log = BankActivationLog()
-        log.activate(5, 0.0)
-        log.close(300.0)
-        log.activate(6, 400.0)
-        log.close(500.0)
-        log.reset_row(5)
-        assert log.counts == {6: 1}
-        assert log.on_ns == {6: 100.0}

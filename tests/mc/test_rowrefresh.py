@@ -3,13 +3,8 @@
 import pytest
 
 from repro.dram.timing import DDR3_1600
-from repro.mc.bank import BankActivationLog, BankState
-from repro.mc.rowrefresh import (
-    RowRefreshScheduler,
-    RowRefreshSettings,
-    TargetRowRefresh,
-    TrrSettings,
-)
+from repro.mc.bank import BankState
+from repro.mc.rowrefresh import RowRefreshScheduler, RowRefreshSettings
 from repro.sim.system import SystemConfig, SystemSimulator
 from repro.traces.spec import get_benchmark
 
@@ -82,69 +77,6 @@ class TestScheduler:
         for _ in range(10):
             scheduler.tick(scheduler.next_due_ns, banks)
         assert scheduler.busy_ns == pytest.approx(10 * 39.0)
-
-
-class TestTargetRowRefresh:
-    def _engine(self, threshold=3, radius=1, rows_per_bank=64):
-        return TargetRowRefresh(
-            TrrSettings(threshold=threshold, neighbor_radius=radius),
-            DDR3_1600, rows_per_bank,
-        )
-
-    def _hammered_bank(self, row, acts):
-        bank = BankState(act_log=BankActivationLog())
-        for i in range(acts):
-            bank.act_log.activate(row, 100.0 * i)
-            bank.act_log.close(100.0 * i + 50.0)
-        return bank
-
-    @pytest.mark.parametrize("kwargs", [
-        {"threshold": 0},
-        {"threshold": -2},
-        {"threshold": 4, "neighbor_radius": 0},
-    ])
-    def test_invalid_settings_raise(self, kwargs):
-        with pytest.raises(ValueError):
-            TrrSettings(**kwargs)
-
-    def test_below_threshold_is_a_no_op(self):
-        engine = self._engine(threshold=3)
-        bank = self._hammered_bank(row=10, acts=2)
-        assert not engine.observe(bank, 10, now_ns=1000.0)
-        assert engine.triggers == 0
-        assert bank.act_log.counts == {10: 2}
-
-    def test_threshold_fires_and_resets_counter(self):
-        engine = self._engine(threshold=3)
-        bank = self._hammered_bank(row=10, acts=3)
-        assert engine.observe(bank, 10, now_ns=1000.0)
-        assert engine.triggers == 1
-        assert engine.refreshes_issued == 2  # rows 9 and 11
-        assert 10 not in bank.act_log.counts
-        assert 10 not in bank.act_log.on_ns
-        # The bank is occupied for one row cycle per neighbour.
-        assert bank.ready_ns == pytest.approx(
-            1000.0 + 2 * engine.row_cycle_ns
-        )
-
-    def test_edge_row_refreshes_fewer_neighbors(self):
-        engine = self._engine(threshold=1, rows_per_bank=64)
-        bank = self._hammered_bank(row=0, acts=1)
-        assert engine.observe(bank, 0, now_ns=0.0)
-        assert engine.refreshes_issued == 1  # only row 1 exists
-
-    def test_mitigation_closes_open_row(self):
-        engine = self._engine(threshold=1)
-        bank = BankState(act_log=BankActivationLog())
-        bank.act_log.activate(10, 0.0)
-        bank.open_row = 10
-        assert engine.observe(bank, 10, now_ns=500.0)
-        assert bank.open_row is None
-        assert bank.act_log.open_row is None
-
-    def test_untracked_bank_never_fires(self):
-        engine = self._engine(threshold=1)
-        assert not engine.observe(BankState(), 10, now_ns=0.0)
 
 
 class TestSystemIntegration:

@@ -199,35 +199,6 @@ class TestAggregatingSinkUnits:
         assert rollup["kinds"] == {"softmc_phase": 1}
         assert rollup["windows"] == []
 
-    def test_disturb_rollups_fold_per_window(self):
-        sink = AggregatingSink(window_ms=100.0)
-        sink.emit(_rec("disturb_rollup", t_ms=10.0, flips=3,
-                       rows_flipped=2, max_pressure=7.5))
-        sink.emit(_rec("disturb_rollup", t_ms=20.0, flips=4,
-                       rows_flipped=1, max_pressure=5.0))
-        sink.emit(_rec("disturb_rollup", t_ms=150.0, flips=1,
-                       rows_flipped=1, max_pressure=9.0))
-        rollup = sink.to_dict()
-        by_index = {w["index"]: w for w in rollup["windows"]}
-        # Sums within a window, max of the pressure high-water mark.
-        assert by_index[0]["disturb"] == {
-            "flips": 7, "rows_flipped": 3, "max_pressure": 7.5,
-        }
-        assert by_index[1]["disturb"] == {
-            "flips": 1, "rows_flipped": 1, "max_pressure": 9.0,
-        }
-        assert rollup["disturb"]["totals"] == {
-            "flips": 8, "rows_flipped": 4, "max_pressure": 9.0,
-        }
-
-    def test_disturb_absent_without_events(self):
-        sink = AggregatingSink(window_ms=100.0)
-        sink.emit(_rec("test_started", t_ms=10.0, page=1))
-        rollup = sink.to_dict()
-        # Untracked runs keep their rollup shape: no disturb keys at all.
-        assert "disturb" not in rollup
-        assert all("disturb" not in w for w in rollup["windows"])
-
 
 class TestPercentileFromBuckets:
     """Edge semantics of the bucketed-percentile helper."""

@@ -43,9 +43,6 @@ class TestDirectionHeuristics:
         ("timing.sim.fig06_s", "lower"),
         ("wall_s", "lower"),
         ("window_ms", "lower"),
-        ("hammer02.cell_flips", "lower"),
-        ("hammer01.rows_flipped", "lower"),
-        ("hammer01.max_pressure", "lower"),
         ("counter.sim.loop_iterations", None),
         ("trace_events", None),
     ])
@@ -363,7 +360,7 @@ class TestMalformedSections:
         metrics, warnings = self._extract(
             timeseries={"events_total": 120, "windows": []},
             forensics={"records": 9, "rows": 4,
-                       "verdicts": {"composed": 2}},
+                       "kinds": {"pril_grant": 9}},
         )
         assert metrics["timeseries.events_total"] == 120.0
         assert metrics["forensics.records"] == 9.0

@@ -142,14 +142,6 @@ class TestRenderDashboard:
         assert "Event census" in html
         assert "test_started" in html
 
-    def test_disturb_section_only_when_tracked(self):
-        timeseries = _timeseries()
-        for w in timeseries["windows"]:
-            w["disturb"] = {"flips": 1, "rows_flipped": 1,
-                            "max_pressure": 0.5}
-        html = render_dashboard(_manifest(timeseries=timeseries))
-        assert "Disturb pressure" in html
-
     def test_profile_flame_preferred_over_spans(self):
         profile = {
             "interval_s": 0.005, "wall_s": 10.0, "sample_count": 2000,
@@ -304,7 +296,6 @@ class TestHostileNames:
         html_text = render_dashboard(_manifest(forensics={
             "records": 5, "rows": 2,
             "kinds": {self.HOSTILE: 5},
-            "verdicts": {self.HOSTILE: 2},
             "ledger_path": "l.jsonl",
         }))
         self._assert_inert(html_text)
@@ -328,12 +319,11 @@ class TestForensicsSection:
     def test_census_rendered(self):
         html_text = render_dashboard(_manifest(forensics={
             "records": 631, "rows": 12,
-            "kinds": {"forensic_row": 5, "pril_grant": 600},
-            "verdicts": {"composed": 3, "memcon-miss": 2},
+            "kinds": {"predicate_eval": 5, "pril_grant": 600},
             "ledger_path": "run.forensics.jsonl",
         }))
         assert "Failure forensics" in html_text
-        assert "composed" in html_text
+        assert "predicate_eval" in html_text
         assert "repro.obs.why" in html_text
         assert "run.forensics.jsonl" in html_text
 

@@ -1,32 +1,22 @@
-"""Forensic ledger: gate semantics, verdict mapping, extraction census."""
+"""Forensic ledger: gate semantics, kind registry, extraction census."""
 
 import json
 
 import pytest
 
 from repro import obs
-from repro.obs import EVENT_KINDS, SCHEMA_VERSION, validate_record
+from repro.obs import (
+    EVENT_KINDS, SCHEMA_VERSION, TraceSchemaError, validate_record,
+)
 from repro.obs.forensics import (
     FORENSIC_KINDS,
     LEDGER_KINDS,
-    VERDICTS,
-    classify_verdict,
     extract_ledger,
     forensics_active,
     iter_ledger,
     ledger_census,
-    record_row,
     set_forensics,
 )
-
-
-@pytest.fixture
-def forensics_on():
-    previous = set_forensics(True)
-    try:
-        yield
-    finally:
-        set_forensics(previous)
 
 
 class TestGate:
@@ -44,7 +34,6 @@ class TestGate:
     def test_obs_reexports(self):
         assert obs.forensics_active is forensics_active
         assert obs.set_forensics is set_forensics
-        assert obs.classify_verdict is classify_verdict
 
 
 class TestKinds:
@@ -64,41 +53,15 @@ class TestKinds:
             record.update({name: 0 for name in EVENT_KINDS[kind]})
             validate_record(record)
 
-    def test_record_row_emits(self, obs_env, forensics_on):
-        _registry, sink = obs_env
-        record_row(7, "composed", t_ms=1.0, benchmark="mcf")
-        (record,) = sink.records
-        assert record["kind"] == "forensic_row"
-        assert record["row"] == 7
-        assert record["verdict"] == "composed"
-
-    def test_record_row_rejects_unknown_verdict(self, obs_env, forensics_on):
-        with pytest.raises(ValueError):
-            record_row(7, "gremlins")
-
-
-class TestClassifyVerdict:
-    def test_truth_table(self):
-        # (factual, no_disturb, alt_content, flipped) -> verdict
-        table = [
-            ((True, True, True, False), "content-dependent"),
-            ((False, True, False, False), "content-dependent"),
-            ((True, False, True, False), "disturb-driven"),
-            ((True, False, False, False), "composed"),
-            ((True, False, False, True), "composed"),
-            ((False, False, False, True), "memcon-miss"),
-            ((False, False, True, True), "memcon-miss"),
-            ((False, False, False, False), "safe"),
-            ((False, False, True, False), "safe"),
-        ]
-        for args, expected in table:
-            assert classify_verdict(*args) == expected, args
-
-    def test_closed_vocabulary(self):
-        from itertools import product
-
-        for args in product((False, True), repeat=4):
-            assert classify_verdict(*args) in VERDICTS
+    @pytest.mark.parametrize("kind", [
+        "forensic_row", "dose_crossing", "trr_refresh", "mitigation_cell",
+        "disturb_rollup",
+    ])
+    def test_retired_kinds_rejected(self, kind):
+        # Read-disturbance kinds are not part of the schema, so a trace
+        # recorded with them fails validation instead of passing silently.
+        with pytest.raises(TraceSchemaError, match="unknown event kind"):
+            validate_record({"v": SCHEMA_VERSION, "kind": kind, "row": 3})
 
 
 def _ledger_stream():
@@ -107,10 +70,9 @@ def _ledger_stream():
         {"v": SCHEMA_VERSION, "kind": "pril_grant", "page": 3, "quantum": 1},
         {"v": SCHEMA_VERSION, "kind": "test_started", "t_ms": 1.0, "page": 3},
         {"v": SCHEMA_VERSION, "kind": "mc_request", "t_ns": 5.0},
-        {"v": SCHEMA_VERSION, "kind": "forensic_row", "row": 9,
-         "verdict": "composed"},
-        {"v": SCHEMA_VERSION, "kind": "forensic_row", "row": 9,
-         "verdict": "memcon-miss"},
+        {"v": SCHEMA_VERSION, "kind": "predicate_eval", "interval_ms": 64.0,
+         "rows": 16, "failed": 1, "rows_failed_sample": [9]},
+        {"v": SCHEMA_VERSION, "kind": "test_failed", "t_ms": 2.0, "page": 9},
     ]
 
 
@@ -118,17 +80,17 @@ class TestLedgerExtraction:
     def test_iter_ledger_filters_non_causal_kinds(self):
         kinds = [r["kind"] for r in iter_ledger(_ledger_stream())]
         assert kinds == [
-            "pril_grant", "test_started", "forensic_row", "forensic_row",
+            "pril_grant", "test_started", "predicate_eval", "test_failed",
         ]
 
     def test_census(self):
         census = ledger_census(iter_ledger(_ledger_stream()))
         assert census["records"] == 4
         assert census["kinds"] == {
-            "forensic_row": 2, "pril_grant": 1, "test_started": 1,
+            "pril_grant": 1, "predicate_eval": 1, "test_failed": 1,
+            "test_started": 1,
         }
-        assert census["verdicts"] == {"composed": 1, "memcon-miss": 1}
-        # pages and rows count into one distinct-subject pool
+        # distinct pages named by the ledger: 3 and 9
         assert census["rows"] == 2
 
     def test_extract_from_file(self, tmp_path):
@@ -142,7 +104,7 @@ class TestLedgerExtraction:
         assert census["ledger_path"] == str(ledger)
         written = [json.loads(line) for line in open(ledger)]
         assert [r["kind"] for r in written] == [
-            "pril_grant", "test_started", "forensic_row", "forensic_row",
+            "pril_grant", "test_started", "predicate_eval", "test_failed",
         ]
         # The ledger is itself a readable trace.
         assert len(list(obs.read_trace(str(ledger)))) == 4
@@ -163,7 +125,7 @@ class TestLedgerExtraction:
         with open(trace, "w") as handle:
             for record in _ledger_stream():
                 handle.write(json.dumps(record) + "\n")
-            handle.write('{"v": 1, "kind": "forensic_r')  # killed mid-write
+            handle.write('{"v": 1, "kind": "predicate_e')  # killed mid-write
         census = extract_ledger(str(trace))
         assert census["records"] == 4
 

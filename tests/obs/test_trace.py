@@ -103,8 +103,9 @@ BATCH = [
     {"v": SCHEMA_VERSION, "kind": "test_passed", "t_ms": 1e16, "page": 1},
     {"v": SCHEMA_VERSION, "kind": "ref_transition", "t_ms": 2048.5,
      "page": 2, "from": "testing", "to": "lo_ref"},
-    {"v": SCHEMA_VERSION, "kind": "forensic_row", "row": 3,
-     "verdict": None, "rows_sample": [1, 2.5, {"nested": False}]},
+    {"v": SCHEMA_VERSION, "kind": "predicate_eval", "interval_ms": 64.0,
+     "rows": 3, "failed": None,
+     "rows_failed_sample": [1, 2.5, {"nested": False}]},
 ]
 
 

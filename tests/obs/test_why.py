@@ -1,16 +1,15 @@
-"""Counterfactual replay: property-checked against the direct predicates,
-plus the why-CLI's causal chains for the two acceptance scenarios."""
+"""The why-CLI's causal chains over the MEMCON ledger: a PRIL-granted
+page that later fails, and a row named only by a predicate evaluation's
+failing-row sample."""
 
 import json
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
 
-from repro import obs
 from repro.dram.faults import FaultMap, FaultModelConfig
 from repro.obs import why
-from repro.obs.forensics import classify_verdict, set_forensics
+from repro.obs.forensics import set_forensics
 
 
 @pytest.fixture
@@ -27,84 +26,6 @@ def _write_trace(records, path):
         for record in records:
             handle.write(json.dumps(record) + "\n")
     return str(path)
-
-
-WIDTH = 512
-
-
-@st.composite
-def _scenario(draw):
-    seed = draw(st.integers(min_value=0, max_value=2**31 - 1))
-    rate = draw(st.sampled_from([1e-3, 5e-3, 2e-2]))
-    row = draw(st.integers(min_value=0, max_value=15))
-    stress = draw(st.floats(min_value=0.0, max_value=60.0,
-                            allow_nan=False))
-    interval = draw(st.sampled_from([64.0, 328.0, 1024.0]))
-    content_seed = draw(st.integers(min_value=0, max_value=2**31 - 1))
-    return seed, rate, row, stress, interval, content_seed
-
-
-class TestCounterfactualProperty:
-    """The replay scenarios ARE the direct predicates, factor by factor."""
-
-    @settings(max_examples=40, deadline=None)
-    @given(_scenario())
-    def test_agrees_with_failing_mask_and_rows_fail(self, scenario):
-        seed, rate, row, stress, interval, content_seed = scenario
-        fault_map = FaultMap(
-            16, WIDTH, FaultModelConfig(vulnerable_cell_rate=rate),
-            seed=seed,
-        )
-        content = (
-            np.random.default_rng(content_seed).random(WIDTH) < 0.5
-        ).astype(np.uint8)
-        alt = (1 - content).astype(content.dtype)
-
-        scenarios = why.counterfactuals(
-            fault_map, row, content, interval, stress,
-            nominal_interval_ms=64.0,
-        )
-
-        def direct(bits, ms, s):
-            return bool(
-                fault_map.failing_mask(row, bits, ms, disturb_stress=s).any()
-            )
-
-        assert scenarios["factual"] == direct(content, interval, stress)
-        assert scenarios["no_disturb"] == direct(content, interval, 0.0)
-        assert scenarios["nominal_refresh"] == direct(content, 64.0, stress)
-        assert scenarios["alt_content"] == direct(alt, interval, stress)
-
-        # The batch predicate the experiments use must agree too.
-        batch = fault_map.rows_fail(
-            np.asarray([row]), content, interval,
-            disturb_stress=np.asarray([stress]),
-        )
-        assert scenarios["factual"] == bool(batch[0])
-
-        # And the verdict derived from these scenarios is a function of
-        # them alone — recomputing from the direct evaluations matches.
-        for flipped in (False, True):
-            assert classify_verdict(
-                scenarios["factual"], scenarios["no_disturb"],
-                scenarios["alt_content"], flipped=flipped,
-            ) == classify_verdict(
-                direct(content, interval, stress),
-                direct(content, interval, 0.0),
-                direct(alt, interval, stress),
-                flipped=flipped,
-            )
-
-    def test_bool_content_inverts(self):
-        fault_map = FaultMap(
-            4, 64, FaultModelConfig(vulnerable_cell_rate=5e-2), seed=1
-        )
-        content = np.zeros(64, dtype=bool)
-        scenarios = why.counterfactuals(fault_map, 0, content, 328.0, 0.0)
-        direct_alt = bool(
-            fault_map.failing_mask(0, ~content, 328.0).any()
-        )
-        assert scenarios["alt_content"] == direct_alt
 
 
 class TestWhyCliPrilChain:
@@ -149,79 +70,42 @@ class TestWhyCliPrilChain:
         assert "no ledger records" in capsys.readouterr().err
 
 
-class TestWhyCliHammerReplay:
-    """Acceptance scenario (b): a hammer01 row flagged only by the
-    composed disturbance predicate, replayed offline."""
+class TestWhyCliSampledRow:
+    """A fault-map row reaches the chain only through a predicate
+    evaluation's ``rows_failed_sample``."""
 
-    @pytest.fixture(scope="class")
-    def hammer_ledger(self, tmp_path_factory):
-        from repro.experiments import hammer01
-
-        sink = obs.ListTraceSink()
-        previous_sink = obs.set_sink(sink)
-        previous_forensics = set_forensics(True)
-        try:
-            unit = hammer01.units(quick=True, seed=1)[0]
-            hammer01.run_unit(unit, quick=True, seed=1)
-        finally:
-            set_forensics(previous_forensics)
-            obs.set_sink(previous_sink)
-        path = _write_trace(
-            sink.records, tmp_path_factory.mktemp("ledger") / "h.jsonl"
+    @pytest.fixture
+    def predicate_ledger(self, forensics_env, tmp_path):
+        _registry, sink = forensics_env
+        fault_map = FaultMap(
+            16, 256, FaultModelConfig(vulnerable_cell_rate=1e-2), seed=3
         )
-        return path, sink.records
+        # Column stripes: every cell has two aggressor neighbours.
+        stripes = (np.arange(256) % 2).astype(np.uint8)
+        failing = fault_map.rows_fail(np.arange(16), stripes, 328.0)
+        assert failing.any() and not failing.all()
+        (record,) = sink.records
+        assert record["kind"] == "predicate_eval"
+        path = _write_trace(sink.records, tmp_path / "ledger.jsonl")
+        return path, np.flatnonzero(failing), np.flatnonzero(~failing)
 
-    def _row_with_verdict(self, records, verdict):
-        for record in records:
-            if record["kind"] == "forensic_row" and \
-                    record["verdict"] == verdict:
-                return record
-        pytest.skip(f"no {verdict!r} row in this quick unit")
-
-    def test_composed_row_replay_agrees(self, hammer_ledger, capsys):
-        path, records = hammer_ledger
-        record = self._row_with_verdict(records, "composed")
-        # A composed row: fails with content + dose, but neither the
-        # content-only nor the content-agnostic predicate flags it.
-        assert record["composed"] and not record["content_only"]
-        assert why.main(["--row", str(record["row"]), "--trace", path]) == 0
+    def test_sampled_row_shows_predicate_eval(self, predicate_ledger, capsys):
+        path, failing, _passing = predicate_ledger
+        row = int(failing[0])
+        assert why.main(["--row", str(row), "--trace", path]) == 0
         out = capsys.readouterr().out
-        assert "attributed: composed" in out
-        assert "counterfactual replay" in out
-        assert "verdict: composed (ledger agrees)" in out
+        assert f"causal chain for row {row} (1 records)" in out
+        assert "fault predicate over 16 rows" in out
 
-    def test_all_attributions_replay_consistently(self, hammer_ledger):
-        _path, records = hammer_ledger
-        attributions = [
-            r for r in records if r["kind"] == "forensic_row"
-        ]
-        assert attributions
-        seen = set()
-        for record in attributions:
-            if record["verdict"] in seen:
-                continue  # one replay per verdict keeps this fast
-            seen.add(record["verdict"])
-            replay = why.replay_row(record)
-            assert replay["agrees"], (
-                record["row"], record["verdict"], replay
-            )
-
-    def test_no_replay_flag_prints_chain_only(self, hammer_ledger, capsys):
-        path, records = hammer_ledger
-        record = self._row_with_verdict(records, "composed")
-        assert why.main(
-            ["--row", str(record["row"]), "--trace", path, "--no-replay"]
-        ) == 0
-        out = capsys.readouterr().out
-        assert "causal chain" in out
-        assert "counterfactual replay" not in out
+    def test_row_outside_sample_exits_nonzero(self, predicate_ledger, capsys):
+        path, _failing, passing = predicate_ledger
+        row = int(passing[0])
+        assert why.main(["--row", str(row), "--trace", path]) == 1
+        assert "no ledger records" in capsys.readouterr().err
 
 
 class TestReplayDegradation:
-    def test_missing_coordinates_raise_key_error(self):
-        with pytest.raises(KeyError):
-            why.replay_row({"kind": "forensic_row", "row": 3,
-                            "verdict": "composed"})
+    """Where the CLI finds its ledger when no trace file is named."""
 
     def test_resolve_sources_requires_input(self):
         with pytest.raises(SystemExit):
@@ -233,7 +117,7 @@ class TestReplayDegradation:
         manifest = tmp_path / "m.json"
         manifest.write_text(json.dumps({
             "schema": MANIFEST_SCHEMA_VERSION,
-            "experiments": ["hammer01"],
+            "experiments": ["fig14"],
             "forensics": {"ledger_path": "l.jsonl"},
         }))
         assert why._resolve_sources(str(manifest), None) == ["l.jsonl"]

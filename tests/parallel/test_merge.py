@@ -238,7 +238,8 @@ class TestIterMergedRecords:
                  attempt=1),
             _rec("pril_grant", page=4, quantum=0),
             _rec("test_started", t_ms=0.0, page=4),
-            _rec("forensic_row", row=4, verdict="composed"),
+            _rec("predicate_eval", interval_ms=64.0, rows=8, failed=1,
+                 rows_failed_sample=[4]),
             _rec("unit_finished", experiment="e", unit="u0", seq=0,
                  attempt=1, wall_s=0.0),
         ]
@@ -262,12 +263,11 @@ class TestIterMergedRecords:
         census = extract_sharded_ledger(out, ledger)
         assert census["records"] == 3
         assert census["kinds"] == {
-            "forensic_row": 1, "pril_grant": 1, "test_started": 1,
+            "pril_grant": 1, "predicate_eval": 1, "test_started": 1,
         }
-        assert census["verdicts"] == {"composed": 1}
         written = [json.loads(line) for line in open(ledger)]
         assert [r["kind"] for r in written] == [
-            "pril_grant", "test_started", "forensic_row",
+            "pril_grant", "test_started", "predicate_eval",
         ]
 
     def test_ledger_file_is_not_mistaken_for_a_shard(self, tmp_path):

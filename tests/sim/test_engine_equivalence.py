@@ -108,52 +108,6 @@ class TestEngineMatchesOracle:
         assert got == expected
         assert got_records == expected_records
 
-    @settings(max_examples=8, deadline=None)
-    @given(
-        benches=st.lists(st.sampled_from(BENCH_POOL), min_size=1, max_size=2),
-        channels=st.integers(1, 2),
-        tests=st.sampled_from([0, 2]),
-        seed=st.integers(0, 2**16),
-        window_us=st.integers(5, 20),
-    )
-    def test_activation_streams_identical(
-        self, benches, channels, tests, seed, window_us
-    ):
-        """Both engines feed the disturbance channel the same ACT stream:
-        per-row counts *and* open-interval on-times must match exactly."""
-        window_ns = window_us * 1_000.0
-        config = SystemConfig(
-            channels=channels,
-            refresh=RefreshSettings(base_interval_ms=16.0),
-            test_traffic=TestTrafficSettings(concurrent_tests=tests),
-            track_activations=True,
-        )
-        benchmarks = [get_benchmark(name) for name in benches]
-        snapshots = {}
-        for engine in ("poll", "event"):
-            simulator = SystemSimulator(benchmarks, config, seed=seed)
-            _simulate(simulator, window_ns, engine)
-            snapshots[engine] = simulator.activation_snapshot(window_ns)
-        assert snapshots["event"] == snapshots["poll"]
-
-    def test_activation_stream_nonempty_and_identical_for_mcf(self):
-        # Deterministic anchor for the property above: a memory-heavy
-        # workload over a real window must produce a non-trivial stream.
-        config = SystemConfig(
-            test_traffic=TestTrafficSettings(concurrent_tests=8),
-            track_activations=True,
-        )
-        snapshots = {}
-        for engine in ("poll", "event"):
-            simulator = SystemSimulator(
-                [get_benchmark("mcf")], config, seed=7,
-            )
-            _simulate(simulator, 50_000.0, engine)
-            snapshots[engine] = simulator.activation_snapshot(50_000.0)
-        assert snapshots["event"] == snapshots["poll"]
-        assert len(snapshots["event"]) > 10
-        assert any(on > 0.0 for _, on in snapshots["event"].values())
-
     def test_zero_request_window_identical(self):
         # A window shorter than any core's first arrival: the engines
         # must agree on a run where only refresh events exist.
