@@ -1,11 +1,13 @@
 """Cell-level DRAM content model.
 
 A :class:`CellArray` stores the logical (system-visible) content of every
-row that has ever been written, and can produce the *silicon-order* bit
-layout of a row by pushing the content through the chip's vendor mapping.
-Combined with a :class:`~repro.dram.faults.FaultMap` it answers the question
-at the centre of MEMCON: *given what is currently stored, which cells fail
-at a given refresh interval?*
+row that has ever been written. Combined with a
+:class:`~repro.dram.faults.FaultMap` it answers the question at the centre
+of MEMCON: *given what is currently stored, which cells fail at a given
+refresh interval?* It hands the fault map system-order content together
+with the chip's vendor mapping, through which the predicate reads each
+vulnerable cell and its two physical neighbours; :meth:`CellArray.silicon_row`
+still lays a whole row out in silicon order, as the reference layout.
 
 Rows never written are treated as holding all zeros (the post-power-up
 convention used by the paper's FPGA test infrastructure).
@@ -133,13 +135,15 @@ class CellArray:
     ) -> List[VulnerableCell]:
         """Vulnerable cells that fail with the *current* content."""
         return self.fault_map.failing_cells(
-            row_index, self.silicon_row(row_index), refresh_interval_ms
+            row_index, self.read_row_bits(row_index), refresh_interval_ms,
+            self.vendor_mapping,
         )
 
     def failing_mask(self, row_index: int, refresh_interval_ms: float) -> np.ndarray:
         """Failure mask over the row's vulnerable cells, current content."""
         return self.fault_map.failing_mask(
-            row_index, self.silicon_row(row_index), refresh_interval_ms
+            row_index, self.read_row_bits(row_index), refresh_interval_ms,
+            self.vendor_mapping,
         )
 
     def row_fails(self, row_index: int, refresh_interval_ms: float) -> bool:
@@ -155,10 +159,10 @@ class CellArray:
         """Which rows fail with their *current* content, batch-evaluated.
 
         ``rows=None`` evaluates the whole module. Never-written rows all
-        share the default all-zeros image, so they are answered with one
-        shared silicon row; written rows are pushed through the vendor
-        mapping in chunks of ``chunk_rows`` to bound peak memory. Returns a
-        boolean array aligned with ``rows``.
+        share the default all-zeros image, so they are answered with that
+        one shared row; written rows are stacked in chunks of
+        ``chunk_rows`` to bound peak memory. Returns a boolean array
+        aligned with ``rows``.
         """
         if rows is None:
             rows = np.arange(self.geometry.total_rows, dtype=np.int64)
@@ -173,32 +177,33 @@ class CellArray:
         )
         unwritten_pos = np.flatnonzero(~written)
         if len(unwritten_pos):
-            zero_silicon = self.vendor_mapping.to_silicon(self._zero_row)
             out[unwritten_pos] = self.fault_map.rows_fail(
-                rows[unwritten_pos], zero_silicon, refresh_interval_ms
+                rows[unwritten_pos], self._zero_row, refresh_interval_ms,
+                self.vendor_mapping,
             )
         written_pos = np.flatnonzero(written)
         for start in range(0, len(written_pos), chunk_rows):
             pos = written_pos[start: start + chunk_rows]
             stacked = np.stack([self._rows[int(r)] for r in rows[pos]])
-            silicon = self.vendor_mapping.to_silicon_batch(stacked)
             out[pos] = self.fault_map.rows_fail(
-                rows[pos], silicon, refresh_interval_ms
+                rows[pos], stacked, refresh_interval_ms, self.vendor_mapping
             )
         return out
 
     def decay_row(self, row_index: int, refresh_interval_ms: float) -> np.ndarray:
         """Content after an idle retention window, in system bit order.
 
-        Flips every failing cell's stored value and maps the silicon layout
-        back to system order — what a read-back after the idle period sees.
+        Flips the stored value of every failing cell that holds system
+        data — what a read-back after the idle period sees. Flips at
+        silicon positions serving no system bit are invisible.
         """
-        physical = self.vendor_mapping.to_silicon(self.read_row_bits(row_index))
+        bits = self.read_row_bits(row_index)
         flipped = self.fault_map.failing_columns(
-            row_index, physical, refresh_interval_ms
+            row_index, bits, refresh_interval_ms, self.vendor_mapping
         )
-        physical[flipped] ^= 1
-        return self.vendor_mapping.from_silicon(physical)
+        system = self.vendor_mapping.system_of_silicon()[flipped]
+        bits[system[system >= 0]] ^= 1
+        return bits
 
     def _check_row(self, row_index: int) -> None:
         if not 0 <= row_index < self.geometry.total_rows:

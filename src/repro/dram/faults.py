@@ -35,24 +35,30 @@ so that
   draw (the per-row-RNG design this replaced fed the polarity draw and the
   first cell draw from the same stream position).
 
-Row populations are stored as structured ndarrays (sorted physical
-columns + aligned thresholds), so failure evaluation for a whole row — or
-a whole module — is a handful of array operations instead of a per-cell
-Python loop. The object-returning methods (:meth:`FaultMap.cells_in_row`,
-:meth:`FaultMap.failing_cells`) are thin wrappers over the arrays.
+Populations live in one CSR table: flat physical-column and threshold
+arrays holding each resident row's cells as one segment (columns sorted),
+plus per-row start, count, polarity and minimum-threshold arrays. Finding
+a batch's cells, and its worst case, is index arithmetic over that table.
+The predicates take content in *system* order together with the chip's
+:class:`~repro.dram.scramble.VendorMapping` and read only what they
+compare: each vulnerable cell's bit and its two physical neighbours,
+through :meth:`VendorMapping.system_of_silicon`. No row is laid out in
+silicon order to evaluate it. The object-returning methods
+(:meth:`FaultMap.cells_in_row`, :meth:`FaultMap.failing_cells`) are thin
+wrappers over the arrays.
 """
 
 from __future__ import annotations
 
 import math
 import zlib
-from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from .. import obs
+from .scramble import VendorMapping
 
 #: Registry names for resident-row accounting: the gauge reads the
 #: dense row state a process holds across every live fault map.
@@ -60,33 +66,11 @@ RESIDENT_ROWS_GAUGE = "dram.resident_rows"
 ROWS_EVICTED_COUNTER = "dram.rows_evicted"
 
 
-def _evict_lru_rows(
-    populations: "OrderedDict[int, object]",
-    budget: int,
-    batch: int,
-    incoming: int,
-    shadow: Optional[Dict[int, object]] = None,
-) -> int:
-    """Evict least-recently-used rows so ``resident + incoming`` fits.
-
-    ``batch`` is the size of the unique row batch about to be evaluated
-    and ``incoming`` how many of those are not yet resident. The caller
-    must have already touched (moved to the MRU end) every resident row
-    of the batch; the effective target is ``max(budget, batch)``, so no
-    row of the active batch is ever evicted mid-evaluation — eviction
-    stops once only batch rows remain. ``shadow`` is an optional
-    secondary per-row cache evicted in lockstep. Returns the eviction
-    count; regeneration on a later touch is bitwise-identical because row
-    populations are pure functions of (seed, row) counter streams.
-    """
-    target = max(budget, batch)
-    evicted = 0
-    while len(populations) + incoming > target and populations:
-        row, _ = populations.popitem(last=False)
-        if shadow is not None:
-            shadow.pop(row, None)
-        evicted += 1
-    return evicted
+def _segments(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """Flat indices of the CSR segments ``[start, start + count)``, in order."""
+    ends = np.cumsum(counts)
+    total = int(ends[-1]) if len(ends) else 0
+    return np.arange(total) + np.repeat(starts - (ends - counts), counts)
 
 
 def _note_residency(generated: int, evicted: int) -> None:
@@ -276,19 +260,18 @@ class VulnerableCell:
 
 @dataclass(frozen=True)
 class RowPopulation:
-    """One row's vulnerable cells as aligned arrays (columns sorted)."""
+    """One row's vulnerable cells: read-only views into the CSR table."""
 
     columns: np.ndarray     # int64, sorted ascending
     thresholds: np.ndarray  # float64, aligned with columns
     true_cell: bool         # row polarity
-    min_threshold: float    # inf when the row has no vulnerable cells
-
-    def __len__(self) -> int:
-        return len(self.columns)
 
 
 _EMPTY_COLUMNS = np.empty(0, dtype=np.int64)
 _EMPTY_THRESHOLDS = np.empty(0, dtype=np.float64)
+#: Offsets of the silicon positions a cell's verdict reads: its own,
+#: its left neighbour's and its right neighbour's.
+_NEIGHBOURS = np.array([[0], [-1], [1]], dtype=np.int64)
 
 
 class FaultMap:
@@ -297,6 +280,13 @@ class FaultMap:
     Generated lazily — and, through the batch APIs, for arbitrarily many
     rows per vectorised pass — so module-scale populations (hundreds of
     thousands of rows) stay cheap.
+
+    ``max_resident_rows`` bounds the rows held in the population table.
+    Least-recently-used rows are evicted so a batch fits, but never a row
+    of the batch being evaluated: a batch wider than the budget overshoots
+    it for its own duration. An evicted row regenerates bitwise-identically
+    on its next touch, since populations are pure functions of (seed, row)
+    counter streams.
     """
 
     def __init__(
@@ -317,8 +307,28 @@ class FaultMap:
         self.seed = seed
         self.max_resident_rows = max_resident_rows
         self._seed_base = _mix64(np.array(seed & _MASK64, dtype=_U64))
-        self._populations: "OrderedDict[int, RowPopulation]" = OrderedDict()
-        self._rows: Dict[int, Tuple[VulnerableCell, ...]] = {}
+        self._clear_table()
+
+    def _clear_table(self) -> None:
+        """An empty population table: no row resident.
+
+        Row ``r``'s cells are ``_columns[_start[r]:_start[r] + _count[r]]``
+        (thresholds aligned) while ``_resident[r]``. The flat arrays grow
+        by appending; an evicted row's segment is dropped at the next
+        regrowth. ``_last_use`` orders resident rows for LRU eviction.
+        """
+        rows = self.total_rows
+        self._columns = _EMPTY_COLUMNS
+        self._thresholds = _EMPTY_THRESHOLDS
+        self._used = 0
+        self._start = np.zeros(rows, dtype=np.int64)
+        self._count = np.zeros(rows, dtype=np.int64)
+        self._true_cell = np.zeros(rows, dtype=bool)
+        self._min_threshold = np.zeros(rows, dtype=np.float64)
+        self._resident = np.zeros(rows, dtype=bool)
+        self._last_use = np.zeros(rows, dtype=np.int64)
+        self._clock = 0
+        self._n_resident = 0
 
     # ------------------------------------------------------------------
     # Population generation (counter-based, batch-vectorised)
@@ -357,27 +367,40 @@ class FaultMap:
         }
 
     def _ensure_rows(self, rows: np.ndarray) -> None:
-        pops = self._populations
-        unique = np.unique(rows)
-        missing = [int(r) for r in unique if int(r) not in pops]
+        """Make every row of ``rows`` resident, evicting under the budget."""
+        missing = np.unique(rows[~self._resident[rows]])
         evicted = 0
         if self.max_resident_rows is not None:
-            if len(missing) < len(unique):
-                for r in unique:
-                    r = int(r)
-                    if r in pops:
-                        pops.move_to_end(r)
-            evicted = _evict_lru_rows(
-                pops, self.max_resident_rows, len(unique), len(missing),
-                shadow=self._rows,
+            batch = np.unique(rows)
+            self._touch(batch[self._resident[batch]])
+            evicted = self._evict(
+                max(self.max_resident_rows, len(batch)) - len(missing)
             )
-        if missing:
-            self._generate_rows(np.asarray(missing, dtype=np.int64))
+        if len(missing):
+            self._generate_rows(missing)
+            if self.max_resident_rows is not None:
+                self._touch(missing)
         _note_residency(len(missing), evicted)
+
+    def _touch(self, rows: np.ndarray) -> None:
+        """Mark ``rows`` most recently used, in their given order."""
+        self._last_use[rows] = self._clock + np.arange(1, len(rows) + 1)
+        self._clock += len(rows)
+
+    def _evict(self, keep: int) -> int:
+        """Evict least-recently-used rows until ``keep`` remain resident."""
+        excess = self._n_resident - keep
+        if excess <= 0:
+            return 0
+        resident = np.flatnonzero(self._resident)
+        oldest = np.argpartition(self._last_use[resident], excess - 1)
+        self._resident[resident[oldest[:excess]]] = False
+        self._n_resident -= excess
+        return excess
 
     def resident_rows(self) -> int:
         """How many rows currently hold materialized population state."""
-        return len(self._populations)
+        return self._n_resident
 
     def release(self) -> None:
         """Drop all resident row state and square up the process gauge.
@@ -388,9 +411,8 @@ class FaultMap:
         process-wide resident-rows gauge tracks *live* dense state, not
         every map ever constructed.
         """
-        resident = len(self._populations)
-        self._populations.clear()
-        self._rows.clear()
+        resident = self._n_resident
+        self._clear_table()
         if resident:
             obs.get_registry().gauge(RESIDENT_ROWS_GAUGE).add(-resident)
 
@@ -404,10 +426,9 @@ class FaultMap:
             self.bits_per_row,
             cfg.vulnerable_cell_rate,
         )
-
+        min_threshold = np.full(len(rows), math.inf)
+        cols, thresholds = _EMPTY_COLUMNS, _EMPTY_THRESHOLDS
         nz = np.flatnonzero(counts)
-        columns_by_row: Dict[int, np.ndarray] = {}
-        thresholds_by_row: Dict[int, np.ndarray] = {}
         if len(nz):
             nz_counts = counts[nz]
             total = int(nz_counts.sum())
@@ -418,25 +439,44 @@ class FaultMap:
             pair_base = base[nz][pair_pos]
             cols = self._draw_columns(pair_base, pair_pos, j, nz_counts)
             thresholds = self._draw_thresholds(pair_base, j)
-            # Sort each row's cells by physical column, thresholds aligned.
+            # Sort each row's cells by physical column, thresholds aligned:
+            # the batch's rows become consecutive CSR segments.
             order = np.lexsort((cols, pair_pos))
-            cols, thresholds, pair_pos = cols[order], thresholds[order], pair_pos[order]
-            bounds = np.cumsum(nz_counts)
-            for i, row_pos in enumerate(nz):
-                lo, hi = bounds[i] - nz_counts[i], bounds[i]
-                columns_by_row[int(rows[row_pos])] = cols[lo:hi]
-                thresholds_by_row[int(rows[row_pos])] = thresholds[lo:hi]
+            cols, thresholds = cols[order], thresholds[order]
+            min_threshold[nz] = np.minimum.reduceat(thresholds, starts)
 
-        for i, row in enumerate(rows):
-            row = int(row)
-            columns = columns_by_row.get(row, _EMPTY_COLUMNS)
-            thresholds = thresholds_by_row.get(row, _EMPTY_THRESHOLDS)
-            self._populations[row] = RowPopulation(
-                columns=columns,
-                thresholds=thresholds,
-                true_cell=bool(true_cell[i]),
-                min_threshold=float(thresholds.min()) if len(thresholds) else math.inf,
-            )
+        offset = self._reserve(len(cols))
+        self._columns[offset: offset + len(cols)] = cols
+        self._thresholds[offset: offset + len(cols)] = thresholds
+        self._start[rows] = offset + np.cumsum(counts) - counts
+        self._count[rows] = counts
+        self._true_cell[rows] = true_cell
+        self._min_threshold[rows] = min_threshold
+        self._resident[rows] = True
+        self._n_resident += len(rows)
+
+    def _reserve(self, cells: int) -> int:
+        """Room for ``cells`` more cells in the flat arrays; their offset.
+
+        When full, the arrays are rebuilt at twice the live size, keeping
+        only resident rows' segments. Segments handed out as views keep
+        their old buffer, so they never change under the caller.
+        """
+        if self._used + cells > len(self._columns):
+            live = np.flatnonzero(self._resident)
+            counts = self._count[live]
+            index = _segments(self._start[live], counts)
+            capacity = max(2 * (len(index) + cells), 1024)
+            columns = np.empty(capacity, dtype=np.int64)
+            thresholds = np.empty(capacity, dtype=np.float64)
+            columns[: len(index)] = self._columns[index]
+            thresholds[: len(index)] = self._thresholds[index]
+            self._start[live] = np.cumsum(counts) - counts
+            self._columns, self._thresholds = columns, thresholds
+            self._used = len(index)
+        offset = self._used
+        self._used += cells
+        return offset
 
     def _draw_columns(
         self,
@@ -463,13 +503,21 @@ class FaultMap:
     def row_population(self, row_index: int) -> RowPopulation:
         """The row's vulnerable cells as aligned arrays (the fast view)."""
         self._check_row(row_index)
-        pop = self._populations.get(row_index)
-        if pop is None:
+        if not self._resident[row_index]:
             self._ensure_rows(np.array([row_index], dtype=np.int64))
-            pop = self._populations[row_index]
         elif self.max_resident_rows is not None:
-            self._populations.move_to_end(row_index)
-        return pop
+            self._touch(np.array([row_index], dtype=np.int64))
+        start = self._start[row_index]
+        stop = start + self._count[row_index]
+        columns = self._columns[start:stop]
+        thresholds = self._thresholds[start:stop]
+        columns.flags.writeable = False
+        thresholds.flags.writeable = False
+        return RowPopulation(
+            columns=columns,
+            thresholds=thresholds,
+            true_cell=bool(self._true_cell[row_index]),
+        )
 
     def row_is_true_cell(self, row_index: int) -> bool:
         """Polarity of a physical row (true-cell vs anti-cell)."""
@@ -477,21 +525,16 @@ class FaultMap:
 
     def cells_in_row(self, row_index: int) -> Tuple[VulnerableCell, ...]:
         """The vulnerable cells of one row, generated deterministically."""
-        self._check_row(row_index)
-        cached = self._rows.get(row_index)
-        if cached is None:
-            pop = self.row_population(row_index)
-            cached = tuple(
-                VulnerableCell(
-                    row_index=row_index,
-                    physical_column=int(col),
-                    threshold=float(thr),
-                    true_cell=pop.true_cell,
-                )
-                for col, thr in zip(pop.columns, pop.thresholds)
+        pop = self.row_population(row_index)
+        return tuple(
+            VulnerableCell(
+                row_index=row_index,
+                physical_column=col,
+                threshold=thr,
+                true_cell=pop.true_cell,
             )
-            self._rows[row_index] = cached
-        return cached
+            for col, thr in zip(pop.columns.tolist(), pop.thresholds.tolist())
+        )
 
     def _check_row(self, row_index: int) -> None:
         if not 0 <= row_index < self.total_rows:
@@ -525,137 +568,148 @@ class FaultMap:
     # ------------------------------------------------------------------
     # Vectorised evaluation
     # ------------------------------------------------------------------
+    # Every content predicate takes ``content`` in system bit order plus
+    # the chip's ``mapping``, or, with no mapping, content already laid
+    # out in silicon order (the identity mapping).
     def failing_mask(
         self,
         row_index: int,
-        physical_row_bits: np.ndarray,
+        content: np.ndarray,
         refresh_interval_ms: float,
+        mapping: Optional[VendorMapping] = None,
     ) -> np.ndarray:
         """Boolean mask over :meth:`cells_in_row` — True where the cell fails.
 
-        One vectorised pass: gather each vulnerable cell's stored value and
-        both neighbours, count aggressors by array comparison, and compare
-        the stress table against the per-cell thresholds.
+        ``content`` is one row. One vectorised pass: gather each vulnerable
+        cell's stored value and both neighbours, count aggressors by array
+        comparison, and compare the stress table against the per-cell
+        thresholds.
         """
+        content = _checked_content(content, None, mapping)
         pop = self.row_population(row_index)
         return self._evaluate(
             pop.columns,
             pop.thresholds,
-            np.full(len(pop.columns), pop.true_cell, dtype=bool),
-            np.asarray(physical_row_bits),
+            pop.true_cell,
+            content,
             None,
             refresh_interval_ms,
+            mapping,
         )
 
     def failing_columns(
         self,
         row_index: int,
-        physical_row_bits: np.ndarray,
+        content: np.ndarray,
         refresh_interval_ms: float,
+        mapping: Optional[VendorMapping] = None,
     ) -> np.ndarray:
         """Physical columns (sorted) of the cells failing with this content."""
         pop = self.row_population(row_index)
         return pop.columns[
-            self.failing_mask(row_index, physical_row_bits, refresh_interval_ms)
+            self.failing_mask(row_index, content, refresh_interval_ms, mapping)
         ]
 
     def _evaluate(
         self,
         cols: np.ndarray,
         thresholds: np.ndarray,
-        true_cell: np.ndarray,
-        bits: np.ndarray,
+        true_cell: Union[bool, np.ndarray],
+        content: np.ndarray,
         row_pos: Optional[np.ndarray],
         refresh_interval_ms: float,
+        mapping: Optional[VendorMapping],
     ) -> np.ndarray:
-        """Failure mask for a flat batch of cells against content bits.
+        """Failure mask for a flat batch of cells against content.
 
-        ``bits`` is one row (1-D, shared by every cell) or a matrix whose
-        rows are indexed by ``row_pos``.
+        ``true_cell`` is each cell's polarity, or one shared by all.
+        ``content`` is one row (1-D, shared by every cell) or a matrix whose
+        rows are indexed by ``row_pos``. Silicon position ``p`` holds bit
+        ``p`` of the content without a mapping, and system bit
+        ``mapping.system_of_silicon()[p]`` with one, or 0 where that is -1,
+        as :meth:`ColumnRemapper.place_rows` leaves it. Only the three bits
+        a cell's verdict depends on are read: its own and its physical
+        neighbours'.
         """
         if len(cols) == 0:
             return np.zeros(0, dtype=bool)
-        width = bits.shape[-1]
-        valid = cols < width
-        safe = np.where(valid, cols, 0)
-        left = np.maximum(safe - 1, 0)
-        right = np.minimum(safe + 1, width - 1)
-        if bits.ndim == 1:
-            value = bits[safe]
-            left_value = bits[left]
-            right_value = bits[right]
+        if mapping is None:
+            width = content.shape[-1]
         else:
-            value = bits[row_pos, safe]
-            left_value = bits[row_pos, left]
-            right_value = bits[row_pos, right]
-        charged = np.where(true_cell, value == 1, value == 0)
-        aggressors = ((cols > 0) & (left_value != value)).astype(np.int64)
-        aggressors += ((cols + 1 < width) & (right_value != value)).astype(np.int64)
+            width = mapping.physical_columns
+        # Rows of silicon positions: the cells, their left neighbours,
+        # their right neighbours. A neighbour past the row's edge clamps
+        # onto the cell itself, so it never aggresses; a cell past the
+        # content's width reads some held bit and is masked out below.
+        where = np.minimum(np.maximum(cols + _NEIGHBOURS, 0), width - 1)
+        if mapping is not None:
+            where = mapping.system_of_silicon()[where]
+        bits = content[where] if content.ndim == 1 else content[row_pos, where]
+        bits[where < 0] = 0
+        value = bits[0]
+        aggressors = (bits[1:] != value).sum(axis=0)
         stress = self._stress_table(refresh_interval_ms)[aggressors]
-        return valid & charged & (stress >= thresholds)
+        # Only a charged cell can leak: a true-cell storing 1, an
+        # anti-cell storing 0.
+        charged = value == true_cell
+        return (cols < width) & charged & (stress >= thresholds)
 
     def _gather(
         self, rows: np.ndarray
     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """Concatenated (row_pos, columns, thresholds, true_cell) for rows."""
         self._ensure_rows(rows)
-        pops = [self._populations[int(r)] for r in rows]
-        counts = np.fromiter((len(p) for p in pops), np.int64, len(pops))
-        row_pos = np.repeat(np.arange(len(pops)), counts)
-        nonempty = [p for p in pops if len(p)]
-        if not nonempty:
-            return (
-                row_pos,
-                _EMPTY_COLUMNS,
-                _EMPTY_THRESHOLDS,
-                np.empty(0, dtype=bool),
-            )
-        cols = np.concatenate([p.columns for p in nonempty])
-        thresholds = np.concatenate([p.thresholds for p in nonempty])
-        true_cell = np.repeat(
-            np.fromiter((p.true_cell for p in pops), bool, len(pops)), counts
+        counts = self._count[rows]
+        index = _segments(self._start[rows], counts)
+        row_pos = np.repeat(np.arange(len(rows)), counts)
+        return (
+            row_pos,
+            self._columns[index],
+            self._thresholds[index],
+            self._true_cell[rows][row_pos],
         )
-        return row_pos, cols, thresholds, true_cell
 
     def rows_fail(
         self,
         rows: Union[Sequence[int], np.ndarray],
-        physical_bits: np.ndarray,
+        content: np.ndarray,
         refresh_interval_ms: float,
+        mapping: Optional[VendorMapping] = None,
     ) -> np.ndarray:
         """Which of ``rows`` lose at least one bit with the given content.
 
-        ``physical_bits`` is either one silicon-order row shared by every
-        row in the batch, or a ``(len(rows), width)`` matrix of per-row
-        content. Returns a boolean array aligned with ``rows``.
+        ``content`` is either one row shared by every row in the batch, or
+        a ``(len(rows), width)`` matrix of per-row content. Returns a
+        boolean array aligned with ``rows``.
         """
         rows = np.asarray(rows, dtype=np.int64)
         self._check_rows(rows)
+        content = _checked_content(content, len(rows), mapping)
         row_pos, cols, thresholds, true_cell = self._gather(rows)
-        bits = np.asarray(physical_bits)
         fails = self._evaluate(
-            cols, thresholds, true_cell, bits, row_pos, refresh_interval_ms,
+            cols, thresholds, true_cell, content, row_pos,
+            refresh_interval_ms, mapping,
         )
         result = np.bincount(row_pos[fails], minlength=len(rows)) > 0
         if obs.forensics_active() and obs.trace_active():
-            self._emit_predicate_eval(rows, bits, refresh_interval_ms, result)
+            self._emit_predicate_eval(rows, content, refresh_interval_ms, result)
         return result
 
     @staticmethod
     def _emit_predicate_eval(
         rows: np.ndarray,
-        bits: np.ndarray,
+        content: np.ndarray,
         refresh_interval_ms: float,
         result: np.ndarray,
     ) -> None:
         """Ledger record for one batch predicate evaluation (forensics).
 
         Captures the evaluation's inputs compactly: the CRC of the exact
-        content snapshot (dtype-tagged, so byte-equal content hashes
-        equal) and up to 64 failing rows by id.
+        content it was given, in the order it was given (dtype-tagged, so
+        byte-equal content hashes equal), and up to 64 failing rows by id.
         """
-        crc = zlib.crc32(bits.dtype.char.encode())
-        crc = zlib.crc32(np.ascontiguousarray(bits).tobytes(), crc)
+        crc = zlib.crc32(content.dtype.char.encode())
+        crc = zlib.crc32(np.ascontiguousarray(content).tobytes(), crc)
         failing = rows[result]
         obs.emit(
             "predicate_eval",
@@ -669,8 +723,9 @@ class FaultMap:
     def failing_cells_batch(
         self,
         rows: Union[Sequence[int], np.ndarray],
-        physical_bits: np.ndarray,
+        content: np.ndarray,
         refresh_interval_ms: float,
+        mapping: Optional[VendorMapping] = None,
     ) -> Tuple[np.ndarray, np.ndarray]:
         """(row_index, physical_column) of every failing cell in the batch.
 
@@ -679,21 +734,23 @@ class FaultMap:
         """
         rows = np.asarray(rows, dtype=np.int64)
         self._check_rows(rows)
+        content = _checked_content(content, len(rows), mapping)
         row_pos, cols, thresholds, true_cell = self._gather(rows)
         fails = self._evaluate(
-            cols, thresholds, true_cell,
-            np.asarray(physical_bits), row_pos, refresh_interval_ms,
+            cols, thresholds, true_cell, content, row_pos,
+            refresh_interval_ms, mapping,
         )
         return rows[row_pos[fails]], cols[fails]
 
     def failing_cells(
         self,
         row_index: int,
-        physical_row_bits: np.ndarray,
+        content: np.ndarray,
         refresh_interval_ms: float,
+        mapping: Optional[VendorMapping] = None,
     ) -> List[VulnerableCell]:
         """All vulnerable cells of a row that fail with this content."""
-        mask = self.failing_mask(row_index, physical_row_bits, refresh_interval_ms)
+        mask = self.failing_mask(row_index, content, refresh_interval_ms, mapping)
         if not mask.any():
             return []
         cells = self.cells_in_row(row_index)
@@ -716,12 +773,7 @@ class FaultMap:
         rows = np.asarray(rows, dtype=np.int64)
         self._check_rows(rows)
         self._ensure_rows(rows)
-        mins = np.fromiter(
-            (self._populations[int(r)].min_threshold for r in rows),
-            np.float64,
-            len(rows),
-        )
-        return mins <= self.stress(2, refresh_interval_ms)
+        return self._min_threshold[rows] <= self.stress(2, refresh_interval_ms)
 
     def all_fail_rows(self, refresh_interval_ms: float) -> List[int]:
         """Flat indices of every row that could fail under some content."""
@@ -734,3 +786,29 @@ class FaultMap:
         if len(rows) and (rows.min() < 0 or rows.max() >= self.total_rows):
             bad = rows[(rows < 0) | (rows >= self.total_rows)][0]
             raise ValueError(f"row index {int(bad)} out of range")
+
+
+def _checked_content(
+    content: np.ndarray, rows: Optional[int], mapping: Optional[VendorMapping]
+) -> np.ndarray:
+    """``content`` as an array, if its shape fits the predicate.
+
+    One row is ``(width,)``; a batch predicate over ``rows`` rows also
+    takes ``(rows, width)``. With a mapping, ``width`` is its system
+    column count, since content is then read by system position.
+    """
+    content = np.asarray(content)
+    if mapping is not None:
+        width = mapping.system_columns
+    else:
+        width = content.shape[-1] if content.ndim else None
+    shapes = [(width,)] if rows is None else [(width,), (rows, width)]
+    if content.shape not in shapes:
+        expected = " or ".join(str(shape) for shape in shapes)
+        where = "" if mapping is None else (
+            f" (the mapping's {width} system columns)"
+        )
+        raise ValueError(
+            f"content of shape {content.shape} does not fit {expected}{where}"
+        )
+    return content

@@ -177,10 +177,26 @@ class VendorMapping:
 
     scrambler: AddressScrambler
     remapper: ColumnRemapper
+    _system_of_silicon: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.scrambler.columns != self.remapper.array_columns:
             raise ValueError("scrambler and remapper widths disagree")
+        of_silicon = np.full(self.physical_columns, -1, dtype=np.int64)
+        phys_to_sys = self.scrambler.physical_to_system_array()
+        of_silicon[: self.remapper.array_columns] = phys_to_sys
+        if self.remapper.faulty_columns:
+            faulty = np.asarray(self.remapper.faulty_columns, dtype=np.int64)
+            spares = self.remapper.array_columns + np.arange(len(faulty))
+            of_silicon[spares] = phys_to_sys[faulty]
+            of_silicon[faulty] = -1
+        of_silicon.flags.writeable = False
+        object.__setattr__(self, "_system_of_silicon", of_silicon)
+
+    @property
+    def system_columns(self) -> int:
+        """Width of a row in system bit order."""
+        return self.scrambler.columns
 
     @property
     def physical_columns(self) -> int:
@@ -202,18 +218,12 @@ class VendorMapping:
         """System bit index served by each silicon position, -1 if none.
 
         Faulty main-array positions hold no system data (their content
-        lives in the spare region), so a flip there is invisible to any
-        read-back — exactly the positions marked -1.
+        lives in the spare region), and neither do unused spares, so a
+        flip there is invisible to any read-back — exactly the positions
+        marked -1, which :meth:`to_silicon` fills with 0. Computed once
+        per mapping; the array is read-only.
         """
-        mapping = np.full(self.physical_columns, -1, dtype=np.int64)
-        phys_to_sys = self.scrambler.physical_to_system_array()
-        mapping[: self.remapper.array_columns] = phys_to_sys
-        if self.remapper.faulty_columns:
-            faulty = np.asarray(self.remapper.faulty_columns, dtype=np.int64)
-            spares = self.remapper.array_columns + np.arange(len(faulty))
-            mapping[spares] = phys_to_sys[faulty]
-            mapping[faulty] = -1
-        return mapping
+        return self._system_of_silicon
 
     def silicon_index(self, system_column: int) -> int:
         """Physical location of a system column (scramble, then remap)."""

@@ -8,13 +8,15 @@ fail, plus the per-cell pattern-sensitivity summary (cells failing under
 every pattern would not be data-dependent).
 
 The battery runs through the vectorised batch fault-evaluation engine:
-each pattern is laid out in silicon order for every row at once
-(:meth:`VendorMapping.to_silicon_batch`) and evaluated in a single
-:meth:`FaultMap.failing_cells_batch` pass. Failures are reported in
-*system* coordinates, exactly as the SoftMC read-back path would see
-them — flips at silicon positions that hold no system data (zeroed
-faulty columns) are invisible and excluded, and the same protocol is
-cross-checked against the device path in the test suite.
+each pattern's system-order rows for the whole slice are evaluated in a
+single :meth:`FaultMap.failing_cells_batch` pass, which reads each
+vulnerable cell and its two physical neighbours through the chip's
+vendor mapping instead of laying the rows out in silicon order.
+Failures are reported in *system* coordinates, exactly as the SoftMC
+read-back path would see them — flips at silicon positions that hold no
+system data (zeroed faulty columns, unused spares) are invisible and
+excluded, and the same protocol is cross-checked against the device
+path in the test suite.
 """
 
 from __future__ import annotations
@@ -68,18 +70,16 @@ def _pattern_failures(
     mapping: VendorMapping,
     fault_map: FaultMap,
     pattern: DataPattern,
-    system_of_silicon: np.ndarray,
 ) -> Tuple[np.ndarray, np.ndarray]:
     """(row, system bit) of every read-back-visible failure of a pattern."""
     rows = np.arange(geometry.total_rows, dtype=np.int64)
     system = np.stack(
         [pattern.row_bits(int(r), geometry.bits_per_row) for r in rows]
     )
-    silicon = mapping.to_silicon_batch(system)
     fail_rows, fail_cols = fault_map.failing_cells_batch(
-        rows, silicon, TEST_INTERVAL_MS
+        rows, system, TEST_INTERVAL_MS, mapping
     )
-    bits = system_of_silicon[fail_cols]
+    bits = mapping.system_of_silicon()[fail_cols]
     visible = bits >= 0
     return fail_rows[visible], bits[visible]
 
@@ -111,16 +111,13 @@ def run_unit(unit: WorkUnit, quick: bool = True, seed: int = 1) -> Dict[str, Any
     n_patterns = _n_patterns(quick)
     start, stop = unit.params["patterns"]
     geometry, mapping, fault_map = _setup(quick, seed)
-    system_of_silicon = mapping.system_of_silicon()
     battery = pattern_battery(n_random=n_patterns - 10, seed=seed)[:n_patterns]
 
     per_pattern: List[List[Any]] = []
     cells: List[List[int]] = []
     for pattern_id in range(start, stop):
         pattern = battery[pattern_id]
-        rows, bits = _pattern_failures(
-            geometry, mapping, fault_map, pattern, system_of_silicon
-        )
+        rows, bits = _pattern_failures(geometry, mapping, fault_map, pattern)
         for row, bit in zip(rows, bits):
             cells.append([int(row), int(bit), pattern_id])
         per_pattern.append([pattern.name, int(len(rows))])
@@ -172,15 +169,12 @@ def cell_pattern_matrix(quick: bool = True, seed: int = 1):
     """(cell_id, pattern_id) scatter points, the raw Figure 3 plot data."""
     n_patterns = 24 if quick else 100
     geometry, mapping, fault_map = _setup(quick, seed)
-    system_of_silicon = mapping.system_of_silicon()
     cell_ids: Dict[Tuple[int, int], int] = {}
     points = []
     for pattern_id, pattern in enumerate(pattern_battery(
         n_random=n_patterns - 10, seed=seed,
     )[:n_patterns]):
-        rows, bits = _pattern_failures(
-            geometry, mapping, fault_map, pattern, system_of_silicon
-        )
+        rows, bits = _pattern_failures(geometry, mapping, fault_map, pattern)
         for row, bit in zip(rows, bits):
             key = (int(row), int(bit))
             cell = cell_ids.setdefault(key, len(cell_ids))

@@ -6,6 +6,11 @@ and counts failing rows. Program content trips only 0.38%-5.6% of rows,
 against 13.5% for the ALL-FAIL worst case — a 2.4x-35.2x gap, the headline
 motivation for content-based detection.
 
+Each image row is evaluated in system order for its whole row group in
+one :meth:`FaultMap.rows_fail` call, which reads each vulnerable cell and
+its two physical neighbours through the chip's vendor mapping; no row is
+laid out in silicon order.
+
 Parallel decomposition: the ALL-FAIL scan shards into contiguous row
 ranges (each unit carries its range's counter-RNG coordinates, so the
 checkpoint fingerprint pins the exact population it scanned), and each
@@ -109,17 +114,17 @@ def run_unit(unit: WorkUnit, quick: bool = True, seed: int = 1) -> Dict[str, Any
     snapshot_fractions = []
     for snapshot in content_trace:
         # Rows tile the image modulo n_image_rows: every row sharing an
-        # image index holds the same silicon bits, so each image is laid
-        # out once and its whole row group is evaluated in one batch.
+        # image index holds the same bits, so each image row is unpacked
+        # once and its whole row group is evaluated in one batch.
         failing = 0
         for i in range(n_image_rows):
-            silicon = mapping.to_silicon(np.unpackbits(
+            bits = np.unpackbits(
                 np.frombuffer(snapshot.image[i], dtype=np.uint8),
                 bitorder="little",
-            ))
+            )
             group = every_row[i::n_image_rows]
             failing += int(fault_map.rows_fail(
-                group, silicon, TEST_INTERVAL_MS
+                group, bits, TEST_INTERVAL_MS, mapping
             ).sum())
         snapshot_fractions.append(failing / geometry.total_rows)
     return {"benchmark": name, "fraction": float(np.mean(snapshot_fractions))}

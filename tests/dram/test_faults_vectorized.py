@@ -4,7 +4,10 @@ The batch APIs (``failing_mask``, ``rows_fail``, ``failing_cells_batch``,
 ``rows_can_ever_fail``) must agree cell-for-cell with the legacy per-cell
 path (``cell_fails`` / ``row_can_ever_fail`` in
 ``tests/oracles/fault_cells.py``), kept as the reference implementation.
-Also covers the RNG-stream regression: row
+Given a vendor mapping, the predicates read system-order content through
+it; they must agree with the same calls on the silicon layout
+(``VendorMapping.to_silicon[_batch]``) that path replaced. Mis-shaped
+content is rejected. Also covers the RNG-stream regression: row
 polarity must be drawn independently of the cell layout.
 """
 
@@ -12,7 +15,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.dram.cell_array import CellArray
 from repro.dram.faults import FaultMap, FaultModelConfig
+from repro.dram.geometry import DramGeometry
+from repro.dram.scramble import make_vendor_mapping
 from tests.oracles.fault_cells import cell_fails, row_can_ever_fail
 
 # Dense enough that a 64-row slice holds many vulnerable cells.
@@ -158,6 +164,171 @@ class TestWorstCase:
         with pytest.raises(ValueError):
             fault_map.rows_fail(
                 np.array([-1]), np.zeros(256, dtype=np.uint8), 328.0
+            )
+
+
+class TestContentShape:
+    """Content that fits neither one row nor the batch raises, naming both
+    shapes, instead of being read partially or failing on an index."""
+
+    def test_matrix_taller_than_batch_raises(self):
+        fault_map = _map(seed=1)
+        content = np.ones((20, 256), dtype=np.uint8)
+        with pytest.raises(ValueError, match=r"\(20, 256\).*\(8, 256\)"):
+            fault_map.rows_fail(np.arange(8), content, 328.0)
+        with pytest.raises(ValueError, match=r"\(20, 256\).*\(8, 256\)"):
+            fault_map.failing_cells_batch(np.arange(8), content, 328.0)
+
+    def test_matrix_shorter_than_batch_raises(self):
+        fault_map = _map(seed=1)
+        content = np.ones((4, 256), dtype=np.uint8)
+        with pytest.raises(ValueError, match=r"\(4, 256\).*\(8, 256\)"):
+            fault_map.rows_fail(np.arange(8), content, 328.0)
+
+    def test_three_dimensional_content_raises(self):
+        fault_map = _map(seed=1)
+        with pytest.raises(ValueError, match=r"\(8, 2, 256\)"):
+            fault_map.rows_fail(
+                np.arange(8), np.ones((8, 2, 256), dtype=np.uint8), 328.0
+            )
+
+    def test_failing_mask_takes_one_row_only(self):
+        fault_map = _map(seed=1)
+        content = np.ones((1, 256), dtype=np.uint8)
+        with pytest.raises(ValueError, match=r"\(1, 256\).*\(256,\)"):
+            fault_map.failing_mask(0, content, 328.0)
+        with pytest.raises(ValueError, match=r"\(1, 256\).*\(256,\)"):
+            fault_map.failing_columns(0, content, 328.0)
+
+    def test_width_must_match_mapping_system_columns(self):
+        mapping = make_vendor_mapping(columns=128, seed=2, spare_columns=8)
+        fault_map = _map(seed=1, bits=mapping.physical_columns)
+        # The silicon width is not the system width: with a mapping,
+        # content is read by system position.
+        silicon_wide = np.ones(mapping.physical_columns, dtype=np.uint8)
+        with pytest.raises(ValueError, match=r"\(136,\).*\(128,\)"):
+            fault_map.failing_mask(0, silicon_wide, 328.0, mapping)
+        with pytest.raises(ValueError, match=r"\(8, 64\).*\(8, 128\)"):
+            fault_map.rows_fail(
+                np.arange(8), np.ones((8, 64), dtype=np.uint8), 328.0, mapping
+            )
+        fault_map.rows_fail(
+            np.arange(8), np.ones(128, dtype=np.uint8), 328.0, mapping
+        )
+
+
+#: Rows of the differential populations; dense enough that, over 24
+#: rows, cells sit at silicon columns 0 and width - 1 in every example.
+GATHER_ROWS = 24
+GATHER_DENSE = FaultModelConfig(vulnerable_cell_rate=0.5)
+
+
+class TestSystemOrderGather:
+    """The system-order path vs the silicon layout it replaced."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        row_bytes=st.integers(1, 16),
+        mapping_seed=st.integers(0, 2**16),
+        spare_columns=st.integers(0, 8),
+        faulty_fraction=st.sampled_from([0.0, 0.05, 0.3]),
+        content_seed=st.integers(0, 2**32 - 1),
+        dtype=st.sampled_from([np.uint8, np.bool_]),
+        interval=st.sampled_from([64.0, 328.0, 1024.0, 4096.0]),
+    )
+    def test_predicates_match_silicon_layout(
+        self, row_bytes, mapping_seed, spare_columns, faulty_fraction,
+        content_seed, dtype, interval,
+    ):
+        columns = 8 * row_bytes
+        mapping = make_vendor_mapping(
+            columns, mapping_seed, spare_columns, faulty_fraction
+        )
+        width = mapping.physical_columns
+        fault_map = FaultMap(
+            GATHER_ROWS, width, GATHER_DENSE, seed=mapping_seed
+        )
+        rows = np.arange(GATHER_ROWS)
+        cols = np.concatenate(
+            [fault_map.row_population(r).columns for r in range(GATHER_ROWS)]
+        )
+        assert (cols == 0).any() and (cols == width - 1).any()
+
+        rng = np.random.default_rng(content_seed)
+        one = rng.integers(0, 2, size=columns).astype(dtype)
+        matrix = rng.integers(0, 2, size=(GATHER_ROWS, columns)).astype(dtype)
+        for content, silicon in (
+            (one, mapping.to_silicon(one)),
+            (matrix, mapping.to_silicon_batch(matrix)),
+        ):
+            got = fault_map.failing_cells_batch(rows, content, interval, mapping)
+            want = fault_map.failing_cells_batch(rows, silicon, interval)
+            np.testing.assert_array_equal(got[0], want[0])
+            np.testing.assert_array_equal(got[1], want[1])
+            np.testing.assert_array_equal(
+                fault_map.rows_fail(rows, content, interval, mapping),
+                fault_map.rows_fail(rows, silicon, interval),
+            )
+            for row in range(0, GATHER_ROWS, 5):
+                row_content = content if content.ndim == 1 else content[row]
+                row_silicon = silicon if silicon.ndim == 1 else silicon[row]
+                mask = fault_map.failing_mask(row, row_silicon, interval)
+                # The layout side itself holds to the scalar oracle, so
+                # the two sides cannot share an edge-handling bug.
+                np.testing.assert_array_equal(
+                    mask, _oracle_mask(fault_map, row, row_silicon, interval)
+                )
+                np.testing.assert_array_equal(
+                    fault_map.failing_mask(row, row_content, interval, mapping),
+                    mask,
+                )
+                np.testing.assert_array_equal(
+                    fault_map.failing_columns(
+                        row, row_content, interval, mapping
+                    ),
+                    fault_map.failing_columns(row, row_silicon, interval),
+                )
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        row_bytes=st.integers(1, 16),
+        mapping_seed=st.integers(0, 2**16),
+        spare_columns=st.integers(0, 8),
+        faulty_fraction=st.sampled_from([0.0, 0.05, 0.3]),
+        content_seed=st.integers(0, 2**32 - 1),
+        interval=st.sampled_from([64.0, 328.0, 1024.0, 4096.0]),
+    )
+    def test_decay_row_matches_silicon_flip(
+        self, row_bytes, mapping_seed, spare_columns, faulty_fraction,
+        content_seed, interval,
+    ):
+        geometry = DramGeometry(
+            channels=1, ranks=1, banks=1, rows_per_bank=GATHER_ROWS,
+            row_size_bytes=row_bytes, block_size_bytes=1,
+        )
+        mapping = make_vendor_mapping(
+            geometry.bits_per_row, mapping_seed, spare_columns,
+            faulty_fraction,
+        )
+        cells = CellArray(
+            geometry,
+            fault_map=FaultMap(
+                GATHER_ROWS, mapping.physical_columns, GATHER_DENSE,
+                seed=mapping_seed,
+            ),
+            vendor_mapping=mapping,
+        )
+        rng = np.random.default_rng(content_seed)
+        for row in range(0, GATHER_ROWS, 3):
+            cells.write_row_bits(
+                row, rng.integers(0, 2, size=geometry.bits_per_row)
+            )
+        for row in range(GATHER_ROWS):
+            silicon = cells.silicon_row(row)
+            flipped = cells.fault_map.failing_columns(row, silicon, interval)
+            silicon[flipped] ^= 1
+            np.testing.assert_array_equal(
+                cells.decay_row(row, interval), mapping.from_silicon(silicon)
             )
 
 
