@@ -5,14 +5,20 @@
 * Read&Compare vs Copy&Compare test mode (latency vs controller storage).
 * Write-buffer capacity (footnote 10's overflow-degrades-gracefully rule).
 * Quantum length sensitivity.
+
+The buffer-capacity sweep runs the event-driven controller oracle from
+``tests/oracles/memcon.py``, the one MEMCON model with a bounded PRIL
+buffer; run this file from the repository root with ``python -m pytest``
+so that import resolves.
 """
 
 import numpy as np
 
 from repro.core.costmodel import CostModel, TestMode
-from repro.core.memcon import MemconConfig, MemconController, simulate_refresh_reduction
+from repro.core.memcon import MemconConfig, simulate_refresh_reduction
 from repro.traces.generator import generate_trace
 from repro.traces.workloads import WORKLOADS
+from tests.oracles.memcon import MemconController
 
 TRACE_MS = 30_000.0
 

@@ -5,7 +5,9 @@ when *disabled* (the default: module registry disabled, no trace sink)
 must be negligible. There is no uninstrumented code path left to diff
 against, so the bound is established directly:
 
-1. run the controller with observability off and time it,
+1. run the event-driven MEMCON controller (``tests/oracles/memcon.py``,
+   which emits one record and bumps counters per event) with
+   observability off and time it,
 2. re-run with an enabled registry + in-memory sink while *counting*
    every instrumentation call (counter increments and trace-guard
    checks) via shims,
@@ -13,7 +15,9 @@ against, so the bound is established directly:
 
 and assert calls x per-call-cost stays under 5% of the disabled run
 (the issue's acceptance bar). The measured numbers are recorded into
-``BENCH_obs.json`` so later PRs can track the trajectory.
+``BENCH_obs.json`` so later PRs can track the trajectory. The oracle
+import needs the repository root on ``sys.path``: run this file from the
+root with ``python -m pytest``.
 """
 
 import gc
@@ -24,12 +28,12 @@ import numpy as np
 import pytest
 
 from repro import obs
-from repro.core import MemconConfig, MemconController
-from repro.core.testing import RowTestEngine
+from repro.core import MemconConfig
 from repro.dram import DramDevice, DramGeometry
 from repro.dram.faults import FaultMap, FaultModelConfig
 from repro.obs import registry as obs_registry
 from repro.traces.events import WriteTrace
+from tests.oracles.memcon import MemconController, RowTestEngine
 
 QUANTUM_MS = 1024.0
 QUANTA = 48

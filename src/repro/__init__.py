@@ -4,10 +4,10 @@ failures — a full reproduction of Khan et al., MICRO 2017.
 Public API highlights
 ---------------------
 * :mod:`repro.dram` — cell-level DRAM model with data-dependent faults.
-* :mod:`repro.testinfra` — SoftMC-style retention tester, HMTT-style tracer.
+* :mod:`repro.testinfra` — SoftMC-style retention tester and data patterns.
 * :mod:`repro.traces` — write-trace generation for the paper's workloads.
 * :mod:`repro.analysis` — Pareto fitting and write-interval statistics.
-* :mod:`repro.core` — cost model, PRIL predictor, MEMCON controller.
+* :mod:`repro.core` — cost model and MEMCON's refresh-reduction accounting.
 * :mod:`repro.mc` / :mod:`repro.sim` — cycle-level performance simulator.
 * :mod:`repro.experiments` — one module per paper figure/table.
 * :mod:`repro.obs` — metrics registry, span timing, JSONL event traces

@@ -20,7 +20,6 @@ from .intervals import (
     ril_probability_curve,
     time_in_long_intervals,
 )
-from .model import ParetoIntervalModel, dhr_increase_with_cil
 from .pareto import (
     ParetoFit,
     empirical_ccdf,
@@ -36,9 +35,7 @@ __all__ = [
     "IntervalDistribution",
     "LONG_INTERVAL_MS",
     "ParetoFit",
-    "ParetoIntervalModel",
     "PredictionQuality",
-    "dhr_increase_with_cil",
     "accuracy_coverage_tradeoff",
     "content_failure_coverage",
     "coverage_curve",

@@ -1,4 +1,4 @@
-"""MEMCON core: cost model, PRIL predictor, test engines, controller."""
+"""MEMCON core: cost model, refresh-reduction accounting, mitigations."""
 
 from .costmodel import (
     CostModel,
@@ -21,35 +21,15 @@ from .indram import (
     copy_cost_ns,
     min_write_interval_by_mechanism,
 )
-from .memcon import (
-    MemconConfig,
-    MemconController,
-    MemconReport,
-    simulate_refresh_reduction,
-)
-from .pril import PrilPredictor, PrilStats
-from .refresh import (
-    FixedRefreshPolicy,
-    RaidrPolicy,
-    RefreshLedger,
-    RefreshState,
-    StateTimes,
-)
+from .memcon import MemconConfig, MemconReport, simulate_refresh_reduction
 from .remap import MitigationPlan, RemapTable, plan_mitigations
 from .silentwrites import SilentWriteFilter, SilentWriteStats, filter_trace
-from .testing import (
-    ReservedRegion,
-    RowTestEngine,
-    RowTestResult,
-    make_reserved_region,
-)
 
 __all__ = [
     "AcceleratedCostModel",
     "CopyMechanism",
     "CostModel",
     "EccConfig",
-    "FixedRefreshPolicy",
     "Mitigation",
     "MitigationPlan",
     "MitigationSummary",
@@ -65,20 +45,9 @@ __all__ = [
     "row_is_correctable",
     "summarise_mitigations",
     "MemconConfig",
-    "MemconController",
     "MemconReport",
-    "PrilPredictor",
-    "PrilStats",
-    "RaidrPolicy",
-    "RefreshLedger",
-    "RefreshState",
-    "ReservedRegion",
-    "RowTestEngine",
-    "RowTestResult",
-    "StateTimes",
     "TestMode",
     "copy_and_compare_storage_overhead",
-    "make_reserved_region",
     "simulate_refresh_reduction",
     "test_cost_ns",
 ]

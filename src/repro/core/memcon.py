@@ -1,65 +1,35 @@
-"""The MEMCON controller and its refresh-reduction accounting.
+"""MEMCON's refresh-reduction accounting.
 
-Two implementations of the same mechanism:
+MEMCON tests the current content of pages PRIL predicts will stay idle:
+every write bumps its row to HI-REF; at each quantum boundary PRIL picks
+the pages written exactly once in the previous quantum and not since,
+and MEMCON tests them; rows that pass run at LO-REF until their next
+write, rows that fail stay at HI-REF.
 
-* :class:`MemconController` — the event-driven reference. It wires PRIL,
-  a row-test engine, a functional DRAM device and a refresh ledger
-  together and processes a write trace event by event, exactly following
-  the paper's workflow: every write bumps its row to HI-REF and updates
-  PRIL; at each quantum boundary PRIL yields the pages predicted idle, and
-  MEMCON tests them; rows that pass move to LO-REF, rows that fail stay at
-  HI-REF.
-
-* :func:`simulate_refresh_reduction` — a fast, vectorised accounting model
-  with identical semantics for unbounded PRIL buffers (cross-checked in
-  the test suite). It evaluates per page which writes qualify as
-  single-write-in-quantum followed by an idle quantum, and integrates
-  LO-REF time directly. The experiments driving the paper's Figures 14,
-  17 and 18 use this path so full traces stay fast.
+:func:`simulate_refresh_reduction` evaluates that workflow in one
+vectorised pass over the whole write trace, with unbounded PRIL buffers,
+and integrates LO-REF time directly. Every experiment runs it. The test
+suite checks it against two retired implementations of the same
+mechanism, the per-page loop and the event-driven controller
+(``tests/oracles/memcon.py``).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence
+from dataclasses import dataclass
+from typing import List, Optional
 
 import numpy as np
 
 from .. import obs
-from ..dram.cell_array import CellArray
 from ..dram.timing import HI_REF_INTERVAL_MS, LO_REF_INTERVAL_MS, DDR3_1600
 from ..traces.events import WriteTrace
 from .costmodel import TestMode, test_cost_ns
-from .pril import PrilPredictor
-from .refresh import RefreshLedger, RefreshState
-from .testing import RowTestEngine
-
-
-def content_fail_batch(
-    cells: CellArray,
-    refresh_interval_ms: float,
-    page_to_row: Optional[Callable[[np.ndarray], np.ndarray]] = None,
-) -> Callable[[Sequence[int]], np.ndarray]:
-    """Batch test-outcome predicate backed by the *current* memory content.
-
-    Returns ``fails(pages) -> bool array`` answered by the vectorised
-    fault-evaluation engine (:meth:`CellArray.evaluate_rows`), so the
-    controller can classify, e.g., every read-only page of a module in one
-    pass instead of one device-level row test per page. ``page_to_row``
-    translates page numbers to flat DRAM rows (identity by default).
-    """
-
-    def fails(pages: Sequence[int]) -> np.ndarray:
-        pages = np.asarray(pages, dtype=np.int64)
-        rows = page_to_row(pages) if page_to_row is not None else pages
-        return cells.evaluate_rows(rows, refresh_interval_ms)
-
-    return fails
 
 
 @dataclass
 class MemconConfig:
-    """Knobs shared by both MEMCON implementations."""
+    """MEMCON's knobs: quantum, refresh rates and the content test."""
 
     quantum_ms: float = 1024.0
     hi_ref_interval_ms: float = HI_REF_INTERVAL_MS
@@ -129,9 +99,6 @@ class MemconReport:
         return self.testing_time_ns / self.baseline_refresh_time_ns
 
 
-# ----------------------------------------------------------------------
-# Fast accounting model
-# ----------------------------------------------------------------------
 @obs.timed("memcon.simulate")
 def simulate_refresh_reduction(
     trace: WriteTrace,
@@ -149,7 +116,8 @@ def simulate_refresh_reduction(
     pages (drawn pseudo-randomly with ``failing_page_fraction``, modelling
     content that trips the fault model) always return to HI-REF.
 
-    Read-only pages are tested once at time zero when enabled.
+    Read-only pages are tested once at time zero when enabled; a test
+    that outlasts the window is charged for the window only.
 
     The accounting is evaluated in one vectorised pass over the flattened
     write stream (all pages at once). It is bit-identical to the retired
@@ -243,7 +211,7 @@ def simulate_refresh_reduction(
         tests_total += n_read_only
         tests_failed += n_ro_failing
         tests_correct += n_read_only
-        testing_time_ms += n_read_only * test_ms
+        testing_time_ms += n_read_only * min(test_ms, window)
         lo_time_ms += n_ro_passing * max(0.0, window - test_ms)
 
     if obs.trace_active():
@@ -422,241 +390,3 @@ def _memcon_report(
         testing_time_mispredicted_ns=tests_total * cost_ns * (1 - correct_frac),
         tests_aborted=tests_aborted,
     )
-
-
-# ----------------------------------------------------------------------
-# Event-driven reference controller
-# ----------------------------------------------------------------------
-class MemconController:
-    """Event-driven MEMCON over a write trace (reference implementation).
-
-    ``page_to_row`` maps trace pages to DRAM rows (identity by default).
-    When a device and test engine are supplied, tests run real content
-    through the fault model; otherwise a ``fails`` predicate decides test
-    outcomes (useful for accounting-only runs and unit tests).
-    """
-
-    def __init__(
-        self,
-        total_pages: int,
-        config: Optional[MemconConfig] = None,
-        test_engine: Optional[RowTestEngine] = None,
-        fails: Optional[Callable[[int], bool]] = None,
-        fails_batch: Optional[Callable[[Sequence[int]], np.ndarray]] = None,
-        buffer_capacity: Optional[int] = None,
-    ) -> None:
-        if total_pages <= 0:
-            raise ValueError("total_pages must be positive")
-        self.config = config or MemconConfig()
-        self.total_pages = total_pages
-        self._fails_batch = fails_batch
-        if fails is None and fails_batch is not None:
-            fails = lambda page: bool(fails_batch([page])[0])
-        self.pril = PrilPredictor(
-            quantum_ms=self.config.quantum_ms,
-            buffer_capacity=buffer_capacity,
-        )
-        self.ledger = RefreshLedger(
-            total_rows=total_pages,
-            hi_ref_interval_ms=self.config.hi_ref_interval_ms,
-            lo_ref_interval_ms=self.config.lo_ref_interval_ms,
-        )
-        self.engine = test_engine
-        self._fails = fails if fails is not None else (lambda page: False)
-        self._now_ms = 0.0
-        self._next_boundary_ms = self.config.quantum_ms
-        self._last_write_ms: Dict[int, float] = {}
-        self.tests_total = 0
-        self.tests_failed = 0
-        self.tests_correct = 0
-        self.tests_mispredicted = 0
-        self.tests_aborted = 0
-        registry = obs.get_registry()
-        self._c_started = registry.counter("memcon.tests_started")
-        self._c_aborted = registry.counter("memcon.tests_aborted")
-        self._c_passed = registry.counter("memcon.tests_passed")
-        self._c_failed = registry.counter("memcon.tests_failed")
-        self._c_to_lo = registry.counter("memcon.transitions_to_lo")
-        self._c_to_hi = registry.counter("memcon.transitions_to_hi")
-
-    # ------------------------------------------------------------------
-    def _set_state(
-        self, page: int, state: RefreshState, now_ms: float
-    ) -> None:
-        """Ledger transition plus transition counters and trace events."""
-        previous = self.ledger.state_of(page)
-        self.ledger.set_state(page, state, now_ms)
-        if state is previous:
-            return
-        if state is RefreshState.LO_REF:
-            self._c_to_lo.inc()
-        elif state is RefreshState.HI_REF:
-            self._c_to_hi.inc()
-        if obs.trace_active():
-            obs.emit(
-                "ref_transition", t_ms=now_ms, page=page,
-                **{"from": previous.value, "to": state.value},
-            )
-
-    def _advance_to(self, now_ms: float, trace: WriteTrace) -> None:
-        """Cross any quantum boundaries between the clock and ``now_ms``."""
-        while self._next_boundary_ms <= now_ms:
-            boundary = self._next_boundary_ms
-            for page in self.pril.end_quantum():
-                self._start_test(page, boundary, trace)
-            self._next_boundary_ms += self.config.quantum_ms
-        self._now_ms = now_ms
-
-    def _start_test(self, page: int, boundary_ms: float, trace: WriteTrace) -> None:
-        cfg = self.config
-        test_end = boundary_ms + cfg.test_duration_ms
-        self.tests_total += 1
-        self._c_started.inc()
-        next_write = self._next_write_after(page, boundary_ms, trace)
-        if obs.trace_active():
-            if obs.forensics_active():
-                obs.emit(
-                    "pril_grant", t_ms=boundary_ms, page=page,
-                    quantum=int(round(boundary_ms / cfg.quantum_ms)),
-                    next_write_ms=next_write,
-                )
-            obs.emit("test_started", t_ms=boundary_ms, page=page)
-        # Classify the prediction against the trace's future for reporting.
-        if next_write - boundary_ms > cfg.long_interval_ms:
-            self.tests_correct += 1
-        else:
-            self.tests_mispredicted += 1
-        self._set_state(page, RefreshState.TESTING, boundary_ms)
-        if next_write < test_end:
-            # The test will be aborted by the write; the write handler
-            # moves the row back to HI-REF when it arrives.
-            self.tests_aborted += 1
-            self._c_aborted.inc()
-            if obs.trace_active():
-                obs.emit("test_aborted", t_ms=next_write, page=page)
-            return
-        if self.engine is not None:
-            failed = not self.engine.run_test(page, boundary_ms).passed
-        else:
-            failed = self._fails(page)
-        if failed:
-            self.tests_failed += 1
-            self._c_failed.inc()
-            if obs.trace_active():
-                obs.emit("test_failed", t_ms=test_end, page=page)
-            self._set_state(page, RefreshState.HI_REF, test_end)
-        else:
-            self._c_passed.inc()
-            if obs.trace_active():
-                obs.emit("test_passed", t_ms=test_end, page=page)
-            self._set_state(page, RefreshState.LO_REF, test_end)
-
-    @staticmethod
-    def _next_write_after(page: int, t_ms: float, trace: WriteTrace) -> float:
-        times = trace.writes.get(page)
-        if times is None or len(times) == 0:
-            return trace.duration_ms
-        idx = np.searchsorted(times, t_ms, side="right")
-        if idx >= len(times):
-            return trace.duration_ms
-        return float(times[idx])
-
-    # ------------------------------------------------------------------
-    @obs.timed("memcon.run")
-    def run(self, trace: WriteTrace, failing_page_fraction: float = 0.0,
-            seed: int = 0) -> MemconReport:
-        """Process a whole trace and return the accounting report."""
-        if trace.total_pages != self.total_pages:
-            raise ValueError("trace footprint does not match controller")
-        cfg = self.config
-        rng = np.random.default_rng(seed)
-        if failing_page_fraction:
-            # Compose with any content-backed predicate instead of
-            # replacing it: a page fails when its content trips the fault
-            # model *or* the pseudo-random draw marks it failing.
-            failing = {
-                page for page in range(self.total_pages)
-                if rng.random() < failing_page_fraction
-            }
-            content_fails = self._fails
-            self._fails = (
-                lambda page: page in failing or content_fails(page)
-            )
-        # Read-only pages: tested once at start-up. With a batch predicate
-        # the whole module is classified in one vectorised pass.
-        if cfg.test_read_only_pages:
-            written = {p for p, t in trace.writes.items() if len(t)}
-            read_only = [p for p in range(self.total_pages) if p not in written]
-            if self._fails_batch is not None:
-                outcomes = np.asarray(self._fails_batch(read_only), dtype=bool)
-                if failing_page_fraction:
-                    outcomes |= np.fromiter(
-                        (p in failing for p in read_only),
-                        bool, len(read_only),
-                    )
-            else:
-                outcomes = np.fromiter(
-                    (self._fails(page) for page in read_only),
-                    bool, len(read_only),
-                )
-            for page, failed in zip(read_only, outcomes):
-                self.tests_total += 1
-                self.tests_correct += 1
-                self._c_started.inc()
-                if obs.trace_active():
-                    obs.emit("test_started", t_ms=0.0, page=page)
-                self._set_state(page, RefreshState.TESTING, 0.0)
-                if failed:
-                    self.tests_failed += 1
-                    self._c_failed.inc()
-                    if obs.trace_active():
-                        obs.emit(
-                            "test_failed", t_ms=cfg.test_duration_ms, page=page
-                        )
-                    self._set_state(
-                        page, RefreshState.HI_REF, cfg.test_duration_ms
-                    )
-                else:
-                    self._c_passed.inc()
-                    if obs.trace_active():
-                        obs.emit(
-                            "test_passed", t_ms=cfg.test_duration_ms, page=page
-                        )
-                    self._set_state(
-                        page, RefreshState.LO_REF, cfg.test_duration_ms
-                    )
-        for time_ms, page in trace.merged_events():
-            self._advance_to(time_ms, trace)
-            if self.ledger.state_of(page) is not RefreshState.HI_REF:
-                self._set_state(page, RefreshState.HI_REF, time_ms)
-            self.pril.observe_write(page)
-            self._last_write_ms[page] = time_ms
-        # Advance to just below the window end: a quantum boundary landing
-        # exactly on the capture edge cannot start a (zero-length) test.
-        self._advance_to(float(np.nextafter(trace.duration_ms, 0.0)), trace)
-        self.pril.flush_metrics()  # writes landing in a trailing partial quantum
-        self.ledger.finalize(trace.duration_ms)
-
-        cost_ns = test_cost_ns(cfg.test_mode)
-        refresh_ns = DDR3_1600.row_refresh_ns
-        refresh_count = self.ledger.refresh_count()
-        baseline = self.ledger.baseline_refresh_count()
-        return MemconReport(
-            workload=trace.name,
-            config=cfg,
-            window_ms=trace.duration_ms,
-            total_pages=self.total_pages,
-            refresh_count=refresh_count,
-            baseline_refresh_count=baseline,
-            lo_ref_time_fraction=self.ledger.lo_ref_time_fraction(),
-            tests_total=self.tests_total,
-            tests_failed=self.tests_failed,
-            tests_correct=self.tests_correct,
-            tests_mispredicted=self.tests_mispredicted,
-            refresh_time_ns=refresh_count * refresh_ns,
-            baseline_refresh_time_ns=baseline * refresh_ns,
-            testing_time_ns=self.tests_total * cost_ns,
-            testing_time_correct_ns=self.tests_correct * cost_ns,
-            testing_time_mispredicted_ns=self.tests_mispredicted * cost_ns,
-            tests_aborted=self.tests_aborted,
-        )

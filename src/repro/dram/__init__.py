@@ -20,11 +20,6 @@ from .scramble import (
     VendorMapping,
     make_vendor_mapping,
 )
-from .temperature import (
-    DEFAULT_TEMPERATURE_MODEL,
-    REFERENCE_TEMPERATURE_C,
-    RetentionTemperatureModel,
-)
 from .timing import (
     DDR3_1600,
     HI_REF_INTERVAL_MS,
@@ -39,9 +34,6 @@ __all__ = [
     "CellArray",
     "ColumnRemapper",
     "DDR3_1600",
-    "DEFAULT_TEMPERATURE_MODEL",
-    "REFERENCE_TEMPERATURE_C",
-    "RetentionTemperatureModel",
     "DeviceError",
     "DramDevice",
     "DramGeometry",

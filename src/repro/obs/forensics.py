@@ -40,7 +40,7 @@ __all__ = [
 ]
 
 #: Kinds that exist only for forensics (emitted behind the gate).
-FORENSIC_KINDS = frozenset({"pril_grant", "pril_revoke", "predicate_eval"})
+FORENSIC_KINDS = frozenset({"pril_grant", "predicate_eval"})
 
 #: Kinds copied into the ledger: the forensic kinds plus the causal
 #: slice of the ordinary stream (test lifecycle and refresh-ledger

@@ -1,7 +1,7 @@
 """Process-local metrics registry: counters, gauges, fixed-bucket histograms.
 
 The registry is the quantitative backbone of the observability layer:
-instrumented code (the MEMCON controller, PRIL, the memory controller,
+instrumented code (MEMCON's accounting pass, the memory controller,
 the SoftMC tester) fetches its instruments once at construction time and
 bumps them on the hot path. Every instrument checks the owning registry's
 ``enabled`` flag before touching state, so a disabled registry — the

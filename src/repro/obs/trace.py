@@ -66,7 +66,7 @@ EVENT_KINDS: Dict[str, frozenset] = {
     "test_failed": frozenset({"t_ms", "page"}),
     # Refresh-ledger state changes (core/memcon.py)
     "ref_transition": frozenset({"t_ms", "page", "from", "to"}),
-    # PRIL quantum boundaries (core/pril.py)
+    # PRIL quantum boundaries (core/memcon.py)
     "pril_quantum": frozenset({"quantum", "predicted", "buffer"}),
     # Memory-controller events (mc/controller.py)
     "mc_refresh": frozenset({"t_ns", "channel"}),
@@ -101,9 +101,6 @@ EVENT_KINDS: Dict[str, frozenset] = {
     # PRIL granted a LO-REF window: the page had exactly one write in
     # its quantum, so MEMCON schedules a retention test (core/memcon.py).
     "pril_grant": frozenset({"page", "quantum"}),
-    # PRIL dropped a LO-REF candidate before the grant could be used
-    # (cross-quantum write, repeat write, buffer overflow) (core/pril.py).
-    "pril_revoke": frozenset({"page", "reason"}),
     # One batch evaluation of the content-dependent fault predicate,
     # with the CRC of the content snapshot it used (dram/faults.py).
     "predicate_eval": frozenset({"interval_ms", "rows", "failed"}),

@@ -44,8 +44,6 @@ def _describe(record: Mapping) -> str:
         if "next_write_ms" in record:
             parts.append(f", next write {record['next_write_ms']:.1f} ms")
         return "".join(parts) + ")"
-    if kind == "pril_revoke":
-        return f"PRIL dropped the LO-REF candidate ({record.get('reason')})"
     if kind == "test_started":
         return "MEMCON retention test started"
     if kind == "test_aborted":

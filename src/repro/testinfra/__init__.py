@@ -1,4 +1,4 @@
-"""Simulated evaluation infrastructure (SoftMC tester, HMTT bus tracer)."""
+"""Simulated evaluation infrastructure: the SoftMC tester and data patterns."""
 
 from .patterns import (
     CANONICAL_PATTERNS,

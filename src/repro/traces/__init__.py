@@ -9,7 +9,6 @@ from .generator import (
     pareto_gaps,
     trace_cache_info,
 )
-from .io import load_trace, save_trace
 from .phases import ContentSnapshot, ContentTrace, generate_content_trace
 from .spec import (
     BENCHMARKS,
@@ -47,8 +46,6 @@ __all__ = [
     "trace_cache_info",
     "get_benchmark",
     "get_workload",
-    "load_trace",
     "pareto_gaps",
-    "save_trace",
     "workload_names",
 ]

@@ -1,6 +1,6 @@
 """Write-trace containers.
 
-A :class:`WriteTrace` is the product of the (simulated) HMTT bus tracer:
+A :class:`WriteTrace` holds what the paper's HMTT bus tracer captures:
 for every page, the timestamps (in milliseconds) of the write requests that
 reached DRAM, over a fixed capture window. Reads are not recorded — they do
 not change memory content, so MEMCON never reacts to them (paper §3.2).
@@ -23,9 +23,9 @@ class WriteTrace:
     duration_ms:
         Length of the capture window; all timestamps lie in [0, duration).
     writes:
-        Mapping from page id to a sorted float array of write times (ms).
-        Pages with no writes may be present with an empty array or simply
-        absent; ``total_pages`` covers both.
+        Mapping from page id in ``[0, total_pages)`` to a sorted float
+        array of write times (ms). Pages with no writes may be present with
+        an empty array or simply absent; ``total_pages`` covers both.
     total_pages:
         Total footprint in pages, including pages never written (those are
         the read-only pages MEMCON moves to LO-REF after a single test).
@@ -44,6 +44,11 @@ class WriteTrace:
         if self.total_pages <= 0:
             raise ValueError("total_pages must be positive")
         for page, times in self.writes.items():
+            if not 0 <= page < self.total_pages:
+                raise ValueError(
+                    f"page {page} outside the footprint "
+                    f"[0, total_pages={self.total_pages})"
+                )
             arr = np.asarray(times, dtype=np.float64)
             if arr.ndim != 1:
                 raise ValueError(f"page {page}: timestamps must be 1-D")
@@ -52,8 +57,6 @@ class WriteTrace:
             if np.any(np.diff(arr) < 0):
                 raise ValueError(f"page {page}: timestamps not sorted")
             self.writes[page] = arr
-        if len(self.writes) > self.total_pages:
-            raise ValueError("more written pages than total_pages")
 
     # ------------------------------------------------------------------
     @property

@@ -1,18 +1,14 @@
-"""Tests for the MEMCON controller and the fast accounting model."""
+"""Tests for MEMCON's accounting and the event-driven controller oracle."""
 
 import dataclasses
 
-import numpy as np
 import pytest
 
 from repro import obs
-from repro.core.memcon import (
-    MemconConfig,
-    MemconController,
-    simulate_refresh_reduction,
-)
+from repro.core.memcon import MemconConfig, simulate_refresh_reduction
 from repro.traces.generator import generate_trace
 from repro.traces.workloads import WORKLOADS
+from tests.oracles.memcon import MemconController, assert_reports_agree
 
 
 def _config(**overrides):
@@ -98,6 +94,16 @@ class TestFastAccounting:
         )
         assert report.tests_total == 0
 
+    def test_read_only_test_outlasting_window(self, trace_factory):
+        # A 256 ms test on read-only pages in a 192 ms window is charged
+        # the window, not the whole test.
+        trace = trace_factory({}, duration_ms=192.0, total_pages=4)
+        report = simulate_refresh_reduction(
+            trace, _config(test_duration_ms=256.0)
+        )
+        assert report.refresh_count >= 0.0
+        assert report.refresh_reduction <= 1.0
+
     def test_invalid_failing_fraction_raises(self, trace_factory):
         trace = trace_factory({0: [1.0]})
         with pytest.raises(ValueError):
@@ -114,33 +120,27 @@ class TestControllerAgreement:
         ({0: [100.0, 200.0]}, 2),
         ({0: [100.0, 1500.0]}, 1),
         ({0: [100.0], 1: [50.0, 5000.0], 2: [3000.0]}, 6),
+        # Rewritten on its prediction boundary (2000): the test that
+        # boundary starts is aborted at once.
+        ({0: [100.0, 2000.0]}, 1),
     ])
     def test_matches_fast_path(self, trace_factory, writes, total_pages):
         trace = trace_factory(writes, duration_ms=10_000.0,
                               total_pages=total_pages)
         config = _config()
-        fast = simulate_refresh_reduction(trace, config)
         controller = MemconController(total_pages=total_pages, config=config)
-        slow = controller.run(trace)
-        assert slow.tests_total == fast.tests_total
-        assert slow.lo_ref_time_fraction == pytest.approx(
-            fast.lo_ref_time_fraction, abs=1e-9
-        )
-        assert slow.refresh_count == pytest.approx(fast.refresh_count)
+        assert_reports_agree(simulate_refresh_reduction(trace, config),
+                             controller.run(trace))
 
     def test_matches_on_generated_trace(self):
         profile = WORKLOADS["BlurMotion"]
         trace = generate_trace(profile, seed=4, duration_ms=8_000.0)
         config = _config()
-        fast = simulate_refresh_reduction(trace, config)
         controller = MemconController(
             total_pages=trace.total_pages, config=config
         )
-        slow = controller.run(trace)
-        assert slow.tests_total == fast.tests_total
-        assert slow.refresh_reduction == pytest.approx(
-            fast.refresh_reduction, abs=0.01
-        )
+        assert_reports_agree(simulate_refresh_reduction(trace, config),
+                             controller.run(trace))
 
     def test_failing_pages_agree(self, trace_factory):
         trace = trace_factory({0: [100.0]}, duration_ms=10_000.0,
@@ -150,7 +150,7 @@ class TestControllerAgreement:
                                           failing_page_fraction=1.0)
         controller = MemconController(total_pages=4, config=config)
         slow = controller.run(trace, failing_page_fraction=1.0)
-        assert slow.tests_failed == fast.tests_failed
+        assert_reports_agree(fast, slow)
         assert slow.lo_ref_time_fraction == pytest.approx(0.0)
 
 

@@ -1,4 +1,4 @@
-"""End-to-end: the controller's trace/metrics reconcile with its report.
+"""End-to-end: MEMCON's trace and metrics reconcile with its report.
 
 The observability layer is only trustworthy if the event stream and the
 report agree exactly: every test the controller accounts for must appear
@@ -10,8 +10,8 @@ for refresh-state transitions and the registry counters.
 import numpy as np
 import pytest
 
-from repro.core import MemconConfig, MemconController
-from repro.core.memcon import simulate_refresh_reduction
+from repro.core.memcon import MemconConfig, simulate_refresh_reduction
+from tests.oracles.memcon import MemconController
 
 
 def _run(trace, obs_env, **kwargs):

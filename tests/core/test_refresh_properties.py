@@ -3,7 +3,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core.refresh import RefreshLedger, RefreshState
+from tests.oracles.memcon import RefreshLedger, RefreshState
 
 STATES = [RefreshState.HI_REF, RefreshState.LO_REF, RefreshState.TESTING]
 

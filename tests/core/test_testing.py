@@ -1,29 +1,14 @@
-"""Tests for the Read&Compare / Copy&Compare row-test engines."""
+"""Tests for the Read&Compare row-test engine of the MEMCON oracle."""
 
 import numpy as np
 import pytest
 
-from repro.core.costmodel import TestMode as Mode
-from repro.core.testing import (
-    ReservedRegion,
-    RowTestEngine,
-    make_reserved_region,
-)
+from tests.oracles.memcon import RowTestEngine
 
 
 @pytest.fixture
 def engine(dense_fault_device):
-    return RowTestEngine(dense_fault_device, mode=Mode.READ_AND_COMPARE,
-                         test_interval_ms=2000.0)
-
-
-@pytest.fixture
-def copy_engine(dense_fault_device):
-    region = ReservedRegion(rows=[60, 61, 62, 63])
-    return RowTestEngine(
-        dense_fault_device, mode=Mode.COPY_AND_COMPARE,
-        test_interval_ms=2000.0, reserved_region=region,
-    )
+    return RowTestEngine(dense_fault_device, test_interval_ms=2000.0)
 
 
 def _fill_random(device, rows, seed=0):
@@ -34,51 +19,11 @@ def _fill_random(device, rows, seed=0):
                                            dtype=np.uint8).tobytes(), 0.0)
 
 
-class TestReservedRegion:
-    def test_acquire_release_cycle(self):
-        region = ReservedRegion(rows=[10, 11])
-        parking = region.acquire(3)
-        assert parking in (10, 11)
-        assert region.redirect(3) == parking
-        assert region.available == 1
-        region.release(3)
-        assert region.available == 2
-        assert region.redirect(3) is None
-
-    def test_exhaustion_raises(self):
-        region = ReservedRegion(rows=[10])
-        region.acquire(1)
-        with pytest.raises(RuntimeError, match="exhausted"):
-            region.acquire(2)
-
-    def test_double_acquire_raises(self):
-        region = ReservedRegion(rows=[10, 11])
-        region.acquire(1)
-        with pytest.raises(ValueError, match="already parked"):
-            region.acquire(1)
-
-    def test_release_unparked_raises(self):
-        region = ReservedRegion(rows=[10])
-        with pytest.raises(ValueError, match="not parked"):
-            region.release(5)
-
-    def test_make_reserved_region_paper_sizing(self):
-        region = make_reserved_region(
-            rows_per_bank=32768, banks=8, reserved_per_bank=512,
-        )
-        assert region.capacity == 4096
-
-    def test_duplicate_rows_raise(self):
-        with pytest.raises(ValueError, match="duplicate"):
-            ReservedRegion(rows=[1, 1])
-
-
 class TestReadAndCompare:
     def test_zero_content_passes(self, engine):
         result = engine.run_test(0, now_ms=0.0)
         # All-zero rows hold no worst-case charge patterns; with true-cell
         # rows this is guaranteed, anti-cell rows may rarely fail.
-        assert result.mode is Mode.READ_AND_COMPARE
         assert result.extra_reads == 2
         assert result.latency_cost_ns == 1068.0
 
@@ -119,52 +64,7 @@ class TestReadAndCompare:
         assert result.finished_ms == 2100.0
 
 
-class TestCopyAndCompare:
-    def test_cost_and_traffic(self, copy_engine):
-        result = copy_engine.run_test(0, now_ms=0.0)
-        assert result.latency_cost_ns == 1602.0
-        assert result.extra_writes >= 1
-
-    def test_detects_failures_via_digest(self, copy_engine):
-        device = copy_engine.device
-        _fill_random(device, range(32), seed=2)
-        results = [
-            copy_engine.run_test(row, now_ms=0.0) for row in range(32)
-        ]
-        # The dense fault population must trip some rows, caught purely
-        # by the ECC digest mismatch.
-        assert any(not r.passed for r in results)
-        assert copy_engine.tests_failed == sum(
-            1 for r in results if not r.passed
-        )
-
-    def test_failing_row_restored_from_parking(self, copy_engine):
-        device = copy_engine.device
-        _fill_random(device, range(32), seed=3)
-        snapshot = {
-            row: device.cells.read_row_bytes(row) for row in range(32)
-        }
-        for row in range(32):
-            result = copy_engine.run_test(row, now_ms=0.0)
-            if not result.passed:
-                assert device.cells.read_row_bytes(row) == snapshot[row]
-
-    def test_parking_slots_recycled(self, copy_engine):
-        for row in range(16):
-            copy_engine.run_test(row, now_ms=0.0)
-        assert copy_engine.reserved.available == copy_engine.reserved.capacity
-
-    def test_requires_reserved_region(self, dense_fault_device):
-        with pytest.raises(ValueError, match="reserved region"):
-            RowTestEngine(dense_fault_device, mode=Mode.COPY_AND_COMPARE)
-
-
 class TestValidation:
     def test_invalid_interval_raises(self, dense_fault_device):
         with pytest.raises(ValueError):
             RowTestEngine(dense_fault_device, test_interval_ms=0.0)
-
-    def test_make_region_validation(self):
-        with pytest.raises(ValueError):
-            make_reserved_region(rows_per_bank=10, banks=2,
-                                 reserved_per_bank=11)

@@ -1,20 +1,17 @@
-"""Integration: MEMCON controller with a real device and test engine.
+"""Integration: the MEMCON controller oracle with a real device.
 
 The unit suite mostly exercises the controller with a ``fails`` predicate;
 here the controller drives the full stack — real content in a real device,
-failures generated by the fault model, tests run by the Read&Compare /
-Copy&Compare engines against that content.
+failures generated by the fault model, tests run by the Read&Compare
+engine against that content.
 """
 
 import numpy as np
-import pytest
 
-from repro.core.costmodel import TestMode
-from repro.core.memcon import MemconConfig, MemconController
-from repro.core.refresh import RefreshState
-from repro.core.testing import ReservedRegion, RowTestEngine
+from repro.core.memcon import MemconConfig
 from repro.dram import DramDevice, DramGeometry
 from repro.dram.faults import FaultMap, FaultModelConfig
+from tests.oracles.memcon import MemconController, RefreshState, RowTestEngine
 
 
 def _device(rows=32, vulnerable=1e-3, seed=3):
@@ -33,16 +30,8 @@ def _device(rows=32, vulnerable=1e-3, seed=3):
 
 
 class TestEngineWiredController:
-    def _run(self, device, trace_factory, mode=TestMode.READ_AND_COMPARE,
-             test_interval_ms=328.0):
-        region = None
-        if mode is TestMode.COPY_AND_COMPARE:
-            rows = device.geometry.total_rows
-            region = ReservedRegion(rows=[rows - 1, rows - 2])
-        engine = RowTestEngine(
-            device, mode=mode, test_interval_ms=test_interval_ms,
-            reserved_region=region,
-        )
+    def _run(self, device, trace_factory, test_interval_ms=328.0):
+        engine = RowTestEngine(device, test_interval_ms=test_interval_ms)
         # Two pages, each written once at t=100: predicted at 2000 and
         # tested against their actual device content.
         trace = trace_factory(
@@ -91,28 +80,6 @@ class TestEngineWiredController:
                 if controller.ledger.state_of(page) is RefreshState.HI_REF
             ]
             assert len(failed_pages) == engine.tests_failed
-
-    def test_copy_and_compare_mode_end_to_end(self, trace_factory):
-        device = _device(vulnerable=0.0)
-        controller, report, engine = self._run(
-            device, trace_factory, mode=TestMode.COPY_AND_COMPARE,
-        )
-        assert engine.tests_run == 2
-        assert engine.reserved.available == engine.reserved.capacity
-        assert report.tests_failed == 0
-
-    def test_test_cost_accounted_per_mode(self, trace_factory):
-        device = _device(vulnerable=0.0)
-        _, read_report, _ = self._run(device, trace_factory,
-                                      mode=TestMode.READ_AND_COMPARE)
-        device2 = _device(vulnerable=0.0)
-        config_ratio = 1602.0 / 1068.0
-        controller, copy_report, _ = self._run(
-            device2, trace_factory, mode=TestMode.COPY_AND_COMPARE,
-        )
-        # Same number of tests; Copy&Compare charges 1.5x the latency.
-        # (test_mode on the config drives the accounting; wire it here.)
-        assert read_report.tests_total == copy_report.tests_total
 
 
 class TestSoftMcAgreesWithEngine:

@@ -1,13 +1,11 @@
 """Integration: cross-module pipelines the library is meant to support.
 
 These tests chain the public API the way the examples and experiments do:
-temperature-guardbanded SoftMC testing, content screening feeding ECC
-mitigation, trace capture feeding PRIL analysis, and the refresh-reduction
-to performance-simulation handoff.
+content screening feeding ECC mitigation, a workload trace feeding PRIL
+analysis, and the refresh-reduction to performance-simulation handoff.
 """
 
 import numpy as np
-import pytest
 
 from repro.analysis import (
     evaluate_predictor,
@@ -20,16 +18,10 @@ from repro.core import (
     simulate_refresh_reduction,
     summarise_mitigations,
 )
-from repro.dram import (
-    DEFAULT_TEMPERATURE_MODEL,
-    DramDevice,
-    DramGeometry,
-)
+from repro.dram import DramDevice, DramGeometry
 from repro.dram.faults import FaultMap, FaultModelConfig
 from repro.sim import simulate_workload, speedup
-from repro.testinfra import SoftMCTester
-from repro.testinfra.hmtt import capture_workload
-from repro.traces import BENCHMARKS, WORKLOADS, generate_trace
+from repro.traces import WORKLOADS, generate_trace
 
 
 def _dense_device(seed=3, rate=2e-3):
@@ -45,35 +37,6 @@ def _dense_device(seed=3, rate=2e-3):
         seed=seed,
     )
     return device
-
-
-class TestTemperatureGuardedTesting:
-    def test_cool_test_covers_hot_operation(self):
-        """Testing at a cool lab temperature with the paper's conversion
-        must catch at least the failures seen at the hot equivalent."""
-        device = _dense_device()
-        tester = SoftMCTester(device)
-        image = BENCHMARKS["lbm"].content.generate_image(
-            8, device.geometry.row_size_bytes, seed=2,
-        )
-        # Hot condition: 328 ms at 85C. Equivalent cool test: 4 s at 45C.
-        cool_interval = DEFAULT_TEMPERATURE_MODEL.scale_interval(
-            328.0, 85.0, 45.0
-        )
-        assert cool_interval == pytest.approx(4000.0)
-        hot_report = tester.test_content(image, 328.0, replicate=True)
-        # The fault model keys on the stress-equivalent interval, so the
-        # cool 4 s test at the scaled interval finds the same rows.
-        device2 = _dense_device()
-        tester2 = SoftMCTester(device2)
-        cool_report = tester2.test_content(
-            image,
-            DEFAULT_TEMPERATURE_MODEL.scale_interval(
-                cool_interval, 45.0, 85.0
-            ),
-            replicate=True,
-        )
-        assert cool_report.failing_rows == hot_report.failing_rows
 
 
 class TestScreeningToMitigation:
@@ -102,7 +65,7 @@ class TestScreeningToMitigation:
 
 class TestTraceToPrediction:
     def test_captured_trace_supports_full_analysis(self):
-        trace = capture_workload(WORKLOADS["BlurMotion"], seed=5)
+        trace = generate_trace(WORKLOADS["BlurMotion"], seed=5)
         intervals = trace.all_intervals()
         fit = fit_pareto(intervals[intervals >= 2.0], x_min=2.0,
                          x_max=trace.duration_ms / 40)

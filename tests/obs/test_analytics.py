@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import obs
-from repro.core import MemconConfig, MemconController
+from repro.core import MemconConfig, simulate_refresh_reduction
 from repro.obs.analytics import (
     LATENCY_BUCKET_BOUNDS_NS,
     AggregatingSink,
@@ -18,6 +18,7 @@ from repro.obs.analytics import (
     aggregate_trace,
 )
 from repro.traces.events import WriteTrace
+from tests.oracles.memcon import MemconController
 
 V = obs.SCHEMA_VERSION
 
@@ -245,6 +246,28 @@ def _memcon_trace(seed, pages=64, quanta=6):
                       total_pages=pages, name=f"analytics-{seed}")
 
 
+def _run_controller(trace):
+    controller = MemconController(
+        total_pages=trace.total_pages,
+        config=MemconConfig(quantum_ms=1024.0),
+        fails=lambda page: page % 7 == 0,
+    )
+    return controller.run(trace)
+
+
+def _run_vectorised(trace):
+    # The runner's producer: one emit_many batch from the vectorised pass.
+    return simulate_refresh_reduction(
+        trace, MemconConfig(quantum_ms=1024.0), failing_page_fraction=0.3,
+    )
+
+
+memcon_producers = pytest.mark.parametrize(
+    "run_memcon", [_run_controller, _run_vectorised],
+    ids=["controller", "vectorised"],
+)
+
+
 class TestOfflineOnlineEquivalence:
     """ISSUE 3 property: offline aggregation of the JSONL file equals the
     in-process rollups for the same run, events having round-tripped
@@ -252,9 +275,11 @@ class TestOfflineOnlineEquivalence:
 
     __test__ = True
 
+    @memcon_producers
     @settings(max_examples=8, deadline=None)
     @given(seed=st.integers(min_value=0, max_value=2**31 - 1))
-    def test_memcon_run_round_trips(self, tmp_path_factory, seed):
+    def test_memcon_run_round_trips(self, tmp_path_factory, run_memcon,
+                                    seed):
         trace = _memcon_trace(seed)
         path = str(tmp_path_factory.mktemp("traces") / f"t{seed}.jsonl")
         aggregator = obs.AggregatingSink(window_ms=1024.0,
@@ -262,12 +287,7 @@ class TestOfflineOnlineEquivalence:
         jsonl = obs.JsonlTraceSink(path)
         previous = obs.set_sink(TeeSink(jsonl, aggregator))
         try:
-            controller = MemconController(
-                total_pages=trace.total_pages,
-                config=MemconConfig(quantum_ms=1024.0),
-                fails=lambda page: page % 7 == 0,
-            )
-            controller.run(trace)
+            run_memcon(trace)
         finally:
             obs.set_sink(previous)
             jsonl.close()
@@ -300,21 +320,18 @@ class TestOfflineOnlineEquivalence:
 
 
 class TestMemconRollupSemantics:
-    """End-to-end: rollups reconcile with the controller's own report."""
+    """End-to-end: rollups reconcile with the producer's own report."""
 
     __test__ = True
 
-    def test_rollup_totals_match_report(self):
+    @memcon_producers
+    def test_rollup_totals_match_report(self, run_memcon):
         trace = _memcon_trace(seed=3)
         aggregator = obs.AggregatingSink(window_ms=1024.0,
                                          total_pages=trace.total_pages)
         previous = obs.set_sink(aggregator)
         try:
-            controller = MemconController(
-                total_pages=trace.total_pages,
-                config=MemconConfig(quantum_ms=1024.0),
-            )
-            report = controller.run(trace)
+            report = run_memcon(trace)
         finally:
             obs.set_sink(previous)
         rollup = aggregator.to_dict()

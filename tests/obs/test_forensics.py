@@ -55,11 +55,12 @@ class TestKinds:
 
     @pytest.mark.parametrize("kind", [
         "forensic_row", "dose_crossing", "trr_refresh", "mitigation_cell",
-        "disturb_rollup",
+        "disturb_rollup", "pril_revoke",
     ])
     def test_retired_kinds_rejected(self, kind):
-        # Read-disturbance kinds are not part of the schema, so a trace
-        # recorded with them fails validation instead of passing silently.
+        # Read-disturbance kinds and PRIL's revocations are not part of
+        # the schema, so a trace recorded with them fails validation
+        # instead of passing silently.
         with pytest.raises(TraceSchemaError, match="unknown event kind"):
             validate_record({"v": SCHEMA_VERSION, "kind": kind, "row": 3})
 

@@ -24,6 +24,11 @@ class TestValidation:
         with pytest.raises(ValueError, match="total_pages"):
             trace_factory({i: [1.0] for i in range(17)}, total_pages=16)
 
+    @pytest.mark.parametrize("page", [-1, 16])
+    def test_page_outside_footprint_raises(self, trace_factory, page):
+        with pytest.raises(ValueError, match="total_pages=16"):
+            trace_factory({page: [1.0]}, total_pages=16)
+
     def test_non_positive_duration_raises(self, trace_factory):
         with pytest.raises(ValueError):
             trace_factory({}, duration_ms=0.0)
