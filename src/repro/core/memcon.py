@@ -329,7 +329,8 @@ def _emit_verdicts(
         ro_page = unwritten[:n_read_only]
         ro_seq = len(page) * _TEST_SLOTS + 4 * np.arange(n_read_only)
         at_zero = np.zeros(n_read_only)
-        at_end = np.full(n_read_only, test_ms)
+        # A test that outlasts the window ends with it, as it is charged.
+        at_end = np.full(n_read_only, float(min(test_ms, window)))
         add("test_started", at_zero, ro_seq, ro_page)
         add("ref_transition", at_zero, ro_seq + 1, ro_page,
             {"from": "hi_ref", "to": "testing"})

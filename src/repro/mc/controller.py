@@ -27,6 +27,10 @@ from .request import Request, RequestKind
 from .schedule import ArrivalSchedule
 from .scheduler import FrFcfsScheduler, SchedulerConfig
 
+_INF = float("inf")
+_READ = RequestKind.READ
+_WRITE = RequestKind.WRITE
+
 
 @dataclass
 class RefreshSettings:
@@ -146,11 +150,11 @@ class MemoryController:
         self._registry = registry
         self._c_refreshes = registry.counter("mc.refreshes_issued")
         self._c_test_injected = registry.counter("mc.test_requests_injected")
-        self._c_served = {
-            RequestKind.READ: registry.counter("mc.reads_served"),
-            RequestKind.WRITE: registry.counter("mc.writes_served"),
-            RequestKind.TEST: registry.counter("mc.test_requests_served"),
-        }
+        self._c_served = (
+            registry.counter("mc.reads_served"),
+            registry.counter("mc.writes_served"),
+            registry.counter("mc.test_requests_served"),
+        )
         self._h_read_latency = registry.histogram(
             "mc.read_latency_ns",
             buckets=(25.0, 50.0, 100.0, 200.0, 400.0, 800.0, 1600.0),
@@ -161,18 +165,12 @@ class MemoryController:
         # sum is the same float as per-request observes.
         self._pend_refreshes = 0
         self._pend_test_injected = 0
-        self._pend_served = {
-            RequestKind.READ: 0,
-            RequestKind.WRITE: 0,
-            RequestKind.TEST: 0,
-        }
+        self._pend_served = [0, 0, 0]  # reads, writes, tests
         self._pend_latencies: List[float] = []
         # Row-granularity refresh replaces all-bank REF when supplied.
         self.row_refresh = row_refresh
         self._rng = np.random.default_rng(seed)
-        # Refresh and test injection follow fixed periodic schedules; the
-        # next-k arrival times are precomputed (ArrivalSchedule) instead of
-        # re-derived by per-tick compare-and-bump.
+        # Refresh and test injection follow fixed periodic schedules.
         self._refresh_schedule = (
             None if row_refresh is not None
             else ArrivalSchedule(self.refresh.effective_trefi_ns,
@@ -184,21 +182,6 @@ class MemoryController:
         )
 
     # ------------------------------------------------------------------
-    @property
-    def _next_refresh_ns(self) -> float:
-        """Next auto-refresh deadline (+inf under row-granularity refresh)."""
-        if self._refresh_schedule is None:
-            return float("inf")
-        return self._refresh_schedule.next_ns
-
-    @property
-    def _next_test_ns(self) -> Optional[float]:
-        """Next test-traffic injection time (None when disabled)."""
-        if self._test_schedule is None:
-            return None
-        return self._test_schedule.next_ns
-
-    # ------------------------------------------------------------------
     def enqueue(self, request: Request) -> bool:
         """Accept a request into the appropriate queue."""
         return self.scheduler.enqueue(request)
@@ -207,112 +190,28 @@ class MemoryController:
     def pending(self) -> int:
         return self.scheduler.pending
 
-    def next_event_ns(self, now_ns: float) -> float:
-        """Earliest time the controller has something to do after ``now``.
-
-        Equivalent to ``min`` over the ``max(candidate, now)``-clamped
-        refresh / row-refresh / test-injection deadlines and the earliest
-        queue-issue time, written branch-by-branch because it runs once
-        per simulated instant.
-        """
-        best = float("inf")
-        schedule = self._refresh_schedule
-        if schedule is not None:
-            best = schedule.next_ns
-            if best < now_ns:
-                best = now_ns
-        if self.row_refresh is not None:
-            candidate = self.row_refresh.next_due_ns
-            if candidate < now_ns:
-                candidate = now_ns
-            if candidate < best:
-                best = candidate
-        schedule = self._test_schedule
-        if schedule is not None:
-            candidate = schedule.next_ns
-            if candidate < now_ns:
-                candidate = now_ns
-            if candidate < best:
-                best = candidate
-        if self.scheduler.pending:
-            floor = self.rank.refresh_until_ns
-            if floor < now_ns:
-                floor = now_ns
-            earliest = self.scheduler.earliest_issue_ns(self.banks, floor)
-            if earliest is not None and earliest < best:
-                best = earliest
-        return best
-
     # ------------------------------------------------------------------
-    def _step(self, now_ns: float) -> Optional[Request]:
-        """Process the work available at ``now_ns``; return any serviced
-        request (``None`` when the instant was idle).
-
-        One call issues at most one refresh, one injected test request and
-        one scheduled request — the historical per-tick unit of work.
-        """
-        # 1. Refresh has priority: it is a hard JEDEC deadline. It acts as
-        # a barrier — no request command may issue while it is pending.
-        schedule = self._refresh_schedule
-        if schedule is not None and now_ns >= schedule.next_ns:
-            due = schedule.next_ns
-            issue_refresh(self.rank, self.banks, max(due, now_ns), self.timing)
-            if self._registry.enabled:
-                self._pend_refreshes += 1
-            if obs.trace_active():
-                obs.emit("mc_refresh", t_ns=max(due, now_ns),
-                         channel=self.channel)
-            schedule.advance()
-        if self.row_refresh is not None:
-            self.row_refresh.tick(now_ns, self.banks)
-        # 2. Inject background test traffic on its schedule. The bank/row
-        # draws stay scalar and per-injection so the RNG stream matches
-        # the historical one draw-pair-per-request order.
-        schedule = self._test_schedule
-        if schedule is not None and now_ns >= schedule.next_ns:
-            due = schedule.next_ns
-            bank = int(self._rng.integers(len(self.banks)))
-            row = int(self._rng.integers(self.rows_per_bank))
-            self.scheduler.enqueue(Request(
-                kind=RequestKind.TEST, core=-1, bank=bank, row=row,
-                arrival_ns=due, channel=self.channel,
-            ))
-            if self._registry.enabled:
-                self._pend_test_injected += 1
-            schedule.advance()
-        # 3. Issue one request if one is eligible right now (banks free,
-        # no refresh in progress).
-        if self.scheduler.pending and now_ns >= self.rank.refresh_until_ns:
-            request = self.scheduler.next_request(self.banks, now_ns)
-            if request is not None:
-                request.completion_ns = service_request(
-                    self.banks[request.bank], self.rank, request.row, now_ns,
-                    self.timing,
-                )
-                self._account(request)
-                return request
-        return None
-
     def tick(self, now_ns: float) -> float:
         """Process work available at ``now_ns``; return next event time.
 
         One call issues at most one refresh, one injected test request and
         one scheduled request; callers loop on the returned event time.
+        It is the one-instant case of :meth:`drain`.
         """
-        self._step(now_ns)
-        return self.next_event_ns(now_ns + self.timing.tCK)
+        return self.drain(now_ns, now_ns + self.timing.tCK)[0]
 
-    def drain(self, now_ns: float, bound_ns: float) -> "Tuple[float, float]":
-        """Run every internal step in ``[now_ns, bound_ns)`` in one visit.
+    def drain(self, now_ns: float, bound_ns: float) -> Tuple[float, float]:
+        """Run every instant in ``[now_ns, bound_ns)`` in one visit.
 
-        The controller advances its own clock through the same sequence of
-        instants the tick loop would have visited — ``t' = max(t + tCK,
-        next_event)`` — so service timing is unchanged; only the Python
-        round-trips per instant are gone. ``bound_ns`` is the earliest
-        time the outside world may act (a core arrival, another channel's
-        event, the window end); the drain additionally stops at the
-        completion time of any read it services, because delivering that
-        read can unstall a core.
+        Each instant issues at most one refresh, one injected test request
+        and one scheduled request — the historical per-tick unit of work —
+        and the controller then advances its own clock to its next event,
+        never less than one tCK later: the sequence of instants the tick
+        loop would have visited, so service timing is unchanged.
+        ``bound_ns`` is the earliest time the outside world may act (a
+        core arrival, another channel's event, the window end); the drain
+        additionally stops at the completion time of any read it
+        services, because delivering that read can unstall a core.
 
         Returns ``(next_event, last_instant)``: the controller's next
         event time and the last instant actually processed. The caller
@@ -321,44 +220,113 @@ class MemoryController:
         that composition is observable (a floor can push a core's poll
         past its arrival time), so it is part of the preserved semantics.
         """
-        tck = self.timing.tCK
+        timing = self.timing
+        tck = timing.tCK
+        banks = self.banks
+        rank = self.rank
+        scheduler = self.scheduler
+        pick = scheduler.next_request
+        earliest_issue = scheduler.earliest_issue_ns
+        row_refresh = self.row_refresh
+        refresh = self._refresh_schedule
+        tests = self._test_schedule
+        # The schedules' deadlines live in locals for the whole drain;
+        # only this loop advances them.
+        next_refresh = _INF if refresh is None else refresh.next_ns
+        next_test = _INF if tests is None else tests.next_ns
         t = now_ns
         while True:
-            served = self._step(t)
-            if (
-                served is not None
-                and served.kind is RequestKind.READ
-                and served.completion_ns < bound_ns
-            ):
-                bound_ns = served.completion_ns
-            nxt = self.next_event_ns(t + tck)
-            t_next = t + tck
-            if nxt > t_next:
-                t_next = nxt
-            if t_next >= bound_ns:
+            # 1. Refresh has priority: it is a hard JEDEC deadline. It acts
+            # as a barrier — no request command may issue while it is
+            # pending.
+            if t >= next_refresh:
+                self._refresh(t)
+                next_refresh = refresh.advance()
+            if row_refresh is not None:
+                row_refresh.tick(t, banks)
+            # 2. Inject background test traffic on its schedule.
+            if t >= next_test:
+                self._inject_test(next_test)
+                next_test = tests.advance()
+            # 3. Issue one request if one is eligible right now (banks
+            # free, no refresh in progress).
+            if scheduler.pending and t >= rank.refresh_until_ns:
+                request = pick(banks, t)
+                if request is not None:
+                    completion = service_request(
+                        banks[request.bank], rank, request.row, t, timing,
+                    )
+                    request.completion_ns = completion
+                    self._account(request)
+                    if completion < bound_ns and request.kind is _READ:
+                        bound_ns = completion
+            # Next instant: the earliest deadline or queue-issue time, at
+            # least one tCK on.
+            floor = t + tck
+            nxt = next_refresh if next_refresh < next_test else next_test
+            if row_refresh is not None and row_refresh.next_due_ns < nxt:
+                nxt = row_refresh.next_due_ns
+            if nxt < floor:
+                nxt = floor
+            if scheduler.pending:
+                blocked = rank.refresh_until_ns
+                earliest = earliest_issue(
+                    banks, blocked if blocked > floor else floor
+                )
+                if earliest is not None and earliest < nxt:
+                    nxt = earliest
+            if nxt >= bound_ns:
                 return nxt, t
-            t = t_next
+            t = nxt
+
+    def _refresh(self, now_ns: float) -> None:
+        """Issue the all-bank refresh that is due at ``now_ns``."""
+        issue_refresh(self.rank, self.banks, now_ns, self.timing)
+        if self._registry.enabled:
+            self._pend_refreshes += 1
+        if obs.trace_active():
+            obs.emit("mc_refresh", t_ns=now_ns, channel=self.channel)
+
+    def _inject_test(self, due_ns: float) -> None:
+        """Queue one background test request arriving at ``due_ns``.
+
+        The bank/row draws stay scalar and per-injection so the RNG stream
+        matches the historical one draw-pair-per-request order.
+        """
+        bank = int(self._rng.integers(len(self.banks)))
+        row = int(self._rng.integers(self.rows_per_bank))
+        self.scheduler.enqueue(Request(
+            kind=RequestKind.TEST, core=-1, bank=bank, row=row,
+            arrival_ns=due_ns, channel=self.channel,
+        ))
+        if self._registry.enabled:
+            self._pend_test_injected += 1
 
     def _account(self, request: Request) -> None:
         enabled = self._registry.enabled
-        if enabled:
-            self._pend_served[request.kind] += 1
-        if request.kind is RequestKind.READ:
+        kind = request.kind
+        if kind is _READ:
+            latency = request.completion_ns - request.arrival_ns
             self._reads_served += 1
-            self._read_latency_ns += request.latency_ns
+            self._read_latency_ns += latency
             if enabled:
-                self._pend_latencies.append(request.latency_ns)
+                self._pend_served[0] += 1
+                self._pend_latencies.append(latency)
             if self.on_read_complete is not None:
                 self.on_read_complete(request)
-        elif request.kind is RequestKind.WRITE:
+        elif kind is _WRITE:
             self._writes_served += 1
+            if enabled:
+                self._pend_served[1] += 1
         else:
             self._tests_served += 1
+            if enabled:
+                self._pend_served[2] += 1
         if obs.trace_active():
             obs.emit(
                 "mc_request",
                 t_ns=request.completion_ns,
-                kind_served=request.kind.value,
+                kind_served=kind.value,
                 bank=request.bank,
                 latency_ns=request.latency_ns,
                 channel=self.channel,
@@ -379,10 +347,10 @@ class MemoryController:
         if self._pend_test_injected:
             self._c_test_injected.inc(self._pend_test_injected)
             self._pend_test_injected = 0
-        for kind, count in self._pend_served.items():
+        for i, count in enumerate(self._pend_served):
             if count:
-                self._c_served[kind].inc(count)
-                self._pend_served[kind] = 0
+                self._c_served[i].inc(count)
+                self._pend_served[i] = 0
         if self._pend_latencies:
             self._h_read_latency.observe_many(self._pend_latencies)
             self._pend_latencies = []

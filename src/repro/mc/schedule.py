@@ -1,16 +1,12 @@
-"""Precomputed periodic schedules for refresh and test-traffic injection.
+"""Periodic schedules for refresh and test-traffic injection.
 
-The controller used to discover "a refresh is due" by comparing ``now``
-against a single next-deadline float that it bumped by one interval per
-issue. That is correct but couples schedule generation to the tick loop.
-An :class:`ArrivalSchedule` precomputes the next-k arrival times as an
-array (extended chunk-wise on demand), so the event engine can read the
-next deadline without re-deriving it and the injection loop consumes
-times by index.
+An :class:`ArrivalSchedule` holds the next deadline of a fixed-interval
+stream as a plain attribute, so the controller's per-instant check is
+one attribute read and the injection loop consumes times one by one.
 
 Bit-compatibility note: the historical code accumulated deadlines with
 repeated float addition (``next += interval``), and experiment tables are
-gated on byte-identical results, so the schedule is generated by the same
+gated on byte-identical results, so the schedule advances by the same
 left-to-right accumulation — **not** ``start + k * interval``, which
 rounds differently.
 """
@@ -26,54 +22,27 @@ class ArrivalSchedule:
     """Arrival times ``t_0 = first``, ``t_{k+1} = t_k + interval``.
 
     ``next_ns`` is the earliest unconsumed arrival; ``advance`` consumes
-    it. Times are materialised ``chunk`` at a time and the consumed
-    prefix is dropped on extension, so memory stays O(chunk) no matter
-    how long the run is.
+    it.
     """
 
-    __slots__ = ("_interval", "_chunk", "_times", "_idx", "_last")
+    __slots__ = ("next_ns", "_interval")
 
-    def __init__(self, first: float, interval: float, chunk: int = 512) -> None:
+    def __init__(self, first: float, interval: float) -> None:
         if interval <= 0:
             raise ValueError("interval must be positive")
-        if chunk <= 0:
-            raise ValueError("chunk must be positive")
+        self.next_ns = first
         self._interval = interval
-        self._chunk = chunk
-        self._times: List[float] = [first]
-        self._idx = 0
-        self._last = first
-        self._extend()
-
-    def _extend(self) -> None:
-        # Drop the consumed prefix, then append one more chunk by the
-        # same running accumulation the incremental code performed.
-        if self._idx:
-            del self._times[: self._idx]
-            self._idx = 0
-        t = self._last
-        interval = self._interval
-        extension = []
-        for _ in range(self._chunk):
-            t += interval
-            extension.append(t)
-        self._times.extend(extension)
-        self._last = t
-
-    @property
-    def next_ns(self) -> float:
-        """The earliest arrival not yet consumed."""
-        return self._times[self._idx]
 
     def advance(self) -> float:
         """Consume the current arrival and return the next one."""
-        self._idx += 1
-        if self._idx >= len(self._times):
-            self._extend()
-        return self._times[self._idx]
+        self.next_ns += self._interval
+        return self.next_ns
 
     def peek(self, k: int) -> List[float]:
         """The next ``k`` arrivals (for tests and introspection)."""
-        while len(self._times) - self._idx < k:
-            self._extend()
-        return self._times[self._idx : self._idx + k]
+        times = []
+        t = self.next_ns
+        for _ in range(k):
+            times.append(t)
+            t += self._interval
+        return times

@@ -15,9 +15,10 @@ hit in enqueue order, else oldest eligible" — because enqueue order is
 exactly the sequence-number order and each per-bank deque preserves it.
 
 Everything here is on the simulator's per-instant path, so the layout is
-deliberately flat: one deque attribute per request kind (enum-keyed dicts
-cost an enum ``__hash__`` per access), plain int counters, and zero-count
-early exits before any bank scan.
+deliberately flat: one deque per request kind in a per-bank tuple, plain
+int counters (``pending`` is an attribute, not a property), and the banks
+that can take a command are listed once per pick, before any queue is
+read — most picks find no such bank and return at once.
 """
 
 from __future__ import annotations
@@ -29,6 +30,13 @@ from typing import Deque, Dict, List, Optional, Sequence, Tuple
 from .. import obs
 from .bank import BankState
 from .request import Request, RequestKind
+
+_READ = RequestKind.READ
+_WRITE = RequestKind.WRITE
+#: Index of each kind's deque in :attr:`_BankBucket.queues`.
+_READS, _WRITES, _TESTS = 0, 1, 2
+
+_Entry = Tuple[int, Request]
 
 
 @dataclass
@@ -47,32 +55,23 @@ class SchedulerConfig:
 
 
 class _BankBucket:
-    """Per-bank pending requests, one FIFO per request kind.
+    """Per-bank pending requests: one FIFO per kind (reads, writes, tests).
 
     ``min_arrival`` caches the smallest arrival time across all three
     deques so ``earliest_issue_ns`` is O(banks-with-work); it is restored
     by a rescan only when the request holding the minimum leaves.
     """
 
-    __slots__ = ("reads", "writes", "tests", "count", "min_arrival")
+    __slots__ = ("queues", "count", "min_arrival")
 
     def __init__(self) -> None:
-        self.reads: Deque[Tuple[int, Request]] = deque()
-        self.writes: Deque[Tuple[int, Request]] = deque()
-        self.tests: Deque[Tuple[int, Request]] = deque()
+        self.queues: Tuple[Deque[_Entry], ...] = (deque(), deque(), deque())
         self.count = 0
         self.min_arrival = float("inf")
 
-    def queue_for(self, kind: RequestKind) -> Deque[Tuple[int, Request]]:
-        if kind is RequestKind.READ:
-            return self.reads
-        if kind is RequestKind.WRITE:
-            return self.writes
-        return self.tests
-
     def recompute_min(self) -> None:
         best = float("inf")
-        for queue in (self.reads, self.writes, self.tests):
+        for queue in self.queues:
             for _, request in queue:
                 if request.arrival_ns < best:
                     best = request.arrival_ns
@@ -85,6 +84,8 @@ class FrFcfsScheduler:
     def __init__(self, config: Optional[SchedulerConfig] = None) -> None:
         self.config = config or SchedulerConfig()
         self._banks: Dict[int, _BankBucket] = {}
+        #: Requests queued, all kinds.
+        self.pending = 0
         self._n_read = 0
         self._n_write = 0
         self._n_test = 0
@@ -120,123 +121,85 @@ class FrFcfsScheduler:
         bucket = self._banks.get(request.bank)
         if bucket is None:
             bucket = self._banks[request.bank] = _BankBucket()
-        if kind is RequestKind.READ:
+        if kind is _READ:
             if self._n_read >= self.config.read_queue_capacity:
                 self._n_rejected += 1
                 return False
             self._n_read += 1
-            bucket.reads.append((self._seq, request))
-        elif kind is RequestKind.WRITE:
+            bucket.queues[_READS].append((self._seq, request))
+        elif kind is _WRITE:
             if self._n_write >= self.config.write_queue_capacity:
                 self._n_rejected += 1
                 return False
             self._n_write += 1
-            bucket.writes.append((self._seq, request))
+            bucket.queues[_WRITES].append((self._seq, request))
         else:
             self._n_test += 1
-            bucket.tests.append((self._seq, request))
+            bucket.queues[_TESTS].append((self._seq, request))
         bucket.count += 1
         if request.arrival_ns < bucket.min_arrival:
             bucket.min_arrival = request.arrival_ns
+        self.pending += 1
         self._seq += 1
         self._n_enqueued += 1
         return True
 
-    @property
-    def pending(self) -> int:
-        return self._n_read + self._n_write + self._n_test
-
-    def _flat_queue(self, kind: RequestKind) -> List[Request]:
-        """All pending requests of one kind, in enqueue order (debug view)."""
-        entries = []
-        for bucket in self._banks.values():
-            entries.extend(bucket.queue_for(kind))
-        entries.sort()
-        return [request for _, request in entries]
-
-    @property
-    def read_queue(self) -> List[Request]:
-        return self._flat_queue(RequestKind.READ)
-
-    @property
-    def write_queue(self) -> List[Request]:
-        return self._flat_queue(RequestKind.WRITE)
-
-    @property
-    def test_queue(self) -> List[Request]:
-        return self._flat_queue(RequestKind.TEST)
-
     # ------------------------------------------------------------------
-    def _remove(
+    def _pick(
         self,
-        bucket: _BankBucket,
-        queue: Deque[Tuple[int, Request]],
-        entry: Tuple[int, Request],
-    ) -> Request:
-        if queue[0] is entry:
-            queue.popleft()
-        else:
-            queue.remove(entry)
-        bucket.count -= 1
-        request = entry[1]
-        kind = request.kind
-        if kind is RequestKind.READ:
-            self._n_read -= 1
-        elif kind is RequestKind.WRITE:
-            self._n_write -= 1
-        else:
-            self._n_test -= 1
-        if request.arrival_ns <= bucket.min_arrival:
-            bucket.recompute_min()
-        return request
-
-    def _pick_fr_fcfs(
-        self, kind: RequestKind, banks: Sequence[BankState], now_ns: float
+        ready: List[Tuple[_BankBucket, Optional[int]]],
+        index: int,
+        now_ns: float,
     ) -> Optional[Request]:
         """First eligible row-buffer hit in enqueue order, else oldest.
 
-        Only banks that can accept a command at ``now_ns`` are scanned;
-        within a bank the deque is already in enqueue (sequence) order, so
-        the first matching entry is the bank's oldest candidate.
+        ``ready`` holds the banks that can accept a command at ``now_ns``
+        with their open rows; ``index`` selects the kind's deque. Within
+        a bank the deque is already in enqueue (sequence) order, so the
+        first matching entry is the bank's oldest candidate.
         """
-        best_hit: Optional[Tuple[int, Request, _BankBucket]] = None
-        best_any: Optional[Tuple[int, Request, _BankBucket]] = None
-        is_read = kind is RequestKind.READ
-        is_write = kind is RequestKind.WRITE
-        for bank_id, bucket in self._banks.items():
-            queue = (
-                bucket.reads if is_read
-                else bucket.writes if is_write
-                else bucket.tests
-            )
-            if not queue:
-                continue
-            bank = banks[bank_id]
-            if bank.ready_ns > now_ns:
-                continue
-            open_row = bank.open_row
+        best_hit: Optional[_Entry] = None
+        best_any: Optional[_Entry] = None
+        hit_bucket = any_bucket = None
+        for bucket, open_row in ready:
             found_any = False
-            for entry in queue:
+            for entry in bucket.queues[index]:
                 request = entry[1]
                 if request.arrival_ns > now_ns:
                     continue
                 if not found_any:
                     found_any = True
                     if best_any is None or entry[0] < best_any[0]:
-                        best_any = (entry[0], request, bucket)
+                        best_any, any_bucket = entry, bucket
                     if open_row is None:
                         break  # no hit possible in a precharged bank
                 if request.row == open_row:
                     if best_hit is None or entry[0] < best_hit[0]:
-                        best_hit = (entry[0], request, bucket)
+                        best_hit, hit_bucket = entry, bucket
                     break  # later entries in this bank cannot beat it
-        chosen = best_hit if best_hit is not None else best_any
-        if chosen is None:
+        if best_hit is not None:
+            entry, bucket = best_hit, hit_bucket
+        elif best_any is not None:
+            entry, bucket = best_any, any_bucket
+        else:
             return None
-        bucket = chosen[2]
-        return self._remove(
-            bucket, bucket.queue_for(kind), (chosen[0], chosen[1])
-        )
+        queue = bucket.queues[index]
+        if queue[0] is entry:
+            queue.popleft()
+        else:
+            queue.remove(entry)
+        bucket.count -= 1
+        self.pending -= 1
+        request = entry[1]
+        if index == _READS:
+            self._n_read -= 1
+        elif index == _WRITES:
+            self._n_write -= 1
+        else:
+            self._n_test -= 1
+        if request.arrival_ns <= bucket.min_arrival:
+            bucket.recompute_min()
+        return request
 
     def next_request(
         self, banks: Sequence[BankState], now_ns: float
@@ -252,25 +215,35 @@ class FrFcfsScheduler:
             if not self._draining_writes:
                 self._n_drains += 1
             self._draining_writes = True
-        if not writes:
+        elif not writes:
             self._draining_writes = False
+        # The banks that hold work and can take a command now: every
+        # pick below chooses among these alone.
+        ready = []
+        for bank_id, bucket in self._banks.items():
+            if bucket.count:
+                bank = banks[bank_id]
+                if bank.ready_ns <= now_ns:
+                    ready.append((bucket, bank.open_row))
+        if not ready:
+            return None
 
-        if self._draining_writes and writes:
-            choice = self._pick_fr_fcfs(RequestKind.WRITE, banks, now_ns)
+        if self._draining_writes:
+            choice = self._pick(ready, _WRITES, now_ns)
             if choice is not None:
                 if self._n_write <= cfg.write_queue_drain_threshold // 2:
                     self._draining_writes = False
                 return choice
         if self._n_read:
-            choice = self._pick_fr_fcfs(RequestKind.READ, banks, now_ns)
+            choice = self._pick(ready, _READS, now_ns)
             if choice is not None:
                 return choice
         if self._n_write:
-            choice = self._pick_fr_fcfs(RequestKind.WRITE, banks, now_ns)
+            choice = self._pick(ready, _WRITES, now_ns)
             if choice is not None:
                 return choice
         if self._n_test:
-            return self._pick_fr_fcfs(RequestKind.TEST, banks, now_ns)
+            return self._pick(ready, _TESTS, now_ns)
         return None
 
     def earliest_issue_ns(

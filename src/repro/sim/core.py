@@ -16,12 +16,15 @@ as the previous request from this core, otherwise a fresh random row.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Optional
 
 import numpy as np
 
 from ..mc.request import Request, RequestKind
 from ..traces.spec import BenchmarkProfile
+
+_READ = RequestKind.READ
+_WRITE = RequestKind.WRITE
 
 
 @dataclass
@@ -70,7 +73,14 @@ class TraceCore:
         self.banks = banks
         self.rows_per_bank = rows_per_bank
         self.channels = channels
-        self._rng = np.random.default_rng((seed << 8) ^ core_id)
+        rng = np.random.default_rng((seed << 8) ^ core_id)
+        # Every request draws from these, so they are bound once, with
+        # the constants the per-request path reads.
+        self._exponential = rng.exponential
+        self._random = rng.random
+        self._integers = rng.integers
+        self._per_ns = self.config.instructions_per_ns
+        self._max_outstanding = self.config.max_outstanding
         self.instructions_retired = 0.0
         self.outstanding = 0
         self.stall_ns = 0.0
@@ -81,60 +91,68 @@ class TraceCore:
         inter_miss = 1000.0 / benchmark.mpki if benchmark.mpki > 0 else None
         self._inter_miss_mean = inter_miss
         self._pending_gap = self._draw_gap()
+        #: When the pending request issues: the clock plus the gap at
+        #: peak width (None = never). Kept in step with both.
+        self._issue_at = self._issue_time()
 
     # ------------------------------------------------------------------
     def _draw_gap(self) -> Optional[float]:
         """Instructions until the next memory request (None = never)."""
         if self._inter_miss_mean is None:
             return None
-        return float(self._rng.exponential(self._inter_miss_mean))
+        return float(self._exponential(self._inter_miss_mean))
 
-    def _draw_location(self) -> Tuple[int, int, int]:
-        if self._rng.random() < self.benchmark.row_hit_rate:
-            return self._last_channel, self._last_bank, self._last_row
-        channel = int(self._rng.integers(self.channels))
-        bank = int(self._rng.integers(self.banks))
-        row = int(self._rng.integers(self.rows_per_bank))
-        self._last_channel = channel
-        self._last_bank, self._last_row = bank, row
-        return channel, bank, row
+    def _issue_time(self) -> Optional[float]:
+        if self._pending_gap is None:
+            return None
+        return self._clock_ns + self._pending_gap / self._per_ns
 
     # ------------------------------------------------------------------
     @property
     def stalled(self) -> bool:
-        return self.outstanding >= self.config.max_outstanding
+        return self.outstanding >= self._max_outstanding
 
     def next_arrival_hint(self, now_ns: float) -> Optional[float]:
         """When this core will next want to issue, if it is not stalled."""
-        if self.stalled or self._pending_gap is None:
+        if self.outstanding >= self._max_outstanding:
             return None
-        return self._clock_ns + self._pending_gap / self.config.instructions_per_ns
+        return self._issue_at
 
     def next_request(self, now_ns: float) -> Optional[Request]:
         """Issue the next request if the core has reached it by ``now_ns``."""
-        if self.stalled or self._pending_gap is None:
-            return None
-        issue_at = (
-            self._clock_ns + self._pending_gap / self.config.instructions_per_ns
-        )
-        if issue_at > now_ns:
+        issue_at = self._issue_at
+        if (
+            issue_at is None
+            or issue_at > now_ns
+            or self.outstanding >= self._max_outstanding
+        ):
             return None
         self.instructions_retired += self._pending_gap
         self._clock_ns = issue_at
         self._pending_gap = self._draw_gap()
-        is_write = self._rng.random() < self.benchmark.write_fraction
-        channel, bank, row = self._draw_location()
-        request = Request(
-            kind=RequestKind.WRITE if is_write else RequestKind.READ,
-            core=self.core_id,
-            bank=bank,
-            row=row,
-            arrival_ns=issue_at,
-            channel=channel,
-        )
-        if request.kind is RequestKind.READ:
-            self.outstanding += 1
-        return request
+        self._issue_at = self._issue_time()
+        benchmark = self.benchmark
+        is_write = self._random() < benchmark.write_fraction
+        # Row-buffer locality: repeat the last location, or draw a fresh
+        # one (a single-channel system has only channel 0 to draw).
+        if self._random() < benchmark.row_hit_rate:
+            channel = self._last_channel
+            bank = self._last_bank
+            row = self._last_row
+        else:
+            integers = self._integers
+            channel = (
+                int(integers(self.channels)) if self.channels > 1 else 0
+            )
+            bank = int(integers(self.banks))
+            row = int(integers(self.rows_per_bank))
+            self._last_channel = channel
+            self._last_bank = bank
+            self._last_row = row
+        if is_write:
+            return Request(_WRITE, self.core_id, bank, row, issue_at, channel)
+        self.outstanding += 1
+        return Request(_READ, self.core_id, bank, row, issue_at, channel)
 
     def complete_read(self, request: Request, now_ns: float) -> None:
         """A demand read came back; release its window slot."""
@@ -142,13 +160,14 @@ class TraceCore:
             raise ValueError("request belongs to another core")
         if self.outstanding <= 0:
             raise RuntimeError("read completion with no outstanding reads")
-        was_stalled = self.stalled
+        was_stalled = self.outstanding >= self._max_outstanding
         self.outstanding -= 1
         if was_stalled and now_ns > self._clock_ns:
             # The window was full: the core made no progress while this
             # read was the gating miss.
             self.stall_ns += now_ns - self._clock_ns
             self._clock_ns = now_ns
+            self._issue_at = self._issue_time()
 
     # ------------------------------------------------------------------
     def ipc(self, elapsed_ns: float) -> float:

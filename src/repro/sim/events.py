@@ -2,11 +2,14 @@
 
 A tiny min-heap keyed on ``(time, actor)`` with lazy invalidation: each
 actor (a core or a channel controller) has at most one *current* posted
-time; re-posting bumps a version counter so stale heap entries are
-recognised and dropped when they surface. Actors are tuples like
-``("core", 3)`` or ``("mc", 0)``, which also provides the deterministic
-tiebreak at equal times (cores sort before controllers, then by index) —
-matching the fixed visit order of the retired poll loop.
+time. A heap entry is live while its time is still its actor's posted
+time; re-posting or withdrawing leaves the old entry stale, and stale
+entries are dropped when they surface. Two live-looking entries for one
+actor carry the same time and are interchangeable: consuming either one
+withdraws the posting, so the other turns stale. The simulator's actors
+are dense ints (cores first, then channels), which also gives the
+deterministic tiebreak at equal times — matching the fixed visit order
+of the retired poll loop; any mutually comparable hashables work.
 """
 
 from __future__ import annotations
@@ -20,11 +23,10 @@ __all__ = ["EventHeap"]
 class EventHeap:
     """Min-heap of per-actor next-ready times with lazy invalidation."""
 
-    __slots__ = ("_heap", "_version", "_time")
+    __slots__ = ("_heap", "_time")
 
     def __init__(self) -> None:
-        self._heap: List[Tuple[float, Hashable, int]] = []
-        self._version: Dict[Hashable, int] = {}
+        self._heap: List[Tuple[float, Hashable]] = []
         self._time: Dict[Hashable, float] = {}
 
     def __len__(self) -> int:
@@ -32,10 +34,8 @@ class EventHeap:
 
     def push(self, actor: Hashable, time: float) -> None:
         """Post (or re-post) an actor's next-ready time."""
-        version = self._version.get(actor, 0) + 1
-        self._version[actor] = version
         self._time[actor] = time
-        heapq.heappush(self._heap, (time, actor, version))
+        heapq.heappush(self._heap, (time, actor))
 
     def current(self, actor: Hashable) -> Optional[float]:
         """The actor's posted time, or None when it has none."""
@@ -43,9 +43,7 @@ class EventHeap:
 
     def invalidate(self, actor: Hashable) -> None:
         """Withdraw an actor's posted time (lazy: entry dropped on pop)."""
-        if actor in self._time:
-            self._version[actor] = self._version.get(actor, 0) + 1
-            del self._time[actor]
+        self._time.pop(actor, None)
 
     def prune_due(self, now: float) -> List[Hashable]:
         """Consume every posted time ``<= now``; returns those actors.
@@ -56,11 +54,11 @@ class EventHeap:
         """
         due: List[Hashable] = []
         heap = self._heap
+        posted = self._time
         while heap and heap[0][0] <= now:
-            _, actor, version = heapq.heappop(heap)
-            if self._version.get(actor) == version:
-                self._version[actor] = version + 1  # consume
-                del self._time[actor]
+            time, actor = heapq.heappop(heap)
+            if posted.get(actor) == time:
+                del posted[actor]  # consume
                 due.append(actor)
         return due
 
@@ -68,9 +66,10 @@ class EventHeap:
         """Earliest posted time, skipping stale entries; ``default`` when
         nothing is posted."""
         heap = self._heap
+        posted = self._time
         while heap:
-            time, actor, version = heap[0]
-            if self._version.get(actor) == version:
+            time, actor = heap[0]
+            if posted.get(actor) == time:
                 return time
             heapq.heappop(heap)
         return default

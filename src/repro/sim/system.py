@@ -122,6 +122,8 @@ class SystemSimulator:
         self._reads_done: Dict[int, List[Request]] = {
             i: [] for i in range(len(benchmarks))
         }
+        # Reads the controllers finished, awaiting delivery to their cores.
+        self._completed_reads: List[Request] = []
         # Test traffic is spread across channels; the division remainder
         # goes to the first channels so no configured test is dropped.
         total_tests = self.config.test_traffic.concurrent_tests
@@ -141,7 +143,7 @@ class SystemSimulator:
                 rows_per_bank=self.config.rows_per_bank,
                 refresh=self.config.refresh,
                 test_traffic=per_channel_tests[channel],
-                on_read_complete=self._read_done,
+                on_read_complete=self._completed_reads.append,
                 row_refresh=(
                     RowRefreshScheduler(
                         self.config.row_refresh, timing, self.config.banks
@@ -165,15 +167,11 @@ class SystemSimulator:
             )
             for i, bench in enumerate(benchmarks)
         ]
-        self._completed_reads: List[Request] = []
 
     @property
     def controller(self) -> MemoryController:
         """The first channel's controller (single-channel convenience)."""
         return self.controllers[0]
-
-    def _read_done(self, request: Request) -> None:
-        self._completed_reads.append(request)
 
     # ------------------------------------------------------------------
     @obs.timed("sim.run")
@@ -189,6 +187,7 @@ class SystemSimulator:
         n_cores = len(cores)
         tck = controllers[0].timing.tCK
         completed = self._completed_reads
+        enqueue = [controller.scheduler.enqueue for controller in controllers]
 
         # Actors post their next-ready times on the heap and are visited
         # only when due; time jumps straight to the earliest posted time
@@ -248,7 +247,7 @@ class SystemSimulator:
                 if queue:
                     while queue:
                         request = queue[0]
-                        if controllers[request.channel].enqueue(request):
+                        if enqueue[request.channel](request):
                             touched[request.channel] = True
                             fed = True
                             queue.pop(0)
@@ -271,7 +270,7 @@ class SystemSimulator:
                     request = core.next_request(now)
                     if request is None:
                         break
-                    if controllers[request.channel].enqueue(request):
+                    if enqueue[request.channel](request):
                         touched[request.channel] = True
                         fed = True
                     else:

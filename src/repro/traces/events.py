@@ -9,7 +9,7 @@ not change memory content, so MEMCON never reacts to them (paper §3.2).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Tuple
+from typing import Dict, List
 
 import numpy as np
 
@@ -130,9 +130,3 @@ class WriteTrace:
             name=f"{self.name}(x{factor:g})" if self.name else "",
         )
 
-    def merged_events(self) -> Iterator[Tuple[float, int]]:
-        """All (time, page) write events in global time order."""
-        pairs: List[Tuple[float, int]] = []
-        for page, times in self.writes.items():
-            pairs.extend((float(t), page) for t in times)
-        return iter(sorted(pairs))

@@ -8,7 +8,11 @@ from repro import obs
 from repro.core.memcon import MemconConfig, simulate_refresh_reduction
 from repro.traces.generator import generate_trace
 from repro.traces.workloads import WORKLOADS
-from tests.oracles.memcon import MemconController, assert_reports_agree
+from tests.oracles.memcon import (
+    MemconController,
+    assert_reports_agree,
+    merged_events,
+)
 
 
 def _config(**overrides):
@@ -178,6 +182,13 @@ class TestTracedMatchesUntraced:
 
 
 class TestControllerBehaviour:
+    def test_merged_events_globally_sorted(self, trace_factory):
+        trace = trace_factory({0: [5.0, 9.0], 1: [1.0, 7.0]})
+        events = merged_events(trace)
+        times = [t for t, _ in events]
+        assert times == sorted(times)
+        assert events[0] == (1.0, 1)
+
     def test_write_during_test_aborts_to_hi(self, trace_factory):
         # Write at 100, predicted at 2000, test would end 2064, but the
         # next write lands at 2030 — inside the test window, so the first

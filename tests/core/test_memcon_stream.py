@@ -160,6 +160,38 @@ class TestGeneratedTraces:
         assert_controller_agrees(trace, config, fraction, seed)
 
 
+def _controller_run(trace, config, fraction, seed):
+    controller = MemconController(trace.total_pages, config)
+    return controller.run(trace, fraction, seed)
+
+
+def _test_records(lines):
+    """The tests' lifecycle records of a stream, parsed."""
+    records = [json.loads(line) for line in lines]
+    return [r for r in records
+            if r["kind"].startswith("test_") or r["kind"] == "ref_transition"]
+
+
+@fractions
+def test_read_only_verdicts_end_with_the_window(fraction):
+    # Four read-only pages, 256 ms tests, a 192 ms window: each test is
+    # charged for the window only, so its verdict and the transition out
+    # of TESTING are stamped at the window end, not at 256 ms.
+    trace, config = OUTLASTING_TEST
+    records = _test_records(assert_streams_match(trace, config, fraction))
+    ended = [r for r in records
+             if r["kind"] in ("test_passed", "test_failed")
+             or r.get("from") == "testing"]
+    assert len(ended) == 2 * trace.total_pages
+    assert {r["t_ms"] for r in ended} == {trace.duration_ms}
+    # The controller oracle ends the same tests at the same instants; it
+    # emits page by page, so its records are put in time order first.
+    _, controller_lines = _stream(_controller_run, trace, config, fraction,
+                                  0, False)
+    controller = _test_records(controller_lines)
+    assert sorted(controller, key=lambda r: r["t_ms"]) == records
+
+
 @forensics_modes
 @fractions
 @read_only_modes

@@ -28,7 +28,7 @@ from __future__ import annotations
 import dataclasses
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Dict, List, Optional, Set
+from typing import Callable, Dict, List, Optional, Set, Tuple
 
 import numpy as np
 import pytest
@@ -188,6 +188,7 @@ def simulate_refresh_reduction_loop(
             ro_pages = [
                 p for p in range(trace.total_pages) if p not in written
             ]
+            ro_end = float(min(test_ms, window))
             for p in ro_pages:
                 trace_events.append((0.0, 1, "test_started", {"page": p}))
                 trace_events.append((0.0, 1, "ref_transition",
@@ -195,9 +196,8 @@ def simulate_refresh_reduction_loop(
                                       "to": "testing"}))
                 outcome = "test_failed" if p in failing else "test_passed"
                 state = "hi_ref" if p in failing else "lo_ref"
-                trace_events.append(
-                    (float(test_ms), 1, outcome, {"page": p}))
-                trace_events.append((float(test_ms), 1, "ref_transition",
+                trace_events.append((ro_end, 1, outcome, {"page": p}))
+                trace_events.append((ro_end, 1, "ref_transition",
                                      {"page": p, "from": "testing",
                                       "to": state}))
 
@@ -673,7 +673,7 @@ class MemconController:
                 self._set_state(page, RefreshState.TESTING, 0.0)
                 failed = self._fails(page) or page in self._failing
                 self._finish_test(page, failed, test_end)
-        for time_ms, page in trace.merged_events():
+        for time_ms, page in merged_events(trace):
             self._advance_to(time_ms, trace)
             if self.ledger.state_of(page) is not RefreshState.HI_REF:
                 self._set_state(page, RefreshState.HI_REF, time_ms)
@@ -707,6 +707,14 @@ class MemconController:
             testing_time_mispredicted_ns=self.tests_mispredicted * cost_ns,
             tests_aborted=self.tests_aborted,
         )
+
+
+def merged_events(trace: WriteTrace) -> List[Tuple[float, int]]:
+    """All (time, page) write events of ``trace`` in global time order."""
+    pairs: List[Tuple[float, int]] = []
+    for page, times in trace.writes.items():
+        pairs.extend((float(t), page) for t in times)
+    return sorted(pairs)
 
 
 def _next_write_at_or_after(page: int, t_ms: float,

@@ -75,7 +75,7 @@ class TestArrivalSchedule:
     def test_matches_incremental_accumulation(self):
         from repro.mc.schedule import ArrivalSchedule
 
-        schedule = ArrivalSchedule(first=0.3, interval=0.7, chunk=4)
+        schedule = ArrivalSchedule(first=0.3, interval=0.7)
         expected = []
         t = 0.3
         for _ in range(20):
@@ -91,7 +91,7 @@ class TestArrivalSchedule:
     def test_peek_does_not_consume(self):
         from repro.mc.schedule import ArrivalSchedule
 
-        schedule = ArrivalSchedule(first=1.0, interval=2.0, chunk=2)
+        schedule = ArrivalSchedule(first=1.0, interval=2.0)
         ahead = schedule.peek(7)
         assert len(ahead) == 7
         assert schedule.next_ns == 1.0
@@ -103,4 +103,4 @@ class TestArrivalSchedule:
         with pytest.raises(ValueError):
             ArrivalSchedule(first=0.0, interval=0.0)
         with pytest.raises(ValueError):
-            ArrivalSchedule(first=0.0, interval=1.0, chunk=0)
+            ArrivalSchedule(first=0.0, interval=-1.0)

@@ -47,13 +47,6 @@ class TestAccessors:
         trace = trace_factory({0: [1.0]}, total_pages=16)
         assert trace.read_only_pages == 15
 
-    def test_merged_events_globally_sorted(self, trace_factory):
-        trace = trace_factory({0: [5.0, 9.0], 1: [1.0, 7.0]})
-        events = list(trace.merged_events())
-        times = [t for t, _ in events]
-        assert times == sorted(times)
-        assert events[0] == (1.0, 1)
-
 
 class TestIntervals:
     def test_page_intervals(self, trace_factory):
