@@ -102,7 +102,14 @@ def ril_exceeds_probability(
     genuinely had a long remaining interval (lower-bounded), so censored
     intervals count as exceeding whenever their observed remainder does.
     """
-    intervals = trace.all_intervals(include_trailing=True)
+    return _ril_exceeds(
+        trace.all_intervals(include_trailing=True), cil_ms, ril_threshold_ms
+    )
+
+
+def _ril_exceeds(
+    intervals: np.ndarray, cil_ms: float, ril_threshold_ms: float
+) -> float:
     reached = intervals[intervals >= cil_ms]
     if len(reached) == 0:
         return 0.0
@@ -111,13 +118,18 @@ def ril_exceeds_probability(
 
 def ril_probability_curve(
     trace: WriteTrace,
-    cil_grid_ms: Optional[np.ndarray] = None,
+    cil_grid_ms: Optional[Sequence[float]] = None,
     ril_threshold_ms: float = LONG_INTERVAL_MS,
 ) -> np.ndarray:
-    """Figure 11: P(RIL > threshold) as a function of CIL."""
+    """Figure 11: P(RIL > threshold) as a function of CIL.
+
+    Each point is :func:`ril_exceeds_probability`; the intervals are
+    pooled once for the whole grid.
+    """
     grid = CIL_GRID_MS if cil_grid_ms is None else cil_grid_ms
+    intervals = trace.all_intervals(include_trailing=True)
     return np.array(
-        [ril_exceeds_probability(trace, c, ril_threshold_ms) for c in grid]
+        [_ril_exceeds(intervals, c, ril_threshold_ms) for c in grid]
     )
 
 
@@ -131,7 +143,10 @@ def interval_time_coverage(
     interval and skips intervals shorter than that entirely; the covered
     time is ``sum(max(L - cil, 0)) / sum(L)``.
     """
-    intervals = trace.all_intervals(include_trailing=True)
+    return _time_coverage(trace.all_intervals(include_trailing=True), cil_ms)
+
+
+def _time_coverage(intervals: np.ndarray, cil_ms: float) -> float:
     total = intervals.sum()
     if total == 0:
         return 0.0
@@ -141,8 +156,13 @@ def interval_time_coverage(
 
 def coverage_curve(
     trace: WriteTrace,
-    cil_grid_ms: Optional[np.ndarray] = None,
+    cil_grid_ms: Optional[Sequence[float]] = None,
 ) -> np.ndarray:
-    """Figure 12 curve over the CIL grid."""
+    """Figure 12 curve over the CIL grid.
+
+    Each point is :func:`interval_time_coverage`; the intervals are
+    pooled once for the whole grid.
+    """
     grid = CIL_GRID_MS if cil_grid_ms is None else cil_grid_ms
-    return np.array([interval_time_coverage(trace, c) for c in grid])
+    intervals = trace.all_intervals(include_trailing=True)
+    return np.array([_time_coverage(intervals, c) for c in grid])

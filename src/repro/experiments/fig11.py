@@ -12,7 +12,7 @@ from typing import Any, Dict, List
 
 import numpy as np
 
-from ..analysis.intervals import LONG_INTERVAL_MS, ril_exceeds_probability
+from ..analysis.intervals import LONG_INTERVAL_MS, ril_probability_curve
 from ..parallel.units import WorkUnit
 from ..traces.generator import generate_trace
 from ..traces.workloads import WORKLOADS
@@ -35,13 +35,11 @@ def run_unit(unit: WorkUnit, quick: bool = True, seed: int = 1) -> Dict[str, Any
     name = unit.params["workload"]
     duration = 60_000.0 if quick else None
     trace = generate_trace(WORKLOADS[name], seed=seed, duration_ms=duration)
+    curve = ril_probability_curve(trace, REPORT_CILS_MS, LONG_INTERVAL_MS)
     row: Dict[str, Any] = {"workload": name}
-    at_512 = None
-    for cil in REPORT_CILS_MS:
-        p = ril_exceeds_probability(trace, cil, LONG_INTERVAL_MS)
+    for cil, p in zip(REPORT_CILS_MS, curve):
         row[f"cil_{int(cil)}ms"] = p
-        if cil == 512.0:
-            at_512 = p
+    at_512 = curve[REPORT_CILS_MS.index(512.0)]
     return plain({"row": row, "at_512": at_512})
 
 

@@ -12,7 +12,7 @@ from typing import Any, Dict, List
 
 import numpy as np
 
-from ..analysis.intervals import interval_time_coverage
+from ..analysis.intervals import coverage_curve
 from ..parallel.units import WorkUnit
 from ..traces.generator import generate_trace
 from ..traces.workloads import WORKLOADS
@@ -33,10 +33,10 @@ def run_unit(unit: WorkUnit, quick: bool = True, seed: int = 1) -> Dict[str, Any
     name = unit.params["workload"]
     duration = 60_000.0 if quick else None
     trace = generate_trace(WORKLOADS[name], seed=seed, duration_ms=duration)
+    curve = coverage_curve(trace, REPORT_CILS_MS)
     row: Dict[str, Any] = {"workload": name}
     sweet: List[float] = []
-    for cil in REPORT_CILS_MS:
-        coverage = interval_time_coverage(trace, cil)
+    for cil, coverage in zip(REPORT_CILS_MS, curve):
         row[f"cil_{int(cil)}ms"] = coverage
         if cil in (512.0, 2048.0):
             sweet.append(coverage)

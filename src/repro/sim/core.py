@@ -25,6 +25,8 @@ from ..traces.spec import BenchmarkProfile
 
 _READ = RequestKind.READ
 _WRITE = RequestKind.WRITE
+#: 2**-53: scales a 53-bit integer into [0, 1), as numpy's ``random()``.
+_UNIT = 1.0 / 9007199254740992.0
 
 
 @dataclass
@@ -65,8 +67,10 @@ class TraceCore:
         channels: int = 1,
         seed: int = 0,
     ) -> None:
-        if channels <= 0:
-            raise ValueError("channels must be positive")
+        for name, count in (("channels", channels), ("banks", banks),
+                            ("rows_per_bank", rows_per_bank)):
+            if not 0 < count <= 1 << 32:  # the range ``_below`` draws
+                raise ValueError(f"{name} must be in [1, 2**32]")
         self.core_id = core_id
         self.benchmark = benchmark
         self.config = config or CoreConfig()
@@ -74,11 +78,14 @@ class TraceCore:
         self.rows_per_bank = rows_per_bank
         self.channels = channels
         rng = np.random.default_rng((seed << 8) ^ core_id)
-        # Every request draws from these, so they are bound once, with
-        # the constants the per-request path reads.
+        # Every request draws from this generator. Its uniform and bounded
+        # integer draws are computed from raw 64-bit words exactly as
+        # numpy computes ``random()`` and ``integers(n)`` (DESIGN.md,
+        # "Raw-word draws"); ``exponential`` reads whole words only, so it
+        # never disturbs the half-word buffer ``_below`` keeps.
         self._exponential = rng.exponential
-        self._random = rng.random
-        self._integers = rng.integers
+        self._raw = rng.bit_generator.random_raw
+        self._half: Optional[int] = None
         self._per_ns = self.config.instructions_per_ns
         self._max_outstanding = self.config.max_outstanding
         self.instructions_retired = 0.0
@@ -101,6 +108,30 @@ class TraceCore:
         if self._inter_miss_mean is None:
             return None
         return float(self._exponential(self._inter_miss_mean))
+
+    def _below(self, n: int) -> int:
+        """``Generator.integers(n)`` for ``1 <= n <= 2**32``, bit for bit.
+
+        numpy's 32-bit Lemire draw: scale a 32-bit word by ``n`` and draw
+        again while the low half of the product is below
+        ``(2**32 - n) % n``. The 32-bit words are the low, then the high,
+        half of one 64-bit word. ``n == 1`` draws nothing.
+        """
+        if n == 1:
+            return 0
+        while True:
+            word = self._half
+            if word is None:
+                word = self._raw()
+                self._half = word >> 32
+                word &= 0xFFFFFFFF
+            else:
+                self._half = None
+            product = word * n
+            low = product & 0xFFFFFFFF
+            # The bound is below n, so ``low >= n`` accepts without it.
+            if low >= n or low >= (0x100000000 - n) % n:
+                return product >> 32
 
     def _issue_time(self) -> Optional[float]:
         if self._pending_gap is None:
@@ -132,20 +163,20 @@ class TraceCore:
         self._pending_gap = self._draw_gap()
         self._issue_at = self._issue_time()
         benchmark = self.benchmark
-        is_write = self._random() < benchmark.write_fraction
+        raw = self._raw
+        # ``random()``: the top 53 bits of a word, scaled into [0, 1).
+        is_write = (raw() >> 11) * _UNIT < benchmark.write_fraction
         # Row-buffer locality: repeat the last location, or draw a fresh
-        # one (a single-channel system has only channel 0 to draw).
-        if self._random() < benchmark.row_hit_rate:
+        # one (on one channel ``_below(1)`` is 0 and draws nothing).
+        if (raw() >> 11) * _UNIT < benchmark.row_hit_rate:
             channel = self._last_channel
             bank = self._last_bank
             row = self._last_row
         else:
-            integers = self._integers
-            channel = (
-                int(integers(self.channels)) if self.channels > 1 else 0
-            )
-            bank = int(integers(self.banks))
-            row = int(integers(self.rows_per_bank))
+            below = self._below
+            channel = below(self.channels)
+            bank = below(self.banks)
+            row = below(self.rows_per_bank)
             self._last_channel = channel
             self._last_bank = bank
             self._last_row = row

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from typing import Callable, Dict, List, Sequence
 
 import numpy as np
+from numpy.random import PCG64
 
 PatternFn = Callable[[int, int], np.ndarray]
 
@@ -31,7 +32,7 @@ class DataPattern:
                 f"pattern {self.name!r} produced {len(bits)} bits, "
                 f"expected {bits_per_row}"
             )
-        return bits.astype(np.uint8)
+        return bits.astype(np.uint8, copy=False)
 
 
 def _solid(value: int) -> PatternFn:
@@ -74,11 +75,20 @@ def _walking(value: int, stride: int) -> PatternFn:
 
 
 def random_pattern(seed: int) -> DataPattern:
-    """An i.i.d. uniform random pattern (fresh stream per row)."""
+    """An i.i.d. uniform random pattern (fresh stream per row).
+
+    Row ``r`` holds the bits of ``default_rng((seed << 20) ^ r)
+    .integers(0, 2, size=n, dtype=np.uint8)``, read straight from the
+    generator's raw 64-bit words: numpy draws a uint8 in [0, 2) as the
+    top bit of one byte, takes those bytes low byte first from 32-bit
+    draws, and PCG64 yields each 64-bit word as its low then its high
+    32-bit half. So byte ``i`` of the little-endian word stream, shifted
+    right by 7, is bit ``i`` of the row.
+    """
 
     def fn(row_index: int, n: int) -> np.ndarray:
-        rng = np.random.default_rng((seed << 20) ^ row_index)
-        return rng.integers(0, 2, size=n, dtype=np.uint8)
+        words = PCG64((seed << 20) ^ row_index).random_raw((n + 7) // 8)
+        return words.astype("<u8", copy=False).view(np.uint8)[:n] >> 7
 
     return DataPattern(name=f"random{seed}", fn=fn)
 

@@ -6,7 +6,6 @@ from .generator import (
     clear_trace_cache,
     generate_page_writes,
     generate_trace,
-    pareto_gaps,
     trace_cache_info,
 )
 from .phases import ContentSnapshot, ContentTrace, generate_content_trace
@@ -46,6 +45,5 @@ __all__ = [
     "trace_cache_info",
     "get_benchmark",
     "get_workload",
-    "pareto_gaps",
     "workload_names",
 ]

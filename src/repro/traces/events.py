@@ -74,35 +74,31 @@ class WriteTrace:
         return self.total_pages - len(self.written_pages)
 
     # ------------------------------------------------------------------
-    def page_intervals(
-        self, page: int, include_trailing: bool = False
-    ) -> np.ndarray:
-        """Write intervals of one page (gaps between consecutive writes).
-
-        With ``include_trailing`` the right-censored gap from the last write
-        to the end of the capture window is appended — needed when
-        accounting for *time* spent in intervals, since the trailing idle
-        period is real LO-REF opportunity.
-        """
-        times = self.writes.get(page)
-        if times is None or len(times) == 0:
-            return np.empty(0, dtype=np.float64)
-        intervals = np.diff(times)
-        if include_trailing:
-            trailing = self.duration_ms - times[-1]
-            intervals = np.append(intervals, trailing)
-        return intervals
-
     def all_intervals(self, include_trailing: bool = False) -> np.ndarray:
-        """Write intervals pooled over every written page."""
-        parts = [
-            self.page_intervals(page, include_trailing)
-            for page in self.writes
-        ]
-        parts = [p for p in parts if len(p)]
+        """Write intervals (gaps between consecutive writes), pooled.
+
+        Pages come in ``writes`` order, each page's intervals in time
+        order. With ``include_trailing`` each page's right-censored gap
+        from its last write to the end of the capture window follows its
+        intervals — needed when accounting for *time* spent in intervals,
+        since the trailing idle period is real LO-REF opportunity.
+
+        One difference over all pages' writes laid end to end: the slot
+        after each page's last write is where the next page starts, so it
+        is dropped, or holds the trailing gap.
+        """
+        parts = [times for times in self.writes.values() if len(times)]
         if not parts:
             return np.empty(0, dtype=np.float64)
-        return np.concatenate(parts)
+        times = np.concatenate(parts)
+        last = np.cumsum([len(part) for part in parts]) - 1
+        intervals = np.empty(len(times))
+        np.subtract(times[1:], times[:-1], out=intervals[:-1])
+        if include_trailing:
+            intervals[last] = self.duration_ms - times[last]
+            return intervals
+        del times  # so np.delete's copy is the second array, not a third
+        return np.delete(intervals, last)
 
     # ------------------------------------------------------------------
     def scaled_intervals(self, factor: float) -> "WriteTrace":

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import dataclasses
 from collections import OrderedDict
-from typing import Dict, Optional
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -24,12 +24,8 @@ from .events import WriteTrace
 from .workloads import WorkloadProfile
 
 
-def pareto_gaps(
-    rng: np.random.Generator, n: int, xm_ms: float, alpha: float
-) -> np.ndarray:
-    """``n`` Pareto(xm, alpha) idle gaps, in milliseconds."""
-    # Inverse-CDF sampling: P(X > x) = (xm / x) ** alpha for x >= xm.
-    return xm_ms * rng.random(n) ** (-1.0 / alpha)
+#: 2**-53: scales a 53-bit integer into [0, 1), as numpy's ``random()``.
+_UNIT = 1.0 / 9007199254740992.0
 
 
 def generate_page_writes(
@@ -47,14 +43,16 @@ def generate_page_writes(
     ``1 + Poisson(burst_extra_mean)`` writes with a Pareto(xm, alpha) idle
     gap until the window ends.
 
-    The episode loop is written to preserve the original RNG stream and
-    float rounding bit for bit while avoiding per-write Python work: a
-    burst's timestamps come from one sequential ``cumsum`` over
-    ``[t, spacings]`` (identical rounding to repeated ``t += spacing``)
-    and ``Poisson(0)`` draws are skipped because they consume no RNG
-    bits. The Pareto gap stays an array-shaped draw: numpy's array power
-    rounds differently from scalar ``**``, so a scalar draw would change
-    the trace.
+    Each episode draws ``poisson`` (bursts only: ``Poisson(0)`` consumes
+    nothing), ``exponential(size=k)`` for its ``k`` spacings and
+    ``random()`` for its gap, in that order, and the loop only collects
+    the draws (``random()`` read from its raw word, DESIGN.md "Raw-word
+    draws"). The timestamps come afterwards, from one sequential
+    :func:`_running_times` over the whole page, which rounds each one
+    exactly as the per-write recurrence ``t += spacing`` (then
+    ``t += gap``) does. The loop stops on a running total summed in
+    Python floats; where that total lies within its rounding bound of
+    the window end, it takes the exact one instead.
     """
     if duration_ms <= 0:
         raise ValueError("duration_ms must be positive")
@@ -62,23 +60,71 @@ def generate_page_writes(
         raise ValueError("Pareto parameters must be positive")
     if burst_extra_mean < 0:
         raise ValueError("burst_extra_mean must be non-negative")
-    chunks = []
-    t = rng.uniform(0.0, min(xm_ms, duration_ms)) if start_ms is None else start_ms
+    poisson, exponential = rng.poisson, rng.exponential
+    raw = rng.bit_generator.random_raw
+    tail = -1.0 / pareto_alpha
+    start = (
+        rng.uniform(0.0, min(xm_ms, duration_ms))
+        if start_ms is None else start_ms
+    )
+    bursts: List[np.ndarray] = []  # each episode's spacings
+    uniforms: List[float] = []     # each episode's gap draw
+    add_burst, add_uniform = bursts.append, uniforms.append
+    # Near the window end ``t`` and the exact total differ by at most
+    # ``n_steps * ulp``: each sum rounds by half a unit in the last place,
+    # and the two powers of a draw differ by at most two units.
+    ulp = 2.0 ** -51 * duration_ms
+    n_steps = 1
+    t = start
     while t < duration_ms:
-        burst_len = (
-            1 + rng.poisson(burst_extra_mean) if burst_extra_mean else 1
-        )
-        acc = np.empty(burst_len + 1, dtype=np.float64)
-        acc[0] = t
-        acc[1:] = rng.exponential(burst_spacing_ms, size=burst_len)
-        acc = acc.cumsum()  # acc[i] = t after i spacings
-        emitted = int(np.searchsorted(acc[:burst_len], duration_ms, "left"))
-        if emitted:
-            chunks.append(acc[:emitted])
-        t = acc[emitted] + float(pareto_gaps(rng, 1, xm_ms, pareto_alpha)[0])
-    if not chunks:
+        k = 1 + poisson(burst_extra_mean) if burst_extra_mean else 1
+        n_steps += k + 1
+        spacings = exponential(burst_spacing_ms, size=k)
+        u = (raw() >> 11) * _UNIT  # ``random()``, from its raw word
+        add_burst(spacings)
+        add_uniform(u)
+        try:
+            gap = xm_ms * u ** tail
+        except (ZeroDivisionError, OverflowError):  # numpy's power: inf
+            gap = float("inf")
+        t += sum(spacings.tolist()) + gap
+        if abs(t - duration_ms) <= n_steps * ulp:
+            exact, _ = _running_times(start, bursts, uniforms, xm_ms, tail)
+            t = exact.item(-1)
+    if not bursts:
         return np.asarray([], dtype=np.float64)
-    return np.concatenate(chunks)
+    running, gap_at = _running_times(start, bursts, uniforms, xm_ms, tail)
+    # An episode's writes are its start and all but its last running sum.
+    times = np.delete(running, np.append(gap_at - 1, gap_at[-1]))
+    return times[: times.searchsorted(duration_ms)]
+
+
+def _running_times(
+    start: float,
+    bursts: List[np.ndarray],
+    uniforms: List[float],
+    xm_ms: float,
+    tail: float,
+) -> Tuple[np.ndarray, np.ndarray]:
+    """The page's running time after each step, and where each gap lands.
+
+    The steps are the start, each episode's spacings, then its gap; one
+    sequential ``np.add.accumulate`` sums them. Episode ``e`` starts at
+    index ``gap_at[e - 1]`` (0 for the first); the last entry is where
+    the episode after the last one would start. Gaps are Pareto by
+    inverse CDF, ``xm * u ** (-1 / alpha)``, with numpy's array power:
+    a scalar ``**`` rounds some of them differently.
+    """
+    lengths = np.array([len(spacings) for spacings in bursts])
+    gap_at = np.cumsum(lengths + 1)
+    steps = np.empty(gap_at[-1] + 1)
+    is_spacing = np.ones(len(steps), dtype=bool)
+    is_spacing[0] = False
+    is_spacing[gap_at] = False
+    steps[0] = start
+    steps[gap_at] = xm_ms * np.array(uniforms) ** tail
+    steps[is_spacing] = np.concatenate(bursts)
+    return np.add.accumulate(steps), gap_at
 
 
 #: Deterministic traces keyed by (profile type + fields, seed, window).

@@ -1,6 +1,8 @@
 """Tests for the trace-driven CPU core model."""
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.mc.request import Request, RequestKind
 from repro.sim.core import CoreConfig, TraceCore
@@ -69,6 +71,81 @@ class TestRequestGeneration:
             request = core.next_request(1e9)
             assert request is not None
         assert core.outstanding == 0
+
+
+#: Counts whose Lemire draw sometimes redraws (not powers of two), the
+#: one-draw-free count 1, and the largest and smallest 32-bit cases.
+_COUNTS = st.one_of(
+    st.sampled_from([1, 2, 3, 6, 8, 1000, 32768, 2**31 + 1, 2**32]),
+    st.integers(1, 2**32),
+)
+
+
+def _retired_stream(seed, core_id, bench, banks, rows_per_bank, channels, n):
+    """The request stream as the core drew it from numpy's own methods:
+    ``exponential`` for each gap, ``random()`` for the write and row-hit
+    coins, ``integers`` for a fresh location (no channel draw on one
+    channel). Reads complete at issue, so the core never stalls and each
+    request issues one gap after the previous one."""
+    rng = np.random.default_rng((seed << 8) ^ core_id)
+    per_ns = CoreConfig().instructions_per_ns
+    mean = 1000.0 / bench.mpki
+    gap = float(rng.exponential(mean))
+    clock = 0.0
+    last = (0, 0, 0)
+    stream = []
+    for _ in range(n):
+        clock = clock + gap / per_ns
+        gap = float(rng.exponential(mean))
+        is_write = rng.random() < bench.write_fraction
+        if rng.random() >= bench.row_hit_rate:
+            channel = int(rng.integers(channels)) if channels > 1 else 0
+            bank = int(rng.integers(banks))
+            row = int(rng.integers(rows_per_bank))
+            last = (channel, bank, row)
+        kind = RequestKind.WRITE if is_write else RequestKind.READ
+        stream.append((kind, *last, clock))
+    return stream
+
+
+class TestRawWordDraws:
+    """The core computes its draws from raw PCG64 words; the stream must
+    be the one numpy's ``random()`` and ``integers()`` produced."""
+
+    @given(
+        seed=st.integers(0, 2**32),
+        core_id=st.integers(0, 15),
+        banks=_COUNTS,
+        rows_per_bank=_COUNTS,
+        channels=_COUNTS,
+        row_hit_rate=st.sampled_from([0.0, 0.3, 0.9]),
+        write_fraction=st.sampled_from([0.0, 0.25, 1.0]),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_stream_matches_numpy_draws(
+        self, seed, core_id, banks, rows_per_bank, channels,
+        row_hit_rate, write_fraction,
+    ):
+        bench = _bench(mpki=20.0, row_hit_rate=row_hit_rate,
+                       write_fraction=write_fraction)
+        core = TraceCore(core_id, bench, banks=banks,
+                         rows_per_bank=rows_per_bank, channels=channels,
+                         seed=seed)
+        got = []
+        for _ in range(2000):
+            request = core.next_request(float("inf"))
+            got.append((request.kind, request.channel, request.bank,
+                        request.row, request.arrival_ns))
+            if request.kind is RequestKind.READ:
+                core.complete_read(request, request.arrival_ns)
+        assert got == _retired_stream(seed, core_id, bench, banks,
+                                      rows_per_bank, channels, 2000)
+
+    @pytest.mark.parametrize("field", ["channels", "banks", "rows_per_bank"])
+    @pytest.mark.parametrize("count", [0, 2**32 + 1])
+    def test_counts_outside_32_bits_raise(self, field, count):
+        with pytest.raises(ValueError):
+            TraceCore(0, _bench(mpki=10.0), **{field: count})
 
 
 class TestStalling:

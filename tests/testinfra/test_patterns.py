@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.testinfra.patterns import (
     CANONICAL_PATTERNS,
@@ -68,6 +69,22 @@ class TestRandomPatterns:
     def test_roughly_half_density(self):
         bits = random_pattern(1).row_bits(0, 4096)
         assert 0.45 < bits.mean() < 0.55
+
+    @given(
+        seed=st.integers(0, 2**20),
+        row=st.integers(0, 2**20 - 1),
+        n=st.integers(1, 20_000),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_rows_are_numpys_uint8_draws(self, seed, row, n):
+        # The retired formula: one generator per row, numpy's bounded
+        # uint8 draw. Rows now come from the generator's raw words.
+        want = np.random.default_rng((seed << 20) ^ row).integers(
+            0, 2, size=n, dtype=np.uint8
+        )
+        got = random_pattern(seed).row_bits(row, n)
+        assert got.dtype == np.uint8
+        np.testing.assert_array_equal(got, want)
 
 
 class TestBattery:

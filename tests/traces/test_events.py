@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.traces.events import WriteTrace
+from tests.oracles.traces import page_intervals, pooled_intervals
 
 
 class TestValidation:
@@ -49,23 +50,25 @@ class TestAccessors:
 
 
 class TestIntervals:
+    """The per-page oracle, and the pooled intervals held to it."""
+
     def test_page_intervals(self, trace_factory):
         trace = trace_factory({0: [1.0, 4.0, 9.0]})
-        assert list(trace.page_intervals(0)) == [3.0, 5.0]
+        assert list(page_intervals(trace, 0)) == [3.0, 5.0]
 
     def test_trailing_interval_appended(self, trace_factory):
         trace = trace_factory({0: [1.0, 4.0]}, duration_ms=10.0)
-        assert list(trace.page_intervals(0, include_trailing=True)) == [
+        assert list(page_intervals(trace, 0, include_trailing=True)) == [
             3.0, 6.0,
         ]
 
     def test_single_write_has_no_closed_interval(self, trace_factory):
         trace = trace_factory({0: [3.0]})
-        assert len(trace.page_intervals(0)) == 0
+        assert len(page_intervals(trace, 0)) == 0
 
     def test_unwritten_page_empty(self, trace_factory):
         trace = trace_factory({0: [1.0]})
-        assert len(trace.page_intervals(5)) == 0
+        assert len(page_intervals(trace, 5)) == 0
 
     def test_all_intervals_pools_pages(self, trace_factory):
         trace = trace_factory({0: [0.0, 2.0], 1: [0.0, 5.0]})
@@ -74,6 +77,46 @@ class TestIntervals:
     def test_all_intervals_empty_when_no_writes(self, trace_factory):
         trace = trace_factory({})
         assert len(trace.all_intervals()) == 0
+
+    def test_all_intervals_keeps_page_order_and_trailing_gaps(
+        self, trace_factory
+    ):
+        trace = trace_factory(
+            {3: [1.0, 4.0, 9.0], 0: [], 1: [2.0], 2: [0.5, 0.75]},
+            duration_ms=10.0,
+        )
+        assert list(trace.all_intervals()) == [3.0, 5.0, 0.25]
+        assert list(trace.all_intervals(include_trailing=True)) == [
+            3.0, 5.0, 1.0, 8.0, 0.25, 9.25,
+        ]
+
+    @given(
+        pages=st.dictionaries(
+            st.integers(0, 31),
+            st.lists(
+                st.floats(0.0, 999.0, allow_nan=False), max_size=6
+            ).map(sorted),
+            max_size=10,
+        ),
+        include_trailing=st.booleans(),
+        factor=st.sampled_from([None, 0.5, 1.7]),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_all_intervals_match_per_page_pooling(
+        self, pages, include_trailing, factor
+    ):
+        trace = WriteTrace(
+            duration_ms=1000.0,
+            writes={p: np.asarray(t, dtype=np.float64)
+                    for p, t in pages.items()},
+            total_pages=32,
+        )
+        if factor is not None:
+            trace = trace.scaled_intervals(factor)
+        got = trace.all_intervals(include_trailing)
+        want = pooled_intervals(trace, include_trailing)
+        assert got.dtype == want.dtype == np.float64
+        assert got.tobytes() == want.tobytes()
 
 
 class TestScaledIntervals:

@@ -1,9 +1,11 @@
 """Tests for the synthetic write-trace generator."""
 
 import dataclasses
+import hashlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro import obs
 from repro.traces import generator
@@ -11,21 +13,32 @@ from repro.traces.generator import (
     clear_trace_cache,
     generate_page_writes,
     generate_trace,
-    pareto_gaps,
     trace_cache_info,
 )
 from repro.traces.workloads import WORKLOADS, WorkloadProfile
+from tests.oracles.traces import page_writes_loop
+
+
+def _idle_gaps(seed, xm_ms, alpha, duration_ms):
+    """Gaps between single-write episodes: Pareto(xm, alpha) draws, each
+    plus one negligible intra-burst spacing."""
+    times = generate_page_writes(
+        np.random.default_rng(seed), duration_ms=duration_ms, xm_ms=xm_ms,
+        pareto_alpha=alpha, burst_extra_mean=0.0, burst_spacing_ms=1e-9,
+        start_ms=0.0,
+    )
+    return np.diff(times)
 
 
 class TestParetoGaps:
     def test_respects_scale_minimum(self):
-        rng = np.random.default_rng(0)
-        gaps = pareto_gaps(rng, 1000, xm_ms=5.0, alpha=0.7)
+        gaps = _idle_gaps(0, xm_ms=5.0, alpha=0.7, duration_ms=1e5)
+        assert len(gaps) > 400
         assert gaps.min() >= 5.0
 
     def test_tail_index_roughly_correct(self):
-        rng = np.random.default_rng(1)
-        gaps = pareto_gaps(rng, 200_000, xm_ms=1.0, alpha=0.8)
+        gaps = _idle_gaps(1, xm_ms=1.0, alpha=0.8, duration_ms=1e7)
+        assert len(gaps) > 40_000
         # P(X > x) = x**-alpha: check the empirical CCDF at x = 10.
         assert np.mean(gaps > 10.0) == pytest.approx(10 ** -0.8, rel=0.1)
 
@@ -73,6 +86,53 @@ class TestPageWrites:
             generate_page_writes(rng, burst_spacing_ms=0.1, **kwargs)
 
 
+class TestRetiredEpisodeLoop:
+    """The page's timestamps and the generator's state afterwards match
+    the retired one-episode-at-a-time loop, bit for bit."""
+
+    @staticmethod
+    def _both(seed, *args, **kwargs):
+        got_rng = np.random.default_rng(seed)
+        want_rng = np.random.default_rng(seed)
+        got = generate_page_writes(got_rng, *args, **kwargs)
+        want = page_writes_loop(want_rng, *args, **kwargs)
+        assert got.dtype == want.dtype == np.float64
+        assert got.tobytes() == want.tobytes()
+        assert got_rng.bit_generator.state == want_rng.bit_generator.state
+        return got
+
+    @given(
+        seed=st.integers(0, 2**32),
+        duration_ms=st.floats(1.0, 5_000.0),
+        xm_ms=st.floats(1.0, 1_000.0),
+        # 0.002: a gap from any draw under 0.24 overflows to inf.
+        pareto_alpha=st.sampled_from(
+            [0.002, 0.3, 0.5, 0.62, 0.7, 0.8, 1.0, 2.0]
+        ),
+        burst_extra_mean=st.sampled_from([0.0, 0.5, 3.0, 25.0, 40.0]),
+        burst_spacing_ms=st.floats(0.01, 1.0),
+        start_ms=st.one_of(st.none(), st.floats(0.0, 6_000.0)),
+    )
+    @settings(max_examples=150, deadline=None)
+    @pytest.mark.filterwarnings("ignore:overflow encountered in power")
+    def test_matches_retired_loop(self, seed, duration_ms, xm_ms,
+                                  pareto_alpha, burst_extra_mean,
+                                  burst_spacing_ms, start_ms):
+        self._both(seed, duration_ms, xm_ms, pareto_alpha,
+                   burst_extra_mean, burst_spacing_ms, start_ms=start_ms)
+
+    @pytest.mark.parametrize("episode", [1, 7, 60, 133, 400, 1000, 2500])
+    def test_window_ending_on_an_episode_start(self, episode):
+        # With single-write episodes each write starts an episode. A
+        # window ending exactly on one must stop before drawing it.
+        kwargs = dict(xm_ms=2.0, pareto_alpha=0.7, burst_extra_mean=0.0,
+                      burst_spacing_ms=0.1, start_ms=0.0)
+        times = page_writes_loop(np.random.default_rng(3),
+                                 duration_ms=1e6, **kwargs)
+        got = self._both(3, times[episode], **kwargs)
+        assert len(got) == episode
+
+
 class TestGenerateTrace:
     @pytest.fixture(scope="class")
     def trace(self):
@@ -118,6 +178,37 @@ class TestGenerateTrace:
         assert trace.duration_ms == 5_000.0
         for times in trace.writes.values():
             assert times.max() < 5_000.0
+
+
+#: sha256 over each page's id (int64) and write times (float64), in
+#: ``writes`` order, of ``generate_trace(WORKLOADS[name], seed=1,
+#: duration_ms=30_000)``, recorded before the episode loop was rewritten
+#: to draw and sum whole bursts at a time.
+TRACE_PINS = {
+    "ACBrotherHood": (
+        409_950,
+        "e2c0167da000a970532ebef9fd619535c335b8c331bfca0d3e02bbd7cc89da39",
+    ),
+    "SystemMgt": (
+        496_379,
+        "f372039bdfb73092ed8958a998d1dc17b1d58413e1e785808f49fb778292a4bf",
+    ),
+    "BlurMotion": (
+        169_482,
+        "94e23769fa3b8fb0e841f1235e6241b24cd36dfa169e8fa3fa871bcb456bdb9b",
+    ),
+}
+
+
+class TestTracePins:
+    @pytest.mark.parametrize("name", sorted(TRACE_PINS))
+    def test_trace_bytes_pinned(self, name):
+        trace = generate_trace(WORKLOADS[name], seed=1, duration_ms=30_000)
+        digest = hashlib.sha256()
+        for page, times in trace.writes.items():
+            digest.update(np.int64(page).tobytes())
+            digest.update(np.asarray(times, dtype="<f8").tobytes())
+        assert (trace.n_writes, digest.hexdigest()) == TRACE_PINS[name]
 
 
 class TestTraceCache:
