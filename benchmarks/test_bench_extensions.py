@@ -120,36 +120,3 @@ def test_bench_ext_refresh_energy(run_once):
         f"{k}Gb": round(v) for k, v in savings.items()
     })
 
-
-def test_bench_ext_row_granular_refresh(run_once):
-    """RAIDR-style per-row refresh beats all-bank REF at equal work."""
-    from repro.mc.rowrefresh import RowRefreshSettings
-    from repro.mc.controller import RefreshSettings
-    from repro.sim.system import SystemConfig, SystemSimulator
-    from repro.traces.spec import get_benchmark
-
-    def compare():
-        settings = RowRefreshSettings(hi_rows=1311, lo_rows=6881)
-        row_sim = SystemSimulator(
-            [get_benchmark("mcf")],
-            SystemConfig(density_gbit=32, row_refresh=settings),
-            seed=3,
-        )
-        allbank_sim = SystemSimulator(
-            [get_benchmark("mcf")],
-            SystemConfig(
-                density_gbit=32,
-                refresh=RefreshSettings(
-                    reduction=settings.refresh_reduction()
-                ),
-            ),
-            seed=3,
-        )
-        return (row_sim.run(40_000.0).cores[0].ipc,
-                allbank_sim.run(40_000.0).cores[0].ipc)
-
-    row_ipc, allbank_ipc = run_once(compare)
-    assert row_ipc > allbank_ipc
-    print(f"ext: row-granular IPC {row_ipc:.3f} vs all-bank "
-          f"{allbank_ipc:.3f} at equal refresh work "
-          f"(+{100 * (row_ipc / allbank_ipc - 1):.1f}%)")

@@ -36,7 +36,7 @@ so that
   first cell draw from the same stream position).
 
 Populations live in one CSR table: flat physical-column and threshold
-arrays holding each resident row's cells as one segment (columns sorted),
+arrays holding each generated row's cells as one segment (columns sorted),
 plus per-row start, count, polarity and minimum-threshold arrays. Finding
 a batch's cells, and its worst case, is index arithmetic over that table.
 The predicates take content in *system* order together with the chip's
@@ -60,11 +60,6 @@ import numpy as np
 from .. import obs
 from .scramble import VendorMapping
 
-#: Registry names for resident-row accounting: the gauge reads the
-#: dense row state a process holds across every live fault map.
-RESIDENT_ROWS_GAUGE = "dram.resident_rows"
-ROWS_EVICTED_COUNTER = "dram.rows_evicted"
-
 
 def _segments(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
     """Flat indices of the CSR segments ``[start, start + count)``, in order."""
@@ -72,15 +67,6 @@ def _segments(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
     total = int(ends[-1]) if len(ends) else 0
     return np.arange(total) + np.repeat(starts - (ends - counts), counts)
 
-
-def _note_residency(generated: int, evicted: int) -> None:
-    """Fold a generation/eviction delta into the process metrics."""
-    if not (generated or evicted):
-        return
-    registry = obs.get_registry()
-    if evicted:
-        registry.counter(ROWS_EVICTED_COUNTER).inc(evicted)
-    registry.gauge(RESIDENT_ROWS_GAUGE).add(generated - evicted)
 
 # ----------------------------------------------------------------------
 # Counter-based RNG substrate (SplitMix64 sub-streams)
@@ -279,14 +265,8 @@ class FaultMap:
 
     Generated lazily — and, through the batch APIs, for arbitrarily many
     rows per vectorised pass — so module-scale populations (hundreds of
-    thousands of rows) stay cheap.
-
-    ``max_resident_rows`` bounds the rows held in the population table.
-    Least-recently-used rows are evicted so a batch fits, but never a row
-    of the batch being evaluated: a batch wider than the budget overshoots
-    it for its own duration. An evicted row regenerates bitwise-identically
-    on its next touch, since populations are pure functions of (seed, row)
-    counter streams.
+    thousands of rows) stay cheap. A generated row stays in the table for
+    the map's lifetime.
     """
 
     def __init__(
@@ -295,40 +275,25 @@ class FaultMap:
         bits_per_row: int,
         config: FaultModelConfig = FaultModelConfig(),
         seed: int = 0,
-        max_resident_rows: Optional[int] = None,
     ) -> None:
         if total_rows <= 0 or bits_per_row <= 0:
             raise ValueError("rows and bits_per_row must be positive")
-        if max_resident_rows is not None and max_resident_rows < 1:
-            raise ValueError("max_resident_rows must be positive or None")
         self.total_rows = total_rows
         self.bits_per_row = bits_per_row
         self.config = config
         self.seed = seed
-        self.max_resident_rows = max_resident_rows
         self._seed_base = _mix64(np.array(seed & _MASK64, dtype=_U64))
-        self._clear_table()
-
-    def _clear_table(self) -> None:
-        """An empty population table: no row resident.
-
-        Row ``r``'s cells are ``_columns[_start[r]:_start[r] + _count[r]]``
-        (thresholds aligned) while ``_resident[r]``. The flat arrays grow
-        by appending; an evicted row's segment is dropped at the next
-        regrowth. ``_last_use`` orders resident rows for LRU eviction.
-        """
-        rows = self.total_rows
+        # Row ``r``'s cells are ``_columns[_start[r]:_start[r] + _count[r]]``
+        # (thresholds aligned) once ``_resident[r]``. The flat arrays grow
+        # by appending, so ``[0, _used)`` holds only live segments.
         self._columns = _EMPTY_COLUMNS
         self._thresholds = _EMPTY_THRESHOLDS
         self._used = 0
-        self._start = np.zeros(rows, dtype=np.int64)
-        self._count = np.zeros(rows, dtype=np.int64)
-        self._true_cell = np.zeros(rows, dtype=bool)
-        self._min_threshold = np.zeros(rows, dtype=np.float64)
-        self._resident = np.zeros(rows, dtype=bool)
-        self._last_use = np.zeros(rows, dtype=np.int64)
-        self._clock = 0
-        self._n_resident = 0
+        self._start = np.zeros(total_rows, dtype=np.int64)
+        self._count = np.zeros(total_rows, dtype=np.int64)
+        self._true_cell = np.zeros(total_rows, dtype=bool)
+        self._min_threshold = np.zeros(total_rows, dtype=np.float64)
+        self._resident = np.zeros(total_rows, dtype=bool)
 
     # ------------------------------------------------------------------
     # Population generation (counter-based, batch-vectorised)
@@ -367,54 +332,10 @@ class FaultMap:
         }
 
     def _ensure_rows(self, rows: np.ndarray) -> None:
-        """Make every row of ``rows`` resident, evicting under the budget."""
+        """Generate every row of ``rows`` not yet in the table."""
         missing = np.unique(rows[~self._resident[rows]])
-        evicted = 0
-        if self.max_resident_rows is not None:
-            batch = np.unique(rows)
-            self._touch(batch[self._resident[batch]])
-            evicted = self._evict(
-                max(self.max_resident_rows, len(batch)) - len(missing)
-            )
         if len(missing):
             self._generate_rows(missing)
-            if self.max_resident_rows is not None:
-                self._touch(missing)
-        _note_residency(len(missing), evicted)
-
-    def _touch(self, rows: np.ndarray) -> None:
-        """Mark ``rows`` most recently used, in their given order."""
-        self._last_use[rows] = self._clock + np.arange(1, len(rows) + 1)
-        self._clock += len(rows)
-
-    def _evict(self, keep: int) -> int:
-        """Evict least-recently-used rows until ``keep`` remain resident."""
-        excess = self._n_resident - keep
-        if excess <= 0:
-            return 0
-        resident = np.flatnonzero(self._resident)
-        oldest = np.argpartition(self._last_use[resident], excess - 1)
-        self._resident[resident[oldest[:excess]]] = False
-        self._n_resident -= excess
-        return excess
-
-    def resident_rows(self) -> int:
-        """How many rows currently hold materialized population state."""
-        return self._n_resident
-
-    def release(self) -> None:
-        """Drop all resident row state and square up the process gauge.
-
-        Populations regenerate bitwise-identically on the next touch, so
-        this only trades memory for recomputation. Short-lived maps (one
-        fleet host screened per work unit) call this when done so the
-        process-wide resident-rows gauge tracks *live* dense state, not
-        every map ever constructed.
-        """
-        resident = self._n_resident
-        self._clear_table()
-        if resident:
-            obs.get_registry().gauge(RESIDENT_ROWS_GAUGE).add(-resident)
 
     def _generate_rows(self, rows: np.ndarray) -> None:
         """Generate populations for (unique, uncached) ``rows`` in one pass."""
@@ -453,28 +374,23 @@ class FaultMap:
         self._true_cell[rows] = true_cell
         self._min_threshold[rows] = min_threshold
         self._resident[rows] = True
-        self._n_resident += len(rows)
 
     def _reserve(self, cells: int) -> int:
         """Room for ``cells`` more cells in the flat arrays; their offset.
 
-        When full, the arrays are rebuilt at twice the live size, keeping
-        only resident rows' segments. Segments handed out as views keep
-        their old buffer, so they never change under the caller.
+        When full, the live prefix is copied into arrays of twice the
+        needed size; segment offsets stay valid. Segments handed out as
+        views keep their old buffer, so they never change under the caller.
         """
-        if self._used + cells > len(self._columns):
-            live = np.flatnonzero(self._resident)
-            counts = self._count[live]
-            index = _segments(self._start[live], counts)
-            capacity = max(2 * (len(index) + cells), 1024)
+        used = self._used
+        if used + cells > len(self._columns):
+            capacity = max(2 * (used + cells), 1024)
             columns = np.empty(capacity, dtype=np.int64)
             thresholds = np.empty(capacity, dtype=np.float64)
-            columns[: len(index)] = self._columns[index]
-            thresholds[: len(index)] = self._thresholds[index]
-            self._start[live] = np.cumsum(counts) - counts
+            columns[:used] = self._columns[:used]
+            thresholds[:used] = self._thresholds[:used]
             self._columns, self._thresholds = columns, thresholds
-            self._used = len(index)
-        offset = self._used
+        offset = used
         self._used += cells
         return offset
 
@@ -505,8 +421,6 @@ class FaultMap:
         self._check_row(row_index)
         if not self._resident[row_index]:
             self._ensure_rows(np.array([row_index], dtype=np.int64))
-        elif self.max_resident_rows is not None:
-            self._touch(np.array([row_index], dtype=np.int64))
         start = self._start[row_index]
         stop = start + self._count[row_index]
         columns = self._columns[start:stop]

@@ -20,7 +20,6 @@ from . import (
     fig17,
     fig18,
     fig19,
-    fleet,
     table3,
 )
 from .common import ExperimentResult, percent
@@ -41,7 +40,6 @@ __all__ = [
     "fig17",
     "fig18",
     "fig19",
-    "fleet",
     "percent",
     "table3",
 ]

@@ -71,7 +71,7 @@ from ..parallel import (
 )
 from . import (
     fig03, fig04, fig06, fig07, fig08, fig09, fig11, fig12,
-    fig14, fig15, fig16, fig17, fig18, fig19, fleet, table3,
+    fig14, fig15, fig16, fig17, fig18, fig19, table3,
 )
 from .common import ExperimentResult
 
@@ -93,9 +93,6 @@ EXPERIMENTS: Dict[str, Callable[..., ExperimentResult]] = {
     "fig18": fig18.run,
     "fig19": fig19.run,
     "table3": table3.run,
-    # The fleet runs the Figure 14 accounting on many hosts; it comes
-    # last because it extends the paper rather than reproducing it.
-    "fleet": fleet.run,
 }
 
 
@@ -232,8 +229,8 @@ def main(argv: Optional[List[str]] = None) -> int:
         "--live", action="store_true",
         help="periodic stderr status line (events/s, LO-REF rows, "
         "outstanding tests, ETA) driven by the in-process aggregator; "
-        "with --jobs N also a per-worker health row fed by the "
-        "cross-process telemetry bus (stalled-worker detection)",
+        "with --jobs N also one row per worker (units done, last unit, "
+        "RSS peak), refreshed as units finish",
     )
     parser.add_argument(
         "--profile", action="store_true",
@@ -370,22 +367,11 @@ def main(argv: Optional[List[str]] = None) -> int:
             unit_timeout_s=args.unit_timeout,
             max_retries=args.retries,
         )
-        if parallel and args.live:
-            # Cross-process telemetry: workers heartbeat over a queue
-            # created on the pool's own start method; the supervision
-            # loop drains it into the live aggregator + worker table.
-            import multiprocessing as _mp
-
-            bus = obs.TelemetryBus(
-                ctx=_mp.get_context(executor.start_method)
-            )
-            executor.attach_bus(
-                bus,
-                sink=aggregator,
-                on_tick=live.tick if live is not None else None,
-            )
-            if live is not None:
-                live.bus = bus
+    # Under --jobs N --live, every resolved unit repaints the worker rows.
+    on_unit = None
+    if parallel and live is not None:
+        def on_unit(unit, skipped):
+            live.show_workers(executor.topology()["workers"])
 
     profiler = (
         obs.SampledProfiler(
@@ -423,6 +409,7 @@ def main(argv: Optional[List[str]] = None) -> int:
                         )
                         payloads, stats = executor.run_units(
                             units, journal=journal, done=done,
+                            on_unit=on_unit,
                         )
                         result = merge_payloads(
                             name, payloads,
@@ -482,8 +469,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     if executor is not None:
         manifest.workers = executor.topology()
         manifest.workers["stats"] = totals
-        if executor.bus is not None:
-            executor.bus.close()
 
     if profiler is not None:
         manifest.profile = profiler.to_dict()

@@ -8,7 +8,6 @@ from .controller import (
     TestTrafficSettings,
 )
 from .request import Request, RequestKind
-from .rowrefresh import RowRefreshScheduler, RowRefreshSettings
 from .schedule import ArrivalSchedule
 from .scheduler import FrFcfsScheduler, SchedulerConfig
 

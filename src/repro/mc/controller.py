@@ -125,7 +125,6 @@ class MemoryController:
         test_traffic: Optional[TestTrafficSettings] = None,
         scheduler_config: Optional[SchedulerConfig] = None,
         on_read_complete: Optional[Callable[[Request], None]] = None,
-        row_refresh: Optional["RowRefreshScheduler"] = None,
         seed: int = 0,
         channel: int = 0,
     ) -> None:
@@ -167,14 +166,10 @@ class MemoryController:
         self._pend_test_injected = 0
         self._pend_served = [0, 0, 0]  # reads, writes, tests
         self._pend_latencies: List[float] = []
-        # Row-granularity refresh replaces all-bank REF when supplied.
-        self.row_refresh = row_refresh
         self._rng = np.random.default_rng(seed)
         # Refresh and test injection follow fixed periodic schedules.
-        self._refresh_schedule = (
-            None if row_refresh is not None
-            else ArrivalSchedule(self.refresh.effective_trefi_ns,
-                                 self.refresh.effective_trefi_ns)
+        self._refresh_schedule = ArrivalSchedule(
+            self.refresh.effective_trefi_ns, self.refresh.effective_trefi_ns
         )
         interval = self.test_traffic.request_interval_ns
         self._test_schedule = (
@@ -227,12 +222,11 @@ class MemoryController:
         scheduler = self.scheduler
         pick = scheduler.next_request
         earliest_issue = scheduler.earliest_issue_ns
-        row_refresh = self.row_refresh
         refresh = self._refresh_schedule
         tests = self._test_schedule
         # The schedules' deadlines live in locals for the whole drain;
         # only this loop advances them.
-        next_refresh = _INF if refresh is None else refresh.next_ns
+        next_refresh = refresh.next_ns
         next_test = _INF if tests is None else tests.next_ns
         t = now_ns
         while True:
@@ -242,8 +236,6 @@ class MemoryController:
             if t >= next_refresh:
                 self._refresh(t)
                 next_refresh = refresh.advance()
-            if row_refresh is not None:
-                row_refresh.tick(t, banks)
             # 2. Inject background test traffic on its schedule.
             if t >= next_test:
                 self._inject_test(next_test)
@@ -264,8 +256,6 @@ class MemoryController:
             # least one tCK on.
             floor = t + tck
             nxt = next_refresh if next_refresh < next_test else next_test
-            if row_refresh is not None and row_refresh.next_due_ns < nxt:
-                nxt = row_refresh.next_due_ns
             if nxt < floor:
                 nxt = floor
             if scheduler.pending:
@@ -359,18 +349,13 @@ class MemoryController:
     # ------------------------------------------------------------------
     def stats(self) -> ControllerStats:
         self.flush_metrics()
-        refreshes = self.rank.refreshes_issued
-        busy_ns = self.rank.refresh_busy_ns
-        if self.row_refresh is not None:
-            refreshes += self.row_refresh.commands_issued
-            busy_ns += self.row_refresh.busy_ns
         stats = ControllerStats(
             reads_served=self._reads_served,
             writes_served=self._writes_served,
             test_requests_served=self._tests_served,
             total_read_latency_ns=self._read_latency_ns,
-            refreshes_issued=refreshes,
-            refresh_busy_ns=busy_ns,
+            refreshes_issued=self.rank.refreshes_issued,
+            refresh_busy_ns=self.rank.refresh_busy_ns,
         )
         for bank in self.banks:
             stats.row_hits += bank.row_hits

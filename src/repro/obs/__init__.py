@@ -18,10 +18,8 @@ Four cooperating pieces, all near-zero-overhead until switched on:
   rate, controller latency percentiles, energy) land in the manifest.
 * **live status** (:mod:`.live`) — a throttled stderr status line
   (events/s, LO-REF rows, outstanding tests, ETA) over the aggregator,
-  plus per-worker health rows when a telemetry bus is attached.
-* **telemetry bus** (:mod:`.bus`) — a multiprocessing-queue heartbeat
-  channel from pool workers to the parent's fleet-style worker table
-  (current unit, RSS, stalled-worker detection via missed heartbeats).
+  plus one row per pool worker (units done, last unit, RSS peak) in a
+  sharded run, read from the executor's worker table.
 * **sampled profiler** (:mod:`.profile`) — opt-in wall-clock sampling
   of the span stack (collapsed-stack / flamegraph output) and optional
   tracemalloc peak-heap attribution, recorded under the manifest's
@@ -47,11 +45,6 @@ from .analytics import (
     AggregatingSink,
     TeeSink,
     aggregate_trace,
-)
-from .bus import (
-    BusPublisher,
-    TelemetryBus,
-    WorkerTable,
 )
 from .compare import (
     ComparisonResult,
@@ -111,9 +104,6 @@ __all__ = [
     "AggregatingSink",
     "TeeSink",
     "aggregate_trace",
-    "BusPublisher",
-    "TelemetryBus",
-    "WorkerTable",
     "SampledProfiler",
     "ComparisonResult",
     "MetricDelta",

@@ -58,7 +58,7 @@ WALL_CLOCK_THRESHOLD = 0.30
 _HIGHER_TOKENS = ("speedup", "reduction", "hit_rate", "coverage", "ipc",
                   "attributed")
 #: Name fragments / suffixes implying "smaller is better".
-#: ("rss" covers the bus/profiler memory high-water marks.)
+#: ("rss" covers the worker/profiler memory high-water marks.)
 _LOWER_TOKENS = ("overhead", "latency", "fraction", "rss")
 _LOWER_SUFFIXES = ("_s", "_ns", "_ms")
 #: Fragments whose metrics are as noisy as wall clock (allocator and
@@ -183,10 +183,9 @@ def _metrics_of_manifest(
         if _is_number(forensics.get(field_name)):
             metrics[f"forensics.{field_name}"] = float(forensics[field_name])
     workers = _mapping_of(data, "workers", warnings)
-    telemetry = _mapping_of(workers, "telemetry", warnings)
     rss_peaks = [
         worker["rss_peak_bytes"]
-        for worker in _list_of(telemetry, "workers", warnings)
+        for worker in _list_of(workers, "workers", warnings)
         if _is_number(worker.get("rss_peak_bytes"))
     ]
     if rss_peaks:

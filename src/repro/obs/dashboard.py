@@ -12,9 +12,8 @@ perf trajectories) into a single HTML file with inline SVG charts:
 * **flame view** — the sampled profiler's collapsed stacks
   (``"profile"``), falling back to the span tree, as a classic
   flamegraph layout;
-* **worker timeline** — a gantt of per-unit intervals from the
-  telemetry bus heartbeats (``workers.telemetry``), with stall/lost
-  markers;
+* **worker timeline** — a gantt of each pool worker's per-unit
+  intervals, from the executor's worker rows (``workers.workers``);
 * **failure forensics** — the ledger census a ``--forensics`` run folds
   into the manifest: record counts per ledger kind and a pointer at the
   why-CLI;
@@ -438,10 +437,7 @@ def _render_flame(root: _Flame, unit: str, max_depth: int = 8) -> str:
 # ----------------------------------------------------------------------
 # Worker timeline (gantt)
 # ----------------------------------------------------------------------
-def _render_worker_timeline(telemetry: Mapping[str, Any]) -> str:
-    workers = telemetry.get("workers") or []
-    if not workers:
-        return ""
+def _render_worker_timeline(workers: Sequence[Mapping[str, Any]]) -> str:
     t_lo = t_hi = None
     for worker in workers:
         for interval in worker.get("timeline") or []:
@@ -473,8 +469,7 @@ def _render_worker_timeline(telemetry: Mapping[str, Any]) -> str:
     )
     for i, worker in enumerate(workers):
         y = i * (row_h + gap) + 2
-        state = worker.get("state", "idle")
-        label = str(worker.get("label", "?"))
+        label = str(worker.get("shard", "?"))
         parts.append(
             f'<text x="{label_w - 8}" y="{y + 14}" text-anchor="end">'
             f"{_esc(label)}</text>"
@@ -482,26 +477,17 @@ def _render_worker_timeline(telemetry: Mapping[str, Any]) -> str:
         for interval in worker.get("timeline") or []:
             t0 = interval.get("t_start")
             t1 = interval.get("t_end")
-            if t0 is None:
+            if t0 is None or t1 is None:
                 continue
-            open_end = t1 is None
-            t1 = t1 if t1 is not None else t_hi
             x = label_w + (t0 - t_lo) / span * plot_w
             w = max((t1 - t0) / span * plot_w - 1.5, 1.5)
             name = f"{interval.get('experiment')}/{interval.get('unit')}"
             wall = interval.get("wall_s")
             tip = f"{name} ({_fmt(wall)}s)" if wall is not None else name
-            fill = "var(--status-warning)" if open_end else "var(--series-1)"
             parts.append(
                 f"<g><title>{_esc(label)}: {_esc(tip)}</title>"
                 f'<rect x="{x:.1f}" y="{y}" width="{w:.1f}" '
-                f'height="{row_h}" rx="3" fill="{fill}"/></g>'
-            )
-        if state in ("stalled", "lost"):
-            parts.append(
-                f'<text x="{_W - 14}" y="{y + 14}" text-anchor="end" '
-                f'style="fill: var(--status-critical); font-weight: 600">'
-                f"⚠ {_esc(state)}</text>"
+                f'height="{row_h}" rx="3" fill="var(--series-1)"/></g>'
             )
     return _svg("".join(parts), height=height)
 
@@ -771,28 +757,20 @@ def _workers_section(manifest: Mapping[str, Any]) -> str:
     workers = manifest.get("workers")
     if not workers:
         return ""
-    telemetry = workers.get("telemetry") or {}
-    gantt = _render_worker_timeline(telemetry)
+    rows = workers.get("workers") or []
     stats = workers.get("stats") or {}
     bits = [
         f"jobs {workers.get('jobs')}",
         f"start method {workers.get('start_method')}",
     ]
     bits.extend(f"{key} {value}" for key, value in sorted(stats.items()))
-    rows = telemetry.get("workers") or []
     table = ""
     if rows:
-        head = (
-            "<tr><th>worker</th><th>state</th><th>units</th>"
-            "<th>heartbeats</th><th>stalls</th><th>rss peak</th></tr>"
-        )
+        head = "<tr><th>worker</th><th>units</th><th>rss peak</th></tr>"
         body = "".join(
             "<tr>"
-            f"<td>{_esc(r.get('label'))}</td>"
-            f"<td>{_esc(r.get('state'))}</td>"
-            f"<td>{_cell(r.get('units_done'))}</td>"
-            f"<td>{_cell(r.get('heartbeats'))}</td>"
-            f"<td>{_cell(r.get('stalls'))}</td>"
+            f"<td>{_esc(r.get('shard'))}</td>"
+            f"<td>{_cell(r.get('units'))}</td>"
             f"<td>{_cell((r.get('rss_peak_bytes') or 0) / (1 << 20))} MB</td>"
             "</tr>"
             for r in rows
@@ -803,12 +781,9 @@ def _workers_section(manifest: Mapping[str, Any]) -> str:
         )
     return _section(
         "Worker timeline",
-        gantt,
+        _render_worker_timeline(rows),
         table,
-        sub=" · ".join(bits) + (
-            "" if rows else
-            " — no bus telemetry (run with --live to record heartbeats)"
-        ),
+        sub=" · ".join(bits),
     )
 
 

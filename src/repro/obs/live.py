@@ -14,21 +14,18 @@ populations and outstanding-test counts come straight from the shared
 aggregator, so watching a run costs one clock read per event, or per
 batch for records delivered through ``emit_many``.
 
-With a :class:`~repro.obs.bus.TelemetryBus` attached (sharded runs),
-each repaint additionally prints one row per pool worker — current
-unit, units done, RSS peak, heartbeat age, and ``STALLED`` flags from
-the bus's missed-heartbeat scan::
+In a sharded run the runner passes the executor's worker rows to
+:meth:`show_workers` as each unit is accepted, and each repaint then
+prints one row per pool worker — units done, the last unit it finished
+and its RSS peak::
 
     [live] 1203 events (40 ev/s) | lo-ref rows 64 | ...
-      worker-g1-4711: fig04/scan-3 | units 2 | rss 91MB | hb 0s ago
+      worker-g1-4711: units 2 | last fig04/scan-3 | rss 91MB
 
-During a sharded run the parent sees no worker events between unit
-completions, so the executor's supervision loop calls :meth:`tick`
-on every bus drain — the repaint cadence is wall-clock driven, not
-event driven. Lines are clipped to the terminal width, re-queried on
-every repaint (so window resizes are picked up without any SIGWINCH
-handler) and falling back to 80 columns when there is no terminal
-(CI redirects, pipes).
+Lines are clipped to the terminal width, re-queried on every repaint
+(so window resizes are picked up without any SIGWINCH handler) and
+falling back to 80 columns when there is no terminal (CI redirects,
+pipes).
 """
 
 from __future__ import annotations
@@ -36,7 +33,7 @@ from __future__ import annotations
 import os
 import sys
 import time
-from typing import Callable, Mapping, Optional, Sequence, TextIO
+from typing import Any, Callable, Mapping, Optional, Sequence, TextIO
 
 from .analytics import AggregatingSink
 
@@ -59,11 +56,6 @@ class LiveReporter:
         Minimum wall-clock spacing between status lines.
     clock:
         Monotonic time source, injectable for tests.
-    bus:
-        Optional :class:`~repro.obs.bus.TelemetryBus`; when set, each
-        repaint appends per-worker health rows from its worker table.
-        Assignable after construction (the runner builds the reporter
-        before the executor exists).
     """
 
     def __init__(
@@ -72,19 +64,18 @@ class LiveReporter:
         stream: Optional[TextIO] = None,
         interval_s: float = 1.0,
         clock: Callable[[], float] = time.monotonic,
-        bus=None,
     ) -> None:
         if interval_s < 0:
             raise ValueError("interval_s must be non-negative")
         self.aggregator = aggregator
         self.stream = stream if stream is not None else sys.stderr
         self.interval_s = interval_s
-        self.bus = bus
         self._clock = clock
         self._started = clock()
         self._last_report = self._started
         self._experiments_total: Optional[int] = None
         self._experiments_done = 0
+        self._workers: Sequence[Mapping[str, Any]] = ()
         self.reports_written = 0
 
     def emit(self, record: Mapping) -> None:
@@ -111,13 +102,13 @@ class LiveReporter:
         elif kind == "experiment_finished":
             self._experiments_done += 1
 
-    def tick(self) -> None:
-        """Repaint on wall-clock alone (no record needed).
+    def show_workers(self, rows: Sequence[Mapping[str, Any]]) -> None:
+        """Adopt the executor's worker rows; repaint if one is due."""
+        self._workers = rows
+        self.tick()
 
-        The executor's supervision loop calls this while units are in
-        flight, so worker rows stay fresh even when the parent process
-        sees no trace events for seconds at a time.
-        """
+    def tick(self) -> None:
+        """Repaint on wall-clock alone (no record needed)."""
         now = self._clock()
         if now - self._last_report >= self.interval_s:
             self._write_status(now)
@@ -162,8 +153,13 @@ class LiveReporter:
                 eta_s = elapsed / done * (total - done)
                 parts.append(f"eta {eta_s:.0f}s")
         lines = ["[live] " + " | ".join(parts)]
-        if self.bus is not None:
-            lines.extend(self.bus.table.render_rows(now=now))
+        for row in self._workers:
+            last = row["timeline"][-1]
+            lines.append(
+                f"  {row['shard']}: units {row['units']} | "
+                f"last {last['experiment']}/{last['unit']} | "
+                f"rss {row['rss_peak_bytes'] / (1 << 20):.0f}MB"
+            )
         columns = self._columns()
         for line in lines:
             if columns is not None:

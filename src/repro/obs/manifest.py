@@ -63,8 +63,8 @@ class RunManifest:
     timeseries: Optional[Dict[str, Any]] = None
     trace_path: Optional[str] = None
     #: Worker topology of a sharded run (parallel/executor.py): jobs,
-    #: start method, shard labels, per-shard unit counts, executor stats,
-    #: plus live bus telemetry under "telemetry" when --live rode along.
+    #: start method, executor stats, and one row per shard with its unit
+    #: count, RSS peak and per-unit timeline.
     workers: Optional[Dict[str, Any]] = None
     #: Sampled-profiler output (obs/profile.py): collapsed stacks,
     #: sample counts, attribution fraction, optional memory peaks.

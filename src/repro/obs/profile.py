@@ -23,14 +23,37 @@ early or late, which is the usual statistical-profiler contract.
 
 from __future__ import annotations
 
+import os
 import threading
 import time
 from typing import Any, Dict, Optional
 
-from .bus import rss_bytes
 from .spans import get_collector
 
-__all__ = ["SampledProfiler"]
+__all__ = ["SampledProfiler", "rss_bytes"]
+
+
+def rss_bytes() -> Optional[int]:
+    """Current resident-set size of this process, best effort.
+
+    Reads ``/proc/self/statm`` where available (Linux), falls back to
+    ``resource.getrusage`` peak RSS, and returns ``None`` on platforms
+    offering neither — telemetry must never raise.
+    """
+    try:
+        with open("/proc/self/statm", "rb") as handle:
+            pages = int(handle.read().split()[1])
+        return pages * os.sysconf("SC_PAGE_SIZE")
+    except (OSError, ValueError, IndexError):
+        pass
+    try:
+        import resource
+
+        peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+        # Linux reports KiB, macOS bytes; either way it is a usable scale.
+        return peak * 1024 if peak < 1 << 34 else peak
+    except Exception:
+        return None
 
 
 class SampledProfiler:

@@ -127,20 +127,17 @@ def render_manifest(manifest: Dict[str, Any]) -> str:
             f"({workers.get('start_method')}), "
             + ", ".join(f"{k} {v}" for k, v in sorted(stats.items()))
         )
-        telemetry = (workers.get("telemetry") or {}).get("workers") or []
-        if telemetry:
+        rows = workers.get("workers") or []
+        if rows:
             lines.append(_table(
                 [
                     (
-                        w.get("label"), w.get("state"),
-                        w.get("units_done"), w.get("heartbeats"),
-                        w.get("stalls"),
+                        w.get("shard"), w.get("units"),
                         f"{(w.get('rss_peak_bytes') or 0) / (1 << 20):.0f}MB",
                     )
-                    for w in telemetry
+                    for w in rows
                 ],
-                header=("worker", "state", "units", "heartbeats",
-                        "stalls", "rss_peak"),
+                header=("worker", "units", "rss_peak"),
             ))
     forensics = manifest.get("forensics")
     if forensics:

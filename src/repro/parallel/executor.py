@@ -8,7 +8,9 @@ seq-ordered payloads, using a ``concurrent.futures``
   pickling, with at most ``max_in_flight`` chunks outstanding
   (backpressure keeps the queue shallow so retries stay cheap);
 * **crash handling** — a worker dying mid-chunk (``BrokenProcessPool``)
-  requeues the chunk's units as singleton retries on a fresh pool;
+  fails every chunk in flight on that pool; their units are requeued
+  as singleton retries on a fresh pool, and the broken pool counts as
+  one lost worker;
 * **per-unit timeout** — a chunk overrunning ``unit_timeout_s`` per
   unit is abandoned, its stuck workers terminated, and its units
   requeued;
@@ -24,6 +26,9 @@ shard and metrics registry (flushed at process exit through
 ``multiprocessing.util.Finalize`` finalisers), plus ``unit_started`` /
 ``unit_finished`` marker events bracketing every unit so the merge
 layer (:mod:`.merge`) can reassemble the exact serial event order.
+Each unit's result also carries when and where it ran (worker label,
+wall-clock start and end, RSS), from which the parent builds the
+per-worker timeline in :meth:`ParallelExecutor.topology`.
 
 Determinism: payloads are returned in unit ``seq`` order no matter
 which worker finished first, so ``merge_payloads`` sees exactly the
@@ -39,11 +44,16 @@ import multiprocessing.util
 import os
 import time
 from collections import deque
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
+from concurrent.futures import (
+    FIRST_COMPLETED, Future, ProcessPoolExecutor, wait,
+)
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import (
+    Any, Callable, Dict, List, Mapping, Optional, Sequence, Set, Tuple,
+)
 
+from ..obs.profile import rss_bytes
 from .checkpoint import CheckpointJournal
 from .units import WorkUnit, execute_unit, unit_fingerprint
 
@@ -95,17 +105,6 @@ class WorkerObsConfig:
 # Worker-side plumbing (top level: must be picklable / importable)
 # ----------------------------------------------------------------------
 _WORKER_LABEL: Optional[str] = None
-_BUS_PUBLISHER = None  # per-process BusPublisher when the bus is wired
-
-
-def _worker_counters() -> Optional[Dict[str, float]]:
-    """Counter snapshot for heartbeat metric deltas (None when disabled)."""
-    from .. import obs
-
-    registry = obs.get_registry()
-    if not registry.enabled:
-        return None
-    return registry.snapshot()["counters"]
 
 
 def _dump_worker_metrics(registry, path: str) -> None:
@@ -117,21 +116,12 @@ def _dump_worker_metrics(registry, path: str) -> None:
         handle.write("\n")
 
 
-def _worker_init(
-    obs_cfg: WorkerObsConfig, generation: int, bus_queue=None
-) -> None:
+def _worker_init(obs_cfg: WorkerObsConfig, generation: int) -> None:
     """Give the worker its own obs world (never the parent's file handles)."""
-    global _WORKER_LABEL, _BUS_PUBLISHER
+    global _WORKER_LABEL
     from .. import obs
-    from ..obs.bus import BusPublisher
 
     _WORKER_LABEL = f"worker-g{generation}-{os.getpid()}"
-    # The queue rides through the pool initargs (a legal inheritance
-    # path for both fork and spawn); heartbeats are fire-and-forget.
-    _BUS_PUBLISHER = (
-        BusPublisher(bus_queue, _WORKER_LABEL) if bus_queue is not None
-        else None
-    )
     obs.set_collector(None)
     sink = None
     if obs_cfg.trace_base:
@@ -176,19 +166,15 @@ def _run_unit_chunk(
             "unit_started", experiment=unit.experiment, unit=unit.unit_id,
             seq=unit.seq, attempt=attempt,
         )
-        if _BUS_PUBLISHER is not None:
-            _BUS_PUBLISHER.heartbeat(
-                "start", experiment=unit.experiment, unit=unit.unit_id,
-                seq=unit.seq,
-            )
-        started = time.perf_counter()
         entry: Dict[str, Any] = {
             "key": unit.key,
             "seq": unit.seq,
             "attempt": attempt,
             "worker": os.getpid(),
             "shard": _WORKER_LABEL,
+            "t_start": time.time(),
         }
+        started = time.perf_counter()
         try:
             entry["payload"] = execute_unit(unit, quick=quick, seed=seed)
             entry["ok"] = True
@@ -196,16 +182,12 @@ def _run_unit_chunk(
             entry["ok"] = False
             entry["error"] = f"{type(exc).__name__}: {exc}"
         entry["wall_s"] = time.perf_counter() - started
+        entry["t_end"] = time.time()
+        entry["rss_bytes"] = rss_bytes()
         obs.emit(
             "unit_finished", experiment=unit.experiment, unit=unit.unit_id,
             seq=unit.seq, attempt=attempt, wall_s=entry["wall_s"],
         )
-        if _BUS_PUBLISHER is not None:
-            _BUS_PUBLISHER.heartbeat(
-                "finish", experiment=unit.experiment, unit=unit.unit_id,
-                seq=unit.seq, wall_s=entry["wall_s"],
-                counters=_worker_counters(),
-            )
         out.append(entry)
     return out
 
@@ -223,6 +205,7 @@ class ExecutionStats:
     timeouts: int = 0
     degraded: int = 0
     pool_rebuilds: int = 0
+    #: One per pool generation that a worker crash broke.
     workers_lost: int = 0
     unit_walls: Dict[str, float] = field(default_factory=dict)
     #: unit key -> attempt id whose payload was accepted (merge layer
@@ -281,40 +264,10 @@ class ParallelExecutor:
         self._pool: Optional[ProcessPoolExecutor] = None
         self._generation = 0
         self._attempts_issued = 0
-        self._workers_seen: Dict[str, int] = {}
-        self.bus = None  # TelemetryBus, via attach_bus()
-        self._on_tick: Optional[Callable[[], None]] = None
-        self._bus_sink = None
+        #: Shard label -> worker row (see :meth:`topology`).
+        self._workers: Dict[str, Dict[str, Any]] = {}
         methods = multiprocessing.get_all_start_methods()
         self.start_method = "fork" if "fork" in methods else methods[0]
-
-    # -- telemetry bus ---------------------------------------------------
-    def attach_bus(
-        self,
-        bus,
-        sink=None,
-        on_tick: Optional[Callable[[], None]] = None,
-    ) -> None:
-        """Wire a :class:`~repro.obs.bus.TelemetryBus` into the pool.
-
-        Must be called before the first pooled submission (the queue is
-        handed to workers through the pool initializer). ``sink``
-        additionally receives drained messages (the live aggregator);
-        ``on_tick`` fires after each supervision-loop drain so a live
-        reporter can refresh between unit completions.
-        """
-        if self._pool is not None:
-            raise RuntimeError("attach_bus() after the pool started")
-        self.bus = bus
-        self._bus_sink = sink
-        self._on_tick = on_tick
-
-    def _service_bus(self) -> None:
-        """Drain bus telemetry and let the live layer repaint."""
-        if self.bus is not None:
-            self.bus.drain(sink=self._bus_sink)
-        if self._on_tick is not None:
-            self._on_tick()
 
     # -- pool lifecycle -------------------------------------------------
     def _ensure_pool(self) -> ProcessPoolExecutor:
@@ -324,11 +277,7 @@ class ParallelExecutor:
                 max_workers=self.jobs,
                 mp_context=multiprocessing.get_context(self.start_method),
                 initializer=_worker_init,
-                initargs=(
-                    self.obs_cfg,
-                    self._generation,
-                    self.bus.queue if self.bus is not None else None,
-                ),
+                initargs=(self.obs_cfg, self._generation),
             )
         return self._pool
 
@@ -356,32 +305,41 @@ class ParallelExecutor:
         self.shutdown()
 
     def topology(self) -> Dict[str, Any]:
-        """Worker topology for the run manifest."""
-        data: Dict[str, Any] = {
+        """Worker topology for the run manifest.
+
+        ``workers`` holds one row per shard that had a unit accepted:
+        its label, unit count, the largest RSS seen at a unit's end, and
+        a ``timeline`` of ``{experiment, unit, seq, t_start, t_end,
+        wall_s}`` intervals on the worker's wall clock.
+        """
+        return {
             "jobs": self.jobs,
             "start_method": self.start_method,
             "generations": self._generation,
-            "workers": [
-                {"shard": label, "units": count}
-                for label, count in sorted(self._workers_seen.items())
-            ],
+            "workers": [self._workers[shard] for shard in sorted(self._workers)],
         }
-        if self.bus is not None:
-            self.bus.drain(sink=self._bus_sink)
-            # A worker's last finish heartbeat can still be in transit in
-            # the mp queue when the result pipe has already delivered its
-            # payload. After a completed run every opened unit has
-            # finished, so an in-flight row here means a straggler
-            # message — give it a bounded grace before exporting, or the
-            # table undercounts units_done.
-            deadline = time.monotonic() + 0.5
-            while any(
-                row.state != "lost" for row in self.bus.table.in_flight()
-            ) and time.monotonic() < deadline:
-                time.sleep(0.01)
-                self.bus.drain(sink=self._bus_sink)
-            data["telemetry"] = self.bus.to_dict()
-        return data
+
+    def _record_unit(self, unit: WorkUnit, entry: Mapping[str, Any]) -> None:
+        """Fold one accepted unit's result entry into its worker's row."""
+        shard = entry["shard"]
+        row = self._workers.get(shard)
+        if row is None:
+            row = self._workers[shard] = {
+                "shard": shard, "units": 0, "rss_peak_bytes": 0,
+                "timeline": [],
+            }
+        row["units"] += 1
+        row["rss_peak_bytes"] = max(
+            row["rss_peak_bytes"], entry.get("rss_bytes") or 0
+        )
+        row["timeline"].append({
+            "experiment": unit.experiment,
+            "unit": unit.unit_id,
+            "seq": unit.seq,
+            "t_start": entry["t_start"],
+            "t_end": entry["t_end"],
+            "wall_s": entry["wall_s"],
+        })
 
     # -- unit execution -------------------------------------------------
     def run_units(
@@ -417,20 +375,18 @@ class ParallelExecutor:
             else:
                 pending.append(unit)
 
-        def accept(
-            unit: WorkUnit, payload: Any, wall_s: float,
-            worker: Optional[int], shard: str, attempt: int,
-        ) -> None:
+        def accept(unit: WorkUnit, entry: Mapping[str, Any]) -> None:
+            payload = entry["payload"]
             results[unit.seq] = payload
             stats.executed += 1
-            stats.unit_walls[unit.key] = wall_s
-            stats.accepted_attempts[unit.key] = attempt
-            stats.accepted_shards[unit.key] = shard
-            self._workers_seen[shard] = self._workers_seen.get(shard, 0) + 1
+            stats.unit_walls[unit.key] = entry["wall_s"]
+            stats.accepted_attempts[unit.key] = entry["attempt"]
+            stats.accepted_shards[unit.key] = entry["shard"]
+            self._record_unit(unit, entry)
             if journal is not None:
                 journal.append(
                     unit.key, fingerprints[unit.key], payload,
-                    wall_s=wall_s, worker=worker,
+                    wall_s=entry["wall_s"], worker=entry["worker"],
                 )
             if on_unit:
                 on_unit(unit, False)
@@ -459,6 +415,7 @@ class ParallelExecutor:
                     "unit_started", experiment=unit.experiment,
                     unit=unit.unit_id, seq=unit.seq, attempt=attempt,
                 )
+            t_start = time.time()
             started = time.perf_counter()
             payload = execute_unit(unit, quick=self.quick, seed=self.seed)
             wall_s = time.perf_counter() - started
@@ -468,7 +425,12 @@ class ParallelExecutor:
                     unit=unit.unit_id, seq=unit.seq, attempt=attempt,
                     wall_s=wall_s,
                 )
-            accept(unit, payload, wall_s, os.getpid(), "parent", attempt)
+            accept(unit, {
+                "payload": payload, "attempt": attempt,
+                "worker": os.getpid(), "shard": "parent",
+                "t_start": t_start, "t_end": time.time(), "wall_s": wall_s,
+                "rss_bytes": rss_bytes(),
+            })
 
     # -- pooled ----------------------------------------------------------
     def _chunk(self, units: Sequence[WorkUnit]) -> List[List[WorkUnit]]:
@@ -477,50 +439,29 @@ class ParallelExecutor:
         )
         return [list(units[i:i + size]) for i in range(0, len(units), size)]
 
+    @staticmethod
     def _record_worker_lost(
-        self,
-        stats: ExecutionStats,
-        lost_units: Sequence[WorkUnit],
-        fingerprints: Mapping[str, str],
+        stats: ExecutionStats, unit: WorkUnit, fingerprint: Optional[str]
     ) -> None:
-        """Name the unit(s) a dead worker was last known to hold.
+        """Count one lost worker, naming the first unit of its failed chunk.
 
-        Prefers the bus's live view (rows whose last heartbeat opened a
-        unit that never finished — this catches a worker that died
-        *between* units, whose chunk the pool would only re-report at
-        rebuild time); falls back to the failed chunk's own units.
+        A broken pool fails every chunk in flight, so the first failed
+        chunk of the earliest submission is the best guess at what the
+        dead worker held.
         """
         from .. import obs
 
         stats.workers_lost += 1
-        suspects: List[Tuple[str, Optional[str]]] = []
-        if self.bus is not None:
-            self.bus.drain(sink=self._bus_sink)
-            for row in self.bus.table.in_flight():
-                if row.unit is not None:
-                    suspects.append((row.unit, row.experiment))
-                self.bus.table.mark_lost(label=row.label)
-        if not suspects:
-            suspects = [(unit.unit_id, unit.experiment) for unit in lost_units[:1]]
-        by_unit_id = {unit.unit_id: unit for unit in lost_units}
-        for unit_id, experiment in suspects:
-            unit = by_unit_id.get(unit_id)
-            fingerprint = fingerprints.get(unit.key) if unit is not None else None
-            obs.emit(
-                "worker_lost",
-                experiment=experiment,
-                unit=unit_id,
-                fingerprint=fingerprint,
-            )
-            if self.bus is not None:
-                self.bus.record_event(
-                    "worker_lost", experiment=experiment, unit=unit_id,
-                    fingerprint=fingerprint,
-                )
-            logger.warning(
-                "worker lost while holding unit %s/%s (fingerprint %s)",
-                experiment, unit_id, fingerprint,
-            )
+        obs.emit(
+            "worker_lost",
+            experiment=unit.experiment,
+            unit=unit.unit_id,
+            fingerprint=fingerprint,
+        )
+        logger.warning(
+            "worker lost while holding unit %s/%s (fingerprint %s)",
+            unit.experiment, unit.unit_id, fingerprint,
+        )
 
     def _run_pooled(
         self,
@@ -531,8 +472,12 @@ class ParallelExecutor:
     ) -> None:
         queue = deque(self._chunk(units))
         attempts: Dict[str, int] = {}
-        in_flight: Dict[Any, Tuple[List[Tuple[WorkUnit, int]], float]] = {}
+        #: future -> (tagged units, submit time, pool generation)
+        in_flight: Dict[
+            Any, Tuple[List[Tuple[WorkUnit, int]], float, int]
+        ] = {}
         units_by_key = {unit.key: unit for unit in units}
+        retired: Set[int] = set()
 
         def submit(chunk: List[WorkUnit]) -> None:
             pool = self._ensure_pool()
@@ -541,10 +486,31 @@ class ParallelExecutor:
                 self._attempts_issued += 1
                 tagged.append((unit, self._attempts_issued))
             payload = [(unit.as_dict(), attempt) for unit, attempt in tagged]
-            future = pool.submit(
-                _run_unit_chunk, payload, self.quick, self.seed
-            )
-            in_flight[future] = (tagged, time.monotonic())
+            try:
+                future = pool.submit(
+                    _run_unit_chunk, payload, self.quick, self.seed
+                )
+            except BrokenProcessPool as exc:
+                # The pool broke before its failed chunks reached the loop
+                # (or while idle): fail this chunk with them, so the loop
+                # retires the generation as usual.
+                future = Future()
+                future.set_exception(exc)
+            in_flight[future] = (tagged, time.monotonic(), self._generation)
+
+        def retire(generation: int, terminate: bool = False) -> bool:
+            """Discard a failed pool generation; True only the first time.
+
+            A broken pool fails every chunk in flight on it, so only its
+            first failure rebuilds the pool (and, for a crash, counts a
+            lost worker). Only the current generation can be unretired.
+            """
+            if generation in retired:
+                return False
+            retired.add(generation)
+            stats.pool_rebuilds += 1
+            self._discard_pool(terminate=terminate)
+            return True
 
         def handle_failure(unit: WorkUnit, reason: str) -> None:
             count = attempts.get(unit.key, 0) + 1
@@ -555,11 +521,6 @@ class ParallelExecutor:
                     unit.key, count, reason,
                 )
                 stats.degraded += 1
-                if self.bus is not None:
-                    self.bus.record_event(
-                        "degrade", unit=unit.key, reason=reason,
-                        attempts=count,
-                    )
                 self._run_inline([unit], accept, emit_markers=True)
             else:
                 logger.warning(
@@ -567,10 +528,6 @@ class ParallelExecutor:
                     unit.key, reason, count, self.max_retries,
                 )
                 stats.retried += 1
-                if self.bus is not None:
-                    self.bus.record_event(
-                        "retry", unit=unit.key, reason=reason, attempts=count,
-                    )
                 queue.append([unit])  # retries go out as singletons
 
         while queue or in_flight:
@@ -581,69 +538,56 @@ class ParallelExecutor:
                 now = time.monotonic()
                 deadlines = [
                     submitted + self.unit_timeout_s * len(tagged) - now
-                    for tagged, submitted in in_flight.values()
+                    for tagged, submitted, _ in in_flight.values()
                 ]
                 timeout = max(0.0, min(deadlines))
-            if self.bus is not None:
-                # A blocking wait would starve the live view between
-                # unit completions; wake often enough to repaint.
-                timeout = 0.5 if timeout is None else min(timeout, 0.5)
             finished, _ = wait(
                 set(in_flight), timeout=timeout, return_when=FIRST_COMPLETED
             )
-            self._service_bus()
-            broken = False
-            for future in finished:
-                tagged, _ = in_flight.pop(future)
+            # In submission order (a chunk's first attempt id): after a
+            # crash, the earliest failed chunk is the likeliest to have
+            # been on the dead worker.
+            for future in sorted(
+                finished, key=lambda f: in_flight[f][0][0][1]
+            ):
+                tagged, _, generation = in_flight.pop(future)
                 try:
                     entries = future.result()
-                except BrokenProcessPool:
-                    broken = True
-                    self._record_worker_lost(
-                        stats, [unit for unit, _ in tagged], fingerprints
+                except Exception as exc:  # pool plumbing, not unit code
+                    crashed = isinstance(exc, BrokenProcessPool)
+                    if retire(generation) and crashed:
+                        first = tagged[0][0]
+                        self._record_worker_lost(
+                            stats, first, fingerprints.get(first.key)
+                        )
+                    reason = (
+                        "worker process died" if crashed
+                        else f"dispatch failed: {exc!r}"
                     )
                     for unit, _attempt in tagged:
-                        handle_failure(unit, "worker process died")
-                    continue
-                except Exception as exc:  # pool plumbing, not unit code
-                    broken = True
-                    for unit, _attempt in tagged:
-                        handle_failure(unit, f"dispatch failed: {exc!r}")
+                        handle_failure(unit, reason)
                     continue
                 for entry in entries:
                     unit = units_by_key[entry["key"]]
                     if entry.get("ok"):
-                        accept(
-                            unit, entry["payload"], entry["wall_s"],
-                            entry.get("worker"),
-                            entry.get("shard") or "worker-unknown",
-                            entry["attempt"],
-                        )
+                        accept(unit, entry)
                     else:
                         handle_failure(
                             unit, entry.get("error", "unit raised")
                         )
-            if broken:
-                stats.pool_rebuilds += 1
-                self._discard_pool()
             if self.unit_timeout_s is not None:
                 now = time.monotonic()
                 overdue = [
                     future
-                    for future, (tagged, submitted) in in_flight.items()
+                    for future, (tagged, submitted, _) in in_flight.items()
                     if now - submitted > self.unit_timeout_s * len(tagged)
                     and not future.done()
                 ]
                 if overdue:
                     stats.timeouts += len(overdue)
-                    stats.pool_rebuilds += 1
                     abandoned = [in_flight.pop(future) for future in overdue]
-                    self._discard_pool(terminate=True)
-                    for tagged, _ in abandoned:
-                        if self.bus is not None:
-                            self.bus.record_event(
-                                "timeout",
-                                units=[unit.key for unit, _ in tagged],
-                            )
+                    for generation in {gen for _, _, gen in abandoned}:
+                        retire(generation, terminate=True)
+                    for tagged, _, _ in abandoned:
                         for unit, _attempt in tagged:
                             handle_failure(unit, "unit timeout")

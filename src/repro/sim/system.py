@@ -22,7 +22,6 @@ from ..mc.controller import (
     TestTrafficSettings,
 )
 from ..mc.request import Request, RequestKind
-from ..mc.rowrefresh import RowRefreshScheduler, RowRefreshSettings
 from ..traces.spec import BenchmarkProfile, get_benchmark
 from .core import CoreConfig, TraceCore
 from .energy import energy_of_run
@@ -45,8 +44,6 @@ class SystemConfig:
     core: CoreConfig = field(default_factory=CoreConfig)
     refresh: RefreshSettings = field(default_factory=RefreshSettings)
     test_traffic: TestTrafficSettings = field(default_factory=TestTrafficSettings)
-    #: Row-granularity refresh population; replaces all-bank REF when set.
-    row_refresh: Optional[RowRefreshSettings] = None
 
     def __post_init__(self) -> None:
         if self.channels <= 0:
@@ -144,12 +141,6 @@ class SystemSimulator:
                 refresh=self.config.refresh,
                 test_traffic=per_channel_tests[channel],
                 on_read_complete=self._completed_reads.append,
-                row_refresh=(
-                    RowRefreshScheduler(
-                        self.config.row_refresh, timing, self.config.banks
-                    )
-                    if self.config.row_refresh is not None else None
-                ),
                 seed=seed + 1009 * channel,
                 channel=channel,
             )

@@ -132,8 +132,9 @@ def _running_times(
 #: same inputs; caching makes the repeats free. Consumers treat returned
 #: traces as immutable (nothing in the repo mutates a WriteTrace).
 #: The cache is a true LRU (hits refresh recency) holding at most
-#: ``_TRACE_CACHE_LIMIT`` traces, so a fleet of hosts with distinct
-#: seeds keeps a bounded resident set; a limit of 0 disables caching.
+#: ``_TRACE_CACHE_LIMIT`` traces, so a process that sweeps many seeds
+#: or windows keeps a bounded resident set; a limit of 0 disables
+#: caching.
 _TRACE_CACHE: "OrderedDict[tuple, WriteTrace]" = OrderedDict()
 _TRACE_CACHE_LIMIT = 32
 

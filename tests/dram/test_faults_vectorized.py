@@ -11,6 +11,8 @@ content is rejected. Also covers the RNG-stream regression: row
 polarity must be drawn independently of the cell layout.
 """
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -387,3 +389,36 @@ class TestRngStreamIndependence:
                 one_at_a_time.cells_in_row(row)
                 == all_at_once.cells_in_row(row)
             )
+
+    def test_populations_survive_table_regrowth(self):
+        # At 12.8 cells a row, 512 rows hold over 4,096 cells: the flat
+        # arrays start at 1,024 cells and regrow at least three times.
+        config = FaultModelConfig(vulnerable_cell_rate=0.05)
+        rows, bits = 512, 256
+        grown = FaultMap(rows, bits, config, seed=31)
+        early = grown.row_population(0)
+        early_columns = early.columns.copy()
+        early_thresholds = early.thresholds.copy()
+        buffers = [grown._columns]
+        sizes = itertools.cycle((1, 2, 3))
+        start = 1
+        while start < rows:
+            batch = np.arange(start, min(start + next(sizes), rows))
+            grown.rows_can_ever_fail(batch, 328.0)
+            if grown._columns is not buffers[-1]:
+                buffers.append(grown._columns)
+            start = int(batch[-1]) + 1
+        assert len(buffers) >= 4  # the first allocation, then 3 regrowths
+        whole = FaultMap(rows, bits, config, seed=31)
+        whole.rows_can_ever_fail(np.arange(rows), 328.0)
+        cells = 0
+        for row in range(rows):
+            got, want = grown.row_population(row), whole.row_population(row)
+            np.testing.assert_array_equal(got.columns, want.columns)
+            np.testing.assert_array_equal(got.thresholds, want.thresholds)
+            assert got.true_cell == want.true_cell
+            cells += len(got.columns)
+        assert cells > 4096
+        # A view handed out before the first regrowth keeps its buffer.
+        np.testing.assert_array_equal(early.columns, early_columns)
+        np.testing.assert_array_equal(early.thresholds, early_thresholds)

@@ -38,7 +38,7 @@ class TestRunner:
         assert set(EXPERIMENTS) == {
             "fig03", "fig04", "fig06", "fig07", "fig08", "fig09",
             "fig11", "fig12", "fig14", "fig15", "fig16", "fig17",
-            "fig18", "fig19", "table3", "fleet",
+            "fig18", "fig19", "table3",
         }
 
     def test_run_named_subset(self):

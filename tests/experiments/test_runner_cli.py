@@ -305,16 +305,27 @@ class TestProfilingCli:
         assert main(["fig06", "--manifest", str(manifest)]) == 0
         assert obs.load_manifest(str(manifest))["profile"] is None
 
-    def test_live_sharded_run_records_bus_telemetry(self, tmp_path, capsys):
+    def test_sharded_run_records_worker_rows(self, tmp_path, capsys):
+        manifest = tmp_path / "run.json"
+        assert main(["fig06", "--jobs", "2",
+                     "--manifest", str(manifest),
+                     "--checkpoint", str(tmp_path / "c.jsonl")]) == 0
+        rows = obs.load_manifest(str(manifest))["workers"]["workers"]
+        assert sum(r["units"] for r in rows) == 4
+        intervals = [iv for r in rows for iv in r["timeline"]]
+        assert len(intervals) == 4
+        assert {iv["experiment"] for iv in intervals} == {"fig06"}
+        assert all(iv["t_start"] <= iv["t_end"] for iv in intervals)
+        assert all(r["rss_peak_bytes"] > 0 for r in rows)
+
+    def test_live_sharded_run_prints_worker_rows(self, tmp_path, capsys):
         manifest = tmp_path / "run.json"
         assert main(["fig06", "--jobs", "2", "--live",
                      "--manifest", str(manifest),
                      "--checkpoint", str(tmp_path / "c.jsonl")]) == 0
-        workers = obs.load_manifest(str(manifest))["workers"]
-        telemetry = workers["telemetry"]
-        rows = telemetry["workers"]
-        assert sum(r["units_done"] for r in rows) == 4
-        assert all(r["state"] in ("idle", "running") for r in rows)
+        assert "  worker-g1-" in capsys.readouterr().err
+        rows = obs.load_manifest(str(manifest))["workers"]["workers"]
+        assert sum(r["units"] for r in rows) == 4
 
     def test_serial_live_run_has_no_telemetry(self, tmp_path, capsys):
         manifest = tmp_path / "run.json"

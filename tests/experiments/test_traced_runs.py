@@ -44,8 +44,6 @@ CHEAP_UNITS = {
     "fig17": "Netflix",
     "fig18": "Netflix",
     "fig19": "cil1024",
-    # A web host: its rollup sink rides beside the trace sink.
-    "fleet": "web-000",
 }
 
 SIMULATOR_BOUND = ("fig15", "fig16", "table3")

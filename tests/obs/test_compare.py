@@ -274,16 +274,16 @@ class TestObservabilityMetrics:
         }
         data["workers"] = {
             "jobs": 2, "stats": {},
-            "telemetry": {"workers": [
-                {"label": "w0", "rss_peak_bytes": 70e6},
-                {"label": "w1", "rss_peak_bytes": 85e6},
-            ]},
+            "workers": [
+                {"shard": "w0", "rss_peak_bytes": 70e6},
+                {"shard": "w1", "rss_peak_bytes": 85e6},
+            ],
         }
         metrics = extract_metrics(data)
         assert metrics["profile.sample_count"] == 400
         assert metrics["profile.attributed_fraction"] == 0.9
         assert metrics["profile.rss_peak_bytes"] == 90e6
-        assert metrics["workers.rss_peak_bytes"] == 85e6  # max of fleet
+        assert metrics["workers.rss_peak_bytes"] == 85e6  # max over workers
         # The stacks dict itself must not leak in as metrics.
         assert not any(k.startswith("profile.stacks") for k in metrics)
 
@@ -340,7 +340,7 @@ class TestMalformedSections:
     def test_malformed_telemetry_entries_warn(self):
         metrics, warnings = self._extract(workers={
             "jobs": 2,
-            "telemetry": {"workers": ["junk", {"rss_peak_bytes": 5}]},
+            "workers": ["junk", {"rss_peak_bytes": 5}],
         })
         assert metrics["workers.rss_peak_bytes"] == 5.0
         assert any("workers" in w for w in warnings)

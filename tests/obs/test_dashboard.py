@@ -75,41 +75,25 @@ def _timeseries(n_windows=4, **window_kwargs):
     }
 
 
-def _telemetry():
-    return {
-        "stall_after_s": 10.0,
-        "messages": 4,
-        "drained": 4,
-        "events": [],
-        "workers": [
-            {
-                "label": "worker-g1-1", "pid": 11, "state": "idle",
-                "experiment": "fig14", "unit": "scan-1", "units_done": 2,
-                "heartbeats": 4, "stalls": 0, "recoveries": 0,
-                "rss_peak_bytes": 64 << 20,
-                "first_t": 1000.0, "last_t": 1004.0,
-                "timeline": [
-                    {"experiment": "fig14", "unit": "scan-0", "seq": 0,
-                     "t_start": 1000.0, "t_end": 1002.0, "wall_s": 2.0},
-                    {"experiment": "fig14", "unit": "scan-1", "seq": 1,
-                     "t_start": 1002.0, "t_end": 1004.0, "wall_s": 2.0},
-                ],
-                "counters": {},
-            },
-            {
-                "label": "worker-g1-2", "pid": 12, "state": "stalled",
-                "experiment": "fig14", "unit": "scan-2", "units_done": 0,
-                "heartbeats": 1, "stalls": 1, "recoveries": 0,
-                "rss_peak_bytes": 80 << 20,
-                "first_t": 1000.5, "last_t": 1000.5,
-                "timeline": [
-                    {"experiment": "fig14", "unit": "scan-2", "seq": 2,
-                     "t_start": 1000.5, "t_end": None},
-                ],
-                "counters": {},
-            },
-        ],
-    }
+def _worker_rows():
+    return [
+        {
+            "shard": "worker-g1-1", "units": 2, "rss_peak_bytes": 64 << 20,
+            "timeline": [
+                {"experiment": "fig14", "unit": "scan-0", "seq": 0,
+                 "t_start": 1000.0, "t_end": 1002.0, "wall_s": 2.0},
+                {"experiment": "fig14", "unit": "scan-1", "seq": 1,
+                 "t_start": 1002.0, "t_end": 1004.0, "wall_s": 2.0},
+            ],
+        },
+        {
+            "shard": "worker-g1-2", "units": 1, "rss_peak_bytes": 80 << 20,
+            "timeline": [
+                {"experiment": "fig14", "unit": "scan-2", "seq": 2,
+                 "t_start": 1000.5, "t_end": 1003.5, "wall_s": 3.0},
+            ],
+        },
+    ]
 
 
 class TestRenderDashboard:
@@ -157,13 +141,14 @@ class TestRenderDashboard:
         workers = {
             "jobs": 2, "start_method": "fork",
             "stats": {"executed": 3, "retried": 0},
-            "telemetry": _telemetry(),
+            "workers": _worker_rows(),
         }
         html = render_dashboard(_manifest(workers=workers))
         assert "Worker timeline" in html
         assert "worker-g1-1" in html
-        assert "stalled" in html
         assert "scan-0" in html  # interval tooltip
+        assert "<th>worker</th><th>units</th><th>rss peak</th>" in html
+        assert "<td>worker-g1-2</td><td>1</td><td>80 MB</td>" in html
 
     def test_bench_sparklines(self):
         bench = {"BENCH_obs.json": {
@@ -261,19 +246,18 @@ class TestHostileNames:
         self._assert_inert(html_text)
 
     def test_hostile_worker_and_unit_names(self):
-        telemetry = _telemetry()
-        worker = telemetry["workers"][0]
-        worker["label"] = self.HOSTILE
-        worker["state"] = self.HOSTILE
+        rows = _worker_rows()
+        worker = rows[0]
+        worker["shard"] = self.HOSTILE
         worker["timeline"][0]["experiment"] = self.HOSTILE
         worker["timeline"][0]["unit"] = self.HOSTILE
         # Non-numeric junk in numeric columns must escape too (_fmt
         # falls through to str for non-numbers).
-        worker["units_done"] = self.HOSTILE
+        worker["units"] = self.HOSTILE
         worker["rss_peak_bytes"] = 0
         html_text = render_dashboard(_manifest(workers={
             "jobs": 2, "start_method": self.HOSTILE,
-            "stats": {}, "telemetry": telemetry,
+            "stats": {}, "workers": rows,
         }))
         self._assert_inert(html_text)
 

@@ -261,29 +261,24 @@ class TestWidthHandling:
             assert len(line) <= FALLBACK_COLUMNS
 
 
-class TestBusRows:
+class TestWorkerRows:
     __test__ = True
 
     def test_repaint_appends_worker_rows(self):
-        from repro.obs.bus import TelemetryBus
-
         clock = FakeClock()
         stream = io.StringIO()
-        aggregator = AggregatingSink()
-        bus = TelemetryBus(clock=clock)
-        try:
-            bus.table.observe({
-                "kind": "heartbeat", "worker": "worker-g1-1", "pid": 1,
-                "phase": "start", "experiment": "fig04", "unit": "scan-0",
-                "seq": 0, "units_done": 0, "rss_bytes": 64 << 20,
-                "t": 1000.0,
-            })
-            live = LiveReporter(aggregator, stream=stream, interval_s=0.0,
-                                clock=clock, bus=bus)
-            clock.advance(1.0)
-            live.tick()
-            lines = stream.getvalue().splitlines()
-            assert lines[0].startswith("[live]")
-            assert "worker-g1-1: fig04/scan-0" in lines[1]
-        finally:
-            bus.close()
+        live = LiveReporter(AggregatingSink(), stream=stream, interval_s=0.0,
+                            clock=clock)
+        clock.advance(1.0)
+        live.show_workers([{
+            "shard": "worker-g1-1", "units": 2, "rss_peak_bytes": 64 << 20,
+            "timeline": [
+                {"experiment": "fig04", "unit": "scan-0"},
+                {"experiment": "fig04", "unit": "scan-1"},
+            ],
+        }])
+        lines = stream.getvalue().splitlines()
+        assert lines[0].startswith("[live]")
+        assert lines[1] == (
+            "  worker-g1-1: units 2 | last fig04/scan-1 | rss 64MB"
+        )

@@ -118,7 +118,7 @@ class TestReportCli:
 
 
 class TestProfileWorkersRoundTrip:
-    """New manifest fields: "profile" and bus telemetry under "workers"."""
+    """Manifest fields: "profile" and the worker rows under "workers"."""
 
     def _manifest(self):
         manifest = RunManifest.start(["fig15"], seed=7, quick=True)
@@ -130,17 +130,14 @@ class TestProfileWorkersRoundTrip:
         manifest.workers = {
             "jobs": 2, "start_method": "fork",
             "stats": {"executed": 8, "retried": 0, "workers_lost": 0},
-            "telemetry": {
-                "stall_after_s": 10.0, "messages": 16, "drained": 16,
-                "events": [],
-                "workers": [{
-                    "label": "worker-g1-1", "pid": 11, "state": "idle",
-                    "experiment": "fig15", "unit": "u3", "units_done": 4,
-                    "heartbeats": 8, "stalls": 1, "recoveries": 1,
-                    "rss_peak_bytes": 80 << 20, "first_t": 1.0,
-                    "last_t": 9.0, "timeline": [], "counters": {},
+            "workers": [{
+                "shard": "worker-g1-1", "units": 4,
+                "rss_peak_bytes": 80 << 20,
+                "timeline": [{
+                    "experiment": "fig15", "unit": "u3", "seq": 3,
+                    "t_start": 1.0, "t_end": 9.0, "wall_s": 8.0,
                 }],
-            },
+            }],
         }
         return manifest
 
@@ -171,7 +168,7 @@ class TestProfileWorkersRoundTrip:
         manifest.write(path)
         loaded = load_manifest(path)
         assert loaded["profile"]["sample_count"] == 600
-        assert loaded["workers"]["telemetry"]["workers"][0]["stalls"] == 1
+        assert loaded["workers"]["workers"][0]["timeline"][0]["unit"] == "u3"
 
     def test_report_renders_profile_and_workers(self, tmp_path, capsys):
         path = str(tmp_path / "m.json")
@@ -183,6 +180,7 @@ class TestProfileWorkersRoundTrip:
         assert "run;fig15;sim.run" in out
         assert "workers: jobs 2 (fork)" in out
         assert "worker-g1-1" in out
+        assert "80MB" in out
         assert "workers_lost 0" in out
 
 

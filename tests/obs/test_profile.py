@@ -5,7 +5,16 @@ import tracemalloc
 import pytest
 
 from repro import obs
-from repro.obs.profile import SampledProfiler
+from repro.obs.profile import SampledProfiler, rss_bytes
+
+
+class TestRssBytes:
+    __test__ = True
+
+    def test_returns_plausible_size_or_none(self):
+        value = rss_bytes()
+        # Never raises; on Linux it is this process's RSS in bytes.
+        assert value is None or 1 << 20 < value < 1 << 44
 
 
 class TestSampleOnce:

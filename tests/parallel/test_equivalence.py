@@ -36,12 +36,6 @@ class TestShardedEqualsSerial:
         sharded = _run(tmp_path, "fig14", f"j{jobs}", "--jobs", str(jobs))
         assert sharded == serial
 
-    @pytest.mark.parametrize("jobs", [1, 2])
-    def test_fleet_bit_identical(self, tmp_path, capsys, jobs):
-        serial = _run(tmp_path, "fleet", "serial")
-        sharded = _run(tmp_path, "fleet", f"j{jobs}", "--jobs", str(jobs))
-        assert sharded == serial
-
     def test_multi_experiment_run_bit_identical(self, tmp_path, capsys):
         serial = _run(tmp_path, "fig06", "s2")
         serial += _run(tmp_path, "fig08", "s3")

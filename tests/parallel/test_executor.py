@@ -93,6 +93,47 @@ class TestPooled:
         assert stats.timeouts == 1
         assert stats.degraded == 1
 
+    @pytest.mark.parametrize("max_retries", [0, 1])
+    @pytest.mark.parametrize("repeat", range(3))
+    def test_broken_pool_counts_one_lost_worker(self, max_retries, repeat):
+        # Only u0 crashes its worker; the broken pool also fails the
+        # healthy units in flight beside it, which must not count as
+        # further lost workers.
+        units = _fake_units(4)
+        crasher = units[0]
+        units[0] = WorkUnit(
+            crasher.experiment, crasher.unit_id,
+            {**crasher.params, "crash_away": True, "home_pid": os.getpid()},
+            seq=crasher.seq, module=crasher.module,
+        )
+        with ParallelExecutor(
+            2, max_retries=max_retries, chunk_size=1
+        ) as ex:
+            payloads, stats = ex.run_units(units)
+        assert payloads == _expected_payloads(units)
+        assert stats.workers_lost == max_retries + 1
+        assert stats.pool_rebuilds == max_retries + 1
+
+    def test_worker_crash_emits_worker_lost(self):
+        from repro import obs
+
+        units = _fake_units(1, crash_away=True, home_pid=os.getpid())
+        sink = obs.ListTraceSink()
+        previous = obs.set_sink(sink)
+        try:
+            with ParallelExecutor(2, max_retries=0, chunk_size=1) as ex:
+                payloads, stats = ex.run_units(units)
+        finally:
+            obs.set_sink(previous)
+        assert payloads == _expected_payloads(units)  # degraded serially
+        assert stats.workers_lost == 1
+        (lost,) = [r for r in sink.records if r["kind"] == "worker_lost"]
+        # The record names the failed chunk's first unit and its
+        # fingerprint.
+        assert lost["unit"] == "u0"
+        assert lost["experiment"] == "fake"
+        assert lost["fingerprint"] == unit_fingerprint(units[0], True, 1)
+
     def test_deterministic_failure_surfaces_in_parent(self):
         # home_pid=0 matches nothing: the unit fails everywhere, so the
         # degrade path re-raises the real exception in the parent.
@@ -188,73 +229,33 @@ class TestWorkerObs:
         assert discover_metric_shards(metrics)
 
 
-class TestTelemetryBus:
-    def test_bus_collects_heartbeats_into_topology(self):
-        from repro import obs
-
+class TestWorkerTable:
+    def test_rows_come_from_unit_results(self):
         units = _fake_units(4)
         with ParallelExecutor(2, chunk_size=1) as ex:
-            bus = obs.TelemetryBus(
-                ctx=__import__("multiprocessing").get_context(
-                    ex.start_method)
-            )
-            ex.attach_bus(bus)
-            try:
-                payloads, stats = ex.run_units(units)
-                topo = ex.topology()
-            finally:
-                bus.close()
+            payloads, stats = ex.run_units(units)
+            rows = ex.topology()["workers"]
         assert payloads == _expected_payloads(units)
-        telemetry = topo["telemetry"]
-        assert telemetry["drained"] > 0
-        rows = telemetry["workers"]
-        assert sum(r["units_done"] for r in rows) == 4
-        # Each unit leaves a closed interval with its wall time.
-        intervals = [iv for r in rows for iv in r["timeline"]]
-        assert len(intervals) == 4
-        assert all(iv["t_end"] is not None for iv in intervals)
+        assert sum(row["units"] for row in rows) == 4
+        assert all(row["shard"].startswith("worker-g1-") for row in rows)
+        assert all(row["rss_peak_bytes"] > 0 for row in rows)
+        # One closed interval per unit, with its wall time.
+        intervals = [iv for row in rows for iv in row["timeline"]]
+        assert sorted(iv["unit"] for iv in intervals) == [
+            "u0", "u1", "u2", "u3",
+        ]
+        for row in rows:
+            assert len(row["timeline"]) == row["units"]
+        for iv in intervals:
+            assert iv["experiment"] == "fake"
+            assert iv["t_start"] <= iv["t_end"]
+            assert iv["wall_s"] >= 0
         assert stats.workers_lost == 0
 
-    def test_attach_bus_after_pool_start_rejected(self):
-        from repro import obs
-
+    def test_inline_units_land_on_the_parent_row(self):
         units = _fake_units(2)
-        with ParallelExecutor(2, chunk_size=1) as ex:
+        with ParallelExecutor(1) as ex:
             ex.run_units(units)
-            bus = obs.TelemetryBus()
-            try:
-                with pytest.raises(RuntimeError):
-                    ex.attach_bus(bus)
-            finally:
-                bus.close()
-
-    def test_worker_crash_emits_worker_lost(self):
-        from repro import obs
-
-        units = _fake_units(1, crash_away=True, home_pid=os.getpid())
-        sink = obs.ListTraceSink()
-        previous = obs.set_sink(sink)
-        try:
-            with ParallelExecutor(2, max_retries=0, chunk_size=1) as ex:
-                bus = obs.TelemetryBus(
-                    ctx=__import__("multiprocessing").get_context(
-                        ex.start_method)
-                )
-                ex.attach_bus(bus)
-                try:
-                    payloads, stats = ex.run_units(units)
-                finally:
-                    bus.close()
-        finally:
-            obs.set_sink(previous)
-        assert payloads == _expected_payloads(units)  # degraded serially
-        assert stats.workers_lost >= 1
-        lost = [r for r in sink.records if r["kind"] == "worker_lost"]
-        assert lost, "expected a worker_lost trace event"
-        # The event names the last-known unit and its fingerprint (the
-        # fingerprint may be None when the bus had no open interval).
-        assert lost[0]["unit"] == "u0"
-        assert lost[0]["experiment"] == "fake"
-        assert "fingerprint" in lost[0]
-        lost_events = [e for e in bus.events if e["kind"] == "worker_lost"]
-        assert lost_events
+            (row,) = ex.topology()["workers"]
+        assert row["shard"] == "parent"
+        assert [iv["unit"] for iv in row["timeline"]] == ["u0", "u1"]

@@ -15,7 +15,7 @@ from repro.parallel.units import (
 )
 
 #: Cheap experiments whose full unit path is worth executing in tests.
-FAST_EXPERIMENTS = ("fig06", "fig08", "fig19", "fleet")
+FAST_EXPERIMENTS = ("fig06", "fig08", "fig19")
 
 
 class TestDecomposition:

@@ -14,7 +14,6 @@ from hypothesis import given, settings, strategies as st
 
 from repro import obs
 from repro.mc.controller import RefreshSettings, TestTrafficSettings
-from repro.mc.rowrefresh import RowRefreshSettings
 from repro.mc.scheduler import FrFcfsScheduler, SchedulerConfig
 from repro.sim.core import CoreConfig
 from repro.sim.system import SystemConfig, SystemSimulator
@@ -24,15 +23,11 @@ from tests.oracles.sim_poll import poll_run
 BENCH_POOL = ["mcf", "tonto", "libquantum", "gcc"]
 
 
-def _config(channels, tests, reduction, row_refresh):
+def _config(channels, tests, reduction):
     return SystemConfig(
         channels=channels,
         refresh=RefreshSettings(base_interval_ms=16.0, reduction=reduction),
         test_traffic=TestTrafficSettings(concurrent_tests=tests),
-        row_refresh=(
-            RowRefreshSettings(hi_rows=2048, lo_rows=30720)
-            if row_refresh else None
-        ),
     )
 
 
@@ -77,15 +72,14 @@ class TestEngineMatchesOracle:
         channels=st.integers(1, 2),
         tests=st.sampled_from([0, 2]),
         reduction=st.sampled_from([0.0, 0.6]),
-        row_refresh=st.booleans(),
         seed=st.integers(0, 2**16),
         window_us=st.integers(5, 20),
     )
     def test_results_identical(
-        self, benches, channels, tests, reduction, row_refresh, seed, window_us
+        self, benches, channels, tests, reduction, seed, window_us
     ):
         window_ns = window_us * 1_000.0
-        config = _config(channels, tests, reduction, row_refresh)
+        config = _config(channels, tests, reduction)
         expected, _ = _run("poll", benches, config, seed, window_ns)
         got, _ = _run("event", benches, config, seed, window_ns)
         assert got == expected
@@ -98,7 +92,7 @@ class TestEngineMatchesOracle:
         seed=st.integers(0, 2**16),
     )
     def test_traced_streams_identical(self, benches, channels, tests, seed):
-        config = _config(channels, tests, 0.0, row_refresh=False)
+        config = _config(channels, tests, 0.0)
         expected, expected_records = _run(
             "poll", benches, config, seed, 10_000.0, traced=True
         )
