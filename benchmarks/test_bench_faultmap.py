@@ -12,9 +12,9 @@ The vectorised paths must agree exactly with the legacy loops and beat
 them by >= 10x on the ALL-FAIL scan.
 
 A third case measures the predicates' system-order gather on Figure 3's
-``--full`` module against laying every row out in silicon order
-(``VendorMapping.to_silicon_batch``) and evaluating that: the same
-failing cells, at least 10x faster.
+``--full`` module against laying every row out in silicon order with the
+retired scramble-then-place composition (``tests/oracles/scramble.py``)
+and evaluating that: the same failing cells, at least 10x faster.
 """
 
 import time
@@ -25,6 +25,7 @@ import pytest
 from repro.dram.faults import FaultMap, FaultModelConfig
 from repro.experiments import fig03
 from repro.testinfra import pattern_battery
+from tests.oracles import scramble
 from tests.oracles.fault_cells import cell_fails, row_can_ever_fail
 
 ROWS = 4096
@@ -147,7 +148,7 @@ class TestSparseContent:
                 ))
                 sparse_s += seconds
                 layout, seconds = _timed(lambda: fault_map.failing_cells_batch(
-                    rows, mapping.to_silicon_batch(system), interval
+                    rows, scramble.to_silicon(mapping, system), interval
                 ))
                 layout_s += seconds
                 for got, want in zip(sparse, layout):

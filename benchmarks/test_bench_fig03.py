@@ -10,11 +10,12 @@ import time
 import numpy as np
 
 from repro.experiments import fig03
+from repro.experiments.runner import run_experiments
 from repro.testinfra.patterns import pattern_battery
 
 
 def test_bench_fig03_pattern_battery(run_once):
-    result = run_once(fig03.run, quick=True, seed=1)
+    result = run_once(run_experiments, ["fig03"], quick=True, seed=1)[0]
     counts = [row["failing_cells"] for row in result.rows]
     assert max(counts) > min(counts), "failures must depend on the pattern"
     print(result.to_text())

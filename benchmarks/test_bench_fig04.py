@@ -1,10 +1,10 @@
 """Figure 4 bench: program-content vs ALL-FAIL failing-row fractions."""
 
-from repro.experiments import fig04
+from repro.experiments.runner import run_experiments
 
 
 def test_bench_fig04_failing_rows(run_once):
-    result = run_once(fig04.run, quick=True, seed=1)
+    result = run_once(run_experiments, ["fig04"], quick=True, seed=1)[0]
     fractions = [
         float(row["failing_rows"].rstrip("%")) for row in result.rows[:-1]
     ]

@@ -1,11 +1,11 @@
 """Figure 6 / Appendix bench: MinWriteInterval crossovers (exact)."""
 
 from repro.core.costmodel import CostModel, TestMode
-from repro.experiments import fig06
+from repro.experiments.runner import run_experiments
 
 
 def test_bench_fig06_min_write_interval(benchmark):
-    result = benchmark(fig06.run)
+    result = benchmark(run_experiments, ["fig06"])[0]
     assert all(row["match"] == "yes" for row in result.rows)
     print(result.to_text())
 

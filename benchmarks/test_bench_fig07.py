@@ -10,7 +10,7 @@ import time
 
 import numpy as np
 
-from repro.experiments import fig07
+from repro.experiments.runner import run_experiments
 from repro.traces.generator import clear_trace_cache, generate_trace
 from repro.traces.workloads import WORKLOADS
 
@@ -24,7 +24,7 @@ TRACES_SEED1 = (
 
 
 def test_bench_fig07_interval_distribution(run_once):
-    result = run_once(fig07.run, quick=True, seed=1)
+    result = run_once(run_experiments, ["fig07"], quick=True, seed=1)[0]
     for row in result.rows:
         assert float(row["<1ms"].rstrip("%")) > 95.0
     print(result.to_text())

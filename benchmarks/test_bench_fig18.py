@@ -1,10 +1,10 @@
 """Figure 18 bench: refresh + testing time, normalised to the baseline."""
 
-from repro.experiments import fig18
+from repro.experiments.runner import run_experiments
 
 
 def test_bench_fig18_testing_overhead(run_once):
-    result = run_once(fig18.run, quick=True, seed=1)
+    result = run_once(run_experiments, ["fig18"], quick=True, seed=1)[0]
     for row in result.rows:
         testing = (
             float(row["testing_correct"].rstrip("%"))

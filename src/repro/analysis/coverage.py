@@ -5,21 +5,14 @@ The paper evaluates PRIL by two complementary metrics (§4.1): *accuracy*
 (how much of the total write-interval time the predictions capture). This
 module computes both for any CIL-threshold predictor, plus the confusion
 counts needed for misprediction-overhead accounting (Figure 18).
-
-It also hosts the content-failure coverage summary behind the paper's
-Figure 4 argument — how many rows fail with the content actually in
-memory versus the ALL-FAIL worst case — computed with the vectorised
-batch fault-evaluation engine so module-scale modules stay cheap.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional
 
 import numpy as np
 
-from ..dram.cell_array import CellArray
 from ..traces.events import WriteTrace
 from .intervals import LONG_INTERVAL_MS
 
@@ -86,68 +79,3 @@ def evaluate_predictor(
         time_coverage=float(captured / total_long_time) if total_long_time else 0.0,
     )
 
-
-@dataclass(frozen=True)
-class ContentFailureCoverage:
-    """How much of the worst-case failure exposure the content triggers."""
-
-    refresh_interval_ms: float
-    rows_evaluated: int
-    failing_with_content: int   # rows that lose bits with current content
-    failing_worst_case: int     # rows that could fail under *some* content
-
-    @property
-    def content_fraction(self) -> float:
-        if self.rows_evaluated == 0:
-            return 0.0
-        return self.failing_with_content / self.rows_evaluated
-
-    @property
-    def worst_case_fraction(self) -> float:
-        if self.rows_evaluated == 0:
-            return 0.0
-        return self.failing_worst_case / self.rows_evaluated
-
-    @property
-    def worst_case_ratio(self) -> float:
-        """ALL-FAIL rows per content-failing row (Fig. 4's 2.4x-35.2x)."""
-        if self.failing_with_content == 0:
-            return float("inf") if self.failing_worst_case else 1.0
-        return self.failing_worst_case / self.failing_with_content
-
-
-def content_failure_coverage(
-    cells: CellArray,
-    refresh_interval_ms: float,
-    rows: Optional[Iterable[int]] = None,
-) -> ContentFailureCoverage:
-    """Figure 4's comparison for one module: content failures vs ALL-FAIL.
-
-    Both counts come from the batch fault-evaluation engine: one pass of
-    :meth:`CellArray.evaluate_rows` for the current content and one of
-    :meth:`FaultMap.rows_can_ever_fail` for the worst case.
-    """
-    if rows is None:
-        row_array = np.arange(cells.geometry.total_rows, dtype=np.int64)
-    else:
-        row_array = np.asarray(sorted(set(int(r) for r in rows)), dtype=np.int64)
-    with_content = cells.evaluate_rows(row_array, refresh_interval_ms)
-    worst_case = cells.fault_map.rows_can_ever_fail(row_array, refresh_interval_ms)
-    return ContentFailureCoverage(
-        refresh_interval_ms=refresh_interval_ms,
-        rows_evaluated=len(row_array),
-        failing_with_content=int(with_content.sum()),
-        failing_worst_case=int(worst_case.sum()),
-    )
-
-
-def accuracy_coverage_tradeoff(
-    trace: WriteTrace,
-    cil_grid_ms: np.ndarray,
-    ril_threshold_ms: float = LONG_INTERVAL_MS,
-) -> list:
-    """The accuracy/coverage sweep behind the paper's 512-2048 ms choice."""
-    return [
-        evaluate_predictor(trace, float(c), ril_threshold_ms)
-        for c in cil_grid_ms
-    ]

@@ -62,14 +62,6 @@ def interval_distribution(
     )
 
 
-def fraction_of_writes_below(trace: WriteTrace, threshold_ms: float) -> float:
-    """Fraction of write intervals shorter than a threshold."""
-    intervals = trace.all_intervals()
-    if len(intervals) == 0:
-        return 0.0
-    return float(np.mean(intervals < threshold_ms))
-
-
 def time_in_long_intervals(
     trace: WriteTrace,
     threshold_ms: float = LONG_INTERVAL_MS,
@@ -133,19 +125,6 @@ def ril_probability_curve(
     )
 
 
-def interval_time_coverage(
-    trace: WriteTrace,
-    cil_ms: float,
-) -> float:
-    """Figure 12: fraction of write-interval time captured by waiting CIL.
-
-    Waiting ``cil`` before acting forfeits the first ``cil`` of every
-    interval and skips intervals shorter than that entirely; the covered
-    time is ``sum(max(L - cil, 0)) / sum(L)``.
-    """
-    return _time_coverage(trace.all_intervals(include_trailing=True), cil_ms)
-
-
 def _time_coverage(intervals: np.ndarray, cil_ms: float) -> float:
     total = intervals.sum()
     if total == 0:
@@ -158,10 +137,12 @@ def coverage_curve(
     trace: WriteTrace,
     cil_grid_ms: Optional[Sequence[float]] = None,
 ) -> np.ndarray:
-    """Figure 12 curve over the CIL grid.
+    """Figure 12: fraction of write-interval time captured by waiting CIL.
 
-    Each point is :func:`interval_time_coverage`; the intervals are
-    pooled once for the whole grid.
+    Waiting ``cil`` before acting forfeits the first ``cil`` of every
+    interval and skips intervals shorter than that entirely; each point
+    of the grid covers ``sum(max(L - cil, 0)) / sum(L)`` of the time. The
+    intervals, trailing ones included, are pooled once for the whole grid.
     """
     grid = CIL_GRID_MS if cil_grid_ms is None else cil_grid_ms
     intervals = trace.all_intervals(include_trailing=True)

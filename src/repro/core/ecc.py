@@ -6,34 +6,20 @@ remapping (§1, §2). This module provides the ECC alternative: a
 SECDED(72,64) code protects each 64-bit word, so a failing row whose
 failures are confined to *at most one bit per word* can stay at LO-REF
 with its errors corrected on read — only rows with a multi-bit word need
-HI-REF.
-
-The module also provides the mitigation-policy abstraction used by the
-ablation bench: given a row's failing cells, decide the cheapest safe
-treatment.
+HI-REF. :func:`repro.core.remap.plan_mitigations` applies this test as
+the ECC stage of the LO-REF -> ECC -> remap -> HI-REF cascade.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from enum import Enum
-from typing import Iterable, List, Sequence
-
-from ..dram.faults import VulnerableCell
+from typing import Iterable, Sequence
 
 #: SECDED(72,64): data bits per protected word.
 SECDED_WORD_BITS = 64
 #: Check bits per word (storage overhead 8/64 = 12.5%).
 SECDED_CHECK_BITS = 8
-
-
-class Mitigation(Enum):
-    """Treatment assigned to a row for its current content."""
-
-    LO_REF = "lo_ref"            # no failures: slow refresh, no help needed
-    ECC_LO_REF = "ecc_lo_ref"    # correctable failures: slow refresh + ECC
-    HI_REF = "hi_ref"            # uncorrectable: fast refresh
 
 
 @dataclass(frozen=True)
@@ -77,63 +63,3 @@ def row_is_correctable(
         return True
     per_word = failures_per_word(failing_bits, config.word_bits)
     return max(per_word.values()) <= config.correctable_per_word
-
-
-def choose_mitigation(
-    failing_cells: Sequence[VulnerableCell],
-    config: EccConfig = EccConfig(),
-    ecc_enabled: bool = True,
-) -> Mitigation:
-    """Pick the cheapest safe treatment for a tested row.
-
-    Order of preference: LO_REF (free) -> ECC_LO_REF (uses up the code's
-    correction budget) -> HI_REF (4x refresh cost).
-    """
-    if not failing_cells:
-        return Mitigation.LO_REF
-    if ecc_enabled and row_is_correctable(
-        [cell.physical_column for cell in failing_cells], config
-    ):
-        return Mitigation.ECC_LO_REF
-    return Mitigation.HI_REF
-
-
-@dataclass(frozen=True)
-class MitigationSummary:
-    """How a population of tested rows was treated."""
-
-    lo_ref_rows: int
-    ecc_rows: int
-    hi_ref_rows: int
-
-    @property
-    def total(self) -> int:
-        return self.lo_ref_rows + self.ecc_rows + self.hi_ref_rows
-
-    @property
-    def hi_ref_fraction(self) -> float:
-        return self.hi_ref_rows / self.total if self.total else 0.0
-
-    def refresh_ops_per_window(
-        self, hi_per_lo: float = 4.0
-    ) -> float:
-        """Refresh operations per LO-REF window across the population.
-
-        LO-REF rows (plain or ECC-covered) refresh once; HI-REF rows
-        ``hi_per_lo`` times (4 for 16 ms vs 64 ms).
-        """
-        return (
-            self.lo_ref_rows + self.ecc_rows + self.hi_ref_rows * hi_per_lo
-        )
-
-
-def summarise_mitigations(
-    assignments: Iterable[Mitigation],
-) -> MitigationSummary:
-    """Tally a stream of per-row mitigation decisions."""
-    counts = Counter(assignments)
-    return MitigationSummary(
-        lo_ref_rows=counts.get(Mitigation.LO_REF, 0),
-        ecc_rows=counts.get(Mitigation.ECC_LO_REF, 0),
-        hi_ref_rows=counts.get(Mitigation.HI_REF, 0),
-    )

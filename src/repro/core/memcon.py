@@ -91,13 +91,6 @@ class MemconReport:
             self.config.hi_ref_interval_ms / self.config.lo_ref_interval_ms
         )
 
-    @property
-    def testing_time_vs_baseline_refresh(self) -> float:
-        """Figure 18's headline: testing time / baseline refresh time."""
-        if self.baseline_refresh_time_ns == 0:
-            return 0.0
-        return self.testing_time_ns / self.baseline_refresh_time_ns
-
 
 @obs.timed("memcon.simulate")
 def simulate_refresh_reduction(

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..dram.faults import VulnerableCell
-from .ecc import EccConfig, Mitigation, row_is_correctable
+from .ecc import EccConfig, row_is_correctable
 
 
 class RemapTable:

@@ -25,7 +25,6 @@ from .timing import (
     HI_REF_INTERVAL_MS,
     LO_REF_INTERVAL_MS,
     TimingParameters,
-    trefi_for_refresh_interval_ns,
     trfc_for_density_ns,
 )
 
@@ -50,6 +49,5 @@ __all__ = [
     "bits_to_bytes",
     "bytes_to_bits",
     "make_vendor_mapping",
-    "trefi_for_refresh_interval_ns",
     "trfc_for_density_ns",
 ]

@@ -6,8 +6,8 @@ row that has ever been written. Combined with a
 of MEMCON: *given what is currently stored, which cells fail at a given
 refresh interval?* It hands the fault map system-order content together
 with the chip's vendor mapping, through which the predicate reads each
-vulnerable cell and its two physical neighbours; :meth:`CellArray.silicon_row`
-still lays a whole row out in silicon order, as the reference layout.
+vulnerable cell and its two physical neighbours; no row is laid out in
+silicon order.
 
 Rows never written are treated as holding all zeros (the post-power-up
 convention used by the paper's FPGA test infrastructure).
@@ -15,8 +15,7 @@ convention used by the paper's FPGA test infrastructure).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 import numpy as np
 
@@ -124,12 +123,8 @@ class CellArray:
         return sorted(self._rows)
 
     # ------------------------------------------------------------------
-    # Silicon view and failure evaluation
+    # Failure evaluation
     # ------------------------------------------------------------------
-    def silicon_row(self, row_index: int) -> np.ndarray:
-        """Row content in physical (scrambled + remapped) order."""
-        return self.vendor_mapping.to_silicon(self.read_row_bits(row_index))
-
     def failing_cells(
         self, row_index: int, refresh_interval_ms: float
     ) -> List[VulnerableCell]:
@@ -138,57 +133,6 @@ class CellArray:
             row_index, self.read_row_bits(row_index), refresh_interval_ms,
             self.vendor_mapping,
         )
-
-    def failing_mask(self, row_index: int, refresh_interval_ms: float) -> np.ndarray:
-        """Failure mask over the row's vulnerable cells, current content."""
-        return self.fault_map.failing_mask(
-            row_index, self.read_row_bits(row_index), refresh_interval_ms,
-            self.vendor_mapping,
-        )
-
-    def row_fails(self, row_index: int, refresh_interval_ms: float) -> bool:
-        """Does the row lose at least one bit at this refresh interval?"""
-        return bool(self.failing_mask(row_index, refresh_interval_ms).any())
-
-    def evaluate_rows(
-        self,
-        rows: Optional[Iterable[int]],
-        refresh_interval_ms: float,
-        chunk_rows: int = 1024,
-    ) -> np.ndarray:
-        """Which rows fail with their *current* content, batch-evaluated.
-
-        ``rows=None`` evaluates the whole module. Never-written rows all
-        share the default all-zeros image, so they are answered with that
-        one shared row; written rows are stacked in chunks of
-        ``chunk_rows`` to bound peak memory. Returns a boolean array
-        aligned with ``rows``.
-        """
-        if rows is None:
-            rows = np.arange(self.geometry.total_rows, dtype=np.int64)
-        else:
-            rows = np.asarray(list(rows) if not isinstance(rows, np.ndarray) else rows,
-                              dtype=np.int64)
-        out = np.zeros(len(rows), dtype=bool)
-        if len(rows) == 0:
-            return out
-        written = np.fromiter(
-            (int(r) in self._rows for r in rows), bool, len(rows)
-        )
-        unwritten_pos = np.flatnonzero(~written)
-        if len(unwritten_pos):
-            out[unwritten_pos] = self.fault_map.rows_fail(
-                rows[unwritten_pos], self._zero_row, refresh_interval_ms,
-                self.vendor_mapping,
-            )
-        written_pos = np.flatnonzero(written)
-        for start in range(0, len(written_pos), chunk_rows):
-            pos = written_pos[start: start + chunk_rows]
-            stacked = np.stack([self._rows[int(r)] for r in rows[pos]])
-            out[pos] = self.fault_map.rows_fail(
-                rows[pos], stacked, refresh_interval_ms, self.vendor_mapping
-            )
-        return out
 
     def decay_row(self, row_index: int, refresh_interval_ms: float) -> np.ndarray:
         """Content after an idle retention window, in system bit order.

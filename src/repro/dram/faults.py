@@ -541,7 +541,7 @@ class FaultMap:
         rows are indexed by ``row_pos``. Silicon position ``p`` holds bit
         ``p`` of the content without a mapping, and system bit
         ``mapping.system_of_silicon()[p]`` with one, or 0 where that is -1,
-        as :meth:`ColumnRemapper.place_rows` leaves it. Only the three bits
+        as :meth:`VendorMapping.to_silicon` lays it out. Only the three bits
         a cell's verdict depends on are read: its own and its physical
         neighbours'.
         """

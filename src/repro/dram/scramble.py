@@ -12,13 +12,16 @@ system (paper Figure 2):
 
 The classes here model both. The fault model uses the *physical* layout to
 decide which cells interfere; the rest of the system only ever sees *system*
-addresses, which is exactly the opacity MEMCON is designed to tolerate.
+addresses, which is exactly the opacity MEMCON is designed to tolerate. The
+model needs the layout once, as :meth:`VendorMapping.system_of_silicon`:
+the system bit each silicon position serves, which the fault predicates
+gather through.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Sequence, Tuple
+from typing import Tuple
 
 import numpy as np
 
@@ -43,53 +46,21 @@ class AddressScrambler:
 
     columns: int
     seed: int = 0
-    _system_to_physical: np.ndarray = field(init=False, repr=False)
     _physical_to_system: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.columns <= 0:
             raise ValueError("columns must be positive")
+        # The seeded permutation sends system column c to physical
+        # column fwd[c]; the model keeps its inverse.
         fwd = _feistel_permutation(self.columns, self.seed)
         inv = np.empty_like(fwd)
         inv[fwd] = np.arange(self.columns)
-        object.__setattr__(self, "_system_to_physical", fwd)
         object.__setattr__(self, "_physical_to_system", inv)
-
-    def to_physical(self, system_column: int) -> int:
-        return int(self._system_to_physical[system_column])
-
-    def to_system(self, physical_column: int) -> int:
-        return int(self._physical_to_system[physical_column])
-
-    def system_to_physical_array(self) -> np.ndarray:
-        """The forward permutation as an array (copy): system -> physical."""
-        return self._system_to_physical.copy()
 
     def physical_to_system_array(self) -> np.ndarray:
         """The inverse permutation as an array (copy): physical -> system."""
         return self._physical_to_system.copy()
-
-    def scramble_row(self, system_bits: np.ndarray) -> np.ndarray:
-        """Rearrange a row of system-ordered bits into physical order."""
-        if len(system_bits) != self.columns:
-            raise ValueError("row length does not match column count")
-        physical = np.empty_like(system_bits)
-        physical[self._system_to_physical] = system_bits
-        return physical
-
-    def scramble_rows(self, system_bits: np.ndarray) -> np.ndarray:
-        """Batch :meth:`scramble_row`: scramble a (rows, columns) matrix."""
-        if system_bits.shape[-1] != self.columns:
-            raise ValueError("row length does not match column count")
-        physical = np.empty_like(system_bits)
-        physical[..., self._system_to_physical] = system_bits
-        return physical
-
-    def unscramble_row(self, physical_bits: np.ndarray) -> np.ndarray:
-        """Inverse of :meth:`scramble_row`."""
-        if len(physical_bits) != self.columns:
-            raise ValueError("row length does not match column count")
-        return physical_bits[self._system_to_physical]
 
 
 @dataclass(frozen=True)
@@ -122,53 +93,6 @@ class ColumnRemapper:
     def total_columns(self) -> int:
         """Main-array columns plus spares (the true physical width)."""
         return self.array_columns + self.spare_columns
-
-    def physical_location(self, column: int) -> int:
-        """Where a (scrambled) column index actually lives in silicon."""
-        if not 0 <= column < self.array_columns:
-            raise ValueError(f"column {column} out of range")
-        try:
-            slot = self.faulty_columns.index(column)
-        except ValueError:
-            return column
-        return self.array_columns + slot
-
-    def place_row(self, bits: np.ndarray) -> np.ndarray:
-        """Spread a row of logical bits over the physical array + spares.
-
-        Faulty main-array positions are left holding zeros; their data lives
-        in the spare region instead.
-        """
-        if len(bits) != self.array_columns:
-            raise ValueError("row length does not match array width")
-        physical = np.zeros(self.total_columns, dtype=bits.dtype)
-        physical[: self.array_columns] = bits
-        for slot, col in enumerate(self.faulty_columns):
-            physical[self.array_columns + slot] = bits[col]
-            physical[col] = 0
-        return physical
-
-    def place_rows(self, bits: np.ndarray) -> np.ndarray:
-        """Batch :meth:`place_row`: place a (rows, array_columns) matrix."""
-        if bits.shape[-1] != self.array_columns:
-            raise ValueError("row length does not match array width")
-        physical = np.zeros(bits.shape[:-1] + (self.total_columns,), dtype=bits.dtype)
-        physical[..., : self.array_columns] = bits
-        if self.faulty_columns:
-            faulty = np.asarray(self.faulty_columns, dtype=np.int64)
-            spares = self.array_columns + np.arange(len(faulty))
-            physical[..., spares] = bits[..., faulty]
-            physical[..., faulty] = 0
-        return physical
-
-    def extract_row(self, physical: np.ndarray) -> np.ndarray:
-        """Inverse of :meth:`place_row`."""
-        if len(physical) != self.total_columns:
-            raise ValueError("row length does not match physical width")
-        bits = physical[: self.array_columns].copy()
-        for slot, col in enumerate(self.faulty_columns):
-            bits[col] = physical[self.array_columns + slot]
-        return bits
 
 
 @dataclass(frozen=True)
@@ -203,16 +127,22 @@ class VendorMapping:
         return self.remapper.total_columns
 
     def to_silicon(self, system_bits: np.ndarray) -> np.ndarray:
-        """Lay a system-ordered row of bits out as it sits in silicon."""
-        return self.remapper.place_row(self.scrambler.scramble_row(system_bits))
+        """Lay system-ordered bits out as they sit in silicon.
 
-    def to_silicon_batch(self, system_bits: np.ndarray) -> np.ndarray:
-        """Batch :meth:`to_silicon`: lay out a (rows, columns) matrix."""
-        return self.remapper.place_rows(self.scrambler.scramble_rows(system_bits))
+        ``system_bits`` is one row or a (rows, columns) matrix. Each
+        silicon position takes the system bit :meth:`system_of_silicon`
+        names, or 0 where it names none; the result keeps the input's
+        dtype.
+        """
+        if system_bits.shape[-1] != self.system_columns:
+            raise ValueError("row length does not match column count")
+        of_silicon = self._system_of_silicon
+        silicon = system_bits[..., of_silicon]
+        silicon[..., of_silicon < 0] = 0
+        return silicon
 
-    def from_silicon(self, physical_bits: np.ndarray) -> np.ndarray:
-        """Read a silicon layout back into system bit order."""
-        return self.scrambler.unscramble_row(self.remapper.extract_row(physical_bits))
+    #: The same gather, named for callers that pass a matrix.
+    to_silicon_batch = to_silicon
 
     def system_of_silicon(self) -> np.ndarray:
         """System bit index served by each silicon position, -1 if none.
@@ -224,12 +154,6 @@ class VendorMapping:
         per mapping; the array is read-only.
         """
         return self._system_of_silicon
-
-    def silicon_index(self, system_column: int) -> int:
-        """Physical location of a system column (scramble, then remap)."""
-        return self.remapper.physical_location(
-            self.scrambler.to_physical(system_column)
-        )
 
 
 def make_vendor_mapping(

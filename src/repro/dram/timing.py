@@ -25,9 +25,6 @@ HI_REF_INTERVAL_MS = 16.0
 LO_REF_INTERVAL_MS = 64.0
 DEFAULT_REF_INTERVAL_MS = 64.0
 
-#: Rows refreshed per auto-refresh window in a typical DDR3 device.
-ROWS_PER_REFRESH_WINDOW = 8192
-
 
 @dataclass(frozen=True)
 class TimingParameters:
@@ -121,18 +118,6 @@ def trfc_for_density_ns(density_gbit: int) -> float:
             f"unsupported chip density {density_gbit} Gb; "
             f"expected one of {sorted(TRFC_BY_DENSITY_NS)}"
         ) from None
-
-
-def trefi_for_refresh_interval_ns(refresh_interval_ms: float) -> float:
-    """Spacing of auto-refresh commands for a target retention interval.
-
-    A device refreshes :data:`ROWS_PER_REFRESH_WINDOW` row groups per
-    retention window, so e.g. a 16 ms window yields tREFI = 1.95 us and a
-    64 ms window yields tREFI = 7.8 us (paper Table 2).
-    """
-    if refresh_interval_ms <= 0:
-        raise ValueError("refresh_interval_ms must be positive")
-    return refresh_interval_ms * 1e6 / ROWS_PER_REFRESH_WINDOW
 
 
 DDR3_1600 = TimingParameters()

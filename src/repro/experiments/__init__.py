@@ -1,8 +1,11 @@
 """Per-figure/table experiment modules reproducing the paper's evaluation.
 
-Each module exposes ``run(quick=True, seed=1) -> ExperimentResult``; the
-mapping from module to paper figure/table is in DESIGN.md's experiment
-index. Run them from the command line with ``python -m repro.experiments``.
+Each module exposes the work-unit hooks ``units``, ``run_unit`` and
+``merge_units`` (:mod:`repro.parallel.units`), which
+:func:`repro.experiments.runner.run_experiments` chains into an
+``ExperimentResult``; the mapping from module to paper figure/table is in
+DESIGN.md's experiment index. Run them from the command line with
+``python -m repro.experiments``.
 """
 
 from . import (

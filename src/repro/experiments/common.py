@@ -1,6 +1,8 @@
 """Shared infrastructure for the per-figure experiment modules.
 
-Every experiment module exposes ``run(quick=True, seed=1) -> ExperimentResult``.
+Every experiment module exposes the work-unit hooks ``units``,
+``run_unit`` and ``merge_units`` (:mod:`repro.parallel.units`); the
+runner merges the units' payloads into an :class:`ExperimentResult`.
 ``quick`` trims workload counts and simulation windows so the whole suite
 finishes in minutes; the full settings match the paper's scale. Results
 render as aligned text tables with the paper's claim alongside, which is
@@ -26,28 +28,6 @@ class ExperimentResult:
     def add_row(self, **fields: Any) -> None:
         self.rows.append(fields)
 
-    # ------------------------------------------------------------------
-    def to_dict(self) -> Dict[str, Any]:
-        """JSON-safe form; round-trips exactly (floats survive json)."""
-        return {
-            "experiment_id": self.experiment_id,
-            "title": self.title,
-            "paper_claim": self.paper_claim,
-            "rows": [dict(row) for row in self.rows],
-            "notes": self.notes,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> "ExperimentResult":
-        return cls(
-            experiment_id=data["experiment_id"],
-            title=data["title"],
-            paper_claim=data["paper_claim"],
-            rows=[dict(row) for row in data.get("rows", [])],
-            notes=data.get("notes", ""),
-        )
-
-    # ------------------------------------------------------------------
     def columns(self) -> List[str]:
         seen: List[str] = []
         for row in self.rows:

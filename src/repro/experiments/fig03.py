@@ -154,29 +154,3 @@ def merge_units(
         "fail under only a strict subset of patterns (data-dependent)"
     )
     return result
-
-
-def run(quick: bool = True, seed: int = 1) -> ExperimentResult:
-    """Run the pattern battery and collect per-pattern failing cells."""
-    payloads = [
-        run_unit(unit, quick=quick, seed=seed)
-        for unit in units(quick=quick, seed=seed)
-    ]
-    return merge_units(payloads, quick=quick, seed=seed)
-
-
-def cell_pattern_matrix(quick: bool = True, seed: int = 1):
-    """(cell_id, pattern_id) scatter points, the raw Figure 3 plot data."""
-    n_patterns = 24 if quick else 100
-    geometry, mapping, fault_map = _setup(quick, seed)
-    cell_ids: Dict[Tuple[int, int], int] = {}
-    points = []
-    for pattern_id, pattern in enumerate(pattern_battery(
-        n_random=n_patterns - 10, seed=seed,
-    )[:n_patterns]):
-        rows, bits = _pattern_failures(geometry, mapping, fault_map, pattern)
-        for row, bit in zip(rows, bits):
-            key = (int(row), int(bit))
-            cell = cell_ids.setdefault(key, len(cell_ids))
-            points.append((cell, pattern_id))
-    return points

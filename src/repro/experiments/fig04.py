@@ -168,19 +168,3 @@ def merge_units(
         f"{all_fail_fraction / max(lo, 1e-9):.1f}x"
     )
     return result
-
-
-def run(quick: bool = True, seed: int = 1) -> ExperimentResult:
-    """Measure per-benchmark failing-row fractions and the ALL-FAIL bound.
-
-    Uses the fault model directly (fill content, evaluate failures per
-    row) rather than the byte-level device path, so module-scale row
-    counts stay fast; the device path is exercised in the test suite.
-    The serial path runs the same units the pool would, in ``seq``
-    order — bit-identity with ``--jobs N`` is structural.
-    """
-    payloads = [
-        run_unit(unit, quick=quick, seed=seed)
-        for unit in units(quick=quick, seed=seed)
-    ]
-    return merge_units(payloads, quick=quick, seed=seed)

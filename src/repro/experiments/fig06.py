@@ -78,21 +78,3 @@ def merge_units(
         f"overhead {100 * copy_and_compare_storage_overhead():.2f}%"
     )
     return result
-
-
-def run(quick: bool = True, seed: int = 1) -> ExperimentResult:
-    """Compute MinWriteInterval for the paper's four configurations."""
-    payloads = [
-        run_unit(unit, quick=quick, seed=seed)
-        for unit in units(quick=quick, seed=seed)
-    ]
-    return merge_units(payloads, quick=quick, seed=seed)
-
-
-def cost_curve_series(horizon_ms: float = 2000.0):
-    """The three Figure 6 series: HI-REF and both MEMCON test modes."""
-    model = CostModel()
-    times, hi, _ = model.cost_curves(TestMode.READ_AND_COMPARE, horizon_ms)
-    _, _, read_cmp = model.cost_curves(TestMode.READ_AND_COMPARE, horizon_ms)
-    _, _, copy_cmp = model.cost_curves(TestMode.COPY_AND_COMPARE, horizon_ms)
-    return times, hi, read_cmp, copy_cmp

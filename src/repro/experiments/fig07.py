@@ -66,12 +66,3 @@ def merge_units(
         f"{percent(max(over_1024), 2)} of intervals >= 1024 ms"
     )
     return result
-
-
-def run(quick: bool = True, seed: int = 1) -> ExperimentResult:
-    """Bucket write intervals for the three plotted workloads."""
-    payloads = [
-        run_unit(unit, quick=quick, seed=seed)
-        for unit in units(quick=quick, seed=seed)
-    ]
-    return merge_units(payloads, quick=quick, seed=seed)

@@ -71,12 +71,3 @@ def merge_units(
         "hazard rate property PRIL relies on"
     )
     return result
-
-
-def run(quick: bool = True, seed: int = 1) -> ExperimentResult:
-    """Fit the Pareto tail for the three plotted workloads."""
-    payloads = [
-        run_unit(unit, quick=quick, seed=seed)
-        for unit in units(quick=quick, seed=seed)
-    ]
-    return merge_units(payloads, quick=quick, seed=seed)

@@ -59,12 +59,3 @@ def merge_units(
         time_in_short_intervals=percent(float(1.0 - np.mean(fractions))),
     )
     return result
-
-
-def run(quick: bool = True, seed: int = 1) -> ExperimentResult:
-    """Fraction of write-interval time in >=1024 ms intervals, per app."""
-    payloads = [
-        run_unit(unit, quick=quick, seed=seed)
-        for unit in units(quick=quick, seed=seed)
-    ]
-    return merge_units(payloads, quick=quick, seed=seed)

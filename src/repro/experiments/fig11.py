@@ -63,12 +63,3 @@ def merge_units(
         f"(mean {np.mean(at_512):.2f})"
     )
     return result
-
-
-def run(quick: bool = True, seed: int = 1) -> ExperimentResult:
-    """Conditional long-interval probability per workload and CIL."""
-    payloads = [
-        run_unit(unit, quick=quick, seed=seed)
-        for unit in units(quick=quick, seed=seed)
-    ]
-    return merge_units(payloads, quick=quick, seed=seed)

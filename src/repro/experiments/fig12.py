@@ -63,12 +63,3 @@ def merge_units(
         f"{max(sweet_spot):.2f} (mean {np.mean(sweet_spot):.2f})"
     )
     return result
-
-
-def run(quick: bool = True, seed: int = 1) -> ExperimentResult:
-    """Time coverage per workload across the CIL sweep."""
-    payloads = [
-        run_unit(unit, quick=quick, seed=seed)
-        for unit in units(quick=quick, seed=seed)
-    ]
-    return merge_units(payloads, quick=quick, seed=seed)

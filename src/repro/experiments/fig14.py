@@ -77,12 +77,3 @@ def merge_units(
         + ", ".join(f"{int(q)}ms={percent(m)}" for q, m in means.items())
     )
     return result
-
-
-def run(quick: bool = True, seed: int = 1) -> ExperimentResult:
-    """Per-workload refresh reduction at the three quanta."""
-    payloads = [
-        run_unit(unit, quick=quick, seed=seed)
-        for unit in units(quick=quick, seed=seed)
-    ]
-    return merge_units(payloads, quick=quick, seed=seed)

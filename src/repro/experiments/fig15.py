@@ -112,12 +112,3 @@ def merge_units(
         "are geometric means of weighted speedup over the 16 ms baseline"
     )
     return result
-
-
-def run(quick: bool = True, seed: int = 1) -> ExperimentResult:
-    """Mean speedup per core count, density, and reduction amount."""
-    payloads = [
-        run_unit(unit, quick=quick, seed=seed)
-        for unit in units(quick=quick, seed=seed)
-    ]
-    return merge_units(payloads, quick=quick, seed=seed)

@@ -104,12 +104,3 @@ def merge_units(
         "reduction plus testing traffic; all speedups vs the 16 ms baseline"
     )
     return result
-
-
-def run(quick: bool = True, seed: int = 1) -> ExperimentResult:
-    """Mean speedup of each mechanism over the 16 ms baseline."""
-    payloads = [
-        run_unit(unit, quick=quick, seed=seed)
-        for unit in units(quick=quick, seed=seed)
-    ]
-    return merge_units(payloads, quick=quick, seed=seed)

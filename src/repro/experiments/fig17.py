@@ -62,12 +62,3 @@ def merge_units(
         f"{percent(float(np.mean(coverages)))}"
     )
     return result
-
-
-def run(quick: bool = True, seed: int = 1) -> ExperimentResult:
-    """LO-REF time fraction per workload and quantum."""
-    payloads = [
-        run_unit(unit, quick=quick, seed=seed)
-        for unit in units(quick=quick, seed=seed)
-    ]
-    return merge_units(payloads, quick=quick, seed=seed)

@@ -83,12 +83,3 @@ def merge_units(
         "(testing scales with active pages, baseline refresh with all rows)"
     )
     return result
-
-
-def run(quick: bool = True, seed: int = 1) -> ExperimentResult:
-    """Refresh/testing time split per workload (normalised to baseline)."""
-    payloads = [
-        run_unit(unit, quick=quick, seed=seed)
-        for unit in units(quick=quick, seed=seed)
-    ]
-    return merge_units(payloads, quick=quick, seed=seed)

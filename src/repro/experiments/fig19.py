@@ -85,12 +85,3 @@ def merge_units(
         f"{dist['half_sub_1ms']:.3f} (halved)"
     )
     return result
-
-
-def run(quick: bool = True, seed: int = 1) -> ExperimentResult:
-    """Full vs halved intervals for the paper's example workload."""
-    payloads = [
-        run_unit(unit, quick=quick, seed=seed)
-        for unit in units(quick=quick, seed=seed)
-    ]
-    return merge_units(payloads, quick=quick, seed=seed)

@@ -18,12 +18,15 @@ per-experiment timings, span tree, metric snapshot — next to it
 (``--manifest`` overrides the location). ``python -m repro.obs.report``
 renders the trace and manifest back into summary tables.
 
-Whenever events flow (``--trace`` or ``--live``), the stream is teed
-through an in-process :class:`repro.obs.AggregatingSink`, whose windowed
-rollups (HI/LO-REF population, test outcomes, PRIL hit rate, controller
-latency percentiles, energy) are stored in the manifest under
-``"timeseries"``. ``--live`` adds a periodic stderr status line driven
-by the same aggregator; ``--window-ms`` sets the rollup window.
+Whenever events flow (``--trace`` or ``--live``) in a serial run, the
+stream is teed through an in-process :class:`repro.obs.AggregatingSink`,
+whose windowed rollups (HI/LO-REF population, test outcomes, PRIL hit
+rate, controller latency percentiles, energy) are stored in the manifest
+under ``"timeseries"``. ``--live`` adds a periodic stderr status line
+driven by the same aggregator; ``--window-ms`` sets the rollup window.
+A sharded run's events stay in the workers' trace shards, so it builds
+no aggregator: with ``--trace`` it computes the rollups from the merged
+trace, and its status line shows experiment progress and worker rows.
 ``python -m repro.obs.compare OLD NEW`` diffs two manifests.
 
 ``--jobs N`` executes each experiment's deterministic work units
@@ -54,7 +57,7 @@ import logging
 import os
 import sys
 import time
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 from .. import obs
 from ..parallel import (
@@ -64,36 +67,22 @@ from ..parallel import (
     decompose,
     discover_metric_shards,
     discover_trace_shards,
+    experiment_module,
     merge_metric_snapshots,
     merge_payloads,
     merge_run_traces,
     trace_shard_path,
 )
-from . import (
-    fig03, fig04, fig06, fig07, fig08, fig09, fig11, fig12,
-    fig14, fig15, fig16, fig17, fig18, fig19, table3,
-)
 from .common import ExperimentResult
 
 logger = logging.getLogger(__name__)
 
-EXPERIMENTS: Dict[str, Callable[..., ExperimentResult]] = {
-    "fig03": fig03.run,
-    "fig04": fig04.run,
-    "fig06": fig06.run,
-    "fig07": fig07.run,
-    "fig08": fig08.run,
-    "fig09": fig09.run,
-    "fig11": fig11.run,
-    "fig12": fig12.run,
-    "fig14": fig14.run,
-    "fig15": fig15.run,
-    "fig16": fig16.run,
-    "fig17": fig17.run,
-    "fig18": fig18.run,
-    "fig19": fig19.run,
-    "table3": table3.run,
-}
+#: Experiment ids, in the order ``all`` runs them; each names a module
+#: of this package exposing the work-unit hooks (:mod:`repro.parallel.units`).
+EXPERIMENTS: Tuple[str, ...] = (
+    "fig03", "fig04", "fig06", "fig07", "fig08", "fig09", "fig11", "fig12",
+    "fig14", "fig15", "fig16", "fig17", "fig18", "fig19", "table3",
+)
 
 
 def _resolve_names(names: List[str]) -> List[str]:
@@ -111,9 +100,22 @@ def _resolve_names(names: List[str]) -> List[str]:
 def run_experiments(
     names: List[str], quick: bool = True, seed: int = 1
 ) -> List[ExperimentResult]:
-    """Run the named experiments (or all of them) and return results."""
-    return [EXPERIMENTS[name](quick=quick, seed=seed)
-            for name in _resolve_names(names)]
+    """Run the named experiments (or all of them) serially.
+
+    Each experiment runs the work units its module lists, in order, and
+    merges their payloads: the path a ``--jobs N`` pool takes, minus the
+    pool. ``units`` is looked up at call time, so a module whose
+    ``units`` was replaced by a filter runs just that subset.
+    """
+    results = []
+    for name in _resolve_names(names):
+        module = experiment_module(name)
+        payloads = [
+            module.run_unit(unit, quick=quick, seed=seed)
+            for unit in module.units(quick=quick, seed=seed)
+        ]
+        results.append(module.merge_units(payloads, quick=quick, seed=seed))
+    return results
 
 
 def _configure_logging(verbose: bool, quiet: bool) -> None:
@@ -229,8 +231,9 @@ def main(argv: Optional[List[str]] = None) -> int:
         "--live", action="store_true",
         help="periodic stderr status line (events/s, LO-REF rows, "
         "outstanding tests, ETA) driven by the in-process aggregator; "
-        "with --jobs N also one row per worker (units done, last unit, "
-        "RSS peak), refreshed as units finish",
+        "with --jobs N the line shows experiment progress and ETA, plus "
+        "one row per worker (units done, last unit, RSS peak), refreshed "
+        "as units finish",
     )
     parser.add_argument(
         "--profile", action="store_true",
@@ -328,7 +331,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     jsonl_sink = obs.JsonlTraceSink(trace_target) if trace_target else None
     aggregator = (
         obs.AggregatingSink(window_ms=args.window_ms)
-        if (args.trace or args.live) else None
+        if (args.trace or args.live) and not parallel else None
     )
     live = obs.LiveReporter(aggregator) if args.live else None
     sinks = [s for s in (jsonl_sink, aggregator, live) if s is not None]
@@ -446,8 +449,9 @@ def main(argv: Optional[List[str]] = None) -> int:
         manifest.wall_s = time.perf_counter() - run_started
         obs.emit("run_finished", wall_s=manifest.wall_s)
         manifest.spans = collector.to_dict()
-        manifest.metrics = obs.get_registry().snapshot()
-        if aggregator is not None and not parallel:
+        if args.metrics:
+            manifest.metrics = obs.get_registry().snapshot()
+        if aggregator is not None:
             manifest.timeseries = aggregator.to_dict()
     finally:
         if profiler is not None:
@@ -493,9 +497,9 @@ def main(argv: Optional[List[str]] = None) -> int:
         for shard in worker_shards:
             _remove_quietly(shard)
         _remove_quietly(parent_shard)
-        # The aggregator only saw the parent's lifecycle shard during a
-        # sharded run; recompute the rollups from the merged stream,
-        # which equals the serial stream record for record.
+        # A sharded run aggregates nothing while it runs; compute the
+        # rollups from the merged stream, which equals the serial stream
+        # record for record.
         manifest.timeseries = obs.aggregate_trace(
             obs.read_trace(args.trace, validate=False),
             window_ms=args.window_ms,

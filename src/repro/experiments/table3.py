@@ -95,12 +95,3 @@ def merge_units(
         "(last row) reproduces the paper's near-zero multicore overhead"
     )
     return result
-
-
-def run(quick: bool = True, seed: int = 1) -> ExperimentResult:
-    """Slowdown vs a zero-testing-overhead ideal, per test concurrency."""
-    payloads = [
-        run_unit(unit, quick=quick, seed=seed)
-        for unit in units(quick=quick, seed=seed)
-    ]
-    return merge_units(payloads, quick=quick, seed=seed)

@@ -177,24 +177,6 @@ class MemoryController:
         )
 
     # ------------------------------------------------------------------
-    def enqueue(self, request: Request) -> bool:
-        """Accept a request into the appropriate queue."""
-        return self.scheduler.enqueue(request)
-
-    @property
-    def pending(self) -> int:
-        return self.scheduler.pending
-
-    # ------------------------------------------------------------------
-    def tick(self, now_ns: float) -> float:
-        """Process work available at ``now_ns``; return next event time.
-
-        One call issues at most one refresh, one injected test request and
-        one scheduled request; callers loop on the returned event time.
-        It is the one-instant case of :meth:`drain`.
-        """
-        return self.drain(now_ns, now_ns + self.timing.tCK)[0]
-
     def drain(self, now_ns: float, bound_ns: float) -> Tuple[float, float]:
         """Run every instant in ``[now_ns, bound_ns)`` in one visit.
 

@@ -46,12 +46,6 @@ from .analytics import (
     TeeSink,
     aggregate_trace,
 )
-from .compare import (
-    ComparisonResult,
-    MetricDelta,
-    compare_files,
-    compare_metrics,
-)
 from .forensics import (
     FORENSIC_KINDS,
     LEDGER_KINDS,
@@ -105,10 +99,6 @@ __all__ = [
     "TeeSink",
     "aggregate_trace",
     "SampledProfiler",
-    "ComparisonResult",
-    "MetricDelta",
-    "compare_files",
-    "compare_metrics",
     "FORENSIC_KINDS",
     "LEDGER_KINDS",
     "extract_ledger",

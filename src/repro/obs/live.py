@@ -14,12 +14,14 @@ populations and outstanding-test counts come straight from the shared
 aggregator, so watching a run costs one clock read per event, or per
 batch for records delivered through ``emit_many``.
 
-In a sharded run the runner passes the executor's worker rows to
+A sharded run's events go to the workers' trace shards, so the runner
+builds no aggregator for it: the line then shows only experiment
+progress. The runner passes the executor's worker rows to
 :meth:`show_workers` as each unit is accepted, and each repaint then
 prints one row per pool worker — units done, the last unit it finished
 and its RSS peak::
 
-    [live] 1203 events (40 ev/s) | lo-ref rows 64 | ...
+    [live] experiments 1/2 | eta 3s
       worker-g1-4711: units 2 | last fig04/scan-3 | rss 91MB
 
 Lines are clipped to the terminal width, re-queried on every repaint
@@ -49,7 +51,8 @@ class LiveReporter:
     Parameters
     ----------
     aggregator:
-        The :class:`AggregatingSink` receiving the same record stream.
+        The :class:`AggregatingSink` receiving the same record stream,
+        or None to report run progress alone.
     stream:
         Where status lines go (default ``sys.stderr``).
     interval_s:
@@ -60,7 +63,7 @@ class LiveReporter:
 
     def __init__(
         self,
-        aggregator: AggregatingSink,
+        aggregator: Optional[AggregatingSink],
         stream: Optional[TextIO] = None,
         interval_s: float = 1.0,
         clock: Callable[[], float] = time.monotonic,
@@ -139,12 +142,14 @@ class LiveReporter:
     def _write_status(self, now: float) -> None:
         aggregator = self.aggregator
         elapsed = max(now - self._started, 1e-9)
-        rate = aggregator.events_total / elapsed
-        parts = [
-            f"{aggregator.events_total} events ({rate:.0f} ev/s)",
-            f"lo-ref rows {aggregator.rows_lo}",
-            f"tests outstanding {aggregator.tests_outstanding}",
-        ]
+        parts = []
+        if aggregator is not None:
+            rate = aggregator.events_total / elapsed
+            parts += [
+                f"{aggregator.events_total} events ({rate:.0f} ev/s)",
+                f"lo-ref rows {aggregator.rows_lo}",
+                f"tests outstanding {aggregator.tests_outstanding}",
+            ]
         total = self._experiments_total
         done = self._experiments_done
         if total is not None:

@@ -121,37 +121,6 @@ class RunManifest:
             "forensics": self.forensics,
         }
 
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "RunManifest":
-        """Rebuild a manifest from :meth:`to_dict` output (round-trip).
-
-        Tolerates manifests written before a field existed (missing keys
-        take the dataclass default) but rejects wrong schema versions.
-        """
-        if data.get("schema") != MANIFEST_SCHEMA_VERSION:
-            raise ValueError(
-                f"not a schema-{MANIFEST_SCHEMA_VERSION} manifest: "
-                f"{data.get('schema')!r}"
-            )
-        return cls(
-            experiments=list(data.get("experiments", [])),
-            seed=data.get("seed", 0),
-            quick=data.get("quick", True),
-            config=dict(data.get("config") or {}),
-            git_rev=data.get("git_rev"),
-            python=data.get("python", ""),
-            platform_tag=data.get("platform", ""),
-            timings=list(data.get("timings") or []),
-            spans=data.get("spans"),
-            metrics=data.get("metrics"),
-            timeseries=data.get("timeseries"),
-            trace_path=data.get("trace_path"),
-            workers=data.get("workers"),
-            profile=data.get("profile"),
-            forensics=data.get("forensics"),
-            wall_s=data.get("wall_s", 0.0),
-        )
-
     def write(self, path: str) -> None:
         parent = os.path.dirname(path)
         if parent:

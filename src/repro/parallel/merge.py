@@ -31,12 +31,11 @@ import os
 from typing import Any, Dict, Iterable, Iterator, List, Mapping, Optional, Tuple
 
 from ..obs.trace import read_trace
-from .executor import _split_ext, metrics_shard_path, trace_shard_path
+from .executor import _split_ext, metrics_shard_path
 
 __all__ = [
     "discover_metric_shards",
     "discover_trace_shards",
-    "extract_sharded_ledger",
     "iter_merged_records",
     "merge_metric_snapshots",
     "merge_run_traces",
@@ -175,33 +174,6 @@ def merge_run_traces(
             handle.write("\n")
             written += 1
     return written
-
-
-def extract_sharded_ledger(
-    trace_base: str,
-    out_path: str,
-    accepted: Optional[Mapping[Tuple[str, int], Tuple[str, int]]] = None,
-) -> Dict[str, Any]:
-    """Recover the forensic ledger straight from a killed run's shards.
-
-    The normal path extracts the ledger from the merged ``--trace``
-    file; this offline fallback streams :func:`iter_merged_records`
-    over whatever shards survived next to ``trace_base`` (plus the
-    parent shard, if present) without writing the merged trace.
-    Returns the ledger census (see
-    :func:`repro.obs.forensics.extract_ledger`).
-    """
-    from ..obs.forensics import extract_ledger
-
-    parent_shard = trace_shard_path(trace_base, "parent")
-    if not os.path.exists(parent_shard):
-        parent_shard = os.devnull
-    return extract_ledger(
-        out_path=out_path,
-        records=iter_merged_records(
-            parent_shard, discover_trace_shards(trace_base), accepted
-        ),
-    )
 
 
 def _shard_label(path: str) -> str:

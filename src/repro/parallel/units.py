@@ -10,23 +10,19 @@ checkpoint journal written at ``--jobs 8`` resumes cleanly at
 ``--jobs 2``, and merging unit payloads in ``seq`` order reproduces the
 serial run bit for bit.
 
-Experiment modules opt in by exposing three hooks::
+Every experiment module exposes three hooks::
 
     units(quick=True, seed=1)            -> List[WorkUnit]
     run_unit(unit, quick=True, seed=1)   -> JSON-safe payload
     merge_units(payloads, quick=True, seed=1) -> ExperimentResult
 
-and implementing ``run()`` as ``merge_units([run_unit(u) for u in
+The runner's serial path is ``merge_units([run_unit(u) for u in
 units()])`` — the serial path *is* the unit path, which is what makes
 "bit-identical to serial" a structural property instead of a test hope.
 Payloads must be JSON-safe (plain ints/floats/strings/lists/dicts)
 because they round-trip through the checkpoint journal; Python's JSON
 encoder preserves float64 exactly, so journalled results stay
-bit-identical too.
-
-Modules without hooks still parallelise as a single opaque unit whose
-payload is the rendered :class:`ExperimentResult` dict — no speedup,
-but checkpoint/resume and the runner's bookkeeping work uniformly.
+bit-identical too. :func:`decompose` rejects a module missing any hook.
 """
 
 from __future__ import annotations
@@ -47,7 +43,7 @@ __all__ = [
     "unit_fingerprint",
 ]
 
-#: Hooks a module must expose to provide a real decomposition.
+#: Hooks every experiment module exposes.
 _HOOKS = ("units", "run_unit", "merge_units")
 
 #: Experiment name -> import path, for experiments living outside
@@ -112,10 +108,6 @@ def experiment_module(name: str, module: Optional[str] = None):
     return importlib.import_module(module or _module_path(name))
 
 
-def _has_hooks(module) -> bool:
-    return all(hasattr(module, hook) for hook in _HOOKS)
-
-
 def unit_fingerprint(unit: WorkUnit, quick: bool, seed: int) -> str:
     """Digest pinning a unit's identity *and* inputs.
 
@@ -140,15 +132,16 @@ def unit_fingerprint(unit: WorkUnit, quick: bool, seed: int) -> str:
 def decompose(name: str, quick: bool = True, seed: int = 1) -> List[WorkUnit]:
     """The deterministic unit list of an experiment.
 
-    Falls back to a single opaque unit for modules without hooks. Raises
-    ``ValueError`` on malformed decompositions (duplicate ids, ``seq``
+    Raises ``ValueError`` naming the missing hooks of a module without
+    all three, and on malformed decompositions (duplicate ids, ``seq``
     not the contiguous 0..n-1 range) — silent misnumbering would scramble
     the merge order.
     """
     path = _module_path(name)
     module = experiment_module(name, path)
-    if not _has_hooks(module):
-        return [WorkUnit(name, "all", {}, seq=0, module=path)]
+    missing = [hook for hook in _HOOKS if not hasattr(module, hook)]
+    if missing:
+        raise ValueError(f"{name}: {path} lacks {', '.join(missing)}")
     units = list(module.units(quick=quick, seed=seed))
     seen = set()
     for unit in units:
@@ -169,8 +162,6 @@ def decompose(name: str, quick: bool = True, seed: int = 1) -> List[WorkUnit]:
 def execute_unit(unit: WorkUnit, quick: bool = True, seed: int = 1) -> Any:
     """Run one unit and return its JSON-safe payload."""
     module = experiment_module(unit.experiment, unit.module)
-    if not _has_hooks(module):
-        return module.run(quick=quick, seed=seed).to_dict()
     return module.run_unit(unit, quick=quick, seed=seed)
 
 
@@ -183,12 +174,4 @@ def merge_payloads(
 ):
     """Fold seq-ordered unit payloads back into an ``ExperimentResult``."""
     mod = experiment_module(name, module)
-    if not _has_hooks(mod):
-        from ..experiments.common import ExperimentResult
-
-        if len(payloads) != 1:
-            raise ValueError(
-                f"{name}: opaque experiment expects exactly one payload"
-            )
-        return ExperimentResult.from_dict(payloads[0])
     return mod.merge_units(list(payloads), quick=quick, seed=seed)

@@ -1,14 +1,9 @@
 """System simulator: trace cores, full system, workload mixes, metrics."""
 
 from .core import CoreConfig, TraceCore
-from .energy import (
-    EnergyBreakdown,
-    EnergyParameters,
-    energy_of_run,
-    refresh_energy_savings,
-)
+from .energy import EnergyBreakdown, EnergyParameters, energy_of_run
 from .events import EventHeap
-from .metrics import geometric_mean, harmonic_mean, speedup
+from .metrics import geometric_mean, speedup
 from .system import (
     CoreResult,
     SystemConfig,
@@ -25,13 +20,11 @@ __all__ = [
     "EnergyParameters",
     "EventHeap",
     "energy_of_run",
-    "refresh_energy_savings",
     "SystemConfig",
     "SystemResult",
     "SystemSimulator",
     "TraceCore",
     "geometric_mean",
-    "harmonic_mean",
     "multicore_mixes",
     "simulate_workload",
     "singlecore_workloads",

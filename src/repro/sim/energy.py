@@ -101,16 +101,3 @@ def energy_of_run(
         )
     return breakdown
 
-
-def refresh_energy_savings(
-    baseline_refreshes: int,
-    reduced_refreshes: int,
-    density_gbit: int = 8,
-    params: Optional[EnergyParameters] = None,
-) -> float:
-    """Refresh energy saved (nJ) by a refresh-reduction mechanism."""
-    if baseline_refreshes < 0 or reduced_refreshes < 0:
-        raise ValueError("refresh counts must be non-negative")
-    params = params or EnergyParameters()
-    saved = baseline_refreshes - reduced_refreshes
-    return saved * params.refresh_nj(density_gbit)

@@ -36,11 +36,3 @@ def geometric_mean(values: Sequence[float]) -> float:
         return float(values[0])  # exact, no log/exp round-trip error
     return math.exp(math.fsum(math.log(v) for v in values) / len(values))
 
-
-def harmonic_mean(values: Sequence[float]) -> float:
-    """Harmonic mean (used for fairness-weighted aggregates)."""
-    if not values:
-        raise ValueError("values must not be empty")
-    if any(v <= 0 for v in values):
-        raise ValueError("values must be positive")
-    return len(values) / sum(1.0 / v for v in values)

@@ -4,7 +4,6 @@ from .patterns import (
     CANONICAL_PATTERNS,
     DataPattern,
     pattern_battery,
-    pattern_by_name,
     random_pattern,
 )
 from .softmc import CellFailure, FailureReport, SoftMCTester
@@ -16,6 +15,5 @@ __all__ = [
     "FailureReport",
     "SoftMCTester",
     "pattern_battery",
-    "pattern_by_name",
     "random_pattern",
 ]

@@ -124,10 +124,3 @@ def pattern_battery(n_random: int = 90, seed: int = 1) -> List[DataPattern]:
         raise ValueError("n_random must be non-negative")
     return CANONICAL_PATTERNS + [random_pattern(seed + i) for i in range(n_random)]
 
-
-def pattern_by_name(name: str) -> DataPattern:
-    """Look up one of the canonical patterns by name."""
-    for pattern in CANONICAL_PATTERNS:
-        if pattern.name == name:
-            return pattern
-    raise KeyError(f"unknown pattern {name!r}")

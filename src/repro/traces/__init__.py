@@ -1,6 +1,6 @@
 """Workload traces: write-interval generation, content images, registries."""
 
-from .content import ContentProfile, ROW_GENERATORS, bit_density
+from .content import ContentProfile, ROW_GENERATORS
 from .events import WriteTrace
 from .generator import (
     clear_trace_cache,
@@ -20,8 +20,6 @@ from .workloads import (
     REPRESENTATIVE_WORKLOADS,
     WORKLOADS,
     WorkloadProfile,
-    get_workload,
-    workload_names,
 )
 
 __all__ = [
@@ -38,12 +36,9 @@ __all__ = [
     "WorkloadProfile",
     "WriteTrace",
     "benchmark_names",
-    "bit_density",
     "clear_trace_cache",
     "generate_page_writes",
     "generate_trace",
     "trace_cache_info",
     "get_benchmark",
-    "get_workload",
-    "workload_names",
 ]

@@ -143,15 +143,3 @@ class ContentProfile:
             image[row] = generator(rng, row_bytes).tobytes()
         return image
 
-
-def bit_density(image: Dict[int, bytes]) -> float:
-    """Mean fraction of set bits across an image (calibration aid)."""
-    if not image:
-        raise ValueError("image must not be empty")
-    total_bits = 0
-    set_bits = 0
-    for data in image.values():
-        arr = np.frombuffer(data, dtype=np.uint8)
-        set_bits += int(np.unpackbits(arr).sum())
-        total_bits += len(arr) * 8
-    return set_bits / total_bits

@@ -26,7 +26,7 @@ uses is a per-page/per-interval property, unaffected by page-count scale.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import Dict, Tuple
 
 
 @dataclass(frozen=True)
@@ -132,17 +132,3 @@ REPRESENTATIVE_WORKLOADS: Tuple[str, str, str] = (
     "ACBrotherHood", "Netflix", "SystemMgt",
 )
 
-
-def workload_names() -> List[str]:
-    """All twelve application names, in the paper's Table 1 order."""
-    return list(WORKLOADS)
-
-
-def get_workload(name: str) -> WorkloadProfile:
-    """Look up a workload profile by its Table 1 name."""
-    try:
-        return WORKLOADS[name]
-    except KeyError:
-        raise KeyError(
-            f"unknown workload {name!r}; expected one of {workload_names()}"
-        ) from None

@@ -3,10 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.analysis.coverage import (
-    accuracy_coverage_tradeoff,
-    evaluate_predictor,
-)
+from repro.analysis.coverage import evaluate_predictor
 
 
 class TestEvaluatePredictor:
@@ -54,9 +51,9 @@ class TestEvaluatePredictor:
         times = np.cumsum(gaps)
         times = times[times < 200_000.0]
         trace = trace_factory({0: times}, duration_ms=200_000.0)
-        sweep = accuracy_coverage_tradeoff(
-            trace, np.array([16.0, 256.0, 2048.0])
-        )
+        sweep = [
+            evaluate_predictor(trace, cil) for cil in (16.0, 256.0, 2048.0)
+        ]
         accuracies = [q.accuracy for q in sweep]
         assert accuracies[0] <= accuracies[-1] + 1e-9
 
@@ -64,9 +61,9 @@ class TestEvaluatePredictor:
         rng = np.random.default_rng(4)
         times = np.sort(rng.uniform(0, 50_000, 60))
         trace = trace_factory({0: times}, duration_ms=60_000.0)
-        sweep = accuracy_coverage_tradeoff(
-            trace, np.array([16.0, 512.0, 8192.0])
-        )
+        sweep = [
+            evaluate_predictor(trace, cil) for cil in (16.0, 512.0, 8192.0)
+        ]
         coverages = [q.time_coverage for q in sweep]
         assert coverages[0] >= coverages[-1] - 1e-9
 
@@ -79,52 +76,3 @@ class TestEvaluatePredictor:
         with pytest.raises(ValueError):
             evaluate_predictor(trace_factory({0: [1.0]}), cil_ms=-1.0)
 
-
-class TestContentFailureCoverage:
-    @pytest.fixture
-    def dense_cells(self):
-        from repro.dram.cell_array import CellArray
-        from repro.dram.faults import FaultMap, FaultModelConfig
-        from repro.dram.geometry import DramGeometry
-
-        geometry = DramGeometry(
-            channels=1, ranks=1, banks=2, rows_per_bank=32,
-            row_size_bytes=512, block_size_bytes=64,
-        )
-        cells = CellArray(geometry, seed=21)
-        cells.fault_map = FaultMap(
-            total_rows=geometry.total_rows,
-            bits_per_row=cells.vendor_mapping.physical_columns,
-            config=FaultModelConfig(vulnerable_cell_rate=5e-3),
-            seed=21,
-        )
-        return cells
-
-    def test_content_bounded_by_worst_case(self, dense_cells):
-        from repro.analysis.coverage import content_failure_coverage
-
-        rng = np.random.default_rng(1)
-        for row in range(dense_cells.geometry.total_rows):
-            dense_cells.write_row_bits(
-                row, rng.integers(0, 2, 4096).astype(np.uint8)
-            )
-        summary = content_failure_coverage(dense_cells, 1000.0)
-        assert summary.rows_evaluated == dense_cells.geometry.total_rows
-        assert summary.failing_with_content <= summary.failing_worst_case
-        assert 0.0 <= summary.content_fraction <= summary.worst_case_fraction
-        if summary.failing_with_content:
-            assert summary.worst_case_ratio >= 1.0
-
-    def test_row_subset(self, dense_cells):
-        from repro.analysis.coverage import content_failure_coverage
-
-        summary = content_failure_coverage(dense_cells, 1000.0, rows=range(8))
-        assert summary.rows_evaluated == 8
-
-    def test_empty_rows(self, dense_cells):
-        from repro.analysis.coverage import content_failure_coverage
-
-        summary = content_failure_coverage(dense_cells, 1000.0, rows=[])
-        assert summary.rows_evaluated == 0
-        assert summary.content_fraction == 0.0
-        assert summary.worst_case_fraction == 0.0

@@ -7,9 +7,7 @@ from repro.analysis.intervals import (
     CIL_GRID_MS,
     LONG_INTERVAL_MS,
     coverage_curve,
-    fraction_of_writes_below,
     interval_distribution,
-    interval_time_coverage,
     ril_exceeds_probability,
     ril_probability_curve,
     time_in_long_intervals,
@@ -37,10 +35,13 @@ class TestDistribution:
 
     def test_fraction_below(self, trace_factory):
         trace = trace_factory({0: [0.0, 0.5, 10.0]})
-        assert fraction_of_writes_below(trace, 1.0) == pytest.approx(0.5)
+        below_1ms = interval_distribution(trace).percentages[0]
+        assert below_1ms == pytest.approx(50.0)
 
     def test_empty_trace(self, trace_factory):
-        assert fraction_of_writes_below(trace_factory({}), 1.0) == 0.0
+        dist = interval_distribution(trace_factory({}))
+        assert dist.n_intervals == 0
+        assert not dist.percentages.any()
 
 
 class TestTimeInLongIntervals:
@@ -102,11 +103,11 @@ class TestCoverage:
         # Intervals with trailing: 2000 and 8000.
         trace = trace_factory({0: [0.0, 2000.0]})
         expected = ((2000 - 500) + (8000 - 500)) / 10_000
-        assert interval_time_coverage(trace, 500.0) == pytest.approx(expected)
+        assert coverage_curve(trace, [500.0])[0] == pytest.approx(expected)
 
     def test_coverage_one_at_zero_cil(self, trace_factory):
         trace = trace_factory({0: [0.0, 2000.0]})
-        assert interval_time_coverage(trace, 0.0) == pytest.approx(1.0)
+        assert coverage_curve(trace, [0.0])[0] == pytest.approx(1.0)
 
     def test_coverage_monotone_decreasing(self, trace_factory):
         rng = np.random.default_rng(1)
@@ -117,7 +118,7 @@ class TestCoverage:
 
     def test_cil_larger_than_all_intervals(self, trace_factory):
         trace = trace_factory({0: [0.0, 10.0]}, duration_ms=100.0)
-        assert interval_time_coverage(trace, 1000.0) == 0.0
+        assert coverage_curve(trace, [1000.0])[0] == 0.0
 
     def test_long_interval_constant(self):
         assert LONG_INTERVAL_MS == 1024.0

@@ -1,22 +1,9 @@
-"""Tests for ECC-based mitigation."""
+"""Tests for the SECDED correctability test behind ECC mitigation."""
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core.ecc import (
-    EccConfig,
-    Mitigation,
-    choose_mitigation,
-    failures_per_word,
-    row_is_correctable,
-    summarise_mitigations,
-)
-from repro.dram.faults import VulnerableCell
-
-
-def _cell(column: int) -> VulnerableCell:
-    return VulnerableCell(row_index=0, physical_column=column,
-                          threshold=0.5, true_cell=True)
+from repro.core.ecc import EccConfig, failures_per_word, row_is_correctable
 
 
 class TestCorrectability:
@@ -48,58 +35,6 @@ class TestCorrectability:
         per_word = failures_per_word(bits)
         expected = not per_word or max(per_word.values()) <= 1
         assert row_is_correctable(bits) == expected
-
-
-class TestChooseMitigation:
-    def test_clean_row_stays_lo(self):
-        assert choose_mitigation([]) is Mitigation.LO_REF
-
-    def test_correctable_row_uses_ecc(self):
-        assert choose_mitigation([_cell(3)]) is Mitigation.ECC_LO_REF
-
-    def test_uncorrectable_row_goes_hi(self):
-        assert choose_mitigation([_cell(3), _cell(4)]) is Mitigation.HI_REF
-
-    def test_ecc_disabled_falls_back_to_hi(self):
-        assert choose_mitigation(
-            [_cell(3)], ecc_enabled=False
-        ) is Mitigation.HI_REF
-
-    def test_stronger_code_corrects_more(self):
-        config = EccConfig(correctable_per_word=2)
-        assert choose_mitigation([_cell(3), _cell(4)],
-                                 config=config) is Mitigation.ECC_LO_REF
-
-
-class TestSummary:
-    def test_tally(self):
-        summary = summarise_mitigations([
-            Mitigation.LO_REF, Mitigation.LO_REF,
-            Mitigation.ECC_LO_REF, Mitigation.HI_REF,
-        ])
-        assert summary.lo_ref_rows == 2
-        assert summary.ecc_rows == 1
-        assert summary.hi_ref_rows == 1
-        assert summary.total == 4
-        assert summary.hi_ref_fraction == 0.25
-
-    def test_refresh_ops(self):
-        summary = summarise_mitigations([
-            Mitigation.LO_REF, Mitigation.ECC_LO_REF, Mitigation.HI_REF,
-        ])
-        # 1 + 1 + 4 refreshes per LO window.
-        assert summary.refresh_ops_per_window() == 6.0
-
-    def test_ecc_reduces_refresh_cost(self):
-        with_ecc = summarise_mitigations([
-            choose_mitigation([_cell(3)]) for _ in range(10)
-        ])
-        without_ecc = summarise_mitigations([
-            choose_mitigation([_cell(3)], ecc_enabled=False)
-            for _ in range(10)
-        ])
-        assert (with_ecc.refresh_ops_per_window()
-                < without_ecc.refresh_ops_per_window())
 
 
 class TestConfig:

@@ -52,7 +52,6 @@ class TestReportApi:
             testing_time_correct_ns=0.0, testing_time_mispredicted_ns=0.0,
         )
         assert report.refresh_reduction == 0.0
-        assert report.testing_time_vs_baseline_refresh == 0.0
 
     def test_copy_mode_costs_more_testing_time(self, trace_factory):
         read = self._report(trace_factory,

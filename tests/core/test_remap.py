@@ -88,6 +88,26 @@ class TestCascade:
         assert plan.remapped_rows == 1
         assert plan.hi_ref_rows == 1
 
+    def test_uncorrectable_row_goes_hi(self):
+        plan = plan_mitigations({0: [_cell(3), _cell(4)]}, ecc=EccConfig())
+        assert plan.hi_ref_rows == 1
+        assert plan.ecc_rows == 0
+
+    def test_stronger_code_corrects_more(self):
+        plan = plan_mitigations(
+            {0: [_cell(3), _cell(4)]},
+            ecc=EccConfig(correctable_per_word=2),
+        )
+        assert plan.ecc_rows == 1
+        assert plan.hi_ref_rows == 0
+
+    def test_ecc_reduces_refresh_cost(self):
+        rows = {row: [_cell(3)] for row in range(10)}
+        with_ecc = plan_mitigations(rows, ecc=EccConfig())
+        without_ecc = plan_mitigations(rows)
+        assert (with_ecc.refresh_ops_per_window()
+                < without_ecc.refresh_ops_per_window())
+
     def test_no_ecc_no_remap_all_failures_hi(self):
         plan = plan_mitigations({0: [_cell(3)], 1: []})
         assert plan.hi_ref_rows == 1

@@ -6,6 +6,7 @@ import pytest
 from repro.dram.cell_array import CellArray, bits_to_bytes, bytes_to_bits
 from repro.dram.faults import FaultMap, FaultModelConfig
 from repro.dram.geometry import TINY_MODULE, DramGeometry
+from tests.oracles import scramble
 
 
 @pytest.fixture
@@ -98,15 +99,15 @@ class TestSiliconView:
         rng = np.random.default_rng(0)
         bits = rng.integers(0, 2, TINY_MODULE.bits_per_row).astype(np.uint8)
         array.write_row_bits(7, bits)
-        physical = array.silicon_row(7)
-        recovered = array.vendor_mapping.from_silicon(physical)
-        assert np.array_equal(recovered, bits)
+        mapping = array.vendor_mapping
+        physical = mapping.to_silicon(array.read_row_bits(7))
+        assert np.array_equal(scramble.from_silicon(mapping, physical), bits)
 
     def test_silicon_differs_from_system_order(self, array):
         bits = np.zeros(TINY_MODULE.bits_per_row, dtype=np.uint8)
         bits[:16] = 1  # a contiguous run in system order
         array.write_row_bits(0, bits)
-        physical = array.silicon_row(0)
+        physical = array.vendor_mapping.to_silicon(array.read_row_bits(0))
         # Scrambling must scatter the run (overwhelmingly likely).
         assert not np.array_equal(physical[: len(bits)], bits)
 
@@ -127,15 +128,6 @@ class TestDecay:
             decayed = dense_array.decay_row(3, 64.0)
             assert np.array_equal(decayed, bits)
 
-    def test_row_fails_consistent_with_failing_cells(self, dense_array):
-        rng = np.random.default_rng(10)
-        bits = rng.integers(0, 2, 4096).astype(np.uint8)
-        for row in range(8):
-            dense_array.write_row_bits(row, bits)
-            assert dense_array.row_fails(row, 1000.0) == bool(
-                dense_array.failing_cells(row, 1000.0)
-            )
-
     def test_decay_deterministic(self, dense_array):
         rng = np.random.default_rng(11)
         bits = rng.integers(0, 2, 4096).astype(np.uint8)
@@ -144,35 +136,3 @@ class TestDecay:
         second = dense_array.decay_row(1, 500.0)
         assert np.array_equal(first, second)
 
-
-class TestEvaluateRows:
-    def test_matches_per_row_scalar_path(self, dense_array):
-        rng = np.random.default_rng(12)
-        total = dense_array.geometry.total_rows
-        for row in range(0, total, 3):
-            dense_array.write_row_bits(
-                row, rng.integers(0, 2, 4096).astype(np.uint8)
-            )
-        batch = dense_array.evaluate_rows(None, 1000.0)
-        assert batch.shape == (total,)
-        for row in range(total):
-            assert batch[row] == dense_array.row_fails(row, 1000.0)
-
-    def test_row_subset_and_chunking(self, dense_array):
-        rng = np.random.default_rng(13)
-        rows = [1, 5, 17, 40]
-        for row in rows:
-            dense_array.write_row_bits(
-                row, rng.integers(0, 2, 4096).astype(np.uint8)
-            )
-        batch = dense_array.evaluate_rows(rows, 800.0, chunk_rows=2)
-        assert batch.shape == (len(rows),)
-        for pos, row in enumerate(rows):
-            assert batch[pos] == dense_array.row_fails(row, 800.0)
-
-    def test_unwritten_rows_share_zero_image(self, dense_array):
-        # No row written: every row holds the zero pattern, so the batch
-        # must agree with the scalar path on the all-zeros content.
-        batch = dense_array.evaluate_rows(None, 1000.0)
-        for row in range(dense_array.geometry.total_rows):
-            assert batch[row] == dense_array.row_fails(row, 1000.0)

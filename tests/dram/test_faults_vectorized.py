@@ -5,8 +5,9 @@ The batch APIs (``failing_mask``, ``rows_fail``, ``failing_cells_batch``,
 path (``cell_fails`` / ``row_can_ever_fail`` in
 ``tests/oracles/fault_cells.py``), kept as the reference implementation.
 Given a vendor mapping, the predicates read system-order content through
-it; they must agree with the same calls on the silicon layout
-(``VendorMapping.to_silicon[_batch]``) that path replaced. Mis-shaped
+it; they must agree with the same calls on the silicon layout built by
+the scramble-then-place composition that path replaced
+(``tests/oracles/scramble.py``). Mis-shaped
 content is rejected. Also covers the RNG-stream regression: row
 polarity must be drawn independently of the cell layout.
 """
@@ -21,6 +22,7 @@ from repro.dram.cell_array import CellArray
 from repro.dram.faults import FaultMap, FaultModelConfig
 from repro.dram.geometry import DramGeometry
 from repro.dram.scramble import make_vendor_mapping
+from tests.oracles import scramble as layout
 from tests.oracles.fault_cells import cell_fails, row_can_ever_fail
 
 # Dense enough that a 64-row slice holds many vulnerable cells.
@@ -260,8 +262,8 @@ class TestSystemOrderGather:
         one = rng.integers(0, 2, size=columns).astype(dtype)
         matrix = rng.integers(0, 2, size=(GATHER_ROWS, columns)).astype(dtype)
         for content, silicon in (
-            (one, mapping.to_silicon(one)),
-            (matrix, mapping.to_silicon_batch(matrix)),
+            (one, layout.to_silicon(mapping, one)),
+            (matrix, layout.to_silicon(mapping, matrix)),
         ):
             got = fault_map.failing_cells_batch(rows, content, interval, mapping)
             want = fault_map.failing_cells_batch(rows, silicon, interval)
@@ -326,11 +328,12 @@ class TestSystemOrderGather:
                 row, rng.integers(0, 2, size=geometry.bits_per_row)
             )
         for row in range(GATHER_ROWS):
-            silicon = cells.silicon_row(row)
+            silicon = layout.to_silicon(mapping, cells.read_row_bits(row))
             flipped = cells.fault_map.failing_columns(row, silicon, interval)
             silicon[flipped] ^= 1
             np.testing.assert_array_equal(
-                cells.decay_row(row, interval), mapping.from_silicon(silicon)
+                cells.decay_row(row, interval),
+                layout.from_silicon(mapping, silicon),
             )
 
 

@@ -2,13 +2,8 @@
 
 import pytest
 
-from repro.dram.timing import (
-    DDR3_1600,
-    ROWS_PER_REFRESH_WINDOW,
-    TimingParameters,
-    trefi_for_refresh_interval_ns,
-    trfc_for_density_ns,
-)
+from repro.dram.timing import DDR3_1600, TimingParameters, trfc_for_density_ns
+from repro.mc.controller import RefreshSettings
 
 
 class TestDerivedCosts:
@@ -62,18 +57,22 @@ class TestDensityScaling:
 
 
 class TestTrefi:
+    """tREFI is the retention window over its 8192 refresh commands."""
+
     def test_16ms_matches_table2(self):
-        assert trefi_for_refresh_interval_ns(16.0) == pytest.approx(1953.125)
+        trefi = RefreshSettings(base_interval_ms=16.0).effective_trefi_ns
+        assert trefi == pytest.approx(1953.125)
 
     def test_64ms_matches_table2(self):
-        assert trefi_for_refresh_interval_ns(64.0) == pytest.approx(7812.5)
+        trefi = RefreshSettings(base_interval_ms=64.0).effective_trefi_ns
+        assert trefi == pytest.approx(7812.5)
 
     def test_rows_per_window(self):
-        assert ROWS_PER_REFRESH_WINDOW == 8192
+        assert RefreshSettings().rows_per_window == 8192
 
     def test_non_positive_interval_raises(self):
         with pytest.raises(ValueError):
-            trefi_for_refresh_interval_ns(0.0)
+            RefreshSettings(base_interval_ms=0.0)
 
 
 class TestValidation:

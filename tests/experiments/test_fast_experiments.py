@@ -6,22 +6,31 @@ the paper makes — who wins, by roughly what factor, where crossovers fall.
 
 import pytest
 
-from repro.experiments import (
-    fig03, fig04, fig06, fig07, fig08, fig09, fig11, fig12,
-    fig14, fig17, fig18, fig19,
-)
+from repro.core.costmodel import CostModel, TestMode
+from repro.experiments import fig03
+from repro.experiments.runner import run_experiments
+
+
+def _run(name):
+    return run_experiments([name], quick=True, seed=1)[0]
 
 
 class TestFig03:
     def test_failures_are_pattern_conditional(self):
-        result = fig03.run(quick=True, seed=1)
+        result = _run("fig03")
         counts = [row["failing_cells"] for row in result.rows]
         # Different patterns trip different numbers of cells; solid0 rows
         # never charge true-cells so variance must exist.
         assert max(counts) > min(counts)
 
     def test_scatter_points_exist(self):
-        points = fig03.cell_pattern_matrix(quick=True, seed=1)
+        points = [
+            ((row, bit), pattern_id)
+            for unit in fig03.units(quick=True, seed=1)
+            for row, bit, pattern_id in fig03.run_unit(
+                unit, quick=True, seed=1
+            )["cells"]
+        ]
         assert len(points) > 50
         cells = {cell for cell, _ in points}
         patterns_per_cell = {
@@ -38,7 +47,7 @@ class TestFig03:
 class TestFig04:
     @pytest.fixture(scope="class")
     def result(self):
-        return fig04.run(quick=True, seed=1)
+        return _run("fig04")
 
     def test_all_fail_near_paper(self, result):
         all_fail = float(result.rows[-1]["failing_rows"].rstrip("%"))
@@ -62,11 +71,13 @@ class TestFig04:
 
 class TestFig06:
     def test_every_crossover_matches_paper(self):
-        result = fig06.run()
+        result = _run("fig06")
         assert all(row["match"] == "yes" for row in result.rows)
 
     def test_curve_series_monotone(self):
-        times, hi, read_cmp, copy_cmp = fig06.cost_curve_series(1500.0)
+        model = CostModel()
+        _, hi, read_cmp = model.cost_curves(TestMode.READ_AND_COMPARE, 1500.0)
+        _, _, copy_cmp = model.cost_curves(TestMode.COPY_AND_COMPARE, 1500.0)
         assert hi == sorted(hi)
         assert read_cmp == sorted(read_cmp)
         assert copy_cmp[0] > read_cmp[0]  # Copy&Compare starts higher
@@ -74,19 +85,19 @@ class TestFig06:
 
 class TestFig07:
     def test_sub_ms_majority(self):
-        result = fig07.run(quick=True, seed=1)
+        result = _run("fig07")
         for row in result.rows:
             assert float(row["<1ms"].rstrip("%")) > 95.0
 
     def test_long_intervals_rare_by_count(self):
-        result = fig07.run(quick=True, seed=1)
+        result = _run("fig07")
         for row in result.rows:
             assert float(row[">=1024ms"].rstrip("%")) < 2.0
 
 
 class TestFig08:
     def test_pareto_fits_meet_paper_quality(self):
-        result = fig08.run(quick=True, seed=1)
+        result = _run("fig08")
         for row in result.rows:
             assert row["r_squared"] > 0.93
             assert row["dhr"] == "True"
@@ -94,7 +105,7 @@ class TestFig08:
 
 class TestFig09:
     def test_long_intervals_dominate_time(self):
-        result = fig09.run(quick=True, seed=1)
+        result = _run("fig09")
         average = result.rows[-1]
         assert average["workload"] == "AVERAGE"
         assert float(average["time_in_long_intervals"].rstrip("%")) > 80.0
@@ -102,7 +113,7 @@ class TestFig09:
 
 class TestFig11:
     def test_dhr_shape(self):
-        result = fig11.run(quick=True, seed=1)
+        result = _run("fig11")
         for row in result.rows:
             assert row["cil_64ms"] < row["cil_512ms"] < row["cil_16384ms"]
             # Paper: ~50-80% at CIL = 512 ms; near 1 past 16 s.
@@ -112,7 +123,7 @@ class TestFig11:
 
 class TestFig12:
     def test_coverage_decreases_with_cil(self):
-        result = fig12.run(quick=True, seed=1)
+        result = _run("fig12")
         for row in result.rows:
             assert row["cil_64ms"] >= row["cil_2048ms"] >= row["cil_32768ms"]
             # Paper's sweet spot: 512-2048 ms retains most interval time.
@@ -121,7 +132,7 @@ class TestFig12:
 
 class TestFig14:
     def test_reduction_in_paper_band(self):
-        result = fig14.run(quick=True, seed=1)
+        result = _run("fig14")
         for row in result.rows:
             for key in ("cil_512ms", "cil_1024ms", "cil_2048ms"):
                 value = float(row[key].rstrip("%"))
@@ -131,14 +142,14 @@ class TestFig14:
 
 class TestFig17:
     def test_lo_ref_coverage_high(self):
-        result = fig17.run(quick=True, seed=1)
+        result = _run("fig17")
         for row in result.rows:
             assert float(row["cil_1024ms"].rstrip("%")) > 75.0
 
 
 class TestFig18:
     def test_testing_time_negligible(self):
-        result = fig18.run(quick=True, seed=1)
+        result = _run("fig18")
         for row in result.rows:
             correct = float(row["testing_correct"].rstrip("%"))
             mispredicted = float(row["testing_mispredicted"].rstrip("%"))
@@ -151,6 +162,6 @@ class TestFig18:
 
 class TestFig19:
     def test_halving_barely_moves_probability(self):
-        result = fig19.run(quick=True, seed=1)
+        result = _run("fig19")
         for row in result.rows:
             assert abs(row["delta"]) < 0.1

@@ -47,6 +47,30 @@ class TestCli:
         with pytest.raises(KeyError):
             main(["fig99"])
 
+    def test_serial_run_honours_a_unit_subset(self, tmp_path, monkeypatch,
+                                              capsys):
+        """The end-to-end benchmark narrows an experiment by replacing its
+        module's ``units`` with a filter; the serial path must run just
+        those units, even though their ``seq`` values leave gaps."""
+        from repro.experiments import fig06
+
+        every_unit = fig06.units
+        keep = ("fig06:lo64-read_and_compare", "fig06:lo128-read_and_compare")
+
+        def subset(*args, **kwargs):
+            return [u for u in every_unit(*args, **kwargs) if u.key in keep]
+
+        monkeypatch.setattr(fig06, "units", subset)
+        assert [u.seq for u in fig06.units()] == [0, 2]
+        out = tmp_path / "subset.md"
+        assert main(["fig06", "--jobs", "1", "--out", str(out)]) == 0
+        rows = [
+            line.split()[:2] for line in out.read_text().splitlines()
+            if line[:1].isdigit()
+        ]
+        assert rows == [["64.000", "read_and_compare"],
+                        ["128.000", "read_and_compare"]]
+
     def test_verbose_and_quiet_flags_accepted(self, capsys):
         assert main(["fig06", "--verbose"]) == 0
         assert main(["fig06", "--quiet"]) == 0
@@ -247,6 +271,37 @@ class TestParallelCli:
         assert workers["stats"]["executed"] == 4
         assert sum(w["units"] for w in workers["workers"]) == 4
 
+    def test_serial_and_sharded_manifests_compare_clean(self, tmp_path,
+                                                        capsys):
+        """Without --metrics neither manifest records a registry snapshot,
+        so the two compare with nothing missing; with it both carry one."""
+        from repro.obs.compare import main as compare_main
+
+        def run(label, *extra):
+            manifest = tmp_path / label / "m.json"
+            assert main(["fig07", "--manifest", str(manifest),
+                         "--checkpoint", str(tmp_path / label / "c.jsonl"),
+                         *extra]) == 0
+            return str(manifest)
+
+        serial, sharded = run("serial"), run("sharded", "--jobs", "2")
+        capsys.readouterr()
+        assert compare_main([serial, sharded, "--threshold", "0.50",
+                             "--warn-only"]) == 0
+        assert capsys.readouterr().out.rstrip().endswith(", 0 missing")
+        for manifest in (serial, sharded):
+            assert obs.load_manifest(manifest)["metrics"] is None
+
+        metered = [
+            run(label, "--metrics", str(tmp_path / label / "metrics.json"),
+                *extra)
+            for label, extra in (("m-serial", ()),
+                                 ("m-sharded", ("--jobs", "2")))
+        ]
+        for manifest in metered:
+            snapshot = obs.load_manifest(manifest)["metrics"]
+            assert set(snapshot) == {"counters", "gauges", "histograms"}
+
     def test_default_checkpoint_lands_next_to_out(self, tmp_path, capsys):
         out = tmp_path / "results.md"
         assert main(["fig06", "--jobs", "2", "--out", str(out)]) == 0
@@ -323,7 +378,13 @@ class TestProfilingCli:
         assert main(["fig06", "--jobs", "2", "--live",
                      "--manifest", str(manifest),
                      "--checkpoint", str(tmp_path / "c.jsonl")]) == 0
-        assert "  worker-g1-" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "  worker-g1-" in err
+        # Worker events never reach the parent, so no line counts them.
+        status = [line for line in err.splitlines()
+                  if line.startswith("[live]")]
+        assert status and not any("events" in line for line in status)
+        assert "experiments 1/1" in status[-1]
         rows = obs.load_manifest(str(manifest))["workers"]["workers"]
         assert sum(r["units"] for r in rows) == 4
 
@@ -331,6 +392,9 @@ class TestProfilingCli:
         manifest = tmp_path / "run.json"
         assert main(["fig06", "--live", "--manifest", str(manifest)]) == 0
         assert obs.load_manifest(str(manifest))["workers"] is None
+        status = [line for line in capsys.readouterr().err.splitlines()
+                  if line.startswith("[live]")]
+        assert status and all("events" in line for line in status)
 
 
 class TestForensicsCli:

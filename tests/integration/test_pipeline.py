@@ -13,10 +13,10 @@ from repro.analysis import (
     time_in_long_intervals,
 )
 from repro.core import (
+    EccConfig,
     MemconConfig,
-    choose_mitigation,
+    plan_mitigations,
     simulate_refresh_reduction,
-    summarise_mitigations,
 )
 from repro.dram import DramDevice, DramGeometry
 from repro.dram.faults import FaultMap, FaultModelConfig
@@ -43,24 +43,19 @@ class TestScreeningToMitigation:
     def test_content_failures_feed_ecc_decisions(self):
         device = _dense_device(rate=5e-3)
         rng = np.random.default_rng(4)
-        decisions = []
+        failing_by_row = {}
         for row in range(device.geometry.total_rows):
             device.write_row(
                 row,
                 rng.integers(0, 256, 512, dtype=np.uint8).tobytes(),
                 now_ms=0.0,
             )
-            failing = device.cells.failing_cells(row, 328.0)
-            decisions.append(choose_mitigation(failing))
-        summary = summarise_mitigations(decisions)
-        assert summary.total == device.geometry.total_rows
+            failing_by_row[row] = device.cells.failing_cells(row, 328.0)
+        plan = plan_mitigations(failing_by_row, ecc=EccConfig())
+        assert plan.total == device.geometry.total_rows
         # ECC must strictly reduce the HI-REF population vs no-ECC.
-        no_ecc = summarise_mitigations([
-            choose_mitigation(device.cells.failing_cells(row, 328.0),
-                              ecc_enabled=False)
-            for row in range(device.geometry.total_rows)
-        ])
-        assert summary.hi_ref_rows <= no_ecc.hi_ref_rows
+        no_ecc = plan_mitigations(failing_by_row, ecc=None)
+        assert plan.hi_ref_rows <= no_ecc.hi_ref_rows
 
 
 class TestTraceToPrediction:

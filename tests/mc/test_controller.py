@@ -12,9 +12,9 @@ from repro.mc.request import Request, RequestKind
 
 
 def _run_idle(controller, until_ns):
-    now = 0.0
+    now, tck = 0.0, controller.timing.tCK
     while now < until_ns:
-        now = max(controller.tick(now), now + controller.timing.tCK)
+        now = max(controller.drain(now, now + tck)[0], now + tck)
 
 
 class TestRefreshSettings:
@@ -71,7 +71,7 @@ class TestRequestService:
     def test_read_completes_with_callback(self):
         completed = []
         controller = MemoryController(on_read_complete=completed.append)
-        controller.enqueue(Request(
+        controller.scheduler.enqueue(Request(
             kind=RequestKind.READ, core=0, bank=0, row=5, arrival_ns=0.0,
         ))
         _run_idle(controller, 2000.0)
@@ -83,7 +83,7 @@ class TestRequestService:
         controller = MemoryController(on_read_complete=completed.append)
         trefi = controller.refresh.effective_trefi_ns
         # Arrive just as a refresh is due.
-        controller.enqueue(Request(
+        controller.scheduler.enqueue(Request(
             kind=RequestKind.READ, core=0, bank=0, row=1,
             arrival_ns=trefi + 1.0,
         ))
@@ -107,7 +107,7 @@ class TestRequestService:
     def test_row_buffer_stats_accumulate(self):
         controller = MemoryController()
         for i in range(4):
-            controller.enqueue(Request(
+            controller.scheduler.enqueue(Request(
                 kind=RequestKind.READ, core=0, bank=0, row=7,
                 arrival_ns=float(i),
             ))

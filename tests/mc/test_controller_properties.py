@@ -12,10 +12,10 @@ def _drive(controller, requests, horizon_ns):
     completed = []
     controller.on_read_complete = completed.append
     for request in requests:
-        controller.enqueue(request)
-    now = 0.0
+        controller.scheduler.enqueue(request)
+    now, tck = 0.0, controller.timing.tCK
     while now < horizon_ns:
-        now = max(controller.tick(now), now + controller.timing.tCK)
+        now = max(controller.drain(now, now + tck)[0], now + tck)
     return completed
 
 

@@ -1,9 +1,13 @@
 """Regression gate: metric extraction, verdicts, and the CLI contract."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import repro
 from repro.obs.compare import (
     DEFAULT_THRESHOLD,
     WALL_CLOCK_THRESHOLD,
@@ -376,3 +380,22 @@ class TestMalformedSections:
         assert main([old, new]) == 0
         err = capsys.readouterr().err
         assert "warning" in err and "profile" in err
+
+
+class TestModuleEntryPoints:
+    """``python -m repro.obs.<cli>`` must not re-import a module that the
+    package has already imported (runpy warns when it does)."""
+
+    @pytest.mark.parametrize("cli", ["compare", "report", "dashboard", "why"])
+    def test_help_runs_without_runtime_warning(self, cli):
+        src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (src, env.get("PYTHONPATH")) if p
+        )
+        proc = subprocess.run(
+            [sys.executable, "-m", f"repro.obs.{cli}", "--help"],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert "RuntimeWarning" not in proc.stderr

@@ -141,26 +141,22 @@ class TestProfileWorkersRoundTrip:
         }
         return manifest
 
-    def test_to_dict_from_dict_round_trip(self):
+    def test_load_manifest_round_trip(self, tmp_path):
         manifest = self._manifest()
-        rebuilt = RunManifest.from_dict(manifest.to_dict())
-        assert rebuilt.profile == manifest.profile
-        assert rebuilt.workers == manifest.workers
-        assert rebuilt.to_dict() == manifest.to_dict()
+        path = str(tmp_path / "m.json")
+        manifest.write(path)
+        assert load_manifest(path) == manifest.to_dict()
 
-    def test_from_dict_tolerates_pre_profile_manifests(self):
+    def test_report_tolerates_pre_profile_manifests(self, tmp_path, capsys):
         data = self._manifest().to_dict()
         del data["profile"]
         del data["workers"]
-        rebuilt = RunManifest.from_dict(data)
-        assert rebuilt.profile is None
-        assert rebuilt.workers is None
-
-    def test_from_dict_rejects_wrong_schema(self):
-        data = self._manifest().to_dict()
-        data["schema"] = 99
-        with pytest.raises(ValueError):
-            RunManifest.from_dict(data)
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps(data))
+        assert report_main(["--manifest", str(path)]) == 0
+        out = capsys.readouterr().out
+        assert "samples" not in out
+        assert "workers:" not in out
 
     def test_file_round_trip(self, tmp_path):
         manifest = self._manifest()
@@ -197,16 +193,19 @@ class TestForensicsRoundTrip:
         }
         return manifest
 
-    def test_to_dict_from_dict_round_trip(self):
+    def test_load_manifest_round_trip(self, tmp_path):
         manifest = self._manifest()
-        rebuilt = RunManifest.from_dict(manifest.to_dict())
-        assert rebuilt.forensics == manifest.forensics
-        assert rebuilt.to_dict() == manifest.to_dict()
+        path = str(tmp_path / "m.json")
+        manifest.write(path)
+        assert load_manifest(path)["forensics"] == manifest.forensics
 
-    def test_from_dict_tolerates_pre_forensics_manifests(self):
+    def test_report_tolerates_pre_forensics_manifests(self, tmp_path, capsys):
         data = self._manifest().to_dict()
         del data["forensics"]
-        assert RunManifest.from_dict(data).forensics is None
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps(data))
+        assert report_main(["--manifest", str(path)]) == 0
+        assert "forensics" not in capsys.readouterr().out
 
     def test_report_renders_census(self, tmp_path, capsys):
         path = str(tmp_path / "m.json")

@@ -38,7 +38,8 @@ def poll_run(simulator: SystemSimulator, window_ns: float) -> SystemResult:
             raise RuntimeError("simulator failed to make progress")
         # Retry requests that a full queue refused earlier.
         holdback = [
-            r for r in holdback if not controllers[r.channel].enqueue(r)
+            r for r in holdback
+            if not controllers[r.channel].scheduler.enqueue(r)
         ]
         # Pull any core requests that are due (with backpressure).
         for core in cores:
@@ -46,9 +47,14 @@ def poll_run(simulator: SystemSimulator, window_ns: float) -> SystemResult:
                 request = core.next_request(now)
                 if request is None:
                     break
-                if not controllers[request.channel].enqueue(request):
+                if not controllers[request.channel].scheduler.enqueue(
+                    request
+                ):
                     holdback.append(request)
-        next_event = min(controller.tick(now) for controller in controllers)
+        # One instant per controller: the historical tick.
+        next_event = min(
+            controller.drain(now, now + tck)[0] for controller in controllers
+        )
         # Deliver completed reads to their cores.
         if completed:
             for request in completed:

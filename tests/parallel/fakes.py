@@ -3,7 +3,7 @@
 ``fake`` implements the full hook contract with failure modes steerable
 through unit params (raise, crash, or sleep — but only outside a named
 "home" pid, so the parent's serial-degrade path always succeeds).
-``opaque`` has no hooks at all and exercises the single-unit fallback.
+``opaque`` has no hooks at all, which ``decompose`` rejects.
 """
 
 from __future__ import annotations

@@ -1,4 +1,4 @@
-"""Hook-less experiment module: exercises the opaque-unit fallback."""
+"""Hook-less experiment module: ``decompose`` must reject it."""
 
 from __future__ import annotations
 
@@ -6,9 +6,6 @@ from repro.experiments.common import ExperimentResult
 
 
 def run(quick: bool = True, seed: int = 1) -> ExperimentResult:
-    result = ExperimentResult(
+    return ExperimentResult(
         experiment_id="opaque", title="opaque", paper_claim="none"
     )
-    result.add_row(seed=seed, quick=bool(quick))
-    result.notes = "rendered by run()"
-    return result

@@ -255,21 +255,6 @@ class TestIterMergedRecords:
         merge_run_traces(parent, shards, out)
         assert streamed == list(read_trace(out, validate=False))
 
-    def test_extract_sharded_ledger_without_merged_file(self, tmp_path):
-        from repro.parallel.merge import extract_sharded_ledger
-
-        _parent, out = self._shard_set(tmp_path)
-        ledger = str(tmp_path / "t.forensics.jsonl")
-        census = extract_sharded_ledger(out, ledger)
-        assert census["records"] == 3
-        assert census["kinds"] == {
-            "pril_grant": 1, "predicate_eval": 1, "test_started": 1,
-        }
-        written = [json.loads(line) for line in open(ledger)]
-        assert [r["kind"] for r in written] == [
-            "pril_grant", "test_started", "predicate_eval",
-        ]
-
     def test_ledger_file_is_not_mistaken_for_a_shard(self, tmp_path):
         # The ledger lives next to the trace; the worker-shard glob must
         # never pick it up on a later re-merge.

@@ -1,10 +1,10 @@
-"""Work-unit decomposition: validity, determinism, JSON-safety, fallback."""
+"""Work-unit decomposition: validity, determinism, JSON-safety."""
 
 import json
 
 import pytest
 
-from repro.experiments.runner import EXPERIMENTS
+from repro.experiments.runner import EXPERIMENTS, run_experiments
 from repro.parallel.units import (
     WorkUnit,
     decompose,
@@ -61,7 +61,8 @@ class TestDecomposition:
         round_tripped = json.loads(json.dumps(payloads))
         assert round_tripped == payloads
         merged = merge_payloads(name, round_tripped, quick=True, seed=1)
-        assert merged.to_text() == EXPERIMENTS[name](quick=True, seed=1).to_text()
+        serial = run_experiments([name], quick=True, seed=1)[0]
+        assert merged.to_text() == serial.to_text()
 
 
 class TestFingerprint:
@@ -108,25 +109,12 @@ class TestValidationAndFallback:
         with pytest.raises(ValueError, match="seq"):
             decompose("fake")
 
-    def test_hookless_module_becomes_single_opaque_unit(self):
+    def test_hookless_module_rejected(self):
         register_experiment("opaque", "tests.parallel.fakes_opaque")
-        units = decompose("opaque", quick=True, seed=5)
-        assert len(units) == 1
-        assert units[0].unit_id == "all"
-        payload = execute_unit(units[0], quick=True, seed=5)
-        assert payload == json.loads(json.dumps(payload))
-        merged = merge_payloads(
-            "opaque", [payload], quick=True, seed=5,
-            module="tests.parallel.fakes_opaque",
-        )
-        assert merged.rows == [{"seed": 5, "quick": True}]
-        assert merged.notes == "rendered by run()"
-
-    def test_opaque_merge_requires_exactly_one_payload(self):
-        with pytest.raises(ValueError, match="exactly one"):
-            merge_payloads(
-                "opaque", [{}, {}], module="tests.parallel.fakes_opaque"
-            )
+        with pytest.raises(
+            ValueError, match="lacks units, run_unit, merge_units"
+        ):
+            decompose("opaque", quick=True, seed=5)
 
     def test_registered_module_is_stamped_on_units(self):
         register_experiment("fake", "tests.parallel.fakes")

@@ -8,7 +8,6 @@ from repro.sim.energy import (
     EnergyBreakdown,
     EnergyParameters,
     energy_of_run,
-    refresh_energy_savings,
 )
 from repro.sim.system import simulate_workload
 
@@ -64,22 +63,6 @@ class TestBreakdown:
     def test_invalid_window_raises(self):
         with pytest.raises(ValueError):
             energy_of_run(_stats(), 0.0)
-
-
-class TestSavings:
-    def test_savings_formula(self):
-        params = EnergyParameters(refresh_nj_8gb=100.0)
-        assert refresh_energy_savings(100, 25, density_gbit=8,
-                                      params=params) == 7500.0
-
-    def test_denser_chips_save_more(self):
-        assert refresh_energy_savings(100, 25, density_gbit=32) == 4 * (
-            refresh_energy_savings(100, 25, density_gbit=8)
-        )
-
-    def test_negative_counts_raise(self):
-        with pytest.raises(ValueError):
-            refresh_energy_savings(-1, 0)
 
 
 class TestEnergyRollupEvents:
@@ -145,9 +128,8 @@ class TestEndToEnd:
         reduced = simulate_workload(["mcf"], density_gbit=32,
                                     refresh_reduction=0.75,
                                     window_ns=window, seed=2)
-        saved = refresh_energy_savings(
-            base.refreshes_issued, reduced.refreshes_issued,
-            density_gbit=32,
+        saved = (base.refreshes_issued - reduced.refreshes_issued) * (
+            EnergyParameters().refresh_nj(32)
         )
         assert saved > 0
         assert reduced.refreshes_issued < 0.3 * base.refreshes_issued

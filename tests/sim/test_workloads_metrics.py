@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.sim.metrics import geometric_mean, harmonic_mean
+from repro.sim.metrics import geometric_mean
 from repro.sim.workloads import multicore_mixes, singlecore_workloads
 from repro.traces.spec import BENCHMARKS
 
@@ -49,19 +49,12 @@ class TestMeans:
     def test_geometric_mean_single(self):
         assert geometric_mean([3.0]) == 3.0
 
-    def test_harmonic_mean(self):
-        assert harmonic_mean([1.0, 3.0]) == pytest.approx(1.5)
-
-    def test_harmonic_below_geometric(self):
-        values = [1.1, 1.5, 2.0]
-        assert harmonic_mean(values) < geometric_mean(values)
-
-    @pytest.mark.parametrize("fn", [geometric_mean, harmonic_mean])
+    @pytest.mark.parametrize("fn", [geometric_mean])
     def test_empty_raises(self, fn):
         with pytest.raises(ValueError):
             fn([])
 
-    @pytest.mark.parametrize("fn", [geometric_mean, harmonic_mean])
+    @pytest.mark.parametrize("fn", [geometric_mean])
     def test_non_positive_raises(self, fn):
         with pytest.raises(ValueError):
             fn([1.0, 0.0])

@@ -13,7 +13,6 @@ from repro.testinfra.patterns import (
     SOLID_1,
     WALKING_1,
     pattern_battery,
-    pattern_by_name,
     random_pattern,
 )
 
@@ -98,10 +97,3 @@ class TestBattery:
     def test_negative_random_count_raises(self):
         with pytest.raises(ValueError):
             pattern_battery(n_random=-1)
-
-    def test_lookup_by_name(self):
-        assert pattern_by_name("checker0") is CHECKER_0
-
-    def test_lookup_unknown_raises(self):
-        with pytest.raises(KeyError):
-            pattern_by_name("nope")

@@ -6,8 +6,6 @@ from repro.traces.workloads import (
     REPRESENTATIVE_WORKLOADS,
     WORKLOADS,
     WorkloadProfile,
-    get_workload,
-    workload_names,
 )
 
 
@@ -37,17 +35,6 @@ class TestRegistry:
 
     def test_names_match_keys(self):
         assert all(name == p.name for name, p in WORKLOADS.items())
-
-    def test_lookup(self):
-        assert get_workload("Netflix") is WORKLOADS["Netflix"]
-
-    def test_lookup_unknown_raises(self):
-        with pytest.raises(KeyError, match="unknown workload"):
-            get_workload("Quake")
-
-    def test_workload_names_order(self):
-        assert workload_names()[0] == "ACBrotherHood"
-        assert len(workload_names()) == 12
 
     def test_duration_capped_at_two_minutes(self):
         assert WORKLOADS["AllSysMark"].duration_ms == 120_000.0
