@@ -10,7 +10,7 @@ quantum", exploiting the Pareto DHR property.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 

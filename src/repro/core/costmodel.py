@@ -29,7 +29,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Tuple
 
 from ..dram.timing import (
     HI_REF_INTERVAL_MS,

@@ -17,7 +17,7 @@ cheapest-first cascade a real controller would implement.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
 from ..dram.faults import VulnerableCell
 from .ecc import EccConfig, row_is_correctable

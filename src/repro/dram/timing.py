@@ -14,7 +14,7 @@ paper rounds, and this module matches the paper (see DESIGN.md).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 
 #: DRAM cycle time for DDR3-1600 (800 MHz command clock), in nanoseconds.

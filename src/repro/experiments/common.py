@@ -12,7 +12,7 @@ what ``python -m repro.experiments`` prints and EXPERIMENTS.md records.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Dict, List
 
 
 @dataclass

@@ -11,7 +11,7 @@ from typing import Any, Dict, List
 
 import numpy as np
 
-from ..analysis.intervals import INTERVAL_BUCKETS_MS, interval_distribution
+from ..analysis.intervals import interval_distribution
 from ..parallel.units import WorkUnit
 from ..traces.generator import generate_trace
 from ..traces.workloads import REPRESENTATIVE_WORKLOADS, WORKLOADS

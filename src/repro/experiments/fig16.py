@@ -16,7 +16,7 @@ The paper's ordering: 32 ms < RAIDR < MEMCON < 64 ms, with MEMCON within
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Sequence
+from typing import Any, Dict, List
 
 from ..parallel.units import WorkUnit
 from ..sim.metrics import geometric_mean, speedup

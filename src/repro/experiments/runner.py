@@ -18,15 +18,12 @@ per-experiment timings, span tree, metric snapshot — next to it
 (``--manifest`` overrides the location). ``python -m repro.obs.report``
 renders the trace and manifest back into summary tables.
 
-Whenever events flow (``--trace`` or ``--live``) in a serial run, the
-stream is teed through an in-process :class:`repro.obs.AggregatingSink`,
-whose windowed rollups (HI/LO-REF population, test outcomes, PRIL hit
-rate, controller latency percentiles, energy) are stored in the manifest
+Whenever events flow (``--trace`` or ``--live``), the stream is teed
+through an in-process :class:`repro.obs.AggregatingSink`, whose
+windowed rollups (HI/LO-REF population, test outcomes, PRIL hit rate,
+controller latency percentiles, energy) are stored in the manifest
 under ``"timeseries"``. ``--live`` adds a periodic stderr status line
 driven by the same aggregator; ``--window-ms`` sets the rollup window.
-A sharded run's events stay in the workers' trace shards, so it builds
-no aggregator: with ``--trace`` it computes the rollups from the merged
-trace, and its status line shows experiment progress and worker rows.
 ``python -m repro.obs.compare OLD NEW`` diffs two manifests.
 
 ``--jobs N`` executes each experiment's deterministic work units
@@ -35,9 +32,12 @@ journalled to a checkpoint file as they finish (``--checkpoint``
 overrides the location), and ``--resume`` skips any journalled unit
 whose fingerprint still matches — a killed sweep restarts without
 re-executing finished work. Result tables are byte-identical to the
-serial run for every N; worker trace shards and metrics snapshots are
-merged back into the single ``--trace``/``--metrics`` files after the
-run, and the manifest records the worker topology under ``"workers"``.
+serial run for every N. Each unit's trace records and metrics snapshot
+come back from its worker with the payload: the parent emits the
+records in unit order through the same sinks a serial run uses and
+folds the snapshots into its registry, so ``--trace``, the rollups and
+``--metrics`` come from one stream in both modes. The manifest records
+the worker topology under ``"workers"``.
 
 ``--forensics`` additionally records the decision-provenance ledger
 (:mod:`repro.obs.forensics`): PRIL LO-REF grants/revocations with their
@@ -63,15 +63,9 @@ from .. import obs
 from ..parallel import (
     CheckpointJournal,
     ParallelExecutor,
-    WorkerObsConfig,
     decompose,
-    discover_metric_shards,
-    discover_trace_shards,
     experiment_module,
-    merge_metric_snapshots,
     merge_payloads,
-    merge_run_traces,
-    trace_shard_path,
 )
 from .common import ExperimentResult
 
@@ -162,13 +156,6 @@ def _default_checkpoint_path(args: argparse.Namespace) -> str:
     return "results.checkpoint.jsonl"
 
 
-def _remove_quietly(path: str) -> None:
-    try:
-        os.remove(path)
-    except OSError:
-        pass
-
-
 def main(argv: Optional[List[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.experiments",
@@ -231,9 +218,8 @@ def main(argv: Optional[List[str]] = None) -> int:
         "--live", action="store_true",
         help="periodic stderr status line (events/s, LO-REF rows, "
         "outstanding tests, ETA) driven by the in-process aggregator; "
-        "with --jobs N the line shows experiment progress and ETA, plus "
-        "one row per worker (units done, last unit, RSS peak), refreshed "
-        "as units finish",
+        "with --jobs N it adds one row per worker (units done, last "
+        "unit, RSS peak), refreshed as units finish",
     )
     parser.add_argument(
         "--profile", action="store_true",
@@ -321,17 +307,12 @@ def main(argv: Optional[List[str]] = None) -> int:
     if args.metrics:
         previous_registry = obs.set_registry(obs.MetricsRegistry(enabled=True))
     # Sink stack: JSONL file, in-process aggregator, live reporter — all
-    # fed from the same emit() calls through one tee. A sharded run's
-    # parent writes a lifecycle-only shard; worker shards are spliced
-    # into it after the run to produce the final --trace file.
-    trace_target = (
-        trace_shard_path(args.trace, "parent")
-        if (parallel and args.trace) else args.trace
-    )
-    jsonl_sink = obs.JsonlTraceSink(trace_target) if trace_target else None
+    # fed from the same emit() calls through one tee. In a sharded run
+    # the executor emits each unit's records here, in unit order.
+    jsonl_sink = obs.JsonlTraceSink(args.trace) if args.trace else None
     aggregator = (
         obs.AggregatingSink(window_ms=args.window_ms)
-        if (args.trace or args.live) and not parallel else None
+        if (args.trace or args.live) else None
     )
     live = obs.LiveReporter(aggregator) if args.live else None
     sinks = [s for s in (jsonl_sink, aggregator, live) if s is not None]
@@ -362,11 +343,6 @@ def main(argv: Optional[List[str]] = None) -> int:
             args.jobs,
             quick=not args.full,
             seed=args.seed,
-            obs_cfg=WorkerObsConfig(
-                trace_base=args.trace if parallel else None,
-                metrics_base=args.metrics if parallel else None,
-                forensics=args.forensics,
-            ),
             unit_timeout_s=args.unit_timeout,
             max_retries=args.retries,
         )
@@ -384,8 +360,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         if profiling else None
     )
 
-    #: (experiment, seq) -> (shard label, attempt) for the trace merge.
-    accepted: Dict[Tuple[str, int], Tuple[str, int]] = {}
     totals: Dict[str, int] = {}
     run_started = time.perf_counter()
     try:
@@ -418,12 +392,6 @@ def main(argv: Optional[List[str]] = None) -> int:
                             name, payloads,
                             quick=not args.full, seed=args.seed,
                         )
-                        for unit in units:
-                            if unit.key in stats.accepted_shards:
-                                accepted[(unit.experiment, unit.seq)] = (
-                                    stats.accepted_shards[unit.key],
-                                    stats.accepted_attempts[unit.key],
-                                )
                         for key, value in stats.as_dict().items():
                             totals[key] = totals.get(key, 0) + value
                         if stats.skipped:
@@ -466,8 +434,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         if journal is not None:
             journal.close()
         if executor is not None:
-            # Workers flush their trace shards and metrics snapshots
-            # through atexit finalisers as the pool drains.
             executor.shutdown()
 
     if executor is not None:
@@ -484,31 +450,9 @@ def main(argv: Optional[List[str]] = None) -> int:
             profiler.write_collapsed(args.profile_out)
             logger.info("collapsed stacks written to %s", args.profile_out)
 
-    if parallel and args.trace:
-        parent_shard = trace_shard_path(args.trace, "parent")
-        worker_shards = discover_trace_shards(args.trace)
-        records = merge_run_traces(
-            parent_shard, worker_shards, args.trace, accepted
-        )
-        logger.info(
-            "merged %d worker trace shards into %s (%d records)",
-            len(worker_shards), args.trace, records,
-        )
-        for shard in worker_shards:
-            _remove_quietly(shard)
-        _remove_quietly(parent_shard)
-        # A sharded run aggregates nothing while it runs; compute the
-        # rollups from the merged stream, which equals the serial stream
-        # record for record.
-        manifest.timeseries = obs.aggregate_trace(
-            obs.read_trace(args.trace, validate=False),
-            window_ms=args.window_ms,
-        )
-
     if args.forensics and args.trace:
-        # Extract the ledger from the (merged) trace: for sharded runs
-        # this happens after the splice, so serial and --jobs N ledgers
-        # are byte-identical whenever the streams are.
+        # Serial and --jobs N runs write the same stream, so their
+        # ledgers are byte-identical.
         ledger_path = (
             args.forensics_out
             or os.path.splitext(args.trace)[0] + ".forensics.jsonl"
@@ -520,14 +464,6 @@ def main(argv: Optional[List[str]] = None) -> int:
             manifest.forensics["records"], manifest.forensics["rows"],
             ledger_path,
         )
-
-    if parallel and args.metrics:
-        metric_shards = discover_metric_shards(args.metrics)
-        manifest.metrics = merge_metric_snapshots(
-            manifest.metrics, metric_shards
-        )
-        for shard in metric_shards:
-            _remove_quietly(shard)
 
     if args.metrics:
         _ensure_parent(args.metrics)

@@ -9,7 +9,9 @@ Four cooperating pieces, all near-zero-overhead until switched on:
   hierarchical wall-clock profile once a collector is installed.
 * **event trace** (:mod:`.trace`) — schema-versioned JSONL records of
   test lifecycles, refresh transitions, PRIL decisions and controller
-  activity, written to a pluggable sink.
+  activity, written to a pluggable sink. A sharded run has the same
+  single stream: pool workers return each unit's records to the parent,
+  which emits them through its sink in unit order.
 * **run manifest** (:mod:`.manifest`) — per-invocation JSON capturing
   config, seed, git revision, timings and the final metric snapshot.
 * **streaming analytics** (:mod:`.analytics`) — ``TeeSink`` fans the
@@ -25,7 +27,7 @@ Four cooperating pieces, all near-zero-overhead until switched on:
   tracemalloc peak-heap attribution, recorded under the manifest's
   ``"profile"`` key.
 * **dashboard** (:mod:`.dashboard`) — ``python -m repro.obs.dashboard
-  MANIFEST [TRACE...]`` renders one self-contained static HTML file
+  MANIFEST [TRACE]`` renders one self-contained static HTML file
   (inline SVG, no JS) with timeseries, flame view, worker timeline and
   BENCH trajectories.
 * **regression gate** (:mod:`.compare`) — ``python -m repro.obs.compare

@@ -1,14 +1,14 @@
 """Static HTML run dashboard: one self-contained file, no JavaScript.
 
-``python -m repro.obs.dashboard MANIFEST [TRACE...]`` renders a run
-manifest (plus, optionally, its JSONL trace files and ``BENCH_*.json``
+``python -m repro.obs.dashboard MANIFEST [TRACE]`` renders a run
+manifest (plus, optionally, its JSONL trace and ``BENCH_*.json``
 perf trajectories) into a single HTML file with inline SVG charts:
 
 * **run provenance** — experiments, seed, git revision, wall time;
 * **rollup time series** — LO-REF / testing row coverage, test outcomes
   per window and controller latency percentiles, all from the manifest's
-  ``"timeseries"`` rollups (recomputed offline from the traces when the
-  manifest lacks them);
+  ``"timeseries"`` rollups (recomputed offline from the trace when it
+  is given);
 * **flame view** — the sampled profiler's collapsed stacks
   (``"profile"``), falling back to the span tree, as a classic
   flamegraph layout;
@@ -35,7 +35,7 @@ import html
 import json
 import os
 import sys
-from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .analytics import aggregate_trace
 from .manifest import load_manifest
@@ -870,15 +870,14 @@ def render_dashboard(
 def main(argv: Optional[List[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.obs.dashboard",
-        description="Render a run manifest (and traces) into a static "
+        description="Render a run manifest (and its trace) into a static "
         "HTML dashboard.",
     )
     parser.add_argument("manifest", help="run manifest JSON path")
     parser.add_argument(
-        "traces", nargs="*",
-        help="JSONL trace files; when given, the time-series rollups are "
-        "recomputed offline from them (several files merge by simulated "
-        "time)",
+        "trace", nargs="?", default=None,
+        help="JSONL trace file; when given, the time-series rollups are "
+        "recomputed offline from it",
     )
     parser.add_argument(
         "--out", metavar="FILE", default=None,
@@ -897,14 +896,11 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     manifest = load_manifest(args.manifest)
     timeseries = None
-    if args.traces:
-        if len(args.traces) == 1:
-            records: Iterable[dict] = read_trace(
-                args.traces[0], validate=False, tolerate_truncation=True
-            )
-        else:
-            records = read_trace(merge=list(args.traces), validate=False)
-        timeseries = aggregate_trace(records, window_ms=args.window_ms)
+    if args.trace:
+        timeseries = aggregate_trace(
+            read_trace(args.trace, validate=False, tolerate_truncation=True),
+            window_ms=args.window_ms,
+        )
 
     bench_files: Dict[str, Any] = {}
     for path in args.bench:

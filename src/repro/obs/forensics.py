@@ -5,17 +5,17 @@ much*; this layer answers *why this row*. When the forensics gate is on,
 instrumented decision points — PRIL LO-REF grants and revocations and
 every batch fault-predicate evaluation — emit compact records into the
 normal event trace (:mod:`repro.obs.trace`). Because they ride the same
-stream, sharded runs reconstruct the exact per-row history through the
-existing unit-block splice
-(:mod:`repro.parallel.merge`): a serial ledger and a ``--jobs N`` ledger
-are byte-identical.
+stream, a sharded run carries them like any other record: its pool
+workers hand each unit's records to the parent, which emits them in
+unit order, so a serial ledger and a ``--jobs N`` ledger are
+byte-identical.
 
 The gate mirrors the sink pattern: one module-global bool, checked
 before any payload is assembled, so disabled forensics cost one
 attribute load per *decision* (not per access) on already-instrumented
 paths and nothing anywhere else.
 
-:func:`extract_ledger` filters a (merged) trace down to the append-only
+:func:`extract_ledger` filters a trace down to the append-only
 forensic ledger file — the forensic records plus the MEMCON test
 lifecycle and refresh-ledger transitions — and returns a census (record
 counts by kind, distinct pages) that the runner folds into the manifest.
@@ -99,26 +99,18 @@ def ledger_census(records: Iterable[Mapping]) -> Dict[str, Any]:
 
 
 def extract_ledger(
-    source: Optional[str] = None,
-    out_path: Optional[str] = None,
-    *,
-    records: Optional[Iterable[Mapping]] = None,
+    source: str, out_path: Optional[str] = None
 ) -> Dict[str, Any]:
     """Write the forensic ledger extracted from a trace; return a census.
 
-    ``source`` is a trace file path (read with truncation tolerance, so
-    a killed run's surviving prefix still yields a ledger); pass
-    ``records=...`` instead to filter an in-memory stream, e.g. the
-    shard-merge generator from :func:`repro.parallel.merge.iter_merged_records`.
-    The ledger is itself a valid JSONL trace (same envelope), so
+    ``source`` is a trace file path, read with truncation tolerance so a
+    killed run's surviving prefix still yields a ledger. The ledger is
+    itself a valid JSONL trace (same envelope), so
     :func:`repro.obs.trace.read_trace` and the why-CLI read it directly.
     """
-    if (source is None) == (records is None):
-        raise ValueError("pass exactly one of source path or records=...")
-    if records is None:
-        records = _trace.read_trace(
-            source, validate=False, tolerate_truncation=True
-        )
+    records = _trace.read_trace(
+        source, validate=False, tolerate_truncation=True
+    )
     sink = open(out_path, "w", encoding="utf-8") if out_path else None
 
     def tee(stream: Iterable[Mapping]) -> Iterator[Mapping]:

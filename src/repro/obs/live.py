@@ -9,20 +9,19 @@ time — prints a one-line status::
     [live] 48210 events (61233 ev/s) | lo-ref rows 623 | tests outstanding 4 | experiments 3/15 | eta 41s
 
 It holds no aggregation state of its own beyond run progress (the
-``run_started``/``experiment_finished`` markers for the ETA); row
+``run_started``/``experiment_finished`` records for the ETA); row
 populations and outstanding-test counts come straight from the shared
 aggregator, so watching a run costs one clock read per event, or per
 batch for records delivered through ``emit_many``.
 
-A sharded run's events go to the workers' trace shards, so the runner
-builds no aggregator for it: the line then shows only experiment
-progress. The runner passes the executor's worker rows to
-:meth:`show_workers` as each unit is accepted, and each repaint then
-prints one row per pool worker — units done, the last unit it finished
-and its RSS peak::
+A sharded run feeds the same sinks: the executor emits each unit's
+records in the parent as units are accepted. The runner also passes
+the executor's worker rows to :meth:`show_workers`, and each repaint
+then prints one row per pool worker — units done, the last unit it
+finished and its RSS peak::
 
-    [live] experiments 1/2 | eta 3s
-      worker-g1-4711: units 2 | last fig04/scan-3 | rss 91MB
+    [live] 194464 events (183173 ev/s) | lo-ref rows 1857 | tests outstanding 0 | experiments 1/2 | eta 1s
+      worker-g1-4711: units 14 | last fig14/AVCHD | rss 90MB
 
 Lines are clipped to the terminal width, re-queried on every repaint
 (so window resizes are picked up without any SIGWINCH handler) and
@@ -51,8 +50,7 @@ class LiveReporter:
     Parameters
     ----------
     aggregator:
-        The :class:`AggregatingSink` receiving the same record stream,
-        or None to report run progress alone.
+        The :class:`AggregatingSink` receiving the same record stream.
     stream:
         Where status lines go (default ``sys.stderr``).
     interval_s:
@@ -63,7 +61,7 @@ class LiveReporter:
 
     def __init__(
         self,
-        aggregator: Optional[AggregatingSink],
+        aggregator: AggregatingSink,
         stream: Optional[TextIO] = None,
         interval_s: float = 1.0,
         clock: Callable[[], float] = time.monotonic,
@@ -142,14 +140,12 @@ class LiveReporter:
     def _write_status(self, now: float) -> None:
         aggregator = self.aggregator
         elapsed = max(now - self._started, 1e-9)
-        parts = []
-        if aggregator is not None:
-            rate = aggregator.events_total / elapsed
-            parts += [
-                f"{aggregator.events_total} events ({rate:.0f} ev/s)",
-                f"lo-ref rows {aggregator.rows_lo}",
-                f"tests outstanding {aggregator.tests_outstanding}",
-            ]
+        rate = aggregator.events_total / elapsed
+        parts = [
+            f"{aggregator.events_total} events ({rate:.0f} ev/s)",
+            f"lo-ref rows {aggregator.rows_lo}",
+            f"tests outstanding {aggregator.tests_outstanding}",
+        ]
         total = self._experiments_total
         done = self._experiments_done
         if total is not None:

@@ -17,7 +17,7 @@ their own :class:`MetricsRegistry` and install it with
 from __future__ import annotations
 
 import bisect
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 __all__ = [
     "Counter",

@@ -248,9 +248,8 @@ def main(argv: Optional[List[str]] = None) -> int:
         prog="python -m repro.obs.report",
         description="Summarise a repro.obs JSONL trace and/or run manifest.",
     )
-    parser.add_argument("trace", nargs="*", default=[],
-                        help="JSONL trace file written with --trace; give "
-                        "several shard files to time-sort-merge them")
+    parser.add_argument("trace", nargs="?", default=None,
+                        help="JSONL trace file written with --trace")
     parser.add_argument("--manifest", default=None,
                         help="run manifest JSON written next to the output")
     parser.add_argument("--no-validate", action="store_true",
@@ -268,16 +267,11 @@ def main(argv: Optional[List[str]] = None) -> int:
         parser.error("give a trace file, --manifest, or both")
     sections: List[str] = []
     if args.trace:
-        if len(args.trace) == 1:
-            records = list(read_trace(
-                args.trace[0],
-                validate=not args.no_validate,
-                tolerate_truncation=args.tolerate_truncation,
-            ))
-        else:
-            records = list(read_trace(
-                merge=args.trace, validate=not args.no_validate
-            ))
+        records = list(read_trace(
+            args.trace,
+            validate=not args.no_validate,
+            tolerate_truncation=args.tolerate_truncation,
+        ))
         sections.append(render_trace_summary(records))
     manifest = load_manifest(args.manifest) if args.manifest else None
     if manifest is not None:

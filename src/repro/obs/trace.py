@@ -27,15 +27,12 @@ on how the producer delivered it.
 
 from __future__ import annotations
 
-import atexit
-import heapq
 import io
 import json
 import os
 from json.encoder import c_make_encoder, encode_basestring_ascii
 from typing import (
-    Callable, Dict, Iterator, List, Mapping, Optional, Sequence, Tuple,
-    Union,
+    Callable, Dict, Iterator, List, Mapping, Sequence, Tuple, Union,
 )
 
 __all__ = [
@@ -84,20 +81,13 @@ EVENT_KINDS: Dict[str, frozenset] = {
     "run_finished": frozenset({"wall_s"}),
     "experiment_started": frozenset({"experiment"}),
     "experiment_finished": frozenset({"experiment", "wall_s"}),
-    # Work-unit brackets emitted by pool workers (parallel/executor.py);
-    # consumed by the shard merge, absent from merged streams.
-    "unit_started": frozenset({"experiment", "unit", "seq", "attempt"}),
-    "unit_finished": frozenset(
-        {"experiment", "unit", "seq", "attempt", "wall_s"}
-    ),
     # A pool worker died; the parent records the last unit it was known
     # to be holding (fingerprint from the checkpoint journal) so resume
     # diagnostics can name the culprit (parallel/executor.py).
     "worker_lost": frozenset({"experiment", "unit", "fingerprint"}),
     # --- Forensic decision-provenance records (obs/forensics.py) ---
     # Only emitted while the forensics gate is enabled; they ride the
-    # normal trace stream so the shard merge reconstructs per-row
-    # history byte-identically for sharded runs.
+    # normal trace stream, so sharded runs carry them like any record.
     # PRIL granted a LO-REF window: the page had exactly one write in
     # its quantum, so MEMCON schedules a retention test (core/memcon.py).
     "pril_grant": frozenset({"page", "quantum"}),
@@ -141,19 +131,15 @@ class JsonlTraceSink:
     records unwritten — paired with ``read_trace(...,
     tolerate_truncation=True)`` the surviving prefix stays analysable.
 
-    ``close`` is idempotent, and ``atexit_close=True`` additionally
-    registers it as an interpreter-exit finaliser — pool workers use
-    this so their shards are flushed even when the process ends without
-    an orderly shutdown path. A path ``target`` has its parent
-    directories created on demand, so shards can land next to outputs
-    in directories that do not exist yet.
+    ``close`` is idempotent. A path ``target`` has its parent
+    directories created on demand, so a trace can land in a directory
+    that does not exist yet.
     """
 
     def __init__(
         self,
         target: Union[str, io.TextIOBase],
         flush_every: int = 1000,
-        atexit_close: bool = False,
     ) -> None:
         if flush_every < 0:
             raise ValueError("flush_every must be non-negative")
@@ -169,10 +155,6 @@ class JsonlTraceSink:
         self.flush_every = flush_every
         self.records_emitted = 0
         self.closed = False
-        self._atexit_registered = False
-        if atexit_close:
-            atexit.register(self.close)
-            self._atexit_registered = True
 
     def emit(self, record: Mapping) -> None:
         if self.closed:
@@ -207,12 +189,6 @@ class JsonlTraceSink:
         if self.closed:
             return
         self.closed = True
-        if self._atexit_registered:
-            try:
-                atexit.unregister(self.close)
-            except Exception:
-                pass  # interpreter teardown: the hook is firing right now
-            self._atexit_registered = False
         if self._owns_file:
             self._file.close()
         else:
@@ -330,10 +306,9 @@ def validate_record(record: Mapping) -> None:
 
 
 def read_trace(
-    path: Optional[str] = None,
+    path: str,
     validate: bool = True,
     tolerate_truncation: bool = False,
-    merge: Optional[Sequence[str]] = None,
 ) -> Iterator[dict]:
     """Iterate the records of a JSONL trace file, validating by default.
 
@@ -341,26 +316,7 @@ def read_trace(
     the signature a killed run leaves behind — so the surviving prefix
     is still analysable. Malformed lines with valid lines after them are
     corruption, not truncation, and raise either way.
-
-    ``merge=[path, ...]`` reads several shard files instead of one,
-    yielding their records as a single k-way time-sorted stream: each
-    shard contributes in its own order, and shards interleave by
-    simulated time (``t_ms``, or ``t_ns`` converted to ms). Records
-    without a clock (lifecycle events) inherit their shard's last seen
-    time, so they keep their shard-relative position. Ties break by
-    shard order, then by position. Shards are read with truncation
-    tolerance always on — a sharded trace usually needs merging
-    precisely because the run was killed mid-write. For shards
-    partitioned from one monotone timeline this reconstructs the exact
-    global time order.
     """
-    if merge is not None:
-        if path is not None:
-            raise ValueError("pass either path or merge=[...], not both")
-        yield from _merge_traces(list(merge), validate)
-        return
-    if path is None:
-        raise ValueError("read_trace needs a path or merge=[...]")
     with open(path, "r", encoding="utf-8") as handle:
         for line_no, line in enumerate(handle, start=1):
             line = line.strip()
@@ -382,34 +338,3 @@ def read_trace(
                 except TraceSchemaError as exc:
                     raise TraceSchemaError(f"{path}:{line_no}: {exc}") from exc
             yield record
-
-
-def _record_time(record: Mapping) -> Optional[float]:
-    """The record's simulated-time clock in ms, if it carries one."""
-    t_ms = record.get("t_ms")
-    if isinstance(t_ms, (int, float)) and not isinstance(t_ms, bool):
-        return float(t_ms)
-    t_ns = record.get("t_ns")
-    if isinstance(t_ns, (int, float)) and not isinstance(t_ns, bool):
-        return float(t_ns) * 1e-6
-    return None
-
-
-def _merge_traces(paths: List[str], validate: bool) -> Iterator[dict]:
-    """k-way merge of shard files by per-shard monotone virtual clock."""
-
-    def shard_stream(shard_idx: int, path: str):
-        clock = float("-inf")
-        for position, record in enumerate(
-            read_trace(path, validate=validate, tolerate_truncation=True)
-        ):
-            t = _record_time(record)
-            if t is not None:
-                # A shard's clock never runs backwards, even if a
-                # record's does (per-workload timelines reset to 0).
-                clock = max(clock, t)
-            yield (clock, shard_idx, position), record
-
-    streams = [shard_stream(i, path) for i, path in enumerate(paths)]
-    for _key, record in heapq.merge(*streams, key=lambda item: item[0]):
-        yield record

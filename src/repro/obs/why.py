@@ -14,7 +14,7 @@ import sys
 from typing import Iterable, List, Mapping, Optional, Sequence
 
 from .manifest import load_manifest
-from .trace import _record_time, read_trace
+from .trace import read_trace
 
 __all__ = ["causal_chain", "main", "render_chain"]
 
@@ -65,6 +65,17 @@ def _describe(record: Mapping) -> str:
     return str(dict(record))
 
 
+def _record_time(record: Mapping) -> Optional[float]:
+    """The record's simulated-time clock in ms, if it carries one."""
+    t_ms = record.get("t_ms")
+    if isinstance(t_ms, (int, float)) and not isinstance(t_ms, bool):
+        return float(t_ms)
+    t_ns = record.get("t_ns")
+    if isinstance(t_ns, (int, float)) and not isinstance(t_ns, bool):
+        return float(t_ns) * 1e-6
+    return None
+
+
 def render_chain(chain: Sequence[Mapping], row: int) -> str:
     lines = [f"causal chain for row {row} ({len(chain)} records):"]
     for record in chain:
@@ -74,22 +85,19 @@ def render_chain(chain: Sequence[Mapping], row: int) -> str:
     return "\n".join(lines)
 
 
-def _resolve_sources(
-    manifest_path: Optional[str], trace_paths: Optional[Sequence[str]]
-) -> List[str]:
-    if trace_paths:
-        return list(trace_paths)
+def _resolve_source(
+    manifest_path: Optional[str], trace_path: Optional[str]
+) -> str:
+    if trace_path:
+        return trace_path
     if manifest_path:
         manifest = load_manifest(manifest_path)
         info = manifest.get("forensics") or {}
-        ledger = info.get("ledger_path")
-        if ledger:
-            return [ledger]
-        trace = manifest.get("trace_path")
-        if trace:
-            return [trace]
+        source = info.get("ledger_path") or manifest.get("trace_path")
+        if source:
+            return source
     raise SystemExit(
-        "no ledger to read: pass --trace FILE... or a --manifest whose "
+        "no ledger to read: pass --trace FILE or a --manifest whose "
         "run recorded one (--forensics)"
     )
 
@@ -106,20 +114,14 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         "--manifest", help="run manifest naming the ledger (or trace)"
     )
     parser.add_argument(
-        "--trace",
-        nargs="+",
-        metavar="FILE",
-        help="ledger or trace file(s); several shards are time-merged",
+        "--trace", metavar="FILE", help="ledger or trace file",
     )
     args = parser.parse_args(argv)
 
-    sources = _resolve_sources(args.manifest, args.trace)
-    if len(sources) == 1:
-        records = read_trace(
-            sources[0], validate=False, tolerate_truncation=True
-        )
-    else:
-        records = read_trace(merge=sources, validate=False)
+    records = read_trace(
+        _resolve_source(args.manifest, args.trace),
+        validate=False, tolerate_truncation=True,
+    )
     chain = causal_chain(records, args.row)
     if not chain:
         print(f"no ledger records for row {args.row}", file=sys.stderr)

@@ -1,37 +1,23 @@
 """`repro.parallel` — deterministic sharded execution of experiments.
 
-PR 1 made the fault-population RNG counter-based, so any batch of rows
+The fault-population RNG is counter-based, so any batch of rows
 generates bit-identically no matter how the batch is composed; this
 subsystem cashes that property in. Experiments decompose into
 deterministic :class:`WorkUnit` shards (:mod:`.units`), a supervised
 process pool executes them with chunked dispatch, backpressure,
 per-unit timeouts, crash retries and serial degradation
-(:mod:`.executor`), completed units are journalled for ``--resume``
-(:mod:`.checkpoint`), and each worker's trace shard and metrics
-snapshot are folded back into one serial-equivalent record of the run
-(:mod:`.merge`).
+(:mod:`.executor`), and completed units are journalled for ``--resume``
+(:mod:`.checkpoint`). Each unit's trace records and metrics snapshot
+come back with its payload, and the parent emits the records in unit
+order through its own sink, so a sharded run has one event stream.
 
 The headline guarantee: ``python -m repro.experiments all --jobs N``
 produces byte-identical result tables to the serial run for every
-``N``, and the merged trace's windowed rollups equal the serial
-rollups bit for bit.
+``N``, and the same event trace once wall-clock fields are set aside.
 """
 
 from .checkpoint import CheckpointJournal, JOURNAL_VERSION
-from .executor import (
-    ExecutionStats,
-    ParallelExecutor,
-    WorkerObsConfig,
-    metrics_shard_path,
-    trace_shard_path,
-)
-from .merge import (
-    discover_metric_shards,
-    discover_trace_shards,
-    merge_metric_snapshots,
-    merge_run_traces,
-    parse_unit_blocks,
-)
+from .executor import ExecutionStats, ParallelExecutor
 from .units import (
     WorkUnit,
     decompose,
@@ -47,14 +33,6 @@ __all__ = [
     "JOURNAL_VERSION",
     "ExecutionStats",
     "ParallelExecutor",
-    "WorkerObsConfig",
-    "metrics_shard_path",
-    "trace_shard_path",
-    "discover_metric_shards",
-    "discover_trace_shards",
-    "merge_metric_snapshots",
-    "merge_run_traces",
-    "parse_unit_blocks",
     "WorkUnit",
     "decompose",
     "execute_unit",

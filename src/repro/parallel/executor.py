@@ -21,11 +21,15 @@ seq-ordered payloads, using a ``concurrent.futures``
   and units whose ``(key, fingerprint)`` already sit in the journal are
   skipped wholesale (``--resume``).
 
-Workers initialise their own observability: a per-worker JSONL trace
-shard and metrics registry (flushed at process exit through
-``multiprocessing.util.Finalize`` finalisers), plus ``unit_started`` /
-``unit_finished`` marker events bracketing every unit so the merge
-layer (:mod:`.merge`) can reassemble the exact serial event order.
+Observability travels with the payload. A worker mirrors three facts of
+the parent's obs state, read when the pool is built: whether a trace
+sink is installed, whether the metrics registry is enabled, and whether
+forensics is on. It captures each unit's trace records in memory and
+returns them, with the unit's metrics snapshot, in the result entry
+that carries the payload; a failed attempt returns neither. The parent
+emits each accepted unit's records through its own sink once every
+earlier unit has been emitted, and folds the snapshot into its
+registry, so a ``--jobs N`` run produces the serial run's event stream.
 Each unit's result also carries when and where it ran (worker label,
 wall-clock start and end, RSS), from which the parent builds the
 per-worker timeline in :meth:`ParallelExecutor.topology`.
@@ -37,10 +41,9 @@ serial sequence.
 
 from __future__ import annotations
 
-import json
+import itertools
 import logging
 import multiprocessing
-import multiprocessing.util
 import os
 import time
 from collections import deque
@@ -48,57 +51,19 @@ from concurrent.futures import (
     FIRST_COMPLETED, Future, ProcessPoolExecutor, wait,
 )
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import (
     Any, Callable, Dict, List, Mapping, Optional, Sequence, Set, Tuple,
 )
 
+from .. import obs
 from ..obs.profile import rss_bytes
 from .checkpoint import CheckpointJournal
 from .units import WorkUnit, execute_unit, unit_fingerprint
 
-__all__ = [
-    "ExecutionStats",
-    "ParallelExecutor",
-    "WorkerObsConfig",
-    "metrics_shard_path",
-    "trace_shard_path",
-]
+__all__ = ["ExecutionStats", "ParallelExecutor"]
 
 logger = logging.getLogger(__name__)
-
-
-def _split_ext(base: str) -> Tuple[str, str]:
-    stem, ext = os.path.splitext(base)
-    return stem, ext or ".jsonl"
-
-
-def trace_shard_path(base: str, label: str) -> str:
-    """Shard file for one event-stream producer (``label`` = who)."""
-    stem, ext = _split_ext(base)
-    return f"{stem}.{label}{ext}"
-
-
-def metrics_shard_path(base: str, label: str) -> str:
-    """Per-worker metrics-snapshot file next to the final snapshot."""
-    stem, _ = os.path.splitext(base)
-    return f"{stem}.{label}.json"
-
-
-@dataclass(frozen=True)
-class WorkerObsConfig:
-    """What observability each worker process should produce.
-
-    ``trace_base``/``metrics_base`` are the *final* output paths; each
-    worker derives its own shard next to them (``t.worker-g1-123.jsonl``,
-    ``m.worker-g1-123.json``) and the merge layer folds the shards back.
-    ``forensics`` enables the decision-provenance gate in every worker,
-    mirroring the parent's ``--forensics`` state.
-    """
-
-    trace_base: Optional[str] = None
-    metrics_base: Optional[str] = None
-    forensics: bool = False
 
 
 # ----------------------------------------------------------------------
@@ -107,69 +72,36 @@ class WorkerObsConfig:
 _WORKER_LABEL: Optional[str] = None
 
 
-def _dump_worker_metrics(registry, path: str) -> None:
-    parent = os.path.dirname(path)
-    if parent:
-        os.makedirs(parent, exist_ok=True)
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(registry.snapshot(), handle)
-        handle.write("\n")
-
-
-def _worker_init(obs_cfg: WorkerObsConfig, generation: int) -> None:
+def _worker_init(
+    tracing: bool, metrics: bool, forensics: bool, generation: int
+) -> None:
     """Give the worker its own obs world (never the parent's file handles)."""
     global _WORKER_LABEL
-    from .. import obs
 
     _WORKER_LABEL = f"worker-g{generation}-{os.getpid()}"
     obs.set_collector(None)
-    sink = None
-    if obs_cfg.trace_base:
-        sink = obs.JsonlTraceSink(
-            trace_shard_path(obs_cfg.trace_base, _WORKER_LABEL),
-            flush_every=256,
-            atexit_close=True,
-        )
-    obs.set_sink(sink)
-    if obs_cfg.forensics:
-        obs.set_forensics(True)
-    registry = obs.MetricsRegistry(enabled=bool(obs_cfg.metrics_base))
-    obs.set_registry(registry)
-    # Pool children exit through multiprocessing's _exit_function +
-    # os._exit, which never runs plain atexit handlers — flush the trace
-    # tail and metrics snapshot through a multiprocessing Finalizer.
-    if sink is not None:
-        multiprocessing.util.Finalize(None, sink.close, exitpriority=10)
-    if obs_cfg.metrics_base:
-        multiprocessing.util.Finalize(
-            None,
-            _dump_worker_metrics,
-            args=(registry, metrics_shard_path(obs_cfg.metrics_base, _WORKER_LABEL)),
-            exitpriority=10,
-        )
+    obs.set_sink(obs.ListTraceSink() if tracing else None)
+    obs.set_forensics(forensics)
+    obs.set_registry(obs.MetricsRegistry(enabled=metrics))
 
 
 def _run_unit_chunk(
-    chunk: List[Tuple[Dict[str, Any], int]], quick: bool, seed: int
+    chunk: List[Dict[str, Any]], quick: bool, seed: int
 ) -> List[Dict[str, Any]]:
     """Execute a chunk of units; per-unit outcomes, never a chunk throw.
 
     Exceptions are captured per unit so one bad unit doesn't discard its
-    chunk-mates' finished work; the parent decides retry vs degrade.
+    chunk-mates' finished work; the parent decides retry vs degrade. An
+    ``ok`` entry carries the unit's trace records (when tracing) and
+    metrics snapshot (when metrics are on); a failed one carries neither.
     """
-    from .. import obs
-
+    sink = obs.get_sink()
+    registry = obs.get_registry()
     out: List[Dict[str, Any]] = []
-    for unit_dict, attempt in chunk:
+    for unit_dict in chunk:
         unit = WorkUnit.from_dict(unit_dict)
-        obs.emit(
-            "unit_started", experiment=unit.experiment, unit=unit.unit_id,
-            seq=unit.seq, attempt=attempt,
-        )
         entry: Dict[str, Any] = {
             "key": unit.key,
-            "seq": unit.seq,
-            "attempt": attempt,
             "worker": os.getpid(),
             "shard": _WORKER_LABEL,
             "t_start": time.time(),
@@ -184,10 +116,14 @@ def _run_unit_chunk(
         entry["wall_s"] = time.perf_counter() - started
         entry["t_end"] = time.time()
         entry["rss_bytes"] = rss_bytes()
-        obs.emit(
-            "unit_finished", experiment=unit.experiment, unit=unit.unit_id,
-            seq=unit.seq, attempt=attempt, wall_s=entry["wall_s"],
-        )
+        if sink is not None:
+            records, sink.records = sink.records, []
+            if entry["ok"]:
+                entry["records"] = records
+        if registry.enabled:
+            if entry["ok"]:
+                entry["metrics"] = registry.snapshot()
+            registry.reset()
         out.append(entry)
     return out
 
@@ -207,12 +143,6 @@ class ExecutionStats:
     pool_rebuilds: int = 0
     #: One per pool generation that a worker crash broke.
     workers_lost: int = 0
-    unit_walls: Dict[str, float] = field(default_factory=dict)
-    #: unit key -> attempt id whose payload was accepted (merge layer
-    #: uses this to pick the authoritative trace block after retries).
-    accepted_attempts: Dict[str, int] = field(default_factory=dict)
-    #: unit key -> shard label ("parent" for inline/degraded units).
-    accepted_shards: Dict[str, str] = field(default_factory=dict)
 
     def as_dict(self) -> Dict[str, Any]:
         return {
@@ -231,8 +161,8 @@ class ParallelExecutor:
 
     One executor serves a whole runner invocation: the pool persists
     across experiments so worker start-up is paid once. ``jobs == 1``
-    runs inline in the parent (no pool, no marker events) — the code
-    path ``--resume`` shares with sharded runs.
+    runs inline in the parent (no pool) — the code path ``--resume``
+    shares with sharded runs.
     """
 
     def __init__(
@@ -241,7 +171,6 @@ class ParallelExecutor:
         *,
         quick: bool = True,
         seed: int = 1,
-        obs_cfg: Optional[WorkerObsConfig] = None,
         unit_timeout_s: Optional[float] = None,
         max_retries: int = 2,
         chunk_size: Optional[int] = None,
@@ -256,14 +185,12 @@ class ParallelExecutor:
         self.jobs = jobs
         self.quick = quick
         self.seed = seed
-        self.obs_cfg = obs_cfg or WorkerObsConfig()
         self.unit_timeout_s = unit_timeout_s
         self.max_retries = max_retries
         self.chunk_size = chunk_size
         self.max_in_flight = max_in_flight or jobs * 2
         self._pool: Optional[ProcessPoolExecutor] = None
         self._generation = 0
-        self._attempts_issued = 0
         #: Shard label -> worker row (see :meth:`topology`).
         self._workers: Dict[str, Dict[str, Any]] = {}
         methods = multiprocessing.get_all_start_methods()
@@ -277,7 +204,10 @@ class ParallelExecutor:
                 max_workers=self.jobs,
                 mp_context=multiprocessing.get_context(self.start_method),
                 initializer=_worker_init,
-                initargs=(self.obs_cfg, self._generation),
+                initargs=(
+                    obs.trace_active(), obs.get_registry().enabled,
+                    obs.forensics_active(), self._generation,
+                ),
             )
         return self._pool
 
@@ -293,7 +223,7 @@ class ParallelExecutor:
         pool.shutdown(wait=not terminate, cancel_futures=True)
 
     def shutdown(self) -> None:
-        """Drain the pool; workers flush their shards on the way out."""
+        """Drain the pool and let its workers exit."""
         if self._pool is not None:
             self._pool.shutdown(wait=True)
             self._pool = None
@@ -355,8 +285,13 @@ class ParallelExecutor:
         ``done`` maps unit keys to journal entries from a previous run;
         a unit is skipped iff its entry's fingerprint matches the unit's
         current fingerprint. Freshly accepted payloads are appended to
-        ``journal`` the moment they arrive. ``on_unit(unit, skipped)``
-        fires once per resolved unit (progress reporting).
+        ``journal`` the moment they arrive, and their metrics snapshots
+        fold into the parent's registry. Each accepted unit's trace
+        records go to the parent's sink once every unit before it in
+        ``units`` has been emitted (a skipped unit has none), so the
+        stream is the serial one whatever order units finish in.
+        ``on_unit(unit, skipped)`` fires once per resolved unit
+        (progress reporting).
         """
         stats = ExecutionStats()
         fingerprints = {
@@ -364,12 +299,24 @@ class ParallelExecutor:
             for unit in units
         }
         results: Dict[int, Any] = {}
+        #: Records of resolved units still waiting for an earlier unit.
+        held: Dict[str, Optional[List[dict]]] = {}
+        emitted = 0
+
+        def resolve(unit: WorkUnit, records: Optional[List[dict]]) -> None:
+            nonlocal emitted
+            held[unit.key] = records
+            while emitted < len(units) and units[emitted].key in held:
+                obs.emit_many(held.pop(units[emitted].key) or ())
+                emitted += 1
+
         pending: List[WorkUnit] = []
         for unit in units:
             entry = (done or {}).get(unit.key)
             if entry is not None and entry.get("fp") == fingerprints[unit.key]:
                 results[unit.seq] = entry["payload"]
                 stats.skipped += 1
+                resolve(unit, None)
                 if on_unit:
                     on_unit(unit, True)
             else:
@@ -379,10 +326,10 @@ class ParallelExecutor:
             payload = entry["payload"]
             results[unit.seq] = payload
             stats.executed += 1
-            stats.unit_walls[unit.key] = entry["wall_s"]
-            stats.accepted_attempts[unit.key] = entry["attempt"]
-            stats.accepted_shards[unit.key] = entry["shard"]
             self._record_unit(unit, entry)
+            if entry.get("metrics"):
+                obs.get_registry().merge(entry["metrics"])
+            resolve(unit, entry.get("records"))
             if journal is not None:
                 journal.append(
                     unit.key, fingerprints[unit.key], payload,
@@ -393,43 +340,42 @@ class ParallelExecutor:
 
         if pending:
             if self.jobs == 1:
-                self._run_inline(pending, accept, emit_markers=False)
+                self._run_inline(pending, accept)
             else:
                 self._run_pooled(pending, accept, stats, fingerprints)
         return [results[unit.seq] for unit in units], stats
 
     # -- inline (jobs == 1, and the serial-degrade path) ----------------
     def _run_inline(
-        self,
-        units: Sequence[WorkUnit],
-        accept: Callable[..., None],
-        emit_markers: bool,
+        self, units: Sequence[WorkUnit], accept: Callable[..., None]
     ) -> None:
-        from .. import obs
+        """Run units in the parent; metrics go straight to its registry.
 
+        Beside a pool, an earlier unit may still be out on a worker, so
+        each unit's records are captured like a worker's and join the
+        stream in unit order. Without one, every earlier unit is already
+        done and records stream straight to the sink.
+        """
         for unit in units:
-            self._attempts_issued += 1
-            attempt = self._attempts_issued
-            if emit_markers:
-                obs.emit(
-                    "unit_started", experiment=unit.experiment,
-                    unit=unit.unit_id, seq=unit.seq, attempt=attempt,
-                )
+            sink = obs.get_sink()
+            capture = (
+                obs.ListTraceSink()
+                if sink is not None and self.jobs > 1 else None
+            )
+            if capture is not None:
+                obs.set_sink(capture)
             t_start = time.time()
             started = time.perf_counter()
-            payload = execute_unit(unit, quick=self.quick, seed=self.seed)
+            try:
+                payload = execute_unit(unit, quick=self.quick, seed=self.seed)
+            finally:
+                obs.set_sink(sink)
             wall_s = time.perf_counter() - started
-            if emit_markers:
-                obs.emit(
-                    "unit_finished", experiment=unit.experiment,
-                    unit=unit.unit_id, seq=unit.seq, attempt=attempt,
-                    wall_s=wall_s,
-                )
             accept(unit, {
-                "payload": payload, "attempt": attempt,
-                "worker": os.getpid(), "shard": "parent",
+                "payload": payload, "worker": os.getpid(), "shard": "parent",
                 "t_start": t_start, "t_end": time.time(), "wall_s": wall_s,
                 "rss_bytes": rss_bytes(),
+                "records": capture.records if capture is not None else None,
             })
 
     # -- pooled ----------------------------------------------------------
@@ -447,10 +393,9 @@ class ParallelExecutor:
 
         A broken pool fails every chunk in flight, so the first failed
         chunk of the earliest submission is the best guess at what the
-        dead worker held.
+        dead worker held. The event goes to the parent's sink at once,
+        ahead of records still held for unit order.
         """
-        from .. import obs
-
         stats.workers_lost += 1
         obs.emit(
             "worker_lost",
@@ -472,23 +417,18 @@ class ParallelExecutor:
     ) -> None:
         queue = deque(self._chunk(units))
         attempts: Dict[str, int] = {}
-        #: future -> (tagged units, submit time, pool generation)
-        in_flight: Dict[
-            Any, Tuple[List[Tuple[WorkUnit, int]], float, int]
-        ] = {}
+        submissions = itertools.count()
+        #: future -> (units, submit time, pool generation, submission no.)
+        in_flight: Dict[Any, Tuple[List[WorkUnit], float, int, int]] = {}
         units_by_key = {unit.key: unit for unit in units}
         retired: Set[int] = set()
 
         def submit(chunk: List[WorkUnit]) -> None:
             pool = self._ensure_pool()
-            tagged = []
-            for unit in chunk:
-                self._attempts_issued += 1
-                tagged.append((unit, self._attempts_issued))
-            payload = [(unit.as_dict(), attempt) for unit, attempt in tagged]
             try:
                 future = pool.submit(
-                    _run_unit_chunk, payload, self.quick, self.seed
+                    _run_unit_chunk, [unit.as_dict() for unit in chunk],
+                    self.quick, self.seed,
                 )
             except BrokenProcessPool as exc:
                 # The pool broke before its failed chunks reached the loop
@@ -496,7 +436,9 @@ class ParallelExecutor:
                 # retires the generation as usual.
                 future = Future()
                 future.set_exception(exc)
-            in_flight[future] = (tagged, time.monotonic(), self._generation)
+            in_flight[future] = (
+                chunk, time.monotonic(), self._generation, next(submissions)
+            )
 
         def retire(generation: int, terminate: bool = False) -> bool:
             """Discard a failed pool generation; True only the first time.
@@ -521,7 +463,7 @@ class ParallelExecutor:
                     unit.key, count, reason,
                 )
                 stats.degraded += 1
-                self._run_inline([unit], accept, emit_markers=True)
+                self._run_inline([unit], accept)
             else:
                 logger.warning(
                     "unit %s failed (%s); retrying (%d/%d)",
@@ -537,34 +479,30 @@ class ParallelExecutor:
             if self.unit_timeout_s is not None and in_flight:
                 now = time.monotonic()
                 deadlines = [
-                    submitted + self.unit_timeout_s * len(tagged) - now
-                    for tagged, submitted, _ in in_flight.values()
+                    submitted + self.unit_timeout_s * len(chunk) - now
+                    for chunk, submitted, _, _ in in_flight.values()
                 ]
                 timeout = max(0.0, min(deadlines))
             finished, _ = wait(
                 set(in_flight), timeout=timeout, return_when=FIRST_COMPLETED
             )
-            # In submission order (a chunk's first attempt id): after a
-            # crash, the earliest failed chunk is the likeliest to have
-            # been on the dead worker.
-            for future in sorted(
-                finished, key=lambda f: in_flight[f][0][0][1]
-            ):
-                tagged, _, generation = in_flight.pop(future)
+            # In submission order: after a crash, the earliest failed
+            # chunk is the likeliest to have been on the dead worker.
+            for future in sorted(finished, key=lambda f: in_flight[f][3]):
+                chunk, _, generation, _ = in_flight.pop(future)
                 try:
                     entries = future.result()
                 except Exception as exc:  # pool plumbing, not unit code
                     crashed = isinstance(exc, BrokenProcessPool)
                     if retire(generation) and crashed:
-                        first = tagged[0][0]
                         self._record_worker_lost(
-                            stats, first, fingerprints.get(first.key)
+                            stats, chunk[0], fingerprints.get(chunk[0].key)
                         )
                     reason = (
                         "worker process died" if crashed
                         else f"dispatch failed: {exc!r}"
                     )
-                    for unit, _attempt in tagged:
+                    for unit in chunk:
                         handle_failure(unit, reason)
                     continue
                 for entry in entries:
@@ -579,15 +517,15 @@ class ParallelExecutor:
                 now = time.monotonic()
                 overdue = [
                     future
-                    for future, (tagged, submitted, _) in in_flight.items()
-                    if now - submitted > self.unit_timeout_s * len(tagged)
+                    for future, (chunk, submitted, _, _) in in_flight.items()
+                    if now - submitted > self.unit_timeout_s * len(chunk)
                     and not future.done()
                 ]
                 if overdue:
                     stats.timeouts += len(overdue)
                     abandoned = [in_flight.pop(future) for future in overdue]
-                    for generation in {gen for _, _, gen in abandoned}:
+                    for generation in {gen for _, _, gen, _ in abandoned}:
                         retire(generation, terminate=True)
-                    for tagged, _, _ in abandoned:
-                        for unit, _attempt in tagged:
+                    for chunk, _, _, _ in abandoned:
+                        for unit in chunk:
                             handle_failure(unit, "unit timeout")

@@ -15,13 +15,13 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
 from .. import obs
-from ..dram.timing import DDR3_1600, TimingParameters, trfc_for_density_ns
+from ..dram.timing import DDR3_1600, TimingParameters
 from ..mc.controller import (
     MemoryController,
     RefreshSettings,
     TestTrafficSettings,
 )
-from ..mc.request import Request, RequestKind
+from ..mc.request import Request
 from ..traces.spec import BenchmarkProfile, get_benchmark
 from .core import CoreConfig, TraceCore
 from .energy import energy_of_run

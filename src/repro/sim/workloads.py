@@ -8,7 +8,7 @@ workloads are the individual benchmarks.
 
 from __future__ import annotations
 
-from typing import List, Sequence
+from typing import List
 
 import numpy as np
 

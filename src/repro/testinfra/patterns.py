@@ -10,7 +10,7 @@ patterns that alternate per row (row stripes, checkerboards) are expressible.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Sequence
+from typing import Callable, List
 
 import numpy as np
 from numpy.random import PCG64

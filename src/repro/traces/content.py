@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import zlib
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Mapping, Tuple
+from typing import Callable, Dict, Mapping
 
 import numpy as np
 

@@ -8,7 +8,7 @@ not change memory content, so MEMCON never reacts to them (paper §3.2).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List
 
 import numpy as np

@@ -15,7 +15,7 @@ iterate phases exactly the way the paper iterates checkpoints.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Tuple
+from typing import Dict, Iterator, List
 
 import numpy as np
 

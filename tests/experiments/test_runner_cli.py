@@ -313,22 +313,6 @@ class TestParallelCli:
         assert main(["fig06"]) == 0
         assert list(tmp_path.iterdir()) == []
 
-    def test_report_reads_sharded_trace_via_merge(self, tmp_path, capsys):
-        shards = []
-        for i in range(2):
-            shard = tmp_path / f"s{i}.jsonl"
-            assert main(["fig06", "--trace", str(shard),
-                         "--seed", str(i + 1)]) == 0
-            shards.append(str(shard))
-        capsys.readouterr()
-        from repro.obs.report import main as report_main
-
-        assert report_main(shards) == 0
-        out = capsys.readouterr().out
-        assert "trace summary" in out
-        # Both shards' records are in the merged stream.
-        assert " 2" in out.split("run_started")[1].splitlines()[0]
-
 
 class TestProfilingCli:
     def test_profile_records_manifest_section(self, tmp_path, capsys):
@@ -380,10 +364,10 @@ class TestProfilingCli:
                      "--checkpoint", str(tmp_path / "c.jsonl")]) == 0
         err = capsys.readouterr().err
         assert "  worker-g1-" in err
-        # Worker events never reach the parent, so no line counts them.
+        # Worker events reach the parent's aggregator, as in a serial run.
         status = [line for line in err.splitlines()
                   if line.startswith("[live]")]
-        assert status and not any("events" in line for line in status)
+        assert status and all("events" in line for line in status)
         assert "experiments 1/1" in status[-1]
         rows = obs.load_manifest(str(manifest))["workers"]["workers"]
         assert sum(r["units"] for r in rows) == 4

@@ -1,11 +1,11 @@
 """Runner-level gate: traced runs equal untraced ones, serial equals sharded.
 
 A traced MEMCON experiment runs the same accounting code as an untraced
-one and only adds the verdict stream, which pool workers write to their
-trace shards in batches. fig14 is narrowed to two workloads and one
-quantum (the pool forks, so its workers see the narrowed experiment too)
-and run three ways: untraced, traced with forensics, and the same traced
-run on two workers.
+one and only adds the verdict stream, which pool workers capture in
+batches and hand to the parent with each unit. fig14 is narrowed to two
+workloads and one quantum (the pool forks, so its workers see the
+narrowed experiment too) and run three ways: untraced, traced with
+forensics, and the same traced run on two workers.
 
 Every other experiment gets the unit-level form of the same gate: one
 cheap unit runs traced with forensics and untraced, and the payloads

@@ -110,17 +110,6 @@ class TestLedgerExtraction:
         # The ledger is itself a readable trace.
         assert len(list(obs.read_trace(str(ledger)))) == 4
 
-    def test_extract_from_records(self):
-        census = extract_ledger(records=_ledger_stream())
-        assert census["records"] == 4
-        assert "ledger_path" not in census
-
-    def test_exactly_one_source(self, tmp_path):
-        with pytest.raises(ValueError):
-            extract_ledger()
-        with pytest.raises(ValueError):
-            extract_ledger("x.jsonl", records=[])
-
     def test_extract_tolerates_truncation(self, tmp_path):
         trace = tmp_path / "t.jsonl"
         with open(trace, "w") as handle:

@@ -282,22 +282,3 @@ class TestWorkerRows:
         assert lines[1] == (
             "  worker-g1-1: units 2 | last fig04/scan-1 | rss 64MB"
         )
-
-    def test_without_aggregator_reports_progress_and_workers(self):
-        """A sharded run has no aggregator: the line carries experiment
-        progress only, never event counts."""
-        clock = FakeClock()
-        stream = io.StringIO()
-        live = LiveReporter(None, stream=stream, interval_s=0.0, clock=clock)
-        live.emit(_rec("run_started", experiments=["fig04", "fig14"]))
-        clock.advance(2.0)
-        live.emit(_rec("experiment_finished", experiment="fig04"))
-        live.show_workers([{
-            "shard": "worker-g1-1", "units": 1, "rss_peak_bytes": 32 << 20,
-            "timeline": [{"experiment": "fig14", "unit": "Netflix"}],
-        }])
-        lines = stream.getvalue().splitlines()
-        assert lines[-2] == "[live] experiments 1/2 | eta 2s"
-        assert lines[-1] == (
-            "  worker-g1-1: units 1 | last fig14/Netflix | rss 32MB"
-        )

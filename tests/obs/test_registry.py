@@ -1,4 +1,5 @@
-"""Metrics-registry semantics: instruments, snapshot/reset, enable flag."""
+"""Metrics-registry semantics: instruments, snapshot/reset, enable flag,
+and the merge that folds a worker's snapshot into the parent's registry."""
 
 import json
 
@@ -138,3 +139,50 @@ class TestDefaultRegistry:
             assert get_registry() is mine
         finally:
             assert set_registry(previous) is mine
+
+
+class TestRegistryMerge:
+    def _registry(self, counter=0, gauge=0.0, hist=()):
+        registry = MetricsRegistry(enabled=True)
+        registry.counter("n").inc(counter)
+        registry.gauge("g").set(gauge)
+        h = registry.histogram("h", (1.0, 10.0))
+        for value in hist:
+            h.observe(value)
+        return registry
+
+    def test_counters_sum(self):
+        a, b = self._registry(counter=3), self._registry(counter=4)
+        a.merge(b)
+        assert a.counter("n").value == 7
+
+    def test_gauges_keep_high_water_mark(self):
+        a, b = self._registry(gauge=5.0), self._registry(gauge=3.0)
+        a.merge(b)
+        assert a.gauge("g").value == 5.0
+        b.merge(self._registry(gauge=9.0))
+        assert b.gauge("g").value == 9.0
+
+    def test_histograms_add_bucketwise(self):
+        a = self._registry(hist=(0.5, 5.0))
+        b = self._registry(hist=(5.0, 50.0))
+        a.merge(b)
+        snap = a.snapshot()["histograms"]["h"]
+        assert snap["counts"] == [1, 2, 1]
+        assert snap["total"] == 4
+
+    def test_merge_accepts_snapshot_dicts(self):
+        a = self._registry(counter=1)
+        a.merge(self._registry(counter=2).snapshot())
+        assert a.counter("n").value == 3
+
+    def test_bounds_mismatch_raises(self):
+        a = self._registry(hist=(0.5,))
+        b = MetricsRegistry(enabled=True)
+        b.histogram("h", (2.0, 20.0)).observe(1.0)
+        with pytest.raises(ValueError, match="buckets|bounds"):
+            a.merge(b)
+
+    def test_non_mapping_rejected(self):
+        with pytest.raises(TypeError):
+            MetricsRegistry(enabled=True).merge([1, 2])

@@ -390,17 +390,6 @@ class TestSinkLifecycle:
         with pytest.raises(ValueError, match="closed"):
             sink.emit(self._record())
 
-    def test_atexit_close_registers_and_unregisters(self, tmp_path):
-        import atexit
-
-        sink = JsonlTraceSink(str(tmp_path / "t.jsonl"), atexit_close=True)
-        assert sink._atexit_registered
-        sink.close()
-        assert not sink._atexit_registered
-        # An interpreter-exit flush after a manual close stays a no-op.
-        atexit.unregister(sink.close)  # belt and braces for the test env
-        sink.close()
-
     def test_parent_directories_created_for_path_targets(self, tmp_path):
         path = tmp_path / "deep" / "nested" / "t.jsonl"
         with JsonlTraceSink(str(path)) as sink:
@@ -413,64 +402,3 @@ class TestSinkLifecycle:
         sink.emit(self._record())
         sink.close()
         assert len(list(read_trace(path))) == 1
-
-
-class TestMergeResilience:
-    """k-way merge over damaged / mixed-version shard sets."""
-
-    def _shard(self, tmp_path, name, records, tail=""):
-        path = tmp_path / name
-        with open(path, "w") as handle:
-            for record in records:
-                handle.write(json.dumps(record) + "\n")
-            handle.write(tail)
-        return str(path)
-
-    def _rec(self, t_ms, page, version=SCHEMA_VERSION):
-        return {"v": version, "kind": "test_started",
-                "t_ms": t_ms, "page": page}
-
-    def test_middle_shard_truncated_tail(self, tmp_path):
-        # The middle shard ends in a partial line (killed worker); the
-        # merge must drop only that line and stay time-sorted across
-        # every surviving record.
-        a = self._shard(tmp_path, "a.jsonl",
-                        [self._rec(0.0, 1), self._rec(6.0, 2)])
-        b = self._shard(tmp_path, "b.jsonl",
-                        [self._rec(2.0, 3), self._rec(4.0, 4)],
-                        tail='{"v": 1, "kind": "test_sta')
-        c = self._shard(tmp_path, "c.jsonl", [self._rec(5.0, 5)])
-        merged = list(read_trace(merge=[a, b, c]))
-        assert [r["page"] for r in merged] == [1, 3, 4, 5, 2]
-        times = [r["t_ms"] for r in merged]
-        assert times == sorted(times)
-
-    def test_truncated_tail_is_not_tolerated_mid_shard(self, tmp_path):
-        # Garbage with valid lines after it is corruption, not a killed
-        # writer; the merge must refuse rather than silently skip.
-        path = tmp_path / "bad.jsonl"
-        with open(path, "w") as handle:
-            handle.write(json.dumps(self._rec(0.0, 1)) + "\n")
-            handle.write('{"v": 1, "kind": "test_sta\n')
-            handle.write(json.dumps(self._rec(2.0, 2)) + "\n")
-        good = self._shard(tmp_path, "good.jsonl", [self._rec(1.0, 9)])
-        with pytest.raises(TraceSchemaError):
-            list(read_trace(merge=[str(path), good]))
-
-    def test_mixed_schema_versions_merge_unvalidated(self, tmp_path):
-        # A shard from an older writer (different envelope version)
-        # still merges in time order when validation is off...
-        old = self._shard(tmp_path, "old.jsonl",
-                          [self._rec(1.0, 1, version=SCHEMA_VERSION + 1)])
-        new = self._shard(tmp_path, "new.jsonl",
-                          [self._rec(0.0, 2), self._rec(2.0, 3)])
-        merged = list(read_trace(merge=[old, new], validate=False))
-        assert [r["page"] for r in merged] == [2, 1, 3]
-
-    def test_mixed_schema_versions_fail_validated(self, tmp_path):
-        # ...and raises loudly when validation is on.
-        old = self._shard(tmp_path, "old.jsonl",
-                          [self._rec(1.0, 1, version=SCHEMA_VERSION + 1)])
-        new = self._shard(tmp_path, "new.jsonl", [self._rec(0.0, 2)])
-        with pytest.raises(TraceSchemaError, match="schema"):
-            list(read_trace(merge=[old, new]))

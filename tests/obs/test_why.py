@@ -109,7 +109,7 @@ class TestReplayDegradation:
 
     def test_resolve_sources_requires_input(self):
         with pytest.raises(SystemExit):
-            why._resolve_sources(None, None)
+            why._resolve_source(None, None)
 
     def test_resolve_sources_prefers_manifest_ledger(self, tmp_path):
         from repro.obs.manifest import MANIFEST_SCHEMA_VERSION
@@ -120,4 +120,4 @@ class TestReplayDegradation:
             "experiments": ["fig14"],
             "forensics": {"ledger_path": "l.jsonl"},
         }))
-        assert why._resolve_sources(str(manifest), None) == ["l.jsonl"]
+        assert why._resolve_source(str(manifest), None) == "l.jsonl"

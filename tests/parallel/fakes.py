@@ -2,7 +2,10 @@
 
 ``fake`` implements the full hook contract with failure modes steerable
 through unit params (raise, crash, or sleep — but only outside a named
-"home" pid, so the parent's serial-degrade path always succeeds).
+"home" pid, so the parent's serial-degrade path always succeeds). Every
+attempt first bumps the ``fake.units`` counter and emits
+``RECORDS_PER_UNIT`` trace records naming its unit and process, so
+tests can see which attempts' observability reached the parent.
 ``opaque`` has no hooks at all, which ``decompose`` rejects.
 """
 
@@ -12,10 +15,12 @@ import os
 import time
 from typing import Any, Dict, List
 
+from repro import obs
 from repro.experiments.common import ExperimentResult
 from repro.parallel.units import WorkUnit
 
 N_UNITS = 4
+RECORDS_PER_UNIT = 10
 
 
 def units(quick: bool = True, seed: int = 1) -> List[WorkUnit]:
@@ -27,6 +32,9 @@ def units(quick: bool = True, seed: int = 1) -> List[WorkUnit]:
 
 def run_unit(unit: WorkUnit, quick: bool = True, seed: int = 1) -> Dict[str, Any]:
     params = unit.params
+    obs.get_registry().counter("fake.units").inc()
+    for i in range(RECORDS_PER_UNIT):
+        obs.emit("test_started", t_ms=float(i), page=unit.seq, pid=os.getpid())
     away_from_home = os.getpid() != params.get("home_pid")
     if params.get("raise_away") and away_from_home:
         raise RuntimeError(f"synthetic failure in {unit.unit_id}")

@@ -3,9 +3,10 @@
 ``run()`` is structurally ``merge_units([run_unit(u) for u in units()])``,
 so these tests pin the whole pipeline — decomposition, process-pool
 dispatch, JSON journal round-trip, seq-ordered merge — against the
-serial renderings, byte for byte, for several worker counts. The trace
-merge gets the same treatment: windowed rollups computed from a sharded
-run's merged trace must equal the serial run's.
+serial renderings, byte for byte, for several worker counts. The event
+stream gets the same treatment: the windowed rollups a sharded run
+aggregates from the records its workers return must equal the serial
+run's.
 """
 
 import pytest
@@ -68,13 +69,13 @@ class TestMergedObservability:
         assert sharded["workers"]["jobs"] == 2
         assert sharded["workers"]["stats"]["degraded"] == 0
 
-    def test_shard_files_cleaned_up_after_merge(self, tmp_path, capsys):
-        trace = tmp_path / "t.jsonl"
-        metrics = tmp_path / "m.json"
-        assert main(["fig06", "--jobs", "2", "--trace", str(trace),
-                     "--metrics", str(metrics),
+    def test_sharded_run_writes_only_requested_outputs(self, tmp_path,
+                                                       capsys):
+        assert main(["fig06", "--jobs", "2",
+                     "--trace", str(tmp_path / "t.jsonl"),
+                     "--metrics", str(tmp_path / "m.json"),
                      "--checkpoint", str(tmp_path / "c.ckpt.jsonl")]) == 0
-        leftovers = [p.name for p in tmp_path.iterdir() if "worker" in p.name
-                     or "parent" in p.name]
-        assert leftovers == []
-        assert trace.exists() and metrics.exists()
+        # The manifest lands next to --metrics by default.
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "c.ckpt.jsonl", "m.json", "m.manifest.json", "t.jsonl",
+        ]

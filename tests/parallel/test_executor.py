@@ -1,17 +1,14 @@
-"""Supervision loop: inline mode, crashes, retries, timeouts, skip-done."""
+"""Supervision loop: inline mode, crashes, retries, timeouts, skip-done,
+and the unit records and metrics that pool workers hand the parent."""
 
 import os
 
 import pytest
 
 from repro.parallel.checkpoint import CheckpointJournal
-from repro.parallel.executor import (
-    ParallelExecutor,
-    WorkerObsConfig,
-    metrics_shard_path,
-    trace_shard_path,
-)
+from repro.parallel.executor import ParallelExecutor
 from repro.parallel.units import WorkUnit, register_experiment, unit_fingerprint
+from tests.parallel.fakes import RECORDS_PER_UNIT
 
 register_experiment("fake", "tests.parallel.fakes")
 
@@ -33,6 +30,18 @@ def _expected_payloads(units):
     ]
 
 
+def _shards(executor):
+    return {row["shard"] for row in executor.topology()["workers"]}
+
+
+def _unit_records(sink):
+    """``(seq, pid)`` of every fake-unit record the parent's sink got."""
+    return [
+        (r["page"], r["pid"]) for r in sink.records
+        if r["kind"] == "test_started"
+    ]
+
+
 class TestInline:
     def test_jobs_1_runs_in_parent(self):
         units = _fake_units()
@@ -40,7 +49,7 @@ class TestInline:
             payloads, stats = ex.run_units(units)
         assert payloads == _expected_payloads(units)
         assert stats.executed == 4
-        assert set(stats.accepted_shards.values()) == {"parent"}
+        assert _shards(ex) == {"parent"}
         assert ex._pool is None  # never built one
 
     def test_constructor_validation(self):
@@ -73,7 +82,7 @@ class TestPooled:
         assert payloads == _expected_payloads(units)
         assert stats.retried == 2   # one retry per unit
         assert stats.degraded == 2  # then the serial fallback
-        assert set(stats.accepted_shards.values()) == {"parent"}
+        assert _shards(ex) == {"parent"}
 
     def test_worker_crash_rebuilds_pool_and_degrades(self):
         units = _fake_units(2, crash_away=True, home_pid=os.getpid())
@@ -189,44 +198,76 @@ class TestSkipAndJournal:
         assert sorted(seen) == [("u0", True), ("u1", False)]
 
 
-class TestShardPaths:
-    def test_trace_shard_path_keeps_extension(self):
-        assert trace_shard_path("t.jsonl", "worker-g1-9") == "t.worker-g1-9.jsonl"
-        assert trace_shard_path("t", "parent") == "t.parent.jsonl"
-
-    def test_metrics_shard_path(self):
-        assert metrics_shard_path("m.json", "worker-g1-9") == "m.worker-g1-9.json"
-
-
 class TestWorkerObs:
-    def test_workers_write_trace_and_metric_shards(self, tmp_path):
-        trace = str(tmp_path / "t.jsonl")
-        metrics = str(tmp_path / "m.json")
+    def test_pooled_run_hands_parent_records_and_metrics(self, obs_env):
+        registry, sink = obs_env
         units = _fake_units(4)
-        with ParallelExecutor(
-            2, chunk_size=1,
-            obs_cfg=WorkerObsConfig(trace_base=trace, metrics_base=metrics),
-        ) as ex:
+        with ParallelExecutor(1) as ex:
+            ex.run_units(units)
+        serial_records = _unit_records(sink)
+        serial_metrics = registry.snapshot()
+        sink.records.clear()
+        registry.reset()
+
+        with ParallelExecutor(2, chunk_size=1) as ex:
             payloads, _ = ex.run_units(units)
-        ex.shutdown()
         assert payloads == _expected_payloads(units)
-        from repro.parallel.merge import (
-            discover_metric_shards,
-            discover_trace_shards,
-        )
+        records = _unit_records(sink)
+        # Every unit's records, in unit order, each from a worker.
+        assert [seq for seq, _ in records] == [
+            seq for seq, _ in serial_records
+        ] == [u.seq for u in units for _ in range(RECORDS_PER_UNIT)]
+        assert os.getpid() not in {pid for _, pid in records}
+        assert registry.snapshot() == serial_metrics
+        assert registry.counter("fake.units").value == 4
 
-        shards = discover_trace_shards(trace)
-        assert shards
-        from repro.obs import read_trace
-
-        markers = [
-            r["kind"]
-            for shard in shards
-            for r in read_trace(shard, validate=False)
+    def test_timed_out_pool_keeps_what_it_accepted(self, obs_env):
+        # u0-u2 are accepted; u3 then overruns its budget, which
+        # terminates the pool. It degrades to the parent, where it does
+        # not sleep.
+        registry, sink = obs_env
+        units = _fake_units(3) + [
+            WorkUnit(
+                "fake", "u3",
+                {"value": 31, "sleep_away": 30.0, "home_pid": os.getpid()},
+                seq=3, module="tests.parallel.fakes",
+            )
         ]
-        assert markers.count("unit_started") == 4
-        assert markers.count("unit_finished") == 4
-        assert discover_metric_shards(metrics)
+        with ParallelExecutor(
+            2, chunk_size=1, max_retries=0, unit_timeout_s=2.0
+        ) as ex:
+            payloads, stats = ex.run_units(units)
+        assert payloads == _expected_payloads(units)
+        assert stats.timeouts == 1 and stats.degraded == 1
+        records = _unit_records(sink)
+        assert [seq for seq, _ in records] == [
+            seq for seq in range(4) for _ in range(RECORDS_PER_UNIT)
+        ]
+        assert {pid for seq, pid in records if seq == 3} == {os.getpid()}
+        assert registry.counter("fake.units").value == 4
+
+    def test_failed_attempts_contribute_nothing(self, obs_env):
+        # u0 raises in every worker after emitting its records; only its
+        # serial rerun in the parent may reach the stream, once.
+        registry, sink = obs_env
+        units = _fake_units(2)
+        units[0] = WorkUnit(
+            "fake", "u0",
+            {**units[0].params, "raise_away": True, "home_pid": os.getpid()},
+            seq=0, module="tests.parallel.fakes",
+        )
+        with ParallelExecutor(2, chunk_size=1, max_retries=1) as ex:
+            payloads, stats = ex.run_units(units)
+        assert payloads == _expected_payloads(units)
+        assert stats.retried == 1 and stats.degraded == 1
+        records = _unit_records(sink)
+        assert [seq for seq, _ in records] == [0] * RECORDS_PER_UNIT + [
+            1
+        ] * RECORDS_PER_UNIT
+        assert {pid for seq, pid in records if seq == 0} == {os.getpid()}
+        # Two raising worker attempts bumped the counter too; only the
+        # accepted runs count.
+        assert registry.counter("fake.units").value == 2
 
 
 class TestWorkerTable:
