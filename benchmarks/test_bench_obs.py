@@ -289,55 +289,6 @@ class TestLiveAggregationOverhead:
         )
 
 
-class TestProfilerOverhead:
-    """The sampler must stay under 5% at its default 5 ms interval.
-
-    One sample reads the span stack, joins a handful of names and takes
-    an RSS reading; the steady-state overhead is per-sample cost divided
-    by the sampling interval. (With ``--profile`` off the profiler is
-    never constructed, so the disabled cost is exactly zero — guarded
-    by ``test_unprofiled_manifest_has_no_profile`` in the CLI tests.)
-    """
-
-    DEFAULT_INTERVAL_S = 0.005
-
-    def test_sampling_overhead_under_5_percent(self, run_once, record_bench):
-        from repro.obs.profile import SampledProfiler
-
-        def measure(samples=2000):
-            profiler = SampledProfiler(interval_s=self.DEFAULT_INTERVAL_S)
-            with obs.collect_spans("run"):
-                with obs.span("bench"):
-                    with obs.span("inner"):
-                        start = time.perf_counter()
-                        for _ in range(samples):
-                            profiler.sample_once()
-                        per_sample_s = (
-                            time.perf_counter() - start
-                        ) / samples
-            return per_sample_s, profiler
-
-        per_sample_s, profiler = run_once(measure)
-
-        assert profiler.sample_count == 2000
-        assert profiler.attributed_fraction == 1.0
-
-        fraction = per_sample_s / self.DEFAULT_INTERVAL_S
-        record_bench(
-            "obs_profiler_overhead",
-            sample_s=round(per_sample_s, 9),
-            interval_s=self.DEFAULT_INTERVAL_S,
-            est_profiler_overhead_fraction=round(fraction, 6),
-            budget_fraction=OVERHEAD_BUDGET,
-        )
-        assert fraction < OVERHEAD_BUDGET, (
-            f"sampling costs {fraction:.2%} of wall time at the default "
-            f"{self.DEFAULT_INTERVAL_S * 1e3:.0f} ms interval "
-            f"({per_sample_s * 1e6:.1f} us per sample) — budget is "
-            f"{OVERHEAD_BUDGET:.0%}"
-        )
-
-
 def _engine_workload(seed: int = 9):
     """A full-stack traced MEMCON run: real device content, Read&Compare
     retention tests against the fault model.

@@ -146,19 +146,6 @@ class CostModel:
         mem = [self.memcon_cost_ns(t, mode) for t in times]
         return times, hi, mem
 
-    # ------------------------------------------------------------------
-    def refresh_savings_ns(self, interval_ms: float, mode: TestMode) -> float:
-        """Net latency saved over one write interval by testing at its start.
-
-        Positive when the interval exceeds the MinWriteInterval; negative
-        when testing was a loss.
-        """
-        if interval_ms < 0:
-            raise ValueError("interval_ms must be non-negative")
-        return self.hi_ref_cost_ns(interval_ms) - self.memcon_cost_ns(
-            interval_ms, mode
-        )
-
 
 def copy_and_compare_storage_overhead(
     reserved_rows_per_bank: int = 512,

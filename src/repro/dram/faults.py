@@ -433,10 +433,6 @@ class FaultMap:
             true_cell=bool(self._true_cell[row_index]),
         )
 
-    def row_is_true_cell(self, row_index: int) -> bool:
-        """Polarity of a physical row (true-cell vs anti-cell)."""
-        return self.row_population(row_index).true_cell
-
     def cells_in_row(self, row_index: int) -> Tuple[VulnerableCell, ...]:
         """The vulnerable cells of one row, generated deterministically."""
         pop = self.row_population(row_index)

@@ -93,13 +93,6 @@ class TimingParameters:
         """Cost of refreshing a single row (activate + precharge)."""
         return self.tRAS + self.tRP
 
-    def cycles(self, ns: float) -> int:
-        """Convert a latency in nanoseconds to (ceil) DRAM clock cycles."""
-        cycles = int(ns / self.tCK)
-        if cycles * self.tCK < ns:
-            cycles += 1
-        return cycles
-
     def with_density(self, density_gbit: int) -> "TimingParameters":
         """Return timings with ``tRFC`` scaled for the given chip density."""
         return replace(self, tRFC=trfc_for_density_ns(density_gbit))

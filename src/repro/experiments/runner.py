@@ -39,14 +39,21 @@ folds the snapshots into its registry, so ``--trace``, the rollups and
 ``--metrics`` come from one stream in both modes. The manifest records
 the worker topology under ``"workers"``.
 
+The manifest's span tree (``"spans"``) is the run's profile: each
+experiment's span holds the named phases its units timed (MEMCON's
+accounting pass, the cycle simulator, SoftMC phases). Under ``--jobs N``
+the workers time their units and the parent folds the subtrees in, so
+the tree has the serial run's nodes and counts.
+
 ``--forensics`` additionally records the decision-provenance ledger
 (:mod:`repro.obs.forensics`): PRIL LO-REF grants/revocations with their
 write-interval evidence, the MEMCON test lifecycle, refresh-ledger
 transitions and fault-predicate evaluations.
-The ledger is extracted to ``<trace stem>.forensics.jsonl`` after the
-run (``--forensics-out`` overrides), its census lands in the manifest
-under ``"forensics"``, and ``python -m repro.obs.why --row R`` answers
-per-row causal queries against it.
+A :class:`repro.obs.LedgerSink` in the sink tee writes the ledger to
+``<trace stem>.forensics.jsonl`` as the run streams (``--forensics-out``
+overrides), its census lands in the manifest under ``"forensics"``, and
+``python -m repro.obs.why --row R`` answers per-row causal queries
+against it.
 """
 
 from __future__ import annotations
@@ -222,25 +229,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         "unit, RSS peak), refreshed as units finish",
     )
     parser.add_argument(
-        "--profile", action="store_true",
-        help="sample the span stack on a wall-clock timer and record "
-        "collapsed stacks under the manifest's \"profile\" key",
-    )
-    parser.add_argument(
-        "--profile-mem", action="store_true",
-        help="like --profile, plus tracemalloc peak-heap attribution "
-        "per sampled span stack (higher overhead)",
-    )
-    parser.add_argument(
-        "--profile-interval-ms", type=float, default=5.0, metavar="MS",
-        help="profiler sampling interval (default %(default)s)",
-    )
-    parser.add_argument(
-        "--profile-out", metavar="FILE", default=None,
-        help="also write the samples as collapsed-stack lines "
-        "(flamegraph.pl input) to FILE",
-    )
-    parser.add_argument(
         "--window-ms", type=float, default=1024.0,
         help="aggregation window for the manifest's time-series rollups "
         "(default %(default)s, the MEMCON quantum)",
@@ -249,7 +237,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         "--forensics", action="store_true",
         help="record the decision-provenance ledger (PRIL grants/"
         "revocations, MEMCON test evidence, refresh transitions, "
-        "predicate evaluations) and extract it next to the trace; "
+        "predicate evaluations) next to the trace as the run streams; "
         "implies --trace (a default path is derived when absent)",
     )
     parser.add_argument(
@@ -292,13 +280,11 @@ def main(argv: Optional[List[str]] = None) -> int:
         with open(args.out, "w"):
             pass
 
-    profiling = args.profile or args.profile_mem or bool(args.profile_out)
     manifest = obs.RunManifest.start(
         names, seed=args.seed, quick=not args.full,
         config={"out": args.out, "trace": args.trace, "metrics": args.metrics,
                 "live": args.live, "window_ms": args.window_ms,
                 "jobs": args.jobs, "resume": args.resume,
-                "profile": profiling, "profile_mem": args.profile_mem,
                 "forensics": args.forensics},
     )
     manifest.trace_path = args.trace
@@ -306,16 +292,26 @@ def main(argv: Optional[List[str]] = None) -> int:
     previous_registry = None
     if args.metrics:
         previous_registry = obs.set_registry(obs.MetricsRegistry(enabled=True))
-    # Sink stack: JSONL file, in-process aggregator, live reporter — all
-    # fed from the same emit() calls through one tee. In a sharded run
-    # the executor emits each unit's records here, in unit order.
+    # Sink stack: JSONL file, in-process aggregator, live reporter and
+    # forensic ledger — all fed from the same emit() calls through one
+    # tee. In a sharded run the executor emits each unit's records here,
+    # in unit order, so serial and --jobs N ledgers are byte-identical.
     jsonl_sink = obs.JsonlTraceSink(args.trace) if args.trace else None
     aggregator = (
         obs.AggregatingSink(window_ms=args.window_ms)
         if (args.trace or args.live) else None
     )
     live = obs.LiveReporter(aggregator) if args.live else None
-    sinks = [s for s in (jsonl_sink, aggregator, live) if s is not None]
+    ledger = (
+        obs.LedgerSink(
+            args.forensics_out
+            or os.path.splitext(args.trace)[0] + ".forensics.jsonl"
+        )
+        if args.forensics else None
+    )
+    sinks = [
+        s for s in (jsonl_sink, aggregator, live, ledger) if s is not None
+    ]
     if len(sinks) > 1:
         sink = obs.TeeSink(*sinks)
     elif sinks:
@@ -352,24 +348,12 @@ def main(argv: Optional[List[str]] = None) -> int:
         def on_unit(unit, skipped):
             live.show_workers(executor.topology()["workers"])
 
-    profiler = (
-        obs.SampledProfiler(
-            interval_s=max(args.profile_interval_ms, 0.1) / 1000.0,
-            mem=args.profile_mem,
-        )
-        if profiling else None
-    )
-
     totals: Dict[str, int] = {}
     run_started = time.perf_counter()
     try:
         obs.emit("run_started", experiments=names, seed=args.seed,
                  quick=not args.full)
         with obs.collect_spans("run") as collector:
-            if profiler is not None:
-                # Start inside the span collector so samples attribute
-                # to named spans rather than "(no-collector)".
-                profiler.start()
             for name in names:
                 started = time.perf_counter()
                 logger.info("running %s (quick=%s, seed=%d, jobs=%d)",
@@ -422,8 +406,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         if aggregator is not None:
             manifest.timeseries = aggregator.to_dict()
     finally:
-        if profiler is not None:
-            profiler.stop()
         if previous_forensics is not None:
             obs.set_forensics(previous_forensics)
         if sink is not None:
@@ -440,29 +422,12 @@ def main(argv: Optional[List[str]] = None) -> int:
         manifest.workers = executor.topology()
         manifest.workers["stats"] = totals
 
-    if profiler is not None:
-        manifest.profile = profiler.to_dict()
-        logger.info(
-            "profiler: %d samples, %.0f%% attributed to named spans",
-            profiler.sample_count, 100 * profiler.attributed_fraction,
-        )
-        if args.profile_out:
-            profiler.write_collapsed(args.profile_out)
-            logger.info("collapsed stacks written to %s", args.profile_out)
-
-    if args.forensics and args.trace:
-        # Serial and --jobs N runs write the same stream, so their
-        # ledgers are byte-identical.
-        ledger_path = (
-            args.forensics_out
-            or os.path.splitext(args.trace)[0] + ".forensics.jsonl"
-        )
-        _ensure_parent(ledger_path)
-        manifest.forensics = obs.extract_ledger(args.trace, ledger_path)
+    if ledger is not None:
+        manifest.forensics = ledger.census()
         logger.info(
             "forensic ledger: %d records (%d rows) written to %s",
             manifest.forensics["records"], manifest.forensics["rows"],
-            ledger_path,
+            ledger.path,
         )
 
     if args.metrics:

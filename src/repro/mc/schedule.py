@@ -13,8 +13,6 @@ rounds differently.
 
 from __future__ import annotations
 
-from typing import List
-
 __all__ = ["ArrivalSchedule"]
 
 
@@ -37,12 +35,3 @@ class ArrivalSchedule:
         """Consume the current arrival and return the next one."""
         self.next_ns += self._interval
         return self.next_ns
-
-    def peek(self, k: int) -> List[float]:
-        """The next ``k`` arrivals (for tests and introspection)."""
-        times = []
-        t = self.next_ns
-        for _ in range(k):
-            times.append(t)
-            t += self._interval
-        return times

@@ -1,12 +1,14 @@
 """`repro.obs` — observability for the MEMCON pipeline.
 
-Four cooperating pieces, all near-zero-overhead until switched on:
+Nine cooperating pieces, all near-zero-overhead until switched on:
 
 * **metrics registry** (:mod:`.registry`) — counters, gauges and
   fixed-bucket histograms, snapshot/reset-able; instruments no-op while
   the owning registry is disabled (the default).
 * **span timing** (:mod:`.spans`) — ``with span("fill"):`` builds a
-  hierarchical wall-clock profile once a collector is installed.
+  hierarchical wall-clock profile once a collector is installed. It is
+  the run's one profile: pool workers time each unit under their own
+  collector and the parent folds the subtrees into its tree.
 * **event trace** (:mod:`.trace`) — schema-versioned JSONL records of
   test lifecycles, refresh transitions, PRIL decisions and controller
   activity, written to a pluggable sink. A sharded run has the same
@@ -22,22 +24,19 @@ Four cooperating pieces, all near-zero-overhead until switched on:
   (events/s, LO-REF rows, outstanding tests, ETA) over the aggregator,
   plus one row per pool worker (units done, last unit, RSS peak) in a
   sharded run, read from the executor's worker table.
-* **sampled profiler** (:mod:`.profile`) — opt-in wall-clock sampling
-  of the span stack (collapsed-stack / flamegraph output) and optional
-  tracemalloc peak-heap attribution, recorded under the manifest's
-  ``"profile"`` key.
 * **dashboard** (:mod:`.dashboard`) — ``python -m repro.obs.dashboard
   MANIFEST [TRACE]`` renders one self-contained static HTML file
-  (inline SVG, no JS) with timeseries, flame view, worker timeline and
-  BENCH trajectories.
+  (inline SVG, no JS) with timeseries, a flame view of the span tree,
+  worker timeline and BENCH trajectories.
 * **regression gate** (:mod:`.compare`) — ``python -m repro.obs.compare
   OLD NEW`` diffs two manifests or ``BENCH_*.json`` files under
   per-metric noise thresholds and exits non-zero on regression.
 * **failure forensics** (:mod:`.forensics`, :mod:`.why`) — opt-in
   (``--forensics``) decision-provenance ledger of every causal decision
   touching a row (PRIL grants/revocations, MEMCON tests, refresh
-  transitions, predicate evaluations); ``python -m repro.obs.why --row
-  R`` prints a row's causal chain.
+  transitions, predicate evaluations), written by a sink in the run's
+  tee as records stream; ``python -m repro.obs.why --row R`` prints a
+  row's causal chain.
 
 ``python -m repro.obs.report TRACE [--manifest FILE] [--timeseries]``
 renders a trace, manifest and rollups into human-readable tables.
@@ -51,9 +50,8 @@ from .analytics import (
 from .forensics import (
     FORENSIC_KINDS,
     LEDGER_KINDS,
-    extract_ledger,
+    LedgerSink,
     forensics_active,
-    ledger_census,
     set_forensics,
 )
 from .live import LiveReporter
@@ -63,7 +61,6 @@ from .manifest import (
     git_revision,
     load_manifest,
 )
-from .profile import SampledProfiler
 from .registry import (
     Counter,
     Gauge,
@@ -100,12 +97,10 @@ __all__ = [
     "AggregatingSink",
     "TeeSink",
     "aggregate_trace",
-    "SampledProfiler",
     "FORENSIC_KINDS",
     "LEDGER_KINDS",
-    "extract_ledger",
+    "LedgerSink",
     "forensics_active",
-    "ledger_census",
     "set_forensics",
     "LiveReporter",
     "MANIFEST_SCHEMA_VERSION",

@@ -53,12 +53,9 @@ DEFAULT_THRESHOLD = 0.10
 WALL_CLOCK_THRESHOLD = 0.30
 
 #: Name fragments implying "bigger is better" (checked first).
-#: ("attributed" is the profiler's span-attribution fraction — it must
-#: win over the generic "fraction" lower-is-better token below.)
-_HIGHER_TOKENS = ("speedup", "reduction", "hit_rate", "coverage", "ipc",
-                  "attributed")
+_HIGHER_TOKENS = ("speedup", "reduction", "hit_rate", "coverage", "ipc")
 #: Name fragments / suffixes implying "smaller is better".
-#: ("rss" covers the worker/profiler memory high-water marks.)
+#: ("rss" covers the worker memory high-water marks.)
 _LOWER_TOKENS = ("overhead", "latency", "fraction", "rss")
 _LOWER_SUFFIXES = ("_s", "_ns", "_ms")
 #: Fragments whose metrics are as noisy as wall clock (allocator and
@@ -168,11 +165,6 @@ def _metrics_of_manifest(
     for name, value in _mapping_of(snapshot, "gauges", warnings).items():
         if _is_number(value):
             metrics[f"gauge.{name}"] = float(value)
-    profile = _mapping_of(data, "profile", warnings)
-    for field_name in ("sample_count", "attributed_fraction",
-                       "rss_peak_bytes", "wall_s"):
-        if _is_number(profile.get(field_name)):
-            metrics[f"profile.{field_name}"] = float(profile[field_name])
     timeseries = _mapping_of(data, "timeseries", warnings)
     if _is_number(timeseries.get("events_total")):
         metrics["timeseries.events_total"] = float(

@@ -9,9 +9,9 @@ perf trajectories) into a single HTML file with inline SVG charts:
   per window and controller latency percentiles, all from the manifest's
   ``"timeseries"`` rollups (recomputed offline from the trace when it
   is given);
-* **flame view** — the sampled profiler's collapsed stacks
-  (``"profile"``), falling back to the span tree, as a classic
-  flamegraph layout;
+* **flame view** — the run's span tree (``"spans"``) as a classic
+  flamegraph layout; under ``--jobs N`` it holds the workers' unit
+  spans too, summed across workers;
 * **worker timeline** — a gantt of each pool worker's per-unit
   intervals, from the executor's worker rows (``workers.workers``);
 * **failure forensics** — the ledger census a ``--forensics`` run folds
@@ -354,26 +354,6 @@ class _Flame:
         self.value = 0.0
         self.children: Dict[str, "_Flame"] = {}
 
-    def child(self, name: str) -> "_Flame":
-        node = self.children.get(name)
-        if node is None:
-            node = self.children[name] = _Flame(name)
-        return node
-
-
-def _flame_from_stacks(stacks: Mapping[str, int]) -> Optional[_Flame]:
-    root = _Flame("all")
-    for stack, count in stacks.items():
-        frames = [f for f in stack.split(";") if f]
-        if not frames:
-            continue
-        root.value += count
-        node = root
-        for frame in frames:
-            node = node.child(frame)
-            node.value += count
-    return root if root.value else None
-
 
 def _flame_from_spans(span: Mapping[str, Any]) -> Optional[_Flame]:
     def build(data: Mapping[str, Any]) -> _Flame:
@@ -391,7 +371,7 @@ def _flame_from_spans(span: Mapping[str, Any]) -> Optional[_Flame]:
     return root if root.value else None
 
 
-def _render_flame(root: _Flame, unit: str, max_depth: int = 8) -> str:
+def _render_flame(root: _Flame, max_depth: int = 8) -> str:
     row_h = 22
     rows: List[str] = []
     total = root.value or 1.0
@@ -408,7 +388,7 @@ def _render_flame(root: _Flame, unit: str, max_depth: int = 8) -> str:
         pct = 100.0 * node.value / total
         cls = f"--flame-{min(depth, 3)}"
         rows.append(
-            f'<g><title>{_esc(node.name)}: {_cell(node.value)}{_esc(unit)} '
+            f'<g><title>{_esc(node.name)}: {_cell(node.value)}s '
             f"({pct:.1f}%)</title>"
             f'<rect x="{x0:.1f}" y="{y}" width="{max(width - 1.5, 1.0):.1f}" '
             f'height="{row_h}" rx="2" fill="var({cls})"/></g>'
@@ -728,28 +708,13 @@ def _timeseries_sections(timeseries: Optional[Mapping[str, Any]]) -> str:
 
 
 def _flame_section(manifest: Mapping[str, Any]) -> str:
-    profile = manifest.get("profile")
-    if profile and profile.get("stacks"):
-        root = _flame_from_stacks(profile["stacks"])
-        sub = (
-            f"{_fmt(profile.get('sample_count'))} samples at "
-            f"{_fmt((profile.get('interval_s') or 0) * 1000)} ms, "
-            f"{_fmt(100 * (profile.get('attributed_fraction') or 0))}% "
-            "inside named spans"
-        )
-        unit = " samples"
-    elif manifest.get("spans"):
-        root = _flame_from_spans(manifest["spans"])
-        sub = "from span wall-clock totals (run --profile for samples)"
-        unit = "s"
-    else:
-        root = None
-        sub = ""
-        unit = ""
+    spans = manifest.get("spans")
+    root = _flame_from_spans(spans) if spans else None
     if root is None:
-        return _section("Where the time went", sub="no span or profile data")
+        return _section("Where the time went", sub="no span data")
     return _section(
-        "Where the time went", _render_flame(root, unit), sub=sub
+        "Where the time went", _render_flame(root),
+        sub="span wall-clock totals; a node is at least its children's sum",
     )
 
 

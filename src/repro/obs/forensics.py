@@ -15,27 +15,25 @@ before any payload is assembled, so disabled forensics cost one
 attribute load per *decision* (not per access) on already-instrumented
 paths and nothing anywhere else.
 
-:func:`extract_ledger` filters a trace down to the append-only
-forensic ledger file — the forensic records plus the MEMCON test
-lifecycle and refresh-ledger transitions — and returns a census (record
+:class:`LedgerSink` sits in the runner's sink tee and writes the
+append-only forensic ledger file as the run streams — the forensic
+records plus the MEMCON test lifecycle and refresh-ledger transitions,
+the same bytes the trace holds for them — and keeps a census (record
 counts by kind, distinct pages) that the runner folds into the manifest.
 :mod:`repro.obs.why` prints one row's causal chain from that ledger.
 """
 
 from __future__ import annotations
 
-import json
-from typing import Any, Dict, Iterable, Iterator, Mapping, Optional
+from typing import Any, Dict, Mapping, Sequence, Set
 
-from . import trace as _trace
+from .trace import JsonlTraceSink
 
 __all__ = [
     "FORENSIC_KINDS",
     "LEDGER_KINDS",
-    "extract_ledger",
+    "LedgerSink",
     "forensics_active",
-    "iter_ledger",
-    "ledger_census",
     "set_forensics",
 ]
 
@@ -72,59 +70,48 @@ def set_forensics(enabled: bool) -> bool:
     return previous
 
 
-def iter_ledger(records: Iterable[Mapping]) -> Iterator[Mapping]:
-    """Filter a record stream down to ledger kinds, preserving order."""
-    for record in records:
-        if record.get("kind") in LEDGER_KINDS:
-            yield record
+class LedgerSink:
+    """Writes the ledger-kind records of a stream to ``path``, in order.
 
+    A trace sink for the runner's tee: every record it is handed whose
+    kind is in :data:`LEDGER_KINDS` goes through a
+    :class:`~repro.obs.trace.JsonlTraceSink`, so the ledger is a valid
+    JSONL trace whose lines are the trace's ledger-kind lines, byte for
+    byte. :meth:`census` summarises what was written.
+    """
 
-def ledger_census(records: Iterable[Mapping]) -> Dict[str, Any]:
-    """Summarise ledger records: counts by kind and distinct pages."""
-    kinds: Dict[str, int] = {}
-    rows = set()
-    total = 0
-    for record in records:
-        total += 1
-        kind = record.get("kind", "?")
-        kinds[kind] = kinds.get(kind, 0) + 1
+    def __init__(self, path: str) -> None:
+        self.path = path
+        self._kinds: Dict[str, int] = {}
+        self._pages: Set[int] = set()
+        self._jsonl = JsonlTraceSink(path)
+
+    def _count(self, record: Mapping) -> None:
+        kind = record["kind"]
+        self._kinds[kind] = self._kinds.get(kind, 0) + 1
         page = record.get("page")
         if isinstance(page, int) and not isinstance(page, bool):
-            rows.add(page)
-    return {
-        "records": total,
-        "kinds": dict(sorted(kinds.items())),
-        "rows": len(rows),
-    }
+            self._pages.add(page)
 
+    def emit(self, record: Mapping) -> None:
+        if record.get("kind") in LEDGER_KINDS:
+            self._count(record)
+            self._jsonl.emit(record)
 
-def extract_ledger(
-    source: str, out_path: Optional[str] = None
-) -> Dict[str, Any]:
-    """Write the forensic ledger extracted from a trace; return a census.
+    def emit_many(self, records: Sequence[Mapping]) -> None:
+        ledger = [r for r in records if r.get("kind") in LEDGER_KINDS]
+        for record in ledger:
+            self._count(record)
+        self._jsonl.emit_many(ledger)
 
-    ``source`` is a trace file path, read with truncation tolerance so a
-    killed run's surviving prefix still yields a ledger. The ledger is
-    itself a valid JSONL trace (same envelope), so
-    :func:`repro.obs.trace.read_trace` and the why-CLI read it directly.
-    """
-    records = _trace.read_trace(
-        source, validate=False, tolerate_truncation=True
-    )
-    sink = open(out_path, "w", encoding="utf-8") if out_path else None
+    def census(self) -> Dict[str, Any]:
+        """Record counts by kind, distinct pages and the ledger path."""
+        return {
+            "records": sum(self._kinds.values()),
+            "kinds": dict(sorted(self._kinds.items())),
+            "rows": len(self._pages),
+            "ledger_path": self.path,
+        }
 
-    def tee(stream: Iterable[Mapping]) -> Iterator[Mapping]:
-        for record in stream:
-            if sink is not None:
-                sink.write(json.dumps(record, separators=(",", ":")))
-                sink.write("\n")
-            yield record
-
-    try:
-        census = ledger_census(tee(iter_ledger(records)))
-    finally:
-        if sink is not None:
-            sink.close()
-    if out_path:
-        census["ledger_path"] = out_path
-    return census
+    def close(self) -> None:
+        self._jsonl.close()

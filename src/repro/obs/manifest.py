@@ -66,9 +66,6 @@ class RunManifest:
     #: start method, executor stats, and one row per shard with its unit
     #: count, RSS peak and per-unit timeline.
     workers: Optional[Dict[str, Any]] = None
-    #: Sampled-profiler output (obs/profile.py): collapsed stacks,
-    #: sample counts, attribution fraction, optional memory peaks.
-    profile: Optional[Dict[str, Any]] = None
     #: Forensic ledger census (obs/forensics.py): record counts by kind,
     #: distinct rows, and the ledger file path.
     forensics: Optional[Dict[str, Any]] = None
@@ -117,7 +114,6 @@ class RunManifest:
             "timeseries": self.timeseries,
             "trace_path": self.trace_path,
             "workers": self.workers,
-            "profile": self.profile,
             "forensics": self.forensics,
         }
 

@@ -150,28 +150,6 @@ def render_manifest(manifest: Dict[str, Any]) -> str:
                 if forensics.get("ledger_path") else ""
             )
         )
-    profile = manifest.get("profile")
-    if profile:
-        lines.append("")
-        lines.append(
-            f"profile: {profile.get('sample_count', 0)} samples at "
-            f"{profile.get('interval_s', 0.0) * 1000:g} ms, "
-            f"{profile.get('attributed_fraction', 0.0):.1%} attributed, "
-            f"rss peak "
-            f"{(profile.get('rss_peak_bytes') or 0) / (1 << 20):.0f}MB"
-        )
-        stacks = sorted(
-            (profile.get("stacks") or {}).items(),
-            key=lambda kv: -kv[1],
-        )[:10]
-        if stacks:
-            lines.append(_table(stacks, header=("stack", "samples")))
-        mem = profile.get("mem")
-        if mem:
-            lines.append(
-                f"tracemalloc peak: "
-                f"{mem.get('tracemalloc_peak_bytes', 0) / (1 << 20):.1f}MB"
-            )
     return "\n".join(lines)
 
 

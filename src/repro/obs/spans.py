@@ -9,6 +9,15 @@ check) until a :class:`SpanCollector` is installed, either with
 
 Repeated same-named spans under one parent merge into a single node with
 a hit count, keeping trees from per-row instrumentation bounded.
+
+The tree is the run's one profile, and a ``--jobs N`` run fills the same
+one. Each pool worker times its unit under a fresh collector and returns
+the unit's subtrees with its payload; the parent folds them under its
+open span with :meth:`SpanCollector.merge`. Node names and counts are
+then the serial run's (a ``--resume`` run's tree holds only the units
+it executed). Below the experiment span, a sharded node's
+``elapsed_s`` is its units' time summed across workers, so it can exceed
+the experiment's own wall time.
 """
 
 from __future__ import annotations
@@ -16,7 +25,9 @@ from __future__ import annotations
 import functools
 import time
 from contextlib import contextmanager
-from typing import Callable, Dict, Iterator, List, Optional
+from typing import (
+    Callable, Dict, Iterable, Iterator, List, Mapping, Optional,
+)
 
 __all__ = [
     "SpanCollector",
@@ -71,11 +82,6 @@ class SpanCollector:
         self._stack: List[SpanNode] = [self.root]
         self._started_s = time.perf_counter()
 
-    @property
-    def depth(self) -> int:
-        """Nesting depth of the currently open span (0 = at the root)."""
-        return len(self._stack) - 1
-
     def open(self, name: str) -> SpanNode:
         node = self._stack[-1].child(name)
         self._stack.append(node)
@@ -90,6 +96,20 @@ class SpanCollector:
         self._stack.pop()
         node.elapsed_s += elapsed_s
         node.count += 1
+
+    def merge(self, trees: Iterable[Mapping]) -> None:
+        """Fold subtrees (:meth:`SpanNode.to_dict` views) under the open
+        span, adding ``elapsed_s`` and ``count`` node by node."""
+
+        def fold(parent: SpanNode, data: Mapping) -> None:
+            node = parent.child(data["name"])
+            node.elapsed_s += data["elapsed_s"]
+            node.count += data["count"]
+            for child in data["children"]:
+                fold(node, child)
+
+        for tree in trees:
+            fold(self._stack[-1], tree)
 
     def to_dict(self) -> dict:
         """The whole tree; the root's elapsed is the collector's lifetime."""

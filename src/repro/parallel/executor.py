@@ -24,15 +24,17 @@ seq-ordered payloads, using a ``concurrent.futures``
 Observability travels with the payload. A worker mirrors three facts of
 the parent's obs state, read when the pool is built: whether a trace
 sink is installed, whether the metrics registry is enabled, and whether
-forensics is on. It captures each unit's trace records in memory and
-returns them, with the unit's metrics snapshot, in the result entry
-that carries the payload; a failed attempt returns neither. The parent
+forensics is on. It captures each unit's trace records in memory, times
+the unit under a fresh span collector, and returns the records, the
+unit's metrics snapshot and its span subtrees in the result entry that
+carries the payload; a failed attempt returns none of them. The parent
 emits each accepted unit's records through its own sink once every
-earlier unit has been emitted, and folds the snapshot into its
-registry, so a ``--jobs N`` run produces the serial run's event stream.
-Each unit's result also carries when and where it ran (worker label,
-wall-clock start and end, RSS), from which the parent builds the
-per-worker timeline in :meth:`ParallelExecutor.topology`.
+earlier unit has been emitted, folds the snapshot into its registry and
+the spans under its open span, so a ``--jobs N`` run produces the
+serial run's event stream and span tree. Each unit's result also
+carries when and where it ran (worker label, wall-clock start and end,
+RSS), from which the parent builds the per-worker timeline in
+:meth:`ParallelExecutor.topology`.
 
 Determinism: payloads are returned in unit ``seq`` order no matter
 which worker finished first, so ``merge_payloads`` sees exactly the
@@ -57,13 +59,35 @@ from typing import (
 )
 
 from .. import obs
-from ..obs.profile import rss_bytes
 from .checkpoint import CheckpointJournal
 from .units import WorkUnit, execute_unit, unit_fingerprint
 
 __all__ = ["ExecutionStats", "ParallelExecutor"]
 
 logger = logging.getLogger(__name__)
+
+
+def rss_bytes() -> Optional[int]:
+    """Current resident-set size of this process, best effort.
+
+    Reads ``/proc/self/statm`` where available (Linux), falls back to
+    ``resource.getrusage`` peak RSS, and returns ``None`` on platforms
+    offering neither — telemetry must never raise.
+    """
+    try:
+        with open("/proc/self/statm", "rb") as handle:
+            pages = int(handle.read().split()[1])
+        return pages * os.sysconf("SC_PAGE_SIZE")
+    except (OSError, ValueError, IndexError):
+        pass
+    try:
+        import resource
+
+        peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+        # Linux reports KiB, macOS bytes; either way it is a usable scale.
+        return peak * 1024 if peak < 1 << 34 else peak
+    except Exception:
+        return None
 
 
 # ----------------------------------------------------------------------
@@ -92,8 +116,9 @@ def _run_unit_chunk(
 
     Exceptions are captured per unit so one bad unit doesn't discard its
     chunk-mates' finished work; the parent decides retry vs degrade. An
-    ``ok`` entry carries the unit's trace records (when tracing) and
-    metrics snapshot (when metrics are on); a failed one carries neither.
+    ``ok`` entry carries the unit's span subtrees, its trace records
+    (when tracing) and its metrics snapshot (when metrics are on); a
+    failed one carries none of them.
     """
     sink = obs.get_sink()
     registry = obs.get_registry()
@@ -107,15 +132,20 @@ def _run_unit_chunk(
             "t_start": time.time(),
         }
         started = time.perf_counter()
-        try:
-            entry["payload"] = execute_unit(unit, quick=quick, seed=seed)
-            entry["ok"] = True
-        except Exception as exc:  # noqa: BLE001 — repr crosses the pipe
-            entry["ok"] = False
-            entry["error"] = f"{type(exc).__name__}: {exc}"
+        with obs.collect_spans() as spans:
+            try:
+                entry["payload"] = execute_unit(unit, quick=quick, seed=seed)
+                entry["ok"] = True
+            except Exception as exc:  # noqa: BLE001 — repr crosses the pipe
+                entry["ok"] = False
+                entry["error"] = f"{type(exc).__name__}: {exc}"
         entry["wall_s"] = time.perf_counter() - started
         entry["t_end"] = time.time()
         entry["rss_bytes"] = rss_bytes()
+        if entry["ok"]:
+            entry["spans"] = [
+                node.to_dict() for node in spans.root.children.values()
+            ]
         if sink is not None:
             records, sink.records = sink.records, []
             if entry["ok"]:
@@ -285,11 +315,13 @@ class ParallelExecutor:
         ``done`` maps unit keys to journal entries from a previous run;
         a unit is skipped iff its entry's fingerprint matches the unit's
         current fingerprint. Freshly accepted payloads are appended to
-        ``journal`` the moment they arrive, and their metrics snapshots
-        fold into the parent's registry. Each accepted unit's trace
-        records go to the parent's sink once every unit before it in
-        ``units`` has been emitted (a skipped unit has none), so the
-        stream is the serial one whatever order units finish in.
+        ``journal`` the moment they arrive, their metrics snapshots fold
+        into the parent's registry, and a pooled unit's span subtrees
+        fold under the parent's open span (an inline unit already ran
+        under it). Each accepted unit's trace records go to the parent's
+        sink once every unit before it in ``units`` has been emitted (a
+        skipped unit has none), so the stream is the serial one whatever
+        order units finish in.
         ``on_unit(unit, skipped)`` fires once per resolved unit
         (progress reporting).
         """
@@ -329,6 +361,9 @@ class ParallelExecutor:
             self._record_unit(unit, entry)
             if entry.get("metrics"):
                 obs.get_registry().merge(entry["metrics"])
+            collector = obs.get_collector()
+            if collector is not None and entry.get("spans"):
+                collector.merge(entry["spans"])
             resolve(unit, entry.get("records"))
             if journal is not None:
                 journal.append(

@@ -55,10 +55,6 @@ class ContentTrace:
     def n_rows(self) -> int:
         return len(self._snapshots[0].image)
 
-    def churn_fractions(self) -> List[float]:
-        """Per-phase fraction of rows rewritten (first phase is 1.0)."""
-        return [s.rows_changed / self.n_rows for s in self._snapshots]
-
 
 def generate_content_trace(
     profile: ContentProfile,

@@ -100,22 +100,23 @@ class TestCostCurves:
         ) <= model.memcon_cost_ns(t_ms + 64.0, Mode.READ_AND_COMPARE)
 
 
+def _savings_ns(model, interval_ms):
+    """Net latency saved over one write interval by testing at its start."""
+    return model.hi_ref_cost_ns(interval_ms) - model.memcon_cost_ns(
+        interval_ms, Mode.READ_AND_COMPARE
+    )
+
+
 class TestRefreshSavings:
     def test_negative_below_crossover(self):
-        model = CostModel()
-        assert model.refresh_savings_ns(100.0, Mode.READ_AND_COMPARE) < 0
+        assert _savings_ns(CostModel(), 100.0) < 0
 
     def test_positive_above_crossover(self):
-        model = CostModel()
-        assert model.refresh_savings_ns(
-            2000.0, Mode.READ_AND_COMPARE
-        ) > 0
+        assert _savings_ns(CostModel(), 2000.0) > 0
 
     def test_grows_with_interval(self):
         model = CostModel()
-        assert model.refresh_savings_ns(
-            4000.0, Mode.READ_AND_COMPARE
-        ) > model.refresh_savings_ns(2000.0, Mode.READ_AND_COMPARE)
+        assert _savings_ns(model, 4000.0) > _savings_ns(model, 2000.0)
 
 
 class TestValidation:

@@ -133,7 +133,7 @@ class TestRowQueries:
     def test_zero_content_never_fails_row(self, dense_map):
         bits = np.zeros(4096, dtype=np.uint8)
         for row in range(16):
-            polarity = dense_map.row_is_true_cell(row)
+            polarity = dense_map.row_population(row).true_cell
             failures = dense_map.failing_cells(row, bits, NOMINAL_MS)
             if polarity:
                 # True cells storing 0 hold no charge: nothing can fail.

@@ -360,7 +360,10 @@ class TestRngStreamIndependence:
             for r in range(256)
         )
         for row in range(256):
-            assert sparse.row_is_true_cell(row) == dense.row_is_true_cell(row)
+            assert (
+                sparse.row_population(row).true_cell
+                == dense.row_population(row).true_cell
+            )
 
     def test_polarity_uncorrelated_with_cell_count(self):
         fault_map = FaultMap(
@@ -371,7 +374,8 @@ class TestRngStreamIndependence:
             seed=17,
         )
         polarity = np.array(
-            [fault_map.row_is_true_cell(r) for r in range(4096)], dtype=float
+            [fault_map.row_population(r).true_cell for r in range(4096)],
+            dtype=float,
         )
         counts = np.array(
             [len(fault_map.cells_in_row(r)) for r in range(4096)], dtype=float

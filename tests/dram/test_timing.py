@@ -29,17 +29,6 @@ class TestDerivedCosts:
         assert timing.row_read_ns == 11.0 + 256 * 4.0 + 11.0
 
 
-class TestCycles:
-    def test_exact_multiple(self):
-        assert DDR3_1600.cycles(12.5) == 10
-
-    def test_rounds_up(self):
-        assert DDR3_1600.cycles(12.6) == 11
-
-    def test_zero(self):
-        assert DDR3_1600.cycles(0.0) == 0
-
-
 class TestDensityScaling:
     @pytest.mark.parametrize("density,trfc", [(8, 350.0), (16, 530.0),
                                               (32, 890.0), (64, 1600.0)])

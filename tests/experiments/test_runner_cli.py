@@ -314,35 +314,32 @@ class TestParallelCli:
         assert list(tmp_path.iterdir()) == []
 
 
+def _span_shape(node):
+    """A span tree's node names and counts, elapsed times dropped."""
+    return {
+        child["name"]: (child["count"], _span_shape(child))
+        for child in node["children"]
+    }
+
+
 class TestProfilingCli:
-    def test_profile_records_manifest_section(self, tmp_path, capsys):
-        manifest = tmp_path / "run.json"
-        assert main(["fig06", "--profile", "--profile-interval-ms", "1",
-                     "--manifest", str(manifest)]) == 0
-        profile = obs.load_manifest(str(manifest))["profile"]
-        assert profile is not None
-        assert profile["sample_count"] >= 0
-        assert 0.0 <= profile["attributed_fraction"] <= 1.0
-        assert profile["interval_s"] == pytest.approx(0.001)
-        # Samples land on the runner's named spans (root "run").
-        assert all(s == "(no-collector)" or s.split(";")[0] == "run"
-                   for s in profile["stacks"])
+    """The run's profile (its span tree) and worker rows: a sharded run
+    records what a serial one does."""
 
-    def test_profile_out_writes_collapsed_stacks(self, tmp_path, capsys):
-        stacks = tmp_path / "stacks.txt"
-        assert main(["fig06", "--profile",
-                     "--profile-interval-ms", "1",
-                     "--profile-out", str(stacks),
-                     "--manifest", str(tmp_path / "run.json")]) == 0
-        for line in stacks.read_text().splitlines():
-            stack, count = line.rsplit(" ", 1)
-            assert stack
-            assert int(count) > 0
+    def test_serial_and_sharded_span_trees_agree(self, tmp_path, capsys):
+        def spans(label, *extra):
+            manifest = tmp_path / label / "m.json"
+            assert main(["fig14", "fig18", "--manifest", str(manifest),
+                         *extra]) == 0
+            return obs.load_manifest(str(manifest))["spans"]
 
-    def test_unprofiled_manifest_has_no_profile(self, tmp_path, capsys):
-        manifest = tmp_path / "run.json"
-        assert main(["fig06", "--manifest", str(manifest)]) == 0
-        assert obs.load_manifest(str(manifest))["profile"] is None
+        serial = spans("serial")
+        sharded = spans("sharded", "--jobs", "2", "--checkpoint",
+                        str(tmp_path / "sharded" / "c.jsonl"))
+        assert _span_shape(sharded) == _span_shape(serial) == {
+            "fig14": (1, {"memcon.simulate": (36, {})}),
+            "fig18": (1, {"memcon.simulate": (12, {})}),
+        }
 
     def test_sharded_run_records_worker_rows(self, tmp_path, capsys):
         manifest = tmp_path / "run.json"
@@ -382,8 +379,9 @@ class TestProfilingCli:
 
 
 class TestForensicsCli:
-    """--forensics: ledger extraction, gate hygiene, and the two identity
-    guarantees (tables unchanged; serial == sharded ledger)."""
+    """--forensics: the ledger sink, gate hygiene, and the identity
+    guarantees (tables unchanged; serial == sharded ledger; the ledger is
+    the trace's ledger-kind lines)."""
 
     @pytest.fixture(scope="class")
     def forensic_runs(self, tmp_path_factory):
@@ -418,6 +416,18 @@ class TestForensicsCli:
         jobs_ledger = jobs_out.parent / "t.trace.forensics.jsonl"
         assert serial_ledger.read_bytes() == jobs_ledger.read_bytes()
         assert serial_out.read_bytes() == jobs_out.read_bytes()
+
+    def test_ledger_is_the_traces_ledger_lines(self, forensic_runs):
+        for label in ("serial", "jobs"):
+            out, _ = forensic_runs[label]
+            trace = (out.parent / "t.trace.jsonl").read_bytes()
+            expected = b"".join(
+                line for line in trace.splitlines(keepends=True)
+                if json.loads(line)["kind"] in obs.LEDGER_KINDS
+            )
+            assert expected
+            ledger = out.parent / "t.trace.forensics.jsonl"
+            assert ledger.read_bytes() == expected
 
     def test_manifest_census_and_ledger_file(self, forensic_runs):
         serial_out, manifest_path = forensic_runs["serial"]

@@ -245,12 +245,11 @@ class TestCli:
 
 
 class TestObservabilityMetrics:
-    """PR 7 additions: RSS / profiler metrics in the gate."""
+    """RSS and sample-count metrics in the gate."""
 
     @pytest.mark.parametrize("name,expected", [
         ("profile.rss_peak_bytes", "lower"),
         ("workers.rss_peak_bytes", "lower"),
-        ("profile.attributed_fraction", "higher"),  # beats "fraction"
         ("profile.sample_count", None),  # informational only
         ("profile.wall_s", "lower"),
     ])
@@ -260,17 +259,19 @@ class TestObservabilityMetrics:
     def test_rss_gets_wall_clock_noise_floor(self):
         """RSS swings with allocator/page-cache behavior: a 20% bump
         must not gate under the default 10% threshold."""
-        old = {"profile.rss_peak_bytes": 100e6}
-        new = {"profile.rss_peak_bytes": 120e6}
+        old = {"workers.rss_peak_bytes": 100e6}
+        new = {"workers.rss_peak_bytes": 120e6}
         result = compare_metrics(old, new)
         (delta,) = result.deltas
         assert delta.threshold == WALL_CLOCK_THRESHOLD
         assert delta.verdict == "ok"
-        worse = compare_metrics(old, {"profile.rss_peak_bytes": 140e6})
+        worse = compare_metrics(old, {"workers.rss_peak_bytes": 140e6})
         assert worse.deltas[0].verdict == "regression"
 
     def test_profile_and_telemetry_extracted_from_manifest(self):
         data = _manifest_dict()
+        # A manifest written before the span tree became the run's one
+        # profile may still carry a "profile" section; it is ignored.
         data["profile"] = {
             "interval_s": 0.005, "wall_s": 2.0, "sample_count": 400,
             "attributed_fraction": 0.9, "rss_peak_bytes": 90e6,
@@ -284,18 +285,8 @@ class TestObservabilityMetrics:
             ],
         }
         metrics = extract_metrics(data)
-        assert metrics["profile.sample_count"] == 400
-        assert metrics["profile.attributed_fraction"] == 0.9
-        assert metrics["profile.rss_peak_bytes"] == 90e6
         assert metrics["workers.rss_peak_bytes"] == 85e6  # max over workers
-        # The stacks dict itself must not leak in as metrics.
-        assert not any(k.startswith("profile.stacks") for k in metrics)
-
-    def test_attribution_drop_gates(self):
-        old = {"profile.attributed_fraction": 0.95}
-        new = {"profile.attributed_fraction": 0.60}
-        result = compare_metrics(old, new)
-        assert result.deltas[0].verdict == "regression"
+        assert not any(k.startswith("profile.") for k in metrics)
 
     def test_sample_count_change_is_informational(self):
         result = compare_metrics({"profile.sample_count": 100.0},
@@ -317,8 +308,8 @@ class TestMalformedSections:
 
     def test_missing_sections_are_silent_no_data(self):
         data = _manifest_dict()
-        for section in ("timeseries", "profile", "workers", "metrics",
-                        "timings", "forensics"):
+        for section in ("timeseries", "workers", "metrics", "timings",
+                        "forensics"):
             data.pop(section, None)
         warnings = []
         metrics = extract_metrics(data, warnings)
@@ -329,12 +320,6 @@ class TestMalformedSections:
         metrics, warnings = self._extract(timeseries=[1, 2, 3])
         assert "wall_s" in metrics
         assert any("timeseries" in w for w in warnings)
-
-    def test_malformed_profile_warns(self):
-        metrics, warnings = self._extract(profile=["not", "a", "mapping"])
-        assert "wall_s" in metrics
-        assert not any(name.startswith("profile.") for name in metrics)
-        assert any("profile" in w for w in warnings)
 
     def test_malformed_workers_warns(self):
         metrics, warnings = self._extract(workers="broken")
@@ -373,13 +358,13 @@ class TestMalformedSections:
 
     def test_cli_survives_malformed_manifest(self, tmp_path, capsys):
         data = _manifest_dict()
-        data["profile"] = [1]
+        data["timeseries"] = [1]
         data["workers"] = "nope"
         old = _write(tmp_path / "old.json", data)
         new = _write(tmp_path / "new.json", data)
         assert main([old, new]) == 0
         err = capsys.readouterr().err
-        assert "warning" in err and "profile" in err
+        assert "warning" in err and "timeseries" in err
 
 
 class TestModuleEntryPoints:

@@ -30,7 +30,6 @@ def _manifest(**overrides):
         "timeseries": None,
         "trace_path": None,
         "workers": None,
-        "profile": None,
     }
     data.update(overrides)
     return data
@@ -104,7 +103,7 @@ class TestRenderDashboard:
         assert html.startswith("<!DOCTYPE html>")
         assert "<script" not in html
         assert "fig14" in html
-        # Span-tree flame fallback renders even without a profile.
+        # The flame view renders from the span tree.
         assert "Where the time went" in html
         assert html.count("<svg") >= 1
 
@@ -125,17 +124,6 @@ class TestRenderDashboard:
         html = render_dashboard(_manifest(timeseries=timeseries))
         assert "Event census" in html
         assert "test_started" in html
-
-    def test_profile_flame_preferred_over_spans(self):
-        profile = {
-            "interval_s": 0.005, "wall_s": 10.0, "sample_count": 2000,
-            "attributed_fraction": 0.98, "rss_peak_bytes": 100 << 20,
-            "stacks": {"run;fig15;sim.run": 1900, "run;fig15": 60,
-                       "run": 40},
-        }
-        html = render_dashboard(_manifest(profile=profile))
-        assert "2000 samples" in html
-        assert "sim.run" in html
 
     def test_worker_timeline_gantt(self):
         workers = {
@@ -262,10 +250,17 @@ class TestHostileNames:
         self._assert_inert(html_text)
 
     def test_hostile_profile_stack_names(self):
-        html_text = render_dashboard(_manifest(profile={
-            "sample_count": 4, "interval_s": 0.01,
-            "attributed_fraction": 1.0, "rss_peak_bytes": 1 << 20,
-            "stacks": {self.HOSTILE: 4},
+        # The span tree is the run's profile: a hostile name deep in a
+        # stack (as a worker's unit span would arrive) renders inert.
+        html_text = render_dashboard(_manifest(spans={
+            "name": "run", "elapsed_s": 4.0, "count": 1,
+            "children": [{
+                "name": "fig14", "elapsed_s": 4.0, "count": 1,
+                "children": [{
+                    "name": self.HOSTILE, "elapsed_s": 4.0, "count": 4,
+                    "children": [],
+                }],
+            }],
         }))
         self._assert_inert(html_text)
 

@@ -1,4 +1,5 @@
-"""Forensic ledger: gate semantics, kind registry, extraction census."""
+"""Forensic ledger: gate semantics, kind registry, the ledger sink and
+its census."""
 
 import json
 
@@ -11,10 +12,8 @@ from repro.obs import (
 from repro.obs.forensics import (
     FORENSIC_KINDS,
     LEDGER_KINDS,
-    extract_ledger,
+    LedgerSink,
     forensics_active,
-    iter_ledger,
-    ledger_census,
     set_forensics,
 )
 
@@ -77,15 +76,31 @@ def _ledger_stream():
     ]
 
 
-class TestLedgerExtraction:
-    def test_iter_ledger_filters_non_causal_kinds(self):
-        kinds = [r["kind"] for r in iter_ledger(_ledger_stream())]
-        assert kinds == [
-            "pril_grant", "test_started", "predicate_eval", "test_failed",
-        ]
+def _sink_ledger(tmp_path, batched):
+    """Feed ``_ledger_stream`` through a LedgerSink; (census, ledger)."""
+    ledger = tmp_path / "t.forensics.jsonl"
+    sink = LedgerSink(str(ledger))
+    if batched:
+        sink.emit_many(_ledger_stream())
+    else:
+        for record in _ledger_stream():
+            sink.emit(record)
+    sink.close()
+    return sink.census(), ledger
 
-    def test_census(self):
-        census = ledger_census(iter_ledger(_ledger_stream()))
+
+class TestLedgerExtraction:
+    def test_sink_filters_non_causal_kinds(self, tmp_path):
+        for batched in (False, True):
+            _census, ledger = _sink_ledger(tmp_path, batched)
+            kinds = [json.loads(line)["kind"] for line in open(ledger)]
+            assert kinds == [
+                "pril_grant", "test_started", "predicate_eval",
+                "test_failed",
+            ]
+
+    def test_census(self, tmp_path):
+        census, ledger = _sink_ledger(tmp_path, batched=True)
         assert census["records"] == 4
         assert census["kinds"] == {
             "pril_grant": 1, "predicate_eval": 1, "test_failed": 1,
@@ -93,31 +108,24 @@ class TestLedgerExtraction:
         }
         # distinct pages named by the ledger: 3 and 9
         assert census["rows"] == 2
+        assert census["ledger_path"] == str(ledger)
 
     def test_extract_from_file(self, tmp_path):
+        # The ledger holds the bytes a trace sink writes for the same
+        # records, whether they arrive one by one or in a batch.
         trace = tmp_path / "t.jsonl"
-        with open(trace, "w") as handle:
+        with obs.JsonlTraceSink(str(trace)) as sink:
             for record in _ledger_stream():
-                handle.write(json.dumps(record) + "\n")
-        ledger = tmp_path / "t.forensics.jsonl"
-        census = extract_ledger(str(trace), str(ledger))
-        assert census["records"] == 4
-        assert census["ledger_path"] == str(ledger)
-        written = [json.loads(line) for line in open(ledger)]
-        assert [r["kind"] for r in written] == [
-            "pril_grant", "test_started", "predicate_eval", "test_failed",
-        ]
+                sink.emit(record)
+        expected = "".join(
+            line for line in open(trace)
+            if json.loads(line)["kind"] in LEDGER_KINDS
+        )
+        for batched in (False, True):
+            _census, ledger = _sink_ledger(tmp_path, batched)
+            assert ledger.read_text() == expected
         # The ledger is itself a readable trace.
         assert len(list(obs.read_trace(str(ledger)))) == 4
-
-    def test_extract_tolerates_truncation(self, tmp_path):
-        trace = tmp_path / "t.jsonl"
-        with open(trace, "w") as handle:
-            for record in _ledger_stream():
-                handle.write(json.dumps(record) + "\n")
-            handle.write('{"v": 1, "kind": "predicate_e')  # killed mid-write
-        census = extract_ledger(str(trace))
-        assert census["records"] == 4
 
 
 class TestGatedEmission:

@@ -1,4 +1,5 @@
-"""Span-timing semantics: nesting, merging, decorator, no-op behaviour."""
+"""Span-timing semantics: nesting, merging, decorator, no-op behaviour,
+and folding a worker's subtrees into the open span."""
 
 import pytest
 
@@ -49,13 +50,17 @@ class TestNesting:
         assert [c["name"] for c in names["b"]["children"]] == ["leaf"]
 
     def test_depth_tracks_open_spans(self):
+        # A span nests under whichever span is open when it starts.
         with collect_spans() as collector:
-            assert collector.depth == 0
             with span("a"):
-                assert collector.depth == 1
                 with span("b"):
-                    assert collector.depth == 2
-            assert collector.depth == 0
+                    pass
+            with span("c"):
+                pass
+        tree = collector.to_dict()
+        assert sorted(c["name"] for c in tree["children"]) == ["a", "c"]
+        (a,) = [c for c in tree["children"] if c["name"] == "a"]
+        assert [c["name"] for c in a["children"]] == ["b"]
 
     def test_elapsed_accumulates_time(self):
         import time
@@ -71,7 +76,13 @@ class TestNesting:
             with pytest.raises(RuntimeError):
                 with span("boom"):
                     raise RuntimeError("x")
-            assert collector.depth == 0
+            with span("after"):
+                pass
+        tree = collector.to_dict()
+        # "after" opened at the root, so "boom" was closed (and counted).
+        assert {c["name"]: c["count"] for c in tree["children"]} == {
+            "boom": 1, "after": 1,
+        }
 
 
 class TestNoCollector:
@@ -125,3 +136,46 @@ class TestOutOfOrder:
         collector.open("b")
         with pytest.raises(RuntimeError):
             collector.close(a, 0.0)
+
+
+def _leaf(name, elapsed_s, count, children=()):
+    return {"name": name, "elapsed_s": elapsed_s, "count": count,
+            "children": list(children)}
+
+
+class TestMerge:
+    def test_adds_times_and_counts_under_the_open_span(self):
+        with collect_spans() as collector:
+            with span("fig14"):
+                with span("memcon.simulate"):
+                    pass
+                collector.merge([
+                    _leaf("memcon.simulate", 2.0, 3),
+                    _leaf("memcon.simulate", 1.0, 2),
+                ])
+        (fig14,) = collector.to_dict()["children"]
+        (node,) = fig14["children"]
+        assert node["name"] == "memcon.simulate"
+        assert node["count"] == 1 + 3 + 2
+        assert 3.0 <= node["elapsed_s"] < 4.0
+
+    def test_creates_missing_nodes_at_every_depth(self):
+        with collect_spans() as collector:
+            with span("fig15"):
+                collector.merge([
+                    _leaf("sim.run", 4.0, 2, [_leaf("sim.step", 1.5, 7)]),
+                ])
+        (fig15,) = collector.to_dict()["children"]
+        assert fig15["count"] == 1
+        (run,) = fig15["children"]
+        assert (run["name"], run["elapsed_s"], run["count"]) == (
+            "sim.run", 4.0, 2,
+        )
+        assert run["children"] == [_leaf("sim.step", 1.5, 7)]
+
+    def test_merges_at_the_root_when_no_span_is_open(self):
+        collector = SpanCollector()
+        collector.merge([_leaf("unit", 0.5, 1)])
+        collector.merge([_leaf("unit", 0.25, 1)])
+        (unit,) = collector.to_dict()["children"]
+        assert (unit["elapsed_s"], unit["count"]) == (0.75, 2)

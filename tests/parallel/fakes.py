@@ -3,9 +3,10 @@
 ``fake`` implements the full hook contract with failure modes steerable
 through unit params (raise, crash, or sleep — but only outside a named
 "home" pid, so the parent's serial-degrade path always succeeds). Every
-attempt first bumps the ``fake.units`` counter and emits
-``RECORDS_PER_UNIT`` trace records naming its unit and process, so
-tests can see which attempts' observability reached the parent.
+attempt runs inside a ``UNIT_SPAN`` span, and first bumps the
+``fake.units`` counter and emits ``RECORDS_PER_UNIT`` trace records
+naming its unit and process, so tests can see which attempts'
+observability reached the parent.
 ``opaque`` has no hooks at all, which ``decompose`` rejects.
 """
 
@@ -21,6 +22,7 @@ from repro.parallel.units import WorkUnit
 
 N_UNITS = 4
 RECORDS_PER_UNIT = 10
+UNIT_SPAN = "fake.unit"
 
 
 def units(quick: bool = True, seed: int = 1) -> List[WorkUnit]:
@@ -32,16 +34,19 @@ def units(quick: bool = True, seed: int = 1) -> List[WorkUnit]:
 
 def run_unit(unit: WorkUnit, quick: bool = True, seed: int = 1) -> Dict[str, Any]:
     params = unit.params
-    obs.get_registry().counter("fake.units").inc()
-    for i in range(RECORDS_PER_UNIT):
-        obs.emit("test_started", t_ms=float(i), page=unit.seq, pid=os.getpid())
-    away_from_home = os.getpid() != params.get("home_pid")
-    if params.get("raise_away") and away_from_home:
-        raise RuntimeError(f"synthetic failure in {unit.unit_id}")
-    if params.get("crash_away") and away_from_home:
-        os._exit(17)
-    if params.get("sleep_away") and away_from_home:
-        time.sleep(params["sleep_away"])
+    with obs.span(UNIT_SPAN):
+        obs.get_registry().counter("fake.units").inc()
+        for i in range(RECORDS_PER_UNIT):
+            obs.emit(
+                "test_started", t_ms=float(i), page=unit.seq, pid=os.getpid()
+            )
+        away_from_home = os.getpid() != params.get("home_pid")
+        if params.get("raise_away") and away_from_home:
+            raise RuntimeError(f"synthetic failure in {unit.unit_id}")
+        if params.get("crash_away") and away_from_home:
+            os._exit(17)
+        if params.get("sleep_away") and away_from_home:
+            time.sleep(params["sleep_away"])
     return {"value": params["value"], "squared": params["value"] ** 2}
 
 

@@ -1,14 +1,16 @@
 """Supervision loop: inline mode, crashes, retries, timeouts, skip-done,
-and the unit records and metrics that pool workers hand the parent."""
+and the unit records, metrics and spans that pool workers hand the
+parent."""
 
 import os
 
 import pytest
 
+from repro import obs
 from repro.parallel.checkpoint import CheckpointJournal
-from repro.parallel.executor import ParallelExecutor
+from repro.parallel.executor import ParallelExecutor, rss_bytes
 from repro.parallel.units import WorkUnit, register_experiment, unit_fingerprint
-from tests.parallel.fakes import RECORDS_PER_UNIT
+from tests.parallel.fakes import RECORDS_PER_UNIT, UNIT_SPAN
 
 register_experiment("fake", "tests.parallel.fakes")
 
@@ -40,6 +42,26 @@ def _unit_records(sink):
         (r["page"], r["pid"]) for r in sink.records
         if r["kind"] == "test_started"
     ]
+
+
+def _unit_span_counts(executor, units):
+    """Run ``units`` under a span collector, inside an open "fake" span
+    as the runner's experiment span would be; return ``{name: count}``
+    of the nodes below it."""
+    with obs.collect_spans() as collector:
+        with obs.span("fake"):
+            payloads, stats = executor.run_units(units)
+    (experiment,) = collector.to_dict()["children"]
+    assert experiment["count"] == 1
+    counts = {c["name"]: c["count"] for c in experiment["children"]}
+    return counts, payloads, stats
+
+
+class TestRssBytes:
+    def test_returns_plausible_size_or_none(self):
+        value = rss_bytes()
+        # Never raises; on Linux it is this process's RSS in bytes.
+        assert value is None or 1 << 20 < value < 1 << 44
 
 
 class TestInline:
@@ -268,6 +290,32 @@ class TestWorkerObs:
         # Two raising worker attempts bumped the counter too; only the
         # accepted runs count.
         assert registry.counter("fake.units").value == 2
+
+    def test_pooled_run_folds_each_unit_span_once(self):
+        units = _fake_units(4)
+        with ParallelExecutor(1) as ex:
+            serial, _, _ = _unit_span_counts(ex, units)
+        with ParallelExecutor(2, chunk_size=1) as ex:
+            pooled, payloads, _ = _unit_span_counts(ex, units)
+            shards = _shards(ex)
+        assert payloads == _expected_payloads(units)
+        assert "parent" not in shards
+        assert pooled == serial == {UNIT_SPAN: 4}
+
+    def test_failed_attempts_contribute_no_span(self):
+        # u0 raises inside its span in every worker; the two failed
+        # attempts' spans never arrive, its degraded rerun's arrives once.
+        units = _fake_units(2)
+        units[0] = WorkUnit(
+            "fake", "u0",
+            {**units[0].params, "raise_away": True, "home_pid": os.getpid()},
+            seq=0, module="tests.parallel.fakes",
+        )
+        with ParallelExecutor(2, chunk_size=1, max_retries=1) as ex:
+            counts, payloads, stats = _unit_span_counts(ex, units)
+        assert payloads == _expected_payloads(units)
+        assert stats.retried == 1 and stats.degraded == 1
+        assert counts == {UNIT_SPAN: 2}
 
 
 class TestWorkerTable:

@@ -88,15 +88,6 @@ class TestArrivalSchedule:
         # on byte-identical output and rounding differences would leak.
         assert got == expected
 
-    def test_peek_does_not_consume(self):
-        from repro.mc.schedule import ArrivalSchedule
-
-        schedule = ArrivalSchedule(first=1.0, interval=2.0)
-        ahead = schedule.peek(7)
-        assert len(ahead) == 7
-        assert schedule.next_ns == 1.0
-        assert ahead[0] == 1.0
-
     def test_rejects_bad_parameters(self):
         from repro.mc.schedule import ArrivalSchedule
 

@@ -54,7 +54,8 @@ class TestGeneration:
         trace = generate_content_trace(profile, 8, 128, n_phases=3,
                                        churn_fraction=0.0, seed=4)
         assert trace[0].image == trace[2].image
-        assert trace.churn_fractions() == [1.0, 0.0, 0.0]
+        churn = [s.rows_changed / trace.n_rows for s in trace]
+        assert churn == [1.0, 0.0, 0.0]
 
     def test_full_churn_replaces_everything(self, profile):
         trace = generate_content_trace(profile, 8, 256, n_phases=2,
