@@ -1,21 +1,21 @@
-"""Simulator engine bench: event-heap loop vs the poll-loop oracle.
+"""Simulator engine bench: the event loop vs the poll-loop oracle.
 
 Times the same simulation twice — ``SystemSimulator.run`` (the
-heap-scheduled discrete-event loop) against ``poll_run`` from
-``tests/oracles/sim_poll.py`` (the retired poll-everything loop kept as
-the equivalence oracle) — and records wall clock, loop iterations and
-events/sec per engine into ``BENCH_sim.json``. The oracle import needs
-the repository root on ``sys.path``: run this file from the root with
-``python -m pytest``.
+discrete-event loop over a flat per-actor calendar) against
+``poll_run`` from ``tests/oracles/sim_poll.py`` (the retired
+poll-everything loop kept as the equivalence oracle) — and records wall
+clock, loop iterations and events/sec per engine into
+``BENCH_sim.json``. The oracle import needs the repository root on
+``sys.path``: run this file from the root with ``python -m pytest``.
 
 Honest numbers, recorded PR-4 style: bit-identity with the oracle pins
 the event engine to the *same instant grid* the poll loop walks (the
 tCK-floor advance rule is observable through RNG draw order), so the
-structural win is per-iteration cost — O(due actors) instead of
-O(cores + channels) — not a smaller iteration count. On small
-single-channel configs that is parity-to-modest; it grows with idle
-actors (multi-channel, many cores). The issue's >= 5x target is
-unattainable under bit-identity and the gate here is a no-regression
+structural win is per-iteration cost — only due actors are visited, and
+finding them is one comparison per actor — not a smaller iteration
+count. On small single-channel configs that is parity-to-modest; it
+grows with idle actors (multi-channel, many cores). A >= 5x target is
+unattainable under bit-identity, and the gate here is a no-regression
 bound plus exact result equality; the trajectory file keeps the
 measured reality.
 """

@@ -9,9 +9,10 @@ Reported improvement over the 16 ms baseline: 10%/17%/40% to 12%/22%/50%
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Sequence
+from typing import Any, Dict, List, Optional, Sequence
 
 from ..parallel.units import WorkUnit
+from ..sim.core import StreamMap
 from ..sim.metrics import geometric_mean, speedup
 from ..sim.system import SystemResult, simulate_workload
 from ..sim.workloads import multicore_mixes, singlecore_workloads
@@ -37,15 +38,17 @@ def _mean_speedup(
     reduction: float,
     window_ns: float,
     seed: int,
+    streams: Optional[StreamMap] = None,
 ) -> float:
     """Geometric-mean speedup of MEMCON at ``reduction`` over each
-    workload's 16 ms baseline run (``baselines[i]`` for ``workloads[i]``)."""
+    workload's 16 ms baseline run (``baselines[i]`` for ``workloads[i]``),
+    replaying the request streams in ``streams``."""
     speedups = []
     for i, names in enumerate(workloads):
         memcon = simulate_workload(
             names, density_gbit=density, refresh_reduction=reduction,
             concurrent_tests=CONCURRENT_TESTS, window_ns=window_ns,
-            seed=seed + i,
+            seed=seed + i, streams=streams,
         )
         speedups.append(speedup(memcon, baselines[i]))
     return geometric_mean(speedups)
@@ -72,10 +75,14 @@ def run_unit(unit: WorkUnit, quick: bool = True, seed: int = 1) -> Dict[str, Any
         singlecore_workloads(n_workloads, seed=seed) if cores == 1
         else multicore_mixes(n_workloads, seed=seed)
     )
+    # Every run of a workload replays the request streams its baseline
+    # drew; the map is dropped with the unit.
+    streams: StreamMap = {}
     # One baseline per workload, shared by both reductions.
     baselines = [
         simulate_workload(
             names, density_gbit=density, window_ns=window_ns, seed=seed + i,
+            streams=streams,
         )
         for i, names in enumerate(workloads)
     ]
@@ -83,6 +90,7 @@ def run_unit(unit: WorkUnit, quick: bool = True, seed: int = 1) -> Dict[str, Any
     for reduction in REDUCTIONS:
         mean = _mean_speedup(
             workloads, baselines, density, reduction, window_ns, seed,
+            streams,
         )
         row[f"speedup_{int(reduction * 100)}pct"] = mean
         row[f"paper_{int(reduction * 100)}pct"] = (

@@ -19,6 +19,7 @@ from __future__ import annotations
 from typing import Any, Dict, List
 
 from ..parallel.units import WorkUnit
+from ..sim.core import StreamMap
 from ..sim.metrics import geometric_mean, speedup
 from ..sim.system import simulate_workload
 from ..sim.workloads import multicore_mixes, singlecore_workloads
@@ -61,9 +62,13 @@ def run_unit(unit: WorkUnit, quick: bool = True, seed: int = 1) -> Dict[str, Any
         singlecore_workloads(n_workloads, seed=seed) if cores == 1
         else multicore_mixes(n_workloads, seed=seed)
     )
+    # Every run of a workload replays the request streams its baseline
+    # drew; the map is dropped with the unit.
+    streams: StreamMap = {}
     baselines = [
         simulate_workload(
             names, density_gbit=density, window_ns=window_ns, seed=seed + i,
+            streams=streams,
         )
         for i, names in enumerate(workloads)
     ]
@@ -75,7 +80,7 @@ def run_unit(unit: WorkUnit, quick: bool = True, seed: int = 1) -> Dict[str, Any
                     names, density_gbit=density,
                     refresh_reduction=reduction,
                     concurrent_tests=tests,
-                    window_ns=window_ns, seed=seed + i,
+                    window_ns=window_ns, seed=seed + i, streams=streams,
                 ),
                 baselines[i],
             )

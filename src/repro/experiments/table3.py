@@ -11,6 +11,7 @@ from __future__ import annotations
 from typing import Any, Dict, List
 
 from ..parallel.units import WorkUnit
+from ..sim.core import StreamMap
 from ..sim.metrics import geometric_mean, speedup
 from ..sim.system import simulate_workload
 from ..sim.workloads import multicore_mixes, singlecore_workloads
@@ -48,11 +49,14 @@ def run_unit(unit: WorkUnit, quick: bool = True, seed: int = 1) -> Dict[str, Any
         singlecore_workloads(n_workloads, seed=seed) if cores == 1
         else multicore_mixes(n_workloads, seed=seed)
     )
+    # Every run of a workload replays the request streams its ideal run
+    # drew; the map is dropped with the unit.
+    streams: StreamMap = {}
     ideal = [
         simulate_workload(
             names, refresh_reduction=MEMCON_REDUCTION,
             concurrent_tests=0, window_ns=window_ns,
-            channels=channels, seed=seed + i,
+            channels=channels, seed=seed + i, streams=streams,
         )
         for i, names in enumerate(workloads)
     ]
@@ -63,7 +67,7 @@ def run_unit(unit: WorkUnit, quick: bool = True, seed: int = 1) -> Dict[str, Any
                 simulate_workload(
                     names, refresh_reduction=MEMCON_REDUCTION,
                     concurrent_tests=tests, window_ns=window_ns,
-                    channels=channels, seed=seed + i,
+                    channels=channels, seed=seed + i, streams=streams,
                 ),
                 ideal[i],
             )

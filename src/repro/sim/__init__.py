@@ -2,7 +2,6 @@
 
 from .core import CoreConfig, TraceCore
 from .energy import EnergyBreakdown, EnergyParameters, energy_of_run
-from .events import EventHeap
 from .metrics import geometric_mean, speedup
 from .system import (
     CoreResult,
@@ -18,7 +17,6 @@ __all__ = [
     "CoreResult",
     "EnergyBreakdown",
     "EnergyParameters",
-    "EventHeap",
     "energy_of_run",
     "SystemConfig",
     "SystemResult",

@@ -11,12 +11,16 @@ DRAM bandwidth but the core never waits on them.
 The synthetic request stream carries each benchmark's row-buffer locality:
 with probability ``row_hit_rate`` a request targets the same (bank, row)
 as the previous request from this core, otherwise a fresh random row.
+No draw depends on timing, so a :class:`RequestStream` draws the stream
+once and every configuration of a workload replays it, as the paper
+replays one trace per workload under every refresh mechanism (§6.2).
 """
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
-from typing import Optional
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
@@ -27,6 +31,12 @@ _READ = RequestKind.READ
 _WRITE = RequestKind.WRITE
 #: 2**-53: scales a 53-bit integer into [0, 1), as numpy's ``random()``.
 _UNIT = 1.0 / 9007199254740992.0
+#: Requests a stream draws ahead each time a reader runs past its end.
+_CHUNK = 256
+
+#: Streams shared across simulations, keyed by every input their draws
+#: read (see :class:`TraceCore`).
+StreamMap = Dict[Tuple, "RequestStream"]
 
 
 @dataclass
@@ -47,36 +57,37 @@ class CoreConfig:
         return self.freq_ghz * self.width
 
 
-class TraceCore:
-    """One core running a synthetic benchmark stream.
+def _index_array(count: int) -> array:
+    """The narrowest unsigned array holding every index below ``count``."""
+    return array(next(
+        code for code in "BHIL" if count <= 1 << (8 * array(code).itemsize)
+    ))
 
-    The core's private clock advances in two ways: retiring the
-    instruction gap before each memory request (at peak width), and being
-    dragged forward by read completions while the outstanding-miss window
-    is full (stall time). The issue time of the next request is always
-    derived from the *current* clock, so stalls transparently delay it.
+
+class RequestStream:
+    """One core's request stream, drawn on demand and kept for replay.
+
+    Request ``k`` comes ``gaps[k]`` instructions after request ``k - 1``
+    (after the start for ``k == 0``); ``writes[k]`` is 1 for a writeback,
+    and ``channel[k]``, ``bank[k]`` and ``row[k]`` are its location. The
+    stream is a pure function of its constructor's arguments, and
+    :meth:`extend` only appends, so any number of cores can read one
+    stream by index, each at its own pace.
     """
 
     def __init__(
         self,
-        core_id: int,
         benchmark: BenchmarkProfile,
-        config: Optional[CoreConfig] = None,
-        banks: int = 8,
-        rows_per_bank: int = 32768,
-        channels: int = 1,
-        seed: int = 0,
+        seed: int,
+        core_id: int,
+        channels: int,
+        banks: int,
+        rows_per_bank: int,
     ) -> None:
         for name, count in (("channels", channels), ("banks", banks),
                             ("rows_per_bank", rows_per_bank)):
             if not 0 < count <= 1 << 32:  # the range ``_below`` draws
                 raise ValueError(f"{name} must be in [1, 2**32]")
-        self.core_id = core_id
-        self.benchmark = benchmark
-        self.config = config or CoreConfig()
-        self.banks = banks
-        self.rows_per_bank = rows_per_bank
-        self.channels = channels
         rng = np.random.default_rng((seed << 8) ^ core_id)
         # Every request draws from this generator. Its uniform and bounded
         # integer draws are computed from raw 64-bit words exactly as
@@ -86,28 +97,56 @@ class TraceCore:
         self._exponential = rng.exponential
         self._raw = rng.bit_generator.random_raw
         self._half: Optional[int] = None
-        self._per_ns = self.config.instructions_per_ns
-        self._max_outstanding = self.config.max_outstanding
-        self.instructions_retired = 0.0
-        self.outstanding = 0
-        self.stall_ns = 0.0
-        self._clock_ns = 0.0
-        self._last_channel = 0
-        self._last_bank = 0
-        self._last_row = 0
-        inter_miss = 1000.0 / benchmark.mpki if benchmark.mpki > 0 else None
-        self._inter_miss_mean = inter_miss
-        self._pending_gap = self._draw_gap()
-        #: When the pending request issues: the clock plus the gap at
-        #: peak width (None = never). Kept in step with both.
-        self._issue_at = self._issue_time()
+        self._write_fraction = benchmark.write_fraction
+        self._row_hit_rate = benchmark.row_hit_rate
+        self._counts = (channels, banks, rows_per_bank)
+        self._last = (0, 0, 0)
+        self.gaps = array("d")
+        self.writes = bytearray()
+        self.channel = _index_array(channels)
+        self.bank = _index_array(banks)
+        self.row = _index_array(rows_per_bank)
+        # None: the core never misses, and the stream stays empty.
+        self._mean = 1000.0 / benchmark.mpki if benchmark.mpki > 0 else None
+        if self._mean is not None:
+            self.gaps.append(self._exponential(self._mean))
 
-    # ------------------------------------------------------------------
-    def _draw_gap(self) -> Optional[float]:
-        """Instructions until the next memory request (None = never)."""
-        if self._inter_miss_mean is None:
-            return None
-        return float(self._exponential(self._inter_miss_mean))
+    def extend(self, n: int) -> None:
+        """Draw until at least ``n`` requests are stored.
+
+        Each request's draws, in generator order: the gap to the *next*
+        request (``exponential``), then the write and row-hit coins
+        (``random()``), then channel, bank and row on a row miss (on one
+        channel ``_below(1)`` is 0 and draws nothing).
+        """
+        writes = self.writes
+        if self._mean is None or len(writes) >= n:
+            return
+        exponential = self._exponential
+        mean = self._mean
+        raw = self._raw
+        below = self._below
+        write_fraction = self._write_fraction
+        row_hit_rate = self._row_hit_rate
+        channels, banks, rows_per_bank = self._counts
+        channel, bank, row = self._last
+        add_gap = self.gaps.append
+        add_write = writes.append
+        add_channel = self.channel.append
+        add_bank = self.bank.append
+        add_row = self.row.append
+        for _ in range(max(n - len(writes), _CHUNK)):
+            add_gap(exponential(mean))
+            # ``random()``: the top 53 bits of a word, scaled into [0, 1).
+            add_write((raw() >> 11) * _UNIT < write_fraction)
+            if (raw() >> 11) * _UNIT >= row_hit_rate:
+                channel = below(channels)
+                bank = below(banks)
+                row = below(rows_per_bank)
+            add_channel(channel)
+            add_bank(bank)
+            add_row(row)
+        self._last = (channel, bank, row)
 
     def _below(self, n: int) -> int:
         """``Generator.integers(n)`` for ``1 <= n <= 2**32``, bit for bit.
@@ -133,6 +172,68 @@ class TraceCore:
             if low >= n or low >= (0x100000000 - n) % n:
                 return product >> 32
 
+
+class TraceCore:
+    """One core running a synthetic benchmark stream.
+
+    The core's private clock advances in two ways: retiring the
+    instruction gap before each memory request (at peak width), and being
+    dragged forward by read completions while the outstanding-miss window
+    is full (stall time). The issue time of the next request is always
+    derived from the *current* clock, so stalls transparently delay it.
+
+    The core reads its requests from a :class:`RequestStream` by index.
+    Given a ``streams`` map, it replays the stream stored there under
+    every input the draws read, or draws one and stores it; without one
+    it draws its own. The key leaves out the benchmark's name, which the
+    draws never read, and one name can carry different profiles.
+    """
+
+    def __init__(
+        self,
+        core_id: int,
+        benchmark: BenchmarkProfile,
+        config: Optional[CoreConfig] = None,
+        banks: int = 8,
+        rows_per_bank: int = 32768,
+        channels: int = 1,
+        seed: int = 0,
+        streams: Optional[StreamMap] = None,
+    ) -> None:
+        self.core_id = core_id
+        self.benchmark = benchmark
+        self.config = config or CoreConfig()
+        key = (benchmark.mpki, benchmark.write_fraction,
+               benchmark.row_hit_rate, seed, core_id, channels, banks,
+               rows_per_bank)
+        stream = None if streams is None else streams.get(key)
+        if stream is None:
+            stream = RequestStream(benchmark, seed, core_id, channels,
+                                   banks, rows_per_bank)
+            if streams is not None:
+                streams[key] = stream
+        self._stream = stream
+        self._gaps = stream.gaps
+        self._writes = stream.writes
+        self._channel = stream.channel
+        self._bank = stream.bank
+        self._row = stream.row
+        self._next = 0  # index of the pending request
+        self._per_ns = self.config.instructions_per_ns
+        self._max_outstanding = self.config.max_outstanding
+        self.instructions_retired = 0.0
+        self.outstanding = 0
+        self.stall_ns = 0.0
+        self._clock_ns = 0.0
+        #: Instructions until the pending request (None = never).
+        self._pending_gap: Optional[float] = (
+            stream.gaps[0] if stream.gaps else None
+        )
+        #: When the pending request issues: the clock plus the gap at
+        #: peak width (None = never). Kept in step with both.
+        self._issue_at = self._issue_time()
+
+    # ------------------------------------------------------------------
     def _issue_time(self) -> Optional[float]:
         if self._pending_gap is None:
             return None
@@ -158,32 +259,21 @@ class TraceCore:
             or self.outstanding >= self._max_outstanding
         ):
             return None
+        k = self._next
+        if k >= len(self._writes):
+            self._stream.extend(k + 1)
+        self._next = k + 1
         self.instructions_retired += self._pending_gap
         self._clock_ns = issue_at
-        self._pending_gap = self._draw_gap()
-        self._issue_at = self._issue_time()
-        benchmark = self.benchmark
-        raw = self._raw
-        # ``random()``: the top 53 bits of a word, scaled into [0, 1).
-        is_write = (raw() >> 11) * _UNIT < benchmark.write_fraction
-        # Row-buffer locality: repeat the last location, or draw a fresh
-        # one (on one channel ``_below(1)`` is 0 and draws nothing).
-        if (raw() >> 11) * _UNIT < benchmark.row_hit_rate:
-            channel = self._last_channel
-            bank = self._last_bank
-            row = self._last_row
-        else:
-            below = self._below
-            channel = below(self.channels)
-            bank = below(self.banks)
-            row = below(self.rows_per_bank)
-            self._last_channel = channel
-            self._last_bank = bank
-            self._last_row = row
-        if is_write:
-            return Request(_WRITE, self.core_id, bank, row, issue_at, channel)
+        gap = self._gaps[k + 1]
+        self._pending_gap = gap
+        self._issue_at = issue_at + gap / self._per_ns
+        if self._writes[k]:
+            return Request(_WRITE, self.core_id, self._bank[k], self._row[k],
+                           issue_at, self._channel[k])
         self.outstanding += 1
-        return Request(_READ, self.core_id, bank, row, issue_at, channel)
+        return Request(_READ, self.core_id, self._bank[k], self._row[k],
+                       issue_at, self._channel[k])
 
     def complete_read(self, request: Request, now_ns: float) -> None:
         """A demand read came back; release its window slot."""

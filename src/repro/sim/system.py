@@ -11,8 +11,9 @@ for its Figure 15/16 and Table 3 studies.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
 from .. import obs
 from ..dram.timing import DDR3_1600, TimingParameters
@@ -23,9 +24,10 @@ from ..mc.controller import (
 )
 from ..mc.request import Request
 from ..traces.spec import BenchmarkProfile, get_benchmark
-from .core import CoreConfig, TraceCore
+from .core import CoreConfig, StreamMap, TraceCore
 from .energy import energy_of_run
-from .events import EventHeap
+
+_INF = float("inf")
 
 
 @dataclass
@@ -104,21 +106,26 @@ class SystemResult:
 
 
 class SystemSimulator:
-    """Event-driven simulation of cores + memory controller."""
+    """Event-driven simulation of cores + memory controller.
+
+    ``streams`` shares the cores' request streams between simulators
+    (:class:`~repro.sim.core.TraceCore`): every configuration of a
+    workload given the same map replays the streams the first one drew.
+    """
 
     def __init__(
         self,
         benchmarks: Sequence[BenchmarkProfile],
         config: Optional[SystemConfig] = None,
         seed: int = 0,
+        streams: Optional[StreamMap] = None,
     ) -> None:
         if not benchmarks:
             raise ValueError("need at least one benchmark")
         self.config = config or SystemConfig()
         timing = self.config.timing()
-        self._reads_done: Dict[int, List[Request]] = {
-            i: [] for i in range(len(benchmarks))
-        }
+        # Latency of each read delivered to each core, in delivery order.
+        self._latencies: List[array] = [array("d") for _ in benchmarks]
         # Reads the controllers finished, awaiting delivery to their cores.
         self._completed_reads: List[Request] = []
         # Test traffic is spread across channels; the division remainder
@@ -155,6 +162,7 @@ class SystemSimulator:
                 rows_per_bank=self.config.rows_per_bank,
                 channels=self.config.channels,
                 seed=seed + 101 * i,
+                streams=streams,
             )
             for i, bench in enumerate(benchmarks)
         ]
@@ -178,27 +186,28 @@ class SystemSimulator:
         n_cores = len(cores)
         tck = controllers[0].timing.tCK
         completed = self._completed_reads
+        latencies = self._latencies
         enqueue = [controller.scheduler.enqueue for controller in controllers]
 
-        # Actors post their next-ready times on the heap and are visited
-        # only when due; time jumps straight to the earliest posted time
-        # (floored at now + tCK, the poll loop's advance rule). Each
-        # iteration touches only the due actors — the per-iteration cost
-        # is proportional to the work at that instant, not to the number
-        # of cores and channels.
+        # The calendar: each actor's posted next-ready time, indexed by
+        # actor (inf when none). Actors are visited only when due, and
+        # time jumps straight to the earliest posted time (floored at
+        # now + tCK, the poll loop's advance rule). There are at most a
+        # few cores and channels, so a scan of the list is cheaper than
+        # keeping a heap.
         #
         # Actors are dense ints: core i -> i, channel ch -> n_cores + ch,
-        # so entries due at the same time pop all cores before all
-        # controllers, each group by index.
-        heap = EventHeap()
+        # so a scan finds all due cores before all due controllers, each
+        # group in index order.
+        posted = [_INF] * (n_cores + n_channels)
         hints: List[Optional[float]] = []
         for i, core in enumerate(cores):
             hint = core.next_arrival_hint(0.0)
             hints.append(hint)
             if hint is not None:
-                heap.push(i, hint)
+                posted[i] = hint
         for channel in range(n_channels):
-            heap.push(n_cores + channel, 0.0)  # every controller due at t=0
+            posted[n_cores + channel] = 0.0  # every controller due at t=0
         # Per-core backpressure queues (the fairness fix: a refused
         # request stalls only its own core, not every later-index core).
         holdback: List[List[Request]] = [[] for _ in cores]
@@ -211,13 +220,17 @@ class SystemSimulator:
             iterations += 1
             if iterations > max_iterations:
                 raise RuntimeError("simulator failed to make progress")
+            # Consume every posting due by now: the actor is visited this
+            # instant and posts its next time.
             due_cores: List[int] = []
             drain_chs: List[int] = []
-            for actor in heap.prune_due(now):
-                if actor < n_cores:
-                    due_cores.append(actor)
-                else:
-                    drain_chs.append(actor - n_cores)
+            for actor, at in enumerate(posted):
+                if at <= now:
+                    posted[actor] = _INF
+                    if actor < n_cores:
+                        due_cores.append(actor)
+                    else:
+                        drain_chs.append(actor - n_cores)
             touched = [False] * n_channels
             fed = False
 
@@ -228,9 +241,6 @@ class SystemSimulator:
                     if holdback[i]:
                         ids.add(i)
                 core_ids: Sequence[int] = sorted(ids)
-            elif len(due_cores) > 1:
-                due_cores.sort()
-                core_ids = due_cores
             else:
                 core_ids = due_cores
             for i in core_ids:
@@ -251,10 +261,9 @@ class SystemSimulator:
                 if hint is None:
                     continue
                 if hint > now:
-                    # Not actually due (blocked-path visit or a stale
-                    # wake-up); make sure the arrival stays posted.
-                    if heap.current(i) is None:
-                        heap.push(i, hint)
+                    # Not due (a blocked-path visit): keep the arrival
+                    # posted. A posted core time is always its hint.
+                    posted[i] = hint
                     continue
                 core = cores[i]
                 while True:
@@ -271,7 +280,7 @@ class SystemSimulator:
                 hint = core.next_arrival_hint(now)
                 hints[i] = hint
                 if hint is not None:
-                    heap.push(i, hint)
+                    posted[i] = hint
 
             # --- Controllers, in channel order: drain every due or
             # freshly-fed channel. `floor_base` tracks the last instant
@@ -285,8 +294,6 @@ class SystemSimulator:
                     if touched[ch]:
                         fed_set.add(ch)
                 drain_chs = sorted(fed_set)
-            elif len(drain_chs) > 1:
-                drain_chs.sort()
             multi = len(drain_chs) > 1
             for channel in drain_chs:
                 if blocked or multi:
@@ -299,16 +306,16 @@ class SystemSimulator:
                 else:
                     # Sole actor: run ahead until the earliest posted
                     # event elsewhere (core arrivals + peer channels —
-                    # exactly the live heap minus this channel's entry,
-                    # which the drain supersedes anyway).
-                    heap.invalidate(n_cores + channel)
-                    bound = heap.next_time(window_ns)
+                    # the calendar without this channel's posting, which
+                    # the drain supersedes anyway).
+                    posted[n_cores + channel] = _INF
+                    bound = min(posted)
                     if bound > window_ns:
                         bound = window_ns
                 next_event, last_instant = controllers[channel].drain(
                     now, bound
                 )
-                heap.push(n_cores + channel, next_event)
+                posted[n_cores + channel] = next_event
                 if last_instant > floor_base:
                     floor_base = last_instant
 
@@ -316,19 +323,17 @@ class SystemSimulator:
             if completed:
                 affected = set()
                 for request in completed:
-                    cores[request.core].complete_read(
-                        request, request.completion_ns
+                    completion = request.completion_ns
+                    cores[request.core].complete_read(request, completion)
+                    latencies[request.core].append(
+                        completion - request.arrival_ns
                     )
-                    self._reads_done[request.core].append(request)
                     affected.add(request.core)
                 completed.clear()
                 for i in affected:
                     hint = cores[i].next_arrival_hint(now)
                     hints[i] = hint
-                    if hint is not None:
-                        heap.push(i, hint)
-                    else:
-                        heap.invalidate(i)
+                    posted[i] = _INF if hint is None else hint
 
             # --- Advance to the next posted event, floored one tCK past
             # the last instant processed this iteration. While a refused
@@ -341,7 +346,7 @@ class SystemSimulator:
             ):
                 step_to = floor
             else:
-                step_to = heap.next_time(floor)
+                step_to = min(posted)
             now = step_to if step_to > floor else floor
 
         c_iterations.inc(iterations)
@@ -357,16 +362,16 @@ class SystemSimulator:
             stats.row_conflicts += other.row_conflicts
         core_results = []
         for core in self.cores:
-            reads = self._reads_done[core.core_id]
+            latencies = self._latencies[core.core_id]
             mean_latency = (
-                sum(r.latency_ns for r in reads) / len(reads) if reads else 0.0
+                sum(latencies) / len(latencies) if latencies else 0.0
             )
             core_results.append(
                 CoreResult(
                     benchmark=core.benchmark.name,
                     instructions=core.instructions_retired,
                     ipc=core.ipc(window_ns),
-                    reads_completed=len(reads),
+                    reads_completed=len(latencies),
                     mean_read_latency_ns=mean_latency,
                 )
             )
@@ -377,7 +382,7 @@ class SystemSimulator:
                     core=core.core_id,
                     instructions=core.instructions_retired,
                     benchmark=core.benchmark.name,
-                    reads_completed=len(reads),
+                    reads_completed=len(latencies),
                 )
         if obs.trace_active():
             # Per-channel energy rollups ride the trace (energy_rollup
@@ -412,8 +417,13 @@ def simulate_workload(
     window_ns: float = 500_000.0,
     channels: int = 1,
     seed: int = 0,
+    streams: Optional[StreamMap] = None,
 ) -> SystemResult:
-    """Convenience wrapper: one run of a named multiprogrammed workload."""
+    """Convenience wrapper: one run of a named multiprogrammed workload.
+
+    Runs given the same ``streams`` map replay one another's request
+    streams (see :class:`SystemSimulator`).
+    """
     config = SystemConfig(
         density_gbit=density_gbit,
         channels=channels,
@@ -424,4 +434,6 @@ def simulate_workload(
         test_traffic=TestTrafficSettings(concurrent_tests=concurrent_tests),
     )
     benchmarks = [get_benchmark(name) for name in benchmark_names]
-    return SystemSimulator(benchmarks, config, seed=seed).run(window_ns)
+    return SystemSimulator(
+        benchmarks, config, seed=seed, streams=streams
+    ).run(window_ns)

@@ -51,10 +51,6 @@ class ContentTrace:
     def __getitem__(self, index: int) -> ContentSnapshot:
         return self._snapshots[index]
 
-    @property
-    def n_rows(self) -> int:
-        return len(self._snapshots[0].image)
-
 
 def generate_content_trace(
     profile: ContentProfile,

@@ -17,9 +17,11 @@ from repro.sim.workloads import multicore_mixes, singlecore_workloads
 
 
 def _configuration(*args, **kwargs):
-    """A ``simulate_workload`` call's arguments, defaults applied."""
+    """A ``simulate_workload`` call's arguments, defaults applied. The
+    stream map is left out: it replays requests, and configures nothing."""
     bound = inspect.signature(simulate_workload).bind(*args, **kwargs)
     bound.apply_defaults()
+    del bound.arguments["streams"]
     return tuple(
         (name, tuple(value) if isinstance(value, list) else value)
         for name, value in bound.arguments.items()
@@ -76,19 +78,23 @@ class TestFig15Internals:
         self, monkeypatch, key
     ):
         calls = []
+        maps = set()
 
         def recording(*args, **kwargs):
             config = _configuration(*args, **kwargs)
             calls.append(config)
+            maps.add(id(kwargs["streams"]))
             return _fake_result(config)
 
         monkeypatch.setattr(fig15, "simulate_workload", recording)
         unit = next(u for u in fig15.units() if u.key == key)
         row = fig15.run_unit(unit, quick=True, seed=1)["row"]
 
-        # 6 baselines plus 6 MEMCON runs per reduction, none repeated.
+        # 6 baselines plus 6 MEMCON runs per reduction, none repeated,
+        # all replaying the unit's one stream map.
         assert len(calls) == 6 + 6 * len(fig15.REDUCTIONS)
         assert len(set(calls)) == len(calls)
+        assert len(maps) == 1
         # The row is the one built by pairing each MEMCON run with a
         # baseline simulated on its own.
         cores, density = unit.params["cores"], unit.params["density"]

@@ -245,13 +245,12 @@ class TestCli:
 
 
 class TestObservabilityMetrics:
-    """RSS and sample-count metrics in the gate."""
+    """RSS, timing and event-count metrics in the gate."""
 
     @pytest.mark.parametrize("name,expected", [
-        ("profile.rss_peak_bytes", "lower"),
         ("workers.rss_peak_bytes", "lower"),
-        ("profile.sample_count", None),  # informational only
-        ("profile.wall_s", "lower"),
+        ("timeseries.events_total", None),  # informational only
+        ("timing.fig14_s", "lower"),
     ])
     def test_new_direction_tokens(self, name, expected):
         assert classify_direction(name) == expected
@@ -289,8 +288,10 @@ class TestObservabilityMetrics:
         assert not any(k.startswith("profile.") for k in metrics)
 
     def test_sample_count_change_is_informational(self):
-        result = compare_metrics({"profile.sample_count": 100.0},
-                                 {"profile.sample_count": 900.0})
+        """A count of what the run sampled or emitted (here the rollups'
+        event total) is informational only."""
+        result = compare_metrics({"timeseries.events_total": 100.0},
+                                 {"timeseries.events_total": 900.0})
         assert result.deltas[0].verdict == "info"
         assert result.ok()
 

@@ -58,10 +58,11 @@ def poll_run(simulator: SystemSimulator, window_ns: float) -> SystemResult:
         # Deliver completed reads to their cores.
         if completed:
             for request in completed:
-                cores[request.core].complete_read(
-                    request, request.completion_ns
+                completion = request.completion_ns
+                cores[request.core].complete_read(request, completion)
+                simulator._latencies[request.core].append(
+                    completion - request.arrival_ns
                 )
-                simulator._reads_done[request.core].append(request)
             completed.clear()
         # Advance: to the next controller event, bounded by the next
         # core request arrival (cores generate work lazily).

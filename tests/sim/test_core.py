@@ -108,9 +108,23 @@ def _retired_stream(seed, core_id, bench, banks, rows_per_bank, channels, n):
     return stream
 
 
+def _issue(core, n):
+    """The first ``n`` requests ``core`` issues, each read completing at
+    issue so the core never stalls."""
+    got = []
+    for _ in range(n):
+        request = core.next_request(float("inf"))
+        got.append((request.kind, request.channel, request.bank,
+                    request.row, request.arrival_ns))
+        if request.kind is RequestKind.READ:
+            core.complete_read(request, request.arrival_ns)
+    return got
+
+
 class TestRawWordDraws:
-    """The core computes its draws from raw PCG64 words; the stream must
-    be the one numpy's ``random()`` and ``integers()`` produced."""
+    """The stream computes its draws from raw PCG64 words; every core
+    reading it, first or replaying, must see the stream numpy's
+    ``random()`` and ``integers()`` produced."""
 
     @given(
         seed=st.integers(0, 2**32),
@@ -128,18 +142,38 @@ class TestRawWordDraws:
     ):
         bench = _bench(mpki=20.0, row_hit_rate=row_hit_rate,
                        write_fraction=write_fraction)
-        core = TraceCore(core_id, bench, banks=banks,
-                         rows_per_bank=rows_per_bank, channels=channels,
-                         seed=seed)
-        got = []
-        for _ in range(2000):
-            request = core.next_request(float("inf"))
-            got.append((request.kind, request.channel, request.bank,
-                        request.row, request.arrival_ns))
-            if request.kind is RequestKind.READ:
-                core.complete_read(request, request.arrival_ns)
-        assert got == _retired_stream(seed, core_id, bench, banks,
-                                      rows_per_bank, channels, 2000)
+        streams = {}
+        cores = [
+            TraceCore(core_id, bench, banks=banks,
+                      rows_per_bank=rows_per_bank, channels=channels,
+                      seed=seed, streams=streams)
+            for _ in range(2)
+        ]
+        expected = _retired_stream(seed, core_id, bench, banks,
+                                   rows_per_bank, channels, 2000)
+        assert _issue(cores[0], 2000) == expected
+        # The second core replays the stream the first drew, from a map
+        # already 2,000 requests ahead of it.
+        (stream,) = streams.values()
+        assert len(stream.writes) >= 2000
+        assert _issue(cores[1], 2000) == expected
+
+    def test_stream_belongs_to_every_drawn_input(self):
+        # One name, different profiles: the map keys by what the draws
+        # read, never by the benchmark's name.
+        streams = {}
+        for bench in (_bench(mpki=20.0), _bench(mpki=40.0),
+                      _bench(mpki=20.0, row_hit_rate=0.9),
+                      _bench(mpki=20.0, write_fraction=0.5)):
+            TraceCore(0, bench, seed=1, streams=streams)
+        for kwargs in ({"seed": 2}, {"channels": 2}, {"banks": 4},
+                       {"rows_per_bank": 1024}):
+            TraceCore(0, _bench(mpki=20.0), streams=streams,
+                      **{"seed": 1, **kwargs})
+        TraceCore(1, _bench(mpki=20.0), seed=1, streams=streams)
+        assert len(streams) == 9
+        TraceCore(0, _bench(mpki=20.0), seed=1, streams=streams)
+        assert len(streams) == 9
 
     @pytest.mark.parametrize("field", ["channels", "banks", "rows_per_bank"])
     @pytest.mark.parametrize("count", [0, 2**32 + 1])

@@ -1,5 +1,7 @@
 """Integration tests for the full-system performance simulator."""
 
+from dataclasses import asdict
+
 import pytest
 
 from repro.mc.controller import RefreshSettings, TestTrafficSettings
@@ -159,3 +161,30 @@ class TestResultApi:
         sim = SystemSimulator([get_benchmark("mcf")], SystemConfig())
         with pytest.raises(ValueError):
             sim.run(0.0)
+
+
+class TestStreamReplay:
+    """Runs sharing a stream map replay each other's request streams."""
+
+    MIX = ["mcf", "libquantum", "gcc", "tonto"]
+    #: A baseline, then runs that differ in refresh, test traffic,
+    #: density and channel count, in the order an experiment makes them.
+    RUNS = (
+        {},
+        {"refresh_reduction": 0.75, "concurrent_tests": 256},
+        {"density_gbit": 32},
+        {"channels": 2},
+    )
+
+    def _results(self, streams):
+        return [
+            asdict(simulate_workload(self.MIX, window_ns=20_000.0, seed=5,
+                                     streams=streams, **kwargs))
+            for kwargs in self.RUNS
+        ]
+
+    def test_shared_map_matches_fresh_streams(self):
+        streams = {}
+        assert self._results(streams) == self._results(None)
+        # One stream per core for each channel count.
+        assert len(streams) == 8
