@@ -122,9 +122,10 @@ def simulate_refresh_reduction(
 
     With a trace sink active the pass also replays its verdicts as the
     standard event stream (``pril_quantum``, ``test_*``,
-    ``ref_transition``, plus ``pril_grant`` under forensics), built from
-    its own arrays and emitted as one batch in global time order so
-    windowed aggregation over the stream is meaningful.
+    ``ref_transition``, plus ``pril_grant`` under forensics), laid out
+    from its own arrays as one columnar :class:`~repro.obs.RecordBatch`
+    in global time order so windowed aggregation over the stream is
+    meaningful.
     """
     config = config or MemconConfig()
     if not 0.0 <= failing_page_fraction <= 1.0:
@@ -247,11 +248,19 @@ def _emit_verdicts(
     ``n_read_only`` start-up tests go to the lowest unwritten pages, the
     first ``n_ro_failing`` of them failing.
 
+    Each kind of record, per outcome, is one segment of an
+    :class:`~repro.obs.RecordBatch`: its ``t_ms``, ``page`` and other
+    varying fields are columns sliced from those arrays, and the rest
+    are constants. No record is built here; a sink that reads records
+    builds them once from the batch, and the JSONL sink writes from the
+    columns.
+
     Records are ordered by ``t_ms``. At one instant a ``pril_quantum``
     record precedes the tests it predicts; otherwise records keep their
     tests' order (page by page, write by write, read-only pages last) and
     each test's lifecycle order (:data:`_TEST_SLOTS`). That is one stable
-    ``np.lexsort`` over (time, sequence number).
+    ``np.lexsort`` over (time, sequence number), which is the batch's
+    emission order.
     """
     window = trace.duration_ms
     test_ms = float(config.test_duration_ms)
@@ -264,16 +273,13 @@ def _emit_verdicts(
     seq = np.arange(len(page), dtype=np.int64) * _TEST_SLOTS
     times: List[np.ndarray] = []
     seqs: List[np.ndarray] = []
-    records: List[dict] = []
+    segments: List[dict] = []
 
     def add(kind, t_ms, order, pages, fields=None):
         times.append(t_ms)
         seqs.append(order)
-        extra = fields or {}
-        records.extend([
-            {"v": version, "kind": kind, "t_ms": t, "page": p, **extra}
-            for t, p in zip(t_ms.tolist(), pages.tolist())
-        ])
+        segments.append({"v": version, "kind": kind, "t_ms": t_ms,
+                         "page": pages, **(fields or {})})
 
     # PRIL's predictions, one record per quantum boundary that started a
     # test; sequence -1 puts each ahead of its tests at the same instant.
@@ -281,25 +287,18 @@ def _emit_verdicts(
     predicted_q, predicted = np.unique(q_start, return_counts=True)
     times.append(predicted_q * config.quantum_ms)
     seqs.append(np.full(len(predicted_q), -1, dtype=np.int64))
-    records.extend([
-        {"v": version, "kind": "pril_quantum", "quantum": q,
-         "predicted": count, "buffer": count}
-        for q, count in zip(predicted_q.tolist(), predicted.tolist())
-    ])
+    segments.append({"v": version, "kind": "pril_quantum",
+                     "quantum": predicted_q, "predicted": predicted,
+                     "buffer": predicted})
     if obs.forensics_active():
         # The grant and its write-interval evidence: the one write that
         # qualified the page, and how long the page actually stayed idle
         # (the trace's future).
         times.append(start)
         seqs.append(seq)
-        records.extend([
-            {"v": version, "kind": "pril_grant", "t_ms": t,
-             "page": p, "quantum": q, "write_ms": w, "next_write_ms": nw}
-            for t, p, q, w, nw in zip(
-                start.tolist(), page.tolist(), q_start.tolist(),
-                write_ms.tolist(), idle.tolist(),
-            )
-        ])
+        segments.append({"v": version, "kind": "pril_grant", "t_ms": start,
+                         "page": page, "quantum": q_start,
+                         "write_ms": write_ms, "next_write_ms": idle})
     add("test_started", start, seq + 1, page)
     add("ref_transition", start, seq + 2, page,
         {"from": "hi_ref", "to": "testing"})
@@ -336,7 +335,7 @@ def _emit_verdicts(
                 ro_page[part], {"from": "testing", "to": state})
 
     order = np.lexsort((np.concatenate(seqs), np.concatenate(times)))
-    obs.emit_many([records[i] for i in order.tolist()])
+    obs.emit_many(obs.RecordBatch(segments, order))
 
 
 def _memcon_report(

@@ -83,6 +83,7 @@ from .trace import (
     SCHEMA_VERSION,
     JsonlTraceSink,
     ListTraceSink,
+    RecordBatch,
     TraceSchemaError,
     emit,
     emit_many,
@@ -124,6 +125,7 @@ __all__ = [
     "SCHEMA_VERSION",
     "JsonlTraceSink",
     "ListTraceSink",
+    "RecordBatch",
     "TraceSchemaError",
     "emit",
     "emit_many",

@@ -27,7 +27,9 @@ from __future__ import annotations
 
 from typing import Any, Dict, Mapping, Sequence, Set
 
-from .trace import JsonlTraceSink
+import numpy as np
+
+from .trace import JsonlTraceSink, RecordBatch
 
 __all__ = [
     "FORENSIC_KINDS",
@@ -77,7 +79,10 @@ class LedgerSink:
     kind is in :data:`LEDGER_KINDS` goes through a
     :class:`~repro.obs.trace.JsonlTraceSink`, so the ledger is a valid
     JSONL trace whose lines are the trace's ledger-kind lines, byte for
-    byte. :meth:`census` summarises what was written.
+    byte. A :class:`~repro.obs.trace.RecordBatch` is selected and
+    counted segment by segment, and its ledger-kind segments are written
+    from their columns, like the trace's.
+    :meth:`census` summarises what was written.
     """
 
     def __init__(self, path: str) -> None:
@@ -86,22 +91,33 @@ class LedgerSink:
         self._pages: Set[int] = set()
         self._jsonl = JsonlTraceSink(path)
 
-    def _count(self, record: Mapping) -> None:
-        kind = record["kind"]
-        self._kinds[kind] = self._kinds.get(kind, 0) + 1
-        page = record.get("page")
-        if isinstance(page, int) and not isinstance(page, bool):
+    def _count(self, kind: str, n: int, page: Any) -> None:
+        """Count ``n`` records of ``kind`` whose ``page`` field holds
+        ``page``: one value, or a column of ``n`` values."""
+        self._kinds[kind] = self._kinds.get(kind, 0) + n
+        if isinstance(page, np.ndarray):
+            if page.dtype.kind in "iu":
+                self._pages.update(page.tolist())
+        elif isinstance(page, int) and not isinstance(page, bool):
             self._pages.add(page)
 
     def emit(self, record: Mapping) -> None:
-        if record.get("kind") in LEDGER_KINDS:
-            self._count(record)
+        kind = record.get("kind")
+        if kind in LEDGER_KINDS:
+            self._count(kind, 1, record.get("page"))
             self._jsonl.emit(record)
 
     def emit_many(self, records: Sequence[Mapping]) -> None:
-        ledger = [r for r in records if r.get("kind") in LEDGER_KINDS]
-        for record in ledger:
-            self._count(record)
+        if isinstance(records, RecordBatch):
+            ledger = records.select(LEDGER_KINDS)
+            for segment in ledger.segments:
+                if segment.length:
+                    self._count(segment.kind, segment.length,
+                                segment.fields.get("page"))
+        else:
+            ledger = [r for r in records if r.get("kind") in LEDGER_KINDS]
+            for record in ledger:
+                self._count(record["kind"], 1, record.get("page"))
         self._jsonl.emit_many(ledger)
 
     def census(self) -> Dict[str, Any]:

@@ -23,23 +23,37 @@ with :func:`emit_many`. A sink may take the batch in one call through an
 ``emit_many(records)`` method of its own; one without it receives the
 records one ``emit`` at a time, so the stream a sink sees never depends
 on how the producer delivered it.
+
+A producer that holds its records as arrays hands over a
+:class:`RecordBatch`: segments of one kind each, whose fields are numpy
+columns or constants, plus the order the records are emitted in. The
+batch reads as the sequence of record dicts, built at most once and
+shared by every sink that reads dicts; :class:`JsonlTraceSink` writes it
+from the columns instead, with one ``%``-format string per segment.
 """
 
 from __future__ import annotations
 
 import io
 import json
+import operator
 import os
+from collections import deque
+from itertools import chain, repeat
 from json.encoder import c_make_encoder, encode_basestring_ascii
 from typing import (
-    Callable, Dict, Iterator, List, Mapping, Sequence, Tuple, Union,
+    Any, Callable, Collection, Dict, Iterable, Iterator, List, Mapping,
+    Optional, Sequence, Tuple, Union,
 )
+
+import numpy as np
 
 __all__ = [
     "EVENT_KINDS",
     "SCHEMA_VERSION",
     "JsonlTraceSink",
     "ListTraceSink",
+    "RecordBatch",
     "TraceSchemaError",
     "emit",
     "emit_many",
@@ -123,6 +137,182 @@ def _compact_encoder() -> Callable[[object, int], Tuple[str, ...]]:
 _ENCODE = _compact_encoder()
 
 
+class _Segment:
+    """Records of one kind: each field a numpy column or a constant.
+
+    ``fields`` maps each key, in record key order, to a 1-d array (one
+    value per record) or to the value every record shares.
+    """
+
+    __slots__ = ("fields", "kind", "length")
+
+    def __init__(self, fields: Mapping[str, Any]) -> None:
+        fields = dict(fields)
+        lengths = set()
+        for name, value in fields.items():
+            if not isinstance(name, str):
+                raise TypeError(f"field names are str, got {name!r}")
+            if isinstance(value, np.ndarray):
+                if value.ndim != 1:
+                    raise ValueError(f"column {name!r} is not 1-d")
+                lengths.add(len(value))
+        kind = fields.get("kind")
+        if not isinstance(kind, str):
+            raise TypeError(
+                f"a segment's kind is a constant str, got {kind!r}"
+            )
+        if len(lengths) != 1:
+            raise ValueError(
+                f"{kind} segment needs columns, all of one length"
+            )
+        self.fields = fields
+        self.kind = kind
+        self.length = lengths.pop()
+
+    def records(self) -> List[dict]:
+        """The segment's records, in segment order, as new dicts."""
+        shape = {
+            name: None if isinstance(value, np.ndarray) else value
+            for name, value in self.fields.items()
+        }
+        records = list(map(dict.copy, repeat(shape, self.length)))
+        # Setting a key the copy already holds keeps its place, so every
+        # record has the fields' key order.
+        fill = deque(maxlen=0).extend
+        for name, value in self.fields.items():
+            if isinstance(value, np.ndarray):
+                fill(map(operator.setitem, records, repeat(name),
+                         value.tolist()))
+        return records
+
+    def lines(self) -> List[str]:
+        """Each record's compact JSON text, in segment order.
+
+        One ``%``-format string serves the segment: each constant is
+        encoded once by ``_ENCODE``, an integer column is printed by
+        ``%d`` and a float column by ``%r`` (``float.__repr__``, which
+        is how ``json.dumps`` writes a finite float). A segment holding
+        a non-finite float (``NaN`` or ``Infinity`` in JSON) encodes its
+        records through ``_ENCODE`` instead. A column of any other dtype
+        (bool, object, ``longdouble``, ...) raises ``TypeError``.
+        """
+        parts: List[str] = []
+        columns: List[list] = []
+        finite = True
+        for name, value in self.fields.items():
+            # Encoded text is escaped for the template (% -> %%).
+            key = encode_basestring_ascii(name).replace("%", "%%") + ":"
+            if not isinstance(value, np.ndarray):
+                text = "".join(_ENCODE(value, 0))
+                parts.append(key + text.replace("%", "%%"))
+                continue
+            dtype = value.dtype
+            if dtype.kind in "iu":
+                parts.append(key + "%d")
+            elif dtype.kind == "f" and dtype.itemsize <= 8:
+                # Wider floats would leave tolist() as numpy scalars.
+                parts.append(key + "%r")
+                finite = finite and bool(np.isfinite(value).all())
+            else:
+                raise TypeError(
+                    f"{self.kind} column {name!r} has dtype {dtype}; "
+                    "a RecordBatch column holds integers or floats"
+                )
+            columns.append(value.tolist())
+        if not finite:
+            return ["".join(_ENCODE(record, 0)) for record in self.records()]
+        template = "{" + ",".join(parts) + "}"
+        if len(columns) == 1:
+            return [template % value for value in columns[0]]
+        return [template % row for row in zip(*columns)]
+
+
+class RecordBatch(Sequence):
+    """Finished records held as columns: segments plus an emission order.
+
+    Each segment maps field names, in record key order, to 1-d numpy
+    columns (one value per record) or constants; its ``kind`` field is a
+    constant str, so a segment holds records of one kind. ``order``
+    lists the records' positions in the concatenation of the segments,
+    in the order they are emitted.
+
+    The batch reads as a ``Sequence[Mapping]`` of its records, column
+    values as Python ints and floats (``ndarray.tolist``). The record
+    dicts are built at most once and shared by every reader, so they
+    must not be mutated. :meth:`lines` encodes each record's compact
+    JSON text from the columns, without building them. A pickled batch
+    carries its segments' fields and its order, not the dicts.
+    """
+
+    __slots__ = ("segments", "_order", "_records")
+
+    def __init__(
+        self, segments: Iterable[Mapping[str, Any]], order: np.ndarray
+    ) -> None:
+        self.segments: List[_Segment] = [
+            s if isinstance(s, _Segment) else _Segment(s) for s in segments
+        ]
+        n = sum(s.length for s in self.segments)
+        order = np.asarray(order)
+        if order.dtype.kind not in "iu":
+            raise TypeError("a batch's order holds integers")
+        order = order.astype(np.intp, copy=False)
+        if order.shape != (n,) or n and (
+            order.min() < 0 or order.max() >= n
+            or np.bincount(order, minlength=n).max() != 1
+        ):
+            raise ValueError("a batch's order is a permutation of its records")
+        self._order = order
+        self._records: Optional[List[dict]] = None
+
+    def __reduce__(self):
+        return (RecordBatch, (self.segments, self._order))
+
+    def __len__(self) -> int:
+        return len(self._order)
+
+    def __getitem__(self, index):
+        return self._dicts()[index]
+
+    def __iter__(self) -> Iterator[dict]:
+        return iter(self._dicts())
+
+    def _dicts(self) -> List[dict]:
+        if self._records is None:
+            records = list(chain.from_iterable(
+                [s.records() for s in self.segments]
+            ))
+            self._records = [records[i] for i in self._order.tolist()]
+        return self._records
+
+    def lines(self) -> List[str]:
+        """Each record's ``json.dumps(record, separators=(",", ":"))``
+        text, in emission order, as a new list.
+
+        Every segment is encoded (see ``_Segment.lines``) before this
+        returns, so a column that cannot be written raises ``TypeError``
+        before a sink writes anything.
+        """
+        lines = list(chain.from_iterable([s.lines() for s in self.segments]))
+        return [lines[i] for i in self._order.tolist()]
+
+    def select(self, kinds: Collection[str]) -> "RecordBatch":
+        """The records whose kind is in ``kinds``, in this batch's order.
+
+        The selection shares this batch's segments (their columns), not
+        the dicts this batch has built.
+        """
+        keep = [s.kind in kinds for s in self.segments]
+        if all(keep):
+            return self
+        chosen = [s for s, k in zip(self.segments, keep) if k]
+        kept = np.repeat(
+            np.array(keep, dtype=bool), [s.length for s in self.segments]
+        )
+        renumber = np.cumsum(kept) - 1
+        return RecordBatch(chosen, renumber[self._order[kept[self._order]]])
+
+
 class JsonlTraceSink:
     """Writes one compact JSON object per line to a file or stream.
 
@@ -167,15 +357,20 @@ class JsonlTraceSink:
     def emit_many(self, records: Sequence[Mapping]) -> None:
         """Write a batch: the bytes ``emit`` would write record by record.
 
-        The batch is encoded before anything is written, so a record
-        that cannot be serialised raises ``TypeError`` with the file
-        untouched. The file is flushed once per batch (unless
-        ``flush_every`` is 0).
+        A :class:`RecordBatch` is written from its columns
+        (:meth:`RecordBatch.lines`); any other sequence is encoded record
+        by record with one compact encoder. The batch is encoded before
+        anything is written, so a record that cannot be serialised
+        raises ``TypeError`` with the file untouched. The file is
+        flushed once per batch (unless ``flush_every`` is 0).
         """
         if self.closed:
             raise ValueError("emit_many() on a closed JsonlTraceSink")
-        encode = _ENCODE
-        lines = ["".join(encode(record, 0)) for record in records]
+        if isinstance(records, RecordBatch):
+            lines = records.lines()
+        else:
+            encode = _ENCODE
+            lines = ["".join(encode(record, 0)) for record in records]
         if not lines:
             return
         lines.append("")  # the last record's newline
@@ -261,6 +456,7 @@ def emit_many(records: Sequence[Mapping]) -> None:
 
     Each record already carries its envelope, keys in the order
     :func:`emit` gives them: ``{"v": SCHEMA_VERSION, "kind": ..., ...}``.
+    ``records`` is a list of dicts or a columnar :class:`RecordBatch`.
     """
     sink = _sink
     if sink is not None and records:

@@ -24,17 +24,19 @@ seq-ordered payloads, using a ``concurrent.futures``
 Observability travels with the payload. A worker mirrors three facts of
 the parent's obs state, read when the pool is built: whether a trace
 sink is installed, whether the metrics registry is enabled, and whether
-forensics is on. It captures each unit's trace records in memory, times
-the unit under a fresh span collector, and returns the records, the
-unit's metrics snapshot and its span subtrees in the result entry that
-carries the payload; a failed attempt returns none of them. The parent
-emits each accepted unit's records through its own sink once every
-earlier unit has been emitted, folds the snapshot into its registry and
-the spans under its open span, so a ``--jobs N`` run produces the
-serial run's event stream and span tree. Each unit's result also
-carries when and where it ran (worker label, wall-clock start and end,
-RSS), from which the parent builds the per-worker timeline in
-:meth:`ParallelExecutor.topology`.
+forensics is on. It captures each unit's trace deliveries in memory (a
+:class:`~repro.obs.trace.RecordBatch` as it came, which pickles as
+columns; other records as dict copies), times the unit under a fresh
+span collector, and returns the deliveries, the unit's metrics snapshot
+and its span subtrees in the result entry that carries the payload; a
+failed attempt returns none of them. The parent re-emits each accepted
+unit's deliveries, in order, through its own sink once every earlier
+unit has been emitted, folds the snapshot into its registry and the
+spans under its open span, so a ``--jobs N`` run produces the serial
+run's event stream and span tree, written through the same encoders.
+Each unit's result also carries when and where it ran (worker label,
+wall-clock start and end, RSS), from which the parent builds the
+per-worker timeline in :meth:`ParallelExecutor.topology`.
 
 Determinism: payloads are returned in unit ``seq`` order no matter
 which worker finished first, so ``merge_payloads`` sees exactly the
@@ -96,6 +98,34 @@ def rss_bytes() -> Optional[int]:
 _WORKER_LABEL: Optional[str] = None
 
 
+class _UnitCapture:
+    """Trace sink that keeps one unit's deliveries, in order, for the parent.
+
+    A :class:`~repro.obs.trace.RecordBatch` is kept as it came. Records
+    delivered any other way are copied into a list of dicts, one list per
+    run of such deliveries, so each delivery can be re-emitted whole.
+    """
+
+    def __init__(self) -> None:
+        self.deliveries: List[Sequence[Mapping]] = []
+
+    def emit(self, record: Mapping) -> None:
+        self.emit_many((record,))
+
+    def emit_many(self, records: Sequence[Mapping]) -> None:
+        if isinstance(records, obs.RecordBatch):
+            self.deliveries.append(records)
+            return
+        if not self.deliveries or not isinstance(self.deliveries[-1], list):
+            self.deliveries.append([])
+        self.deliveries[-1].extend([dict(record) for record in records])
+
+    def take(self) -> List[Sequence[Mapping]]:
+        """The deliveries so far; the capture starts over empty."""
+        deliveries, self.deliveries = self.deliveries, []
+        return deliveries
+
+
 def _worker_init(
     tracing: bool, metrics: bool, forensics: bool, generation: int
 ) -> None:
@@ -104,7 +134,7 @@ def _worker_init(
 
     _WORKER_LABEL = f"worker-g{generation}-{os.getpid()}"
     obs.set_collector(None)
-    obs.set_sink(obs.ListTraceSink() if tracing else None)
+    obs.set_sink(_UnitCapture() if tracing else None)
     obs.set_forensics(forensics)
     obs.set_registry(obs.MetricsRegistry(enabled=metrics))
 
@@ -116,7 +146,7 @@ def _run_unit_chunk(
 
     Exceptions are captured per unit so one bad unit doesn't discard its
     chunk-mates' finished work; the parent decides retry vs degrade. An
-    ``ok`` entry carries the unit's span subtrees, its trace records
+    ``ok`` entry carries the unit's span subtrees, its trace deliveries
     (when tracing) and its metrics snapshot (when metrics are on); a
     failed one carries none of them.
     """
@@ -147,9 +177,9 @@ def _run_unit_chunk(
                 node.to_dict() for node in spans.root.children.values()
             ]
         if sink is not None:
-            records, sink.records = sink.records, []
+            deliveries = sink.take()
             if entry["ok"]:
-                entry["records"] = records
+                entry["deliveries"] = deliveries
         if registry.enabled:
             if entry["ok"]:
                 entry["metrics"] = registry.snapshot()
@@ -318,10 +348,10 @@ class ParallelExecutor:
         ``journal`` the moment they arrive, their metrics snapshots fold
         into the parent's registry, and a pooled unit's span subtrees
         fold under the parent's open span (an inline unit already ran
-        under it). Each accepted unit's trace records go to the parent's
-        sink once every unit before it in ``units`` has been emitted (a
-        skipped unit has none), so the stream is the serial one whatever
-        order units finish in.
+        under it). Each accepted unit's trace deliveries go to the
+        parent's sink, one ``emit_many`` each, once every unit before it
+        in ``units`` has been emitted (a skipped unit has none), so the
+        stream is the serial one whatever order units finish in.
         ``on_unit(unit, skipped)`` fires once per resolved unit
         (progress reporting).
         """
@@ -331,15 +361,18 @@ class ParallelExecutor:
             for unit in units
         }
         results: Dict[int, Any] = {}
-        #: Records of resolved units still waiting for an earlier unit.
-        held: Dict[str, Optional[List[dict]]] = {}
+        #: Deliveries of resolved units still waiting for an earlier unit.
+        held: Dict[str, Optional[List[Sequence[Mapping]]]] = {}
         emitted = 0
 
-        def resolve(unit: WorkUnit, records: Optional[List[dict]]) -> None:
+        def resolve(
+            unit: WorkUnit, deliveries: Optional[List[Sequence[Mapping]]]
+        ) -> None:
             nonlocal emitted
-            held[unit.key] = records
+            held[unit.key] = deliveries
             while emitted < len(units) and units[emitted].key in held:
-                obs.emit_many(held.pop(units[emitted].key) or ())
+                for records in held.pop(units[emitted].key) or ():
+                    obs.emit_many(records)
                 emitted += 1
 
         pending: List[WorkUnit] = []
@@ -364,7 +397,7 @@ class ParallelExecutor:
             collector = obs.get_collector()
             if collector is not None and entry.get("spans"):
                 collector.merge(entry["spans"])
-            resolve(unit, entry.get("records"))
+            resolve(unit, entry.get("deliveries"))
             if journal is not None:
                 journal.append(
                     unit.key, fingerprints[unit.key], payload,
@@ -387,15 +420,14 @@ class ParallelExecutor:
         """Run units in the parent; metrics go straight to its registry.
 
         Beside a pool, an earlier unit may still be out on a worker, so
-        each unit's records are captured like a worker's and join the
+        each unit's deliveries are captured like a worker's and join the
         stream in unit order. Without one, every earlier unit is already
         done and records stream straight to the sink.
         """
         for unit in units:
             sink = obs.get_sink()
             capture = (
-                obs.ListTraceSink()
-                if sink is not None and self.jobs > 1 else None
+                _UnitCapture() if sink is not None and self.jobs > 1 else None
             )
             if capture is not None:
                 obs.set_sink(capture)
@@ -410,7 +442,7 @@ class ParallelExecutor:
                 "payload": payload, "worker": os.getpid(), "shard": "parent",
                 "t_start": t_start, "t_end": time.time(), "wall_s": wall_s,
                 "rss_bytes": rss_bytes(),
-                "records": capture.records if capture is not None else None,
+                "deliveries": capture.take() if capture is not None else None,
             })
 
     # -- pooled ----------------------------------------------------------

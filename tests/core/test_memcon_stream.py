@@ -7,11 +7,15 @@ per-page loop (``tests/oracles/memcon.py``) emits the same stream
 one record at a time. Both streams are compared as compact JSON lines,
 record for record, so a misplaced record, an ``int`` written where the
 loop writes a ``float`` or a leaked numpy scalar fails the comparison.
+The vectorised pass is also written by a ``JsonlTraceSink``, which
+encodes the batch from its columns, and those bytes must be the
+oracle's lines.
 The event-driven controller in the same module must produce the same
 report: every count equal, every time to rounding.
 """
 
 import dataclasses
+import io
 import json
 
 import numpy as np
@@ -33,9 +37,15 @@ FRACTIONS = (0.0, 0.3, 1.0)
 
 
 def _stream(fn, trace, config, fraction, seed, forensics):
-    """Run one implementation under a list sink: (report, JSON lines)."""
+    """Run one implementation under a JSONL sink and a list sink.
+
+    Returns (report, the records as JSON lines, the JSONL sink's text).
+    """
     sink = obs.ListTraceSink()
-    previous_sink = obs.set_sink(sink)
+    written = io.StringIO()
+    previous_sink = obs.set_sink(
+        obs.TeeSink(obs.JsonlTraceSink(written), sink)
+    )
     previous_gate = obs.set_forensics(forensics)
     try:
         report = fn(trace, config, fraction, seed)
@@ -48,15 +58,15 @@ def _stream(fn, trace, config, fraction, seed, forensics):
             # it like a float, so pin the exact types as well.
             assert type(value) in (int, float, str), record
     lines = [json.dumps(r, separators=(",", ":")) for r in sink.records]
-    return report, lines
+    return report, lines, written.getvalue()
 
 
 def assert_streams_match(trace, config, fraction=0.0, seed=0,
                          forensics=False):
-    report, lines = _stream(
+    report, lines, written = _stream(
         simulate_refresh_reduction, trace, config, fraction, seed, forensics
     )
-    oracle_report, oracle_lines = _stream(
+    oracle_report, oracle_lines, _ = _stream(
         simulate_refresh_reduction_loop, trace, config, fraction, seed,
         forensics,
     )
@@ -64,6 +74,11 @@ def assert_streams_match(trace, config, fraction=0.0, seed=0,
     assert len(lines) == len(oracle_lines)
     for index, (line, expected) in enumerate(zip(lines, oracle_lines)):
         assert line == expected, f"record {index} differs"
+    written_lines = written.splitlines()
+    assert len(written_lines) == len(oracle_lines)
+    for index, (line, expected) in enumerate(zip(written_lines, oracle_lines)):
+        assert line == expected, f"written record {index} differs"
+    assert written == "".join(line + "\n" for line in oracle_lines)
     return lines
 
 
@@ -186,8 +201,8 @@ def test_read_only_verdicts_end_with_the_window(fraction):
     assert {r["t_ms"] for r in ended} == {trace.duration_ms}
     # The controller oracle ends the same tests at the same instants; it
     # emits page by page, so its records are put in time order first.
-    _, controller_lines = _stream(_controller_run, trace, config, fraction,
-                                  0, False)
+    _, controller_lines, _ = _stream(_controller_run, trace, config,
+                                     fraction, 0, False)
     controller = _test_records(controller_lines)
     assert sorted(controller, key=lambda r: r["t_ms"]) == records
 

@@ -2,15 +2,21 @@
 
 import io
 import json
+import pickle
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.obs import (
     EVENT_KINDS,
     SCHEMA_VERSION,
+    AggregatingSink,
     JsonlTraceSink,
+    LedgerSink,
     ListTraceSink,
+    RecordBatch,
+    TeeSink,
     TraceSchemaError,
     emit,
     emit_many,
@@ -178,6 +184,217 @@ class TestJsonlEmitMany:
         with JsonlTraceSink(path) as sink:
             sink.emit_many(BATCH)
         assert list(read_trace(path, validate=False)) == BATCH
+
+
+def _dumps(record):
+    return json.dumps(record, separators=(",", ":"))
+
+
+#: Floats whose JSON text is easy to get wrong.
+SPECIAL_FLOATS = (-0.0, 5e-324, 1e-07, 1e16, float("nan"), float("inf"),
+                  float("-inf"))
+
+#: Constants a segment may carry besides its columns.
+constants = st.one_of(
+    st.text(alphabet=st.sampled_from('a"\\%\t\u00e9\u2603\U0001f600'),
+            max_size=6),
+    st.integers(-2 ** 70, 2 ** 70),
+    st.sampled_from(SPECIAL_FLOATS) | st.floats(),
+    st.none(),
+    st.booleans(),
+    st.lists(st.integers(-3, 3), max_size=3),
+)
+
+
+def _column(draw, n):
+    """A numpy column of ``n`` values and the values it holds."""
+    choice = draw(st.sampled_from(["float", "int", "uint"]))
+    if choice == "float":
+        values = draw(st.lists(
+            st.sampled_from(SPECIAL_FLOATS) | st.floats(),
+            min_size=n, max_size=n,
+        ))
+        return np.array(values, dtype=np.float64), values
+    if choice == "int":
+        values = draw(st.lists(st.integers(-2 ** 63, 2 ** 63 - 1),
+                               min_size=n, max_size=n))
+        return np.array(values, dtype=np.int64), values
+    values = draw(st.lists(
+        st.integers(2 ** 63, 2 ** 64 - 1) | st.integers(0, 9),
+        min_size=n, max_size=n,
+    ))
+    return np.array(values, dtype=np.uint64), values
+
+
+@st.composite
+def batches(draw):
+    """(batch, its records built independently, in emission order)."""
+    segments, records = [], []
+    for _ in range(draw(st.integers(0, 4))):
+        n = draw(st.integers(0, 6))
+        names = draw(st.lists(
+            st.text(alphabet=st.sampled_from('ab"%\u00e9'), min_size=1,
+                    max_size=3),
+            min_size=1, max_size=5, unique=True,
+        ))
+        names = [name for name in names if name not in ("v", "kind")]
+        kind = draw(st.sampled_from(["test_started", 'caf\u00e9 "x"']))
+        fields = {"v": SCHEMA_VERSION, "kind": kind}
+        values = {}
+        has_column = False
+        for name in names:
+            if draw(st.booleans()):
+                fields[name], values[name] = _column(draw, n)
+                has_column = True
+            else:
+                fields[name] = draw(constants)
+        if not has_column:
+            fields["page"], values["page"] = _column(draw, n)
+        segments.append(fields)
+        records.extend(
+            {name: values[name][i] if name in values else value
+             for name, value in fields.items()}
+            for i in range(n)
+        )
+    order = draw(st.permutations(range(len(records))))
+    batch = RecordBatch(segments, np.array(order, dtype=np.int64))
+    return batch, [records[i] for i in order]
+
+
+def _jsonl(records):
+    stream = io.StringIO()
+    JsonlTraceSink(stream).emit_many(records)
+    return stream.getvalue()
+
+
+class TestRecordBatch:
+    @given(batches())
+    @settings(max_examples=300, deadline=None)
+    def test_jsonl_is_json_dumps_of_each_record(self, case):
+        batch, records = case
+        expected = [_dumps(record) for record in records]
+        assert _jsonl(batch).splitlines() == expected
+        assert _jsonl(batch) == "".join(line + "\n" for line in expected)
+        # The batch reads as the same records, key order included.
+        assert len(batch) == len(records)
+        assert [list(r) for r in batch] == [list(r) for r in records]
+        assert [_dumps(r) for r in batch] == expected
+
+    @given(batches())
+    @settings(max_examples=100, deadline=None)
+    def test_pickle_round_trips_without_caches(self, case):
+        batch, records = case
+        fresh = pickle.dumps(batch)
+        batch.lines()
+        list(batch)
+        assert pickle.dumps(batch) == fresh  # the built dicts stay behind
+        restored = pickle.loads(fresh)
+        assert [_dumps(r) for r in restored] == [_dumps(r) for r in records]
+        assert _jsonl(restored) == _jsonl(batch)
+
+    def test_records_are_built_once_and_shared(self):
+        batch = RecordBatch([{"v": 1, "kind": "test_started",
+                              "t_ms": np.array([2.0, 1.0]),
+                              "page": np.array([7, 8])}], np.array([1, 0]))
+        first = list(batch)
+        assert first == [
+            {"v": 1, "kind": "test_started", "t_ms": 1.0, "page": 8},
+            {"v": 1, "kind": "test_started", "t_ms": 2.0, "page": 7},
+        ]
+        assert all(a is b for a, b in zip(first, batch))
+        assert batch[0] is first[0] and batch[-1] is first[1]
+
+    @pytest.mark.parametrize("bad", [
+        np.array([True, False]),
+        np.array([1.0, "x"], dtype=object),
+        pytest.param(
+            np.array([1.5, 2.5], dtype=np.longdouble),
+            marks=pytest.mark.skipif(
+                np.dtype(np.longdouble).itemsize <= 8,
+                reason="longdouble is a double on this platform",
+            ),
+        ),
+    ])
+    def test_bool_or_object_column_raises_before_writing(self, bad):
+        good = {"v": 1, "kind": "test_started", "t_ms": np.array([0.0, 1.0]),
+                "page": np.array([1, 2])}
+        batch = RecordBatch([good, {**good, "page": bad}], np.arange(4))
+        stream = io.StringIO()
+        sink = JsonlTraceSink(stream)
+        with pytest.raises(TypeError, match="integers or floats"):
+            sink.emit_many(batch)
+        assert stream.getvalue() == "" and sink.records_emitted == 0
+
+    @pytest.mark.parametrize("segments,order,error,message", [
+        ([{"v": 1, "kind": "k", "page": 3}], [0], ValueError,
+         "needs columns"),
+        ([{"v": 1, "kind": "k", "a": np.zeros(2), "b": np.zeros(3)}], [0, 1],
+         ValueError, "needs columns"),
+        ([{"v": 1, "kind": "k", "a": np.zeros((2, 2))}], [0, 1], ValueError,
+         "not 1-d"),
+        ([{"v": 1, "kind": np.array([1]), "a": np.zeros(1)}], [0], TypeError,
+         "constant str"),
+        ([{"v": 1, "kind": "k", 3: np.zeros(1)}], [0], TypeError,
+         "field names are str"),
+        ([{"v": 1, "kind": "k", "a": np.zeros(2)}], [0, 0], ValueError,
+         "permutation"),
+        ([{"v": 1, "kind": "k", "a": np.zeros(2)}], [0, 2], ValueError,
+         "permutation"),
+        ([{"v": 1, "kind": "k", "a": np.zeros(2)}], [0], ValueError,
+         "permutation"),
+        ([{"v": 1, "kind": "k", "a": np.zeros(2)}], [0.0, 1.0], TypeError,
+         "holds integers"),
+    ])
+    def test_malformed_batch_rejected(self, segments, order, error, message):
+        with pytest.raises(error, match=message):
+            RecordBatch(segments, np.array(order))
+
+    def test_select_keeps_order_and_shares_segments(self):
+        batch = RecordBatch([
+            {"v": 1, "kind": "pril_quantum", "quantum": np.array([4, 5]),
+             "predicted": 1, "buffer": 1},
+            {"v": 1, "kind": "test_started", "t_ms": np.array([0.0, 9.0]),
+             "page": np.array([3, 4])},
+        ], np.array([2, 0, 3, 1]))
+        chosen = batch.select({"test_started"})
+        assert [s is batch.segments[1] for s in chosen.segments] == [True]
+        assert [r["page"] for r in chosen] == [3, 4]
+        assert chosen.lines() == [
+            line for line in batch.lines() if "test_started" in line
+        ]
+        assert batch.select({"test_started", "pril_quantum"}) is batch
+
+    def test_every_sink_reads_a_batch_as_its_records(self, tmp_path):
+        segments = [
+            {"v": 1, "kind": "pril_quantum", "quantum": np.array([2]),
+             "predicted": np.array([2]), "buffer": np.array([2])},
+            {"v": 1, "kind": "test_started", "t_ms": np.array([2048.0] * 2),
+             "page": np.array([5, 6])},
+            {"v": 1, "kind": "ref_transition", "t_ms": np.array([2048.0] * 2),
+             "page": np.array([5, 6]), "from": "hi_ref", "to": "testing"},
+            {"v": 1, "kind": "test_passed", "t_ms": np.array([2112.0]),
+             "page": np.array([5])},
+            # An outcome no test had: an empty segment counts nowhere.
+            {"v": 1, "kind": "test_aborted", "t_ms": np.empty(0),
+             "page": np.empty(0, dtype=np.int64)},
+        ]
+        order = np.array([0, 1, 3, 2, 4, 5])
+
+        def run(records, tag):
+            trace = tmp_path / f"{tag}.jsonl"
+            jsonl = JsonlTraceSink(str(trace))
+            aggregator = AggregatingSink(window_ms=1024.0)
+            ledger = LedgerSink(str(tmp_path / f"{tag}.forensics.jsonl"))
+            tee = TeeSink(jsonl, aggregator, ledger)
+            tee.emit_many(records)
+            tee.close()
+            census = ledger.census()
+            census.pop("ledger_path")
+            return (trace.read_text(), aggregator.to_dict(), census,
+                    open(ledger.path).read())
+
+        batch = RecordBatch(segments, order)
+        assert run(batch, "batch") == run(list(batch), "records")
 
 
 class TestValidation:
