@@ -12,7 +12,8 @@ It holds no aggregation state of its own beyond run progress (the
 ``run_started``/``experiment_finished`` records for the ETA); row
 populations and outstanding-test counts come straight from the shared
 aggregator, so watching a run costs one clock read per event, or per
-batch for records delivered through ``emit_many``.
+batch for records delivered through ``emit_many`` (of a columnar batch
+it reads only the progress records).
 
 A sharded run feeds the same sinks: the executor emits each unit's
 records in the parent as units are accepted. The runner also passes
@@ -37,6 +38,7 @@ import time
 from typing import Any, Callable, Mapping, Optional, Sequence, TextIO
 
 from .analytics import AggregatingSink
+from .trace import RecordBatch
 
 __all__ = ["LiveReporter"]
 
@@ -83,8 +85,18 @@ class LiveReporter:
         self._track(record)
         self.tick()
 
+    #: The run-progress kinds :meth:`_track` reads.
+    _PROGRESS_KINDS = frozenset({"run_started", "experiment_finished"})
+
     def emit_many(self, records: Sequence[Mapping]) -> None:
-        """Track a batch's run progress, then repaint at most once."""
+        """Track a batch's run progress, then repaint at most once.
+
+        Of a :class:`~repro.obs.trace.RecordBatch` only the progress
+        kinds' records are read, so watching a run builds none of the
+        verdict records it streams.
+        """
+        if isinstance(records, RecordBatch):
+            records = records.select(self._PROGRESS_KINDS)
         for record in records:
             self._track(record)
         self.tick()

@@ -29,7 +29,8 @@ A producer that holds its records as arrays hands over a
 columns or constants, plus the order the records are emitted in. The
 batch reads as the sequence of record dicts, built at most once and
 shared by every sink that reads dicts; :class:`JsonlTraceSink` writes it
-from the columns instead, with one ``%``-format string per segment.
+from the columns instead, with one ``%``-format string per segment, and
+the aggregating sink folds it from the columns.
 """
 
 from __future__ import annotations
@@ -240,11 +241,13 @@ class RecordBatch(Sequence):
     values as Python ints and floats (``ndarray.tolist``). The record
     dicts are built at most once and shared by every reader, so they
     must not be mutated. :meth:`lines` encodes each record's compact
-    JSON text from the columns, without building them. A pickled batch
+    JSON text from the columns, without building them, and
+    :class:`~repro.obs.analytics.AggregatingSink` folds ``segments`` and
+    ``order`` directly; neither may be mutated either. A pickled batch
     carries its segments' fields and its order, not the dicts.
     """
 
-    __slots__ = ("segments", "_order", "_records")
+    __slots__ = ("segments", "order", "_records")
 
     def __init__(
         self, segments: Iterable[Mapping[str, Any]], order: np.ndarray
@@ -262,14 +265,14 @@ class RecordBatch(Sequence):
             or np.bincount(order, minlength=n).max() != 1
         ):
             raise ValueError("a batch's order is a permutation of its records")
-        self._order = order
+        self.order = order
         self._records: Optional[List[dict]] = None
 
     def __reduce__(self):
-        return (RecordBatch, (self.segments, self._order))
+        return (RecordBatch, (self.segments, self.order))
 
     def __len__(self) -> int:
-        return len(self._order)
+        return len(self.order)
 
     def __getitem__(self, index):
         return self._dicts()[index]
@@ -282,7 +285,7 @@ class RecordBatch(Sequence):
             records = list(chain.from_iterable(
                 [s.records() for s in self.segments]
             ))
-            self._records = [records[i] for i in self._order.tolist()]
+            self._records = [records[i] for i in self.order.tolist()]
         return self._records
 
     def lines(self) -> List[str]:
@@ -294,7 +297,7 @@ class RecordBatch(Sequence):
         before a sink writes anything.
         """
         lines = list(chain.from_iterable([s.lines() for s in self.segments]))
-        return [lines[i] for i in self._order.tolist()]
+        return [lines[i] for i in self.order.tolist()]
 
     def select(self, kinds: Collection[str]) -> "RecordBatch":
         """The records whose kind is in ``kinds``, in this batch's order.
@@ -310,7 +313,7 @@ class RecordBatch(Sequence):
             np.array(keep, dtype=bool), [s.length for s in self.segments]
         )
         renumber = np.cumsum(kept) - 1
-        return RecordBatch(chosen, renumber[self._order[kept[self._order]]])
+        return RecordBatch(chosen, renumber[self.order[kept[self.order]]])
 
 
 class JsonlTraceSink:

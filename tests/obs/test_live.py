@@ -178,6 +178,39 @@ class TestBatch:
         assert "3 events" in line and "experiments 2/2" in line
 
 
+    def test_runner_tee_builds_no_record_of_a_verdict_batch(self, tmp_path):
+        from repro.core import MemconConfig, simulate_refresh_reduction
+        from repro.traces.events import WriteTrace
+
+        batches = []
+
+        class Keep:
+            def emit_many(self, records):
+                batches.append(records)
+
+        trace = WriteTrace(
+            duration_ms=8192.0, total_pages=8, name="live-tee",
+            writes={page: [100.0 * page + 5.0] for page in range(6)},
+        )
+        previous = obs.set_sink(Keep())
+        try:
+            simulate_refresh_reduction(trace, MemconConfig(quantum_ms=1024.0))
+        finally:
+            obs.set_sink(previous)
+        (batch,) = batches
+        assert isinstance(batch, obs.RecordBatch) and len(batch)
+        live, aggregator, stream, clock = _reporter(interval_s=0.0)
+        jsonl = obs.JsonlTraceSink(str(tmp_path / "trace.jsonl"))
+        ledger = obs.LedgerSink(str(tmp_path / "trace.forensics.jsonl"))
+        tee = obs.TeeSink(jsonl, aggregator, live, ledger)
+        tee.emit_many(batch)
+        tee.close()
+        assert batch._records is None
+        assert aggregator.events_total == len(batch)
+        assert jsonl.records_emitted == len(batch)
+        assert live.reports_written == 2  # one repaint, one final line
+
+
 class TestZeroExperiments:
     __test__ = True
 
