@@ -5,30 +5,27 @@ asserting the paper's shape: improvement grows with chip density and with
 the reduction amount, and the 32 Gb band lands near the paper's +40-50%.
 """
 
-from repro.sim.metrics import geometric_mean, speedup
-from repro.sim.system import simulate_workload
+from repro.experiments.common import mean_speedups
 
 WINDOW_NS = 60_000.0
 WORKLOADS = (["mcf"], ["lbm"], ["omnetpp"])
+REDUCTIONS = (0.60, 0.75)
 
 
 def _sweep():
     means = {}
     for density in (8, 32):
-        for reduction in (0.60, 0.75):
-            ratios = []
-            for i, names in enumerate(WORKLOADS):
-                base = simulate_workload(
-                    names, density_gbit=density, window_ns=WINDOW_NS,
-                    seed=11 + i,
-                )
-                memcon = simulate_workload(
-                    names, density_gbit=density,
-                    refresh_reduction=reduction, concurrent_tests=256,
-                    window_ns=WINDOW_NS, seed=11 + i,
-                )
-                ratios.append(speedup(memcon, base))
-            means[(density, reduction)] = geometric_mean(ratios)
+        speedups = mean_speedups(
+            WORKLOADS, {"density_gbit": density},
+            [
+                {"density_gbit": density, "refresh_reduction": reduction,
+                 "concurrent_tests": 256}
+                for reduction in REDUCTIONS
+            ],
+            WINDOW_NS, 11,
+        )
+        for reduction, mean in zip(REDUCTIONS, speedups):
+            means[(density, reduction)] = mean
     return means
 
 

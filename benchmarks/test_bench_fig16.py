@@ -1,7 +1,6 @@
 """Figure 16 bench: MEMCON vs 32 ms baseline, RAIDR, and ideal 64 ms."""
 
-from repro.sim.metrics import geometric_mean, speedup
-from repro.sim.system import simulate_workload
+from repro.experiments.common import mean_speedups
 
 WINDOW_NS = 60_000.0
 WORKLOADS = (["mcf"], ["lbm"])
@@ -15,26 +14,16 @@ MECHANISMS = (
 
 
 def _compare():
-    baselines = [
-        simulate_workload(names, density_gbit=32, window_ns=WINDOW_NS,
-                          seed=21 + i)
-        for i, names in enumerate(WORKLOADS)
-    ]
-    means = {}
-    for label, reduction, tests in MECHANISMS:
-        ratios = [
-            speedup(
-                simulate_workload(
-                    names, density_gbit=32, refresh_reduction=reduction,
-                    concurrent_tests=tests, window_ns=WINDOW_NS,
-                    seed=21 + i,
-                ),
-                baselines[i],
-            )
-            for i, names in enumerate(WORKLOADS)
-        ]
-        means[label] = geometric_mean(ratios)
-    return means
+    means = mean_speedups(
+        WORKLOADS, {"density_gbit": 32},
+        [
+            {"density_gbit": 32, "refresh_reduction": reduction,
+             "concurrent_tests": tests}
+            for _, reduction, tests in MECHANISMS
+        ],
+        WINDOW_NS, 21,
+    )
+    return {label: mean for (label, _, _), mean in zip(MECHANISMS, means)}
 
 
 def test_bench_fig16_mechanism_comparison(run_once):

@@ -1,32 +1,22 @@
 """Table 3 bench: slowdown from injected testing traffic."""
 
-from repro.sim.metrics import geometric_mean, speedup
-from repro.sim.system import simulate_workload
+from repro.experiments.common import mean_speedups
 
 WINDOW_NS = 60_000.0
 WORKLOADS = (["mcf"], ["lbm"])
+TESTS = (256, 512, 1024)
 
 
 def _losses():
-    ideal = [
-        simulate_workload(names, refresh_reduction=0.66, concurrent_tests=0,
-                          window_ns=WINDOW_NS, seed=31 + i)
-        for i, names in enumerate(WORKLOADS)
-    ]
-    losses = {}
-    for tests in (256, 512, 1024):
-        ratios = [
-            speedup(
-                simulate_workload(
-                    names, refresh_reduction=0.66, concurrent_tests=tests,
-                    window_ns=WINDOW_NS, seed=31 + i,
-                ),
-                ideal[i],
-            )
-            for i, names in enumerate(WORKLOADS)
-        ]
-        losses[tests] = 1.0 - geometric_mean(ratios)
-    return losses
+    means = mean_speedups(
+        WORKLOADS, {"refresh_reduction": 0.66, "concurrent_tests": 0},
+        [
+            {"refresh_reduction": 0.66, "concurrent_tests": tests}
+            for tests in TESTS
+        ],
+        WINDOW_NS, 31,
+    )
+    return {tests: 1.0 - mean for tests, mean in zip(TESTS, means)}
 
 
 def test_bench_table3_testing_loss(run_once):

@@ -7,12 +7,40 @@ runner merges the units' payloads into an :class:`ExperimentResult`.
 finishes in minutes; the full settings match the paper's scale. Results
 render as aligned text tables with the paper's claim alongside, which is
 what ``python -m repro.experiments`` prints and EXPERIMENTS.md records.
+
+The experiments share two shapes, each implemented once here, so a
+module only declares its workloads or configurations and builds rows:
+
+* **Per-application write-trace analyses** (§4, §6.1: fig07-fig19):
+  :func:`workload_units` lists one unit per workload,
+  :func:`workload_trace` generates its trace (the first 60 s in quick
+  mode) and :func:`memcon_pass` runs MEMCON's accounting over it.
+* **The simulator sweep** (§6.2: fig15, fig16, table3):
+  :func:`sim_scale` picks the workloads and window, and
+  :func:`mean_speedups` replays each workload's request streams under a
+  base configuration and every variant.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List
+from typing import Any, Dict, Iterable, List, Mapping, Sequence, Tuple
+
+from ..core.memcon import (
+    MemconConfig, MemconReport, simulate_refresh_reduction,
+)
+from ..parallel.units import WorkUnit
+from ..sim.core import StreamMap
+from ..sim.metrics import geometric_mean, speedup
+from ..sim.system import simulate_workload
+from ..sim.workloads import multicore_mixes, singlecore_workloads
+from ..traces.events import WriteTrace
+from ..traces.generator import generate_trace
+from ..traces.workloads import WORKLOADS
+
+#: Fraction of tested pages whose content trips the fault model, from the
+#: Figure 4 measurement (program content fails 0.4-4.7% of rows).
+FAILING_PAGE_FRACTION = 0.02
 
 
 @dataclass
@@ -92,3 +120,90 @@ def plain(value: Any) -> Any:
     if hasattr(value, "item"):  # remaining numpy scalars (np.int64, ...)
         return value.item()
     return value
+
+
+def workload_units(experiment: str, names: Iterable[str]) -> List[WorkUnit]:
+    """One unit per workload, keyed by its name, in the order given."""
+    return [
+        WorkUnit(experiment, name, {"workload": name}, seq=i)
+        for i, name in enumerate(names)
+    ]
+
+
+def workload_trace(name: str, quick: bool, seed: int) -> WriteTrace:
+    """A workload's write trace: its first 60 s in quick mode, else all."""
+    return generate_trace(
+        WORKLOADS[name], seed=seed, duration_ms=60_000.0 if quick else None
+    )
+
+
+def memcon_pass(
+    trace: WriteTrace, quantum_ms: float, seed: int
+) -> MemconReport:
+    """MEMCON's accounting over ``trace`` at one PRIL quantum."""
+    return simulate_refresh_reduction(
+        trace,
+        MemconConfig(quantum_ms=quantum_ms),
+        failing_page_fraction=FAILING_PAGE_FRACTION,
+        seed=seed,
+    )
+
+
+def sim_scale(
+    cores: int, quick: bool, seed: int
+) -> Tuple[List[List[str]], float]:
+    """A simulator sweep's workloads and window (ns): 6 (quick) or 30
+    single-core workloads or 4-core mixes, over 100 or 500 us."""
+    n_workloads = 6 if quick else 30
+    workloads = (
+        singlecore_workloads(n_workloads, seed=seed) if cores == 1
+        else multicore_mixes(n_workloads, seed=seed)
+    )
+    return workloads, 100_000.0 if quick else 500_000.0
+
+
+def density_units(
+    experiment: str, densities: Sequence[int]
+) -> List[WorkUnit]:
+    """One unit per (cores, density) simulator configuration."""
+    configs = [(cores, density) for cores in (1, 4) for density in densities]
+    return [
+        WorkUnit(
+            experiment, f"c{cores}-d{density}",
+            {"cores": cores, "density": density}, seq=i,
+        )
+        for i, (cores, density) in enumerate(configs)
+    ]
+
+
+def mean_speedups(
+    workloads: Sequence[Sequence[str]],
+    base: Mapping[str, Any],
+    variants: Sequence[Mapping[str, Any]],
+    window_ns: float,
+    seed: int,
+) -> List[float]:
+    """Each variant's geometric-mean speedup over ``base``.
+
+    ``base`` and the variants are ``simulate_workload`` keywords. Every
+    workload ``i`` runs at ``seed + i`` under ``base``, then under each
+    variant in turn, all on one stream map, so every run replays the
+    request streams its workload's base run drew (§6.2).
+    """
+    streams: StreamMap = {}
+    baselines = [
+        simulate_workload(names, window_ns=window_ns, seed=seed + i,
+                          streams=streams, **base)
+        for i, names in enumerate(workloads)
+    ]
+    return [
+        geometric_mean([
+            speedup(
+                simulate_workload(names, window_ns=window_ns, seed=seed + i,
+                                  streams=streams, **variant),
+                baselines[i],
+            )
+            for i, names in enumerate(workloads)
+        ])
+        for variant in variants
+    ]

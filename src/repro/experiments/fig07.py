@@ -13,23 +13,20 @@ import numpy as np
 
 from ..analysis.intervals import interval_distribution
 from ..parallel.units import WorkUnit
-from ..traces.generator import generate_trace
-from ..traces.workloads import REPRESENTATIVE_WORKLOADS, WORKLOADS
-from .common import ExperimentResult, percent, plain
+from ..traces.workloads import REPRESENTATIVE_WORKLOADS
+from .common import (
+    ExperimentResult, percent, plain, workload_trace, workload_units,
+)
 
 
 def units(quick: bool = True, seed: int = 1) -> List[WorkUnit]:
     """One unit per plotted workload trace."""
-    return [
-        WorkUnit("fig07", name, {"workload": name}, seq=i)
-        for i, name in enumerate(REPRESENTATIVE_WORKLOADS)
-    ]
+    return workload_units("fig07", REPRESENTATIVE_WORKLOADS)
 
 
 def run_unit(unit: WorkUnit, quick: bool = True, seed: int = 1) -> Dict[str, Any]:
     name = unit.params["workload"]
-    duration = 60_000.0 if quick else None
-    trace = generate_trace(WORKLOADS[name], seed=seed, duration_ms=duration)
+    trace = workload_trace(name, quick, seed)
     dist = interval_distribution(trace)
     intervals = trace.all_intervals()
     frac_short = float(np.mean(intervals < 1.0))

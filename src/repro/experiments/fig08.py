@@ -12,9 +12,8 @@ from typing import Any, Dict, List
 
 from ..analysis.pareto import fit_pareto, is_decreasing_hazard
 from ..parallel.units import WorkUnit
-from ..traces.generator import generate_trace
-from ..traces.workloads import REPRESENTATIVE_WORKLOADS, WORKLOADS
-from .common import ExperimentResult, plain
+from ..traces.workloads import REPRESENTATIVE_WORKLOADS
+from .common import ExperimentResult, plain, workload_trace, workload_units
 
 #: The paper's R^2 values for ACBrotherhood / Netflix / SystemMgt.
 PAPER_R2 = {
@@ -30,16 +29,12 @@ FIT_X_MAX_FRACTION = 1.0 / 40.0
 
 def units(quick: bool = True, seed: int = 1) -> List[WorkUnit]:
     """One unit per plotted workload trace."""
-    return [
-        WorkUnit("fig08", name, {"workload": name}, seq=i)
-        for i, name in enumerate(REPRESENTATIVE_WORKLOADS)
-    ]
+    return workload_units("fig08", REPRESENTATIVE_WORKLOADS)
 
 
 def run_unit(unit: WorkUnit, quick: bool = True, seed: int = 1) -> Dict[str, Any]:
     name = unit.params["workload"]
-    duration = 60_000.0 if quick else None
-    trace = generate_trace(WORKLOADS[name], seed=seed, duration_ms=duration)
+    trace = workload_trace(name, quick, seed)
     intervals = trace.all_intervals()
     fit = fit_pareto(
         intervals[intervals >= FIT_X_MIN_MS],

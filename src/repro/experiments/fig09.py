@@ -13,23 +13,20 @@ import numpy as np
 
 from ..analysis.intervals import LONG_INTERVAL_MS, time_in_long_intervals
 from ..parallel.units import WorkUnit
-from ..traces.generator import generate_trace
 from ..traces.workloads import WORKLOADS
-from .common import ExperimentResult, percent, plain
+from .common import (
+    ExperimentResult, percent, plain, workload_trace, workload_units,
+)
 
 
 def units(quick: bool = True, seed: int = 1) -> List[WorkUnit]:
     """One unit per application trace."""
-    return [
-        WorkUnit("fig09", name, {"workload": name}, seq=i)
-        for i, name in enumerate(WORKLOADS)
-    ]
+    return workload_units("fig09", WORKLOADS)
 
 
 def run_unit(unit: WorkUnit, quick: bool = True, seed: int = 1) -> Dict[str, Any]:
     name = unit.params["workload"]
-    duration = 60_000.0 if quick else None
-    trace = generate_trace(WORKLOADS[name], seed=seed, duration_ms=duration)
+    trace = workload_trace(name, quick, seed)
     frac = time_in_long_intervals(trace, LONG_INTERVAL_MS)
     return plain({"workload": name, "fraction": frac})
 

@@ -14,9 +14,8 @@ import numpy as np
 
 from ..analysis.intervals import LONG_INTERVAL_MS, ril_probability_curve
 from ..parallel.units import WorkUnit
-from ..traces.generator import generate_trace
 from ..traces.workloads import WORKLOADS
-from .common import ExperimentResult, plain
+from .common import ExperimentResult, plain, workload_trace, workload_units
 
 #: The CIL values reported in the summary table (full grid available via
 #: repro.analysis.intervals.CIL_GRID_MS).
@@ -25,16 +24,12 @@ REPORT_CILS_MS = (64.0, 256.0, 512.0, 1024.0, 2048.0, 8192.0, 16384.0)
 
 def units(quick: bool = True, seed: int = 1) -> List[WorkUnit]:
     """One unit per application trace (full CIL sweep inside)."""
-    return [
-        WorkUnit("fig11", name, {"workload": name}, seq=i)
-        for i, name in enumerate(WORKLOADS)
-    ]
+    return workload_units("fig11", WORKLOADS)
 
 
 def run_unit(unit: WorkUnit, quick: bool = True, seed: int = 1) -> Dict[str, Any]:
     name = unit.params["workload"]
-    duration = 60_000.0 if quick else None
-    trace = generate_trace(WORKLOADS[name], seed=seed, duration_ms=duration)
+    trace = workload_trace(name, quick, seed)
     curve = ril_probability_curve(trace, REPORT_CILS_MS, LONG_INTERVAL_MS)
     row: Dict[str, Any] = {"workload": name}
     for cil, p in zip(REPORT_CILS_MS, curve):

@@ -14,25 +14,20 @@ import numpy as np
 
 from ..analysis.intervals import coverage_curve
 from ..parallel.units import WorkUnit
-from ..traces.generator import generate_trace
 from ..traces.workloads import WORKLOADS
-from .common import ExperimentResult, plain
+from .common import ExperimentResult, plain, workload_trace, workload_units
 
 REPORT_CILS_MS = (64.0, 256.0, 512.0, 1024.0, 2048.0, 8192.0, 32768.0)
 
 
 def units(quick: bool = True, seed: int = 1) -> List[WorkUnit]:
     """One unit per application trace (full CIL sweep inside)."""
-    return [
-        WorkUnit("fig12", name, {"workload": name}, seq=i)
-        for i, name in enumerate(WORKLOADS)
-    ]
+    return workload_units("fig12", WORKLOADS)
 
 
 def run_unit(unit: WorkUnit, quick: bool = True, seed: int = 1) -> Dict[str, Any]:
     name = unit.params["workload"]
-    duration = 60_000.0 if quick else None
-    trace = generate_trace(WORKLOADS[name], seed=seed, duration_ms=duration)
+    trace = workload_trace(name, quick, seed)
     curve = coverage_curve(trace, REPORT_CILS_MS)
     row: Dict[str, Any] = {"workload": name}
     sweet: List[float] = []

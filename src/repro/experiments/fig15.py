@@ -9,14 +9,12 @@ Reported improvement over the 16 ms baseline: 10%/17%/40% to 12%/22%/50%
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Dict, List
 
 from ..parallel.units import WorkUnit
-from ..sim.core import StreamMap
-from ..sim.metrics import geometric_mean, speedup
-from ..sim.system import SystemResult, simulate_workload
-from ..sim.workloads import multicore_mixes, singlecore_workloads
-from .common import ExperimentResult, plain
+from .common import (
+    ExperimentResult, density_units, mean_speedups, plain, sim_scale,
+)
 
 DENSITIES_GBIT = (8, 16, 32)
 REDUCTIONS = (0.60, 0.75)
@@ -31,67 +29,27 @@ PAPER_IMPROVEMENT = {
 }
 
 
-def _mean_speedup(
-    workloads: Sequence[List[str]],
-    baselines: Sequence[SystemResult],
-    density: int,
-    reduction: float,
-    window_ns: float,
-    seed: int,
-    streams: Optional[StreamMap] = None,
-) -> float:
-    """Geometric-mean speedup of MEMCON at ``reduction`` over each
-    workload's 16 ms baseline run (``baselines[i]`` for ``workloads[i]``),
-    replaying the request streams in ``streams``."""
-    speedups = []
-    for i, names in enumerate(workloads):
-        memcon = simulate_workload(
-            names, density_gbit=density, refresh_reduction=reduction,
-            concurrent_tests=CONCURRENT_TESTS, window_ns=window_ns,
-            seed=seed + i, streams=streams,
-        )
-        speedups.append(speedup(memcon, baselines[i]))
-    return geometric_mean(speedups)
-
-
 def units(quick: bool = True, seed: int = 1) -> List[WorkUnit]:
     """One unit per (cores, density) simulator configuration."""
-    out: List[WorkUnit] = []
-    for cores in (1, 4):
-        for density in DENSITIES_GBIT:
-            out.append(WorkUnit(
-                "fig15", f"c{cores}-d{density}",
-                {"cores": cores, "density": density}, seq=len(out),
-            ))
-    return out
+    return density_units("fig15", DENSITIES_GBIT)
 
 
 def run_unit(unit: WorkUnit, quick: bool = True, seed: int = 1) -> Dict[str, Any]:
     cores = unit.params["cores"]
     density = unit.params["density"]
-    n_workloads = 6 if quick else 30
-    window_ns = 100_000.0 if quick else 500_000.0
-    workloads = (
-        singlecore_workloads(n_workloads, seed=seed) if cores == 1
-        else multicore_mixes(n_workloads, seed=seed)
+    workloads, window_ns = sim_scale(cores, quick, seed)
+    # MEMCON at each reduction against the 16 ms baseline.
+    means = mean_speedups(
+        workloads, {"density_gbit": density},
+        [
+            {"density_gbit": density, "refresh_reduction": reduction,
+             "concurrent_tests": CONCURRENT_TESTS}
+            for reduction in REDUCTIONS
+        ],
+        window_ns, seed,
     )
-    # Every run of a workload replays the request streams its baseline
-    # drew; the map is dropped with the unit.
-    streams: StreamMap = {}
-    # One baseline per workload, shared by both reductions.
-    baselines = [
-        simulate_workload(
-            names, density_gbit=density, window_ns=window_ns, seed=seed + i,
-            streams=streams,
-        )
-        for i, names in enumerate(workloads)
-    ]
     row: Dict[str, object] = {"cores": cores, "density": f"{density}Gb"}
-    for reduction in REDUCTIONS:
-        mean = _mean_speedup(
-            workloads, baselines, density, reduction, window_ns, seed,
-            streams,
-        )
+    for reduction, mean in zip(REDUCTIONS, means):
         row[f"speedup_{int(reduction * 100)}pct"] = mean
         row[f"paper_{int(reduction * 100)}pct"] = (
             1.0 + PAPER_IMPROVEMENT[(cores, reduction, density)]
@@ -102,8 +60,7 @@ def run_unit(unit: WorkUnit, quick: bool = True, seed: int = 1) -> Dict[str, Any
 def merge_units(
     payloads: List[Dict[str, Any]], quick: bool = True, seed: int = 1
 ) -> ExperimentResult:
-    n_workloads = 6 if quick else 30
-    window_ns = 100_000.0 if quick else 500_000.0
+    workloads, window_ns = sim_scale(1, quick, seed)
     result = ExperimentResult(
         experiment_id="fig15",
         title="MEMCON performance improvement over the 16 ms baseline",
@@ -115,8 +72,9 @@ def merge_units(
     for payload in payloads:
         result.add_row(**payload["row"])
     result.notes = (
-        f"{n_workloads} workloads per configuration, {window_ns / 1e3:.0f} us "
-        f"windows, {CONCURRENT_TESTS} concurrent tests injected; speedups "
-        "are geometric means of weighted speedup over the 16 ms baseline"
+        f"{len(workloads)} workloads per configuration, "
+        f"{window_ns / 1e3:.0f} us windows, {CONCURRENT_TESTS} concurrent "
+        "tests injected; speedups are geometric means of weighted speedup "
+        "over the 16 ms baseline"
     )
     return result

@@ -19,11 +19,9 @@ from __future__ import annotations
 from typing import Any, Dict, List
 
 from ..parallel.units import WorkUnit
-from ..sim.core import StreamMap
-from ..sim.metrics import geometric_mean, speedup
-from ..sim.system import simulate_workload
-from ..sim.workloads import multicore_mixes, singlecore_workloads
-from .common import ExperimentResult, plain
+from .common import (
+    ExperimentResult, density_units, mean_speedups, plain, sim_scale,
+)
 
 DENSITIES_GBIT = (8, 16, 32)
 
@@ -43,50 +41,25 @@ MECHANISMS = (
 
 def units(quick: bool = True, seed: int = 1) -> List[WorkUnit]:
     """One unit per (cores, density) simulator configuration."""
-    out: List[WorkUnit] = []
-    for cores in (1, 4):
-        for density in DENSITIES_GBIT:
-            out.append(WorkUnit(
-                "fig16", f"c{cores}-d{density}",
-                {"cores": cores, "density": density}, seq=len(out),
-            ))
-    return out
+    return density_units("fig16", DENSITIES_GBIT)
 
 
 def run_unit(unit: WorkUnit, quick: bool = True, seed: int = 1) -> Dict[str, Any]:
     cores = unit.params["cores"]
     density = unit.params["density"]
-    n_workloads = 6 if quick else 30
-    window_ns = 100_000.0 if quick else 500_000.0
-    workloads = (
-        singlecore_workloads(n_workloads, seed=seed) if cores == 1
-        else multicore_mixes(n_workloads, seed=seed)
+    workloads, window_ns = sim_scale(cores, quick, seed)
+    means = mean_speedups(
+        workloads, {"density_gbit": density},
+        [
+            {"density_gbit": density, "refresh_reduction": reduction,
+             "concurrent_tests": tests}
+            for _, reduction, tests in MECHANISMS
+        ],
+        window_ns, seed,
     )
-    # Every run of a workload replays the request streams its baseline
-    # drew; the map is dropped with the unit.
-    streams: StreamMap = {}
-    baselines = [
-        simulate_workload(
-            names, density_gbit=density, window_ns=window_ns, seed=seed + i,
-            streams=streams,
-        )
-        for i, names in enumerate(workloads)
-    ]
     row: Dict[str, object] = {"cores": cores, "density": f"{density}Gb"}
-    for label, reduction, tests in MECHANISMS:
-        speedups = [
-            speedup(
-                simulate_workload(
-                    names, density_gbit=density,
-                    refresh_reduction=reduction,
-                    concurrent_tests=tests,
-                    window_ns=window_ns, seed=seed + i, streams=streams,
-                ),
-                baselines[i],
-            )
-            for i, names in enumerate(workloads)
-        ]
-        row[label] = geometric_mean(speedups)
+    for (label, _, _), mean in zip(MECHANISMS, means):
+        row[label] = mean
     return {"row": plain(row)}
 
 

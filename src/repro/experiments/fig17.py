@@ -11,35 +11,27 @@ from typing import Any, Dict, List
 
 import numpy as np
 
-from ..core.memcon import MemconConfig, simulate_refresh_reduction
 from ..parallel.units import WorkUnit
-from ..traces.generator import generate_trace
 from ..traces.workloads import WORKLOADS
-from .common import ExperimentResult, percent, plain
-from .fig14 import FAILING_PAGE_FRACTION, QUANTA_MS
+from .common import (
+    ExperimentResult, memcon_pass, percent, plain, workload_trace,
+    workload_units,
+)
+from .fig14 import QUANTA_MS
 
 
 def units(quick: bool = True, seed: int = 1) -> List[WorkUnit]:
     """One unit per application trace (all three quanta inside)."""
-    return [
-        WorkUnit("fig17", name, {"workload": name}, seq=i)
-        for i, name in enumerate(WORKLOADS)
-    ]
+    return workload_units("fig17", WORKLOADS)
 
 
 def run_unit(unit: WorkUnit, quick: bool = True, seed: int = 1) -> Dict[str, Any]:
     name = unit.params["workload"]
-    duration = 60_000.0 if quick else None
-    trace = generate_trace(WORKLOADS[name], seed=seed, duration_ms=duration)
+    trace = workload_trace(name, quick, seed)
     row: Dict[str, Any] = {"workload": name}
     coverage = None
     for quantum in QUANTA_MS:
-        report = simulate_refresh_reduction(
-            trace,
-            MemconConfig(quantum_ms=quantum),
-            failing_page_fraction=FAILING_PAGE_FRACTION,
-            seed=seed,
-        )
+        report = memcon_pass(trace, quantum, seed)
         row[f"cil_{int(quantum)}ms"] = percent(report.lo_ref_time_fraction)
         if quantum == 1024.0:
             coverage = report.lo_ref_time_fraction

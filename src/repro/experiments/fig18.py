@@ -12,32 +12,23 @@ from typing import Any, Dict, List
 
 import numpy as np
 
-from ..core.memcon import MemconConfig, simulate_refresh_reduction
 from ..parallel.units import WorkUnit
-from ..traces.generator import generate_trace
 from ..traces.workloads import WORKLOADS
-from .common import ExperimentResult, percent, plain
-from .fig14 import FAILING_PAGE_FRACTION
+from .common import (
+    ExperimentResult, memcon_pass, percent, plain, workload_trace,
+    workload_units,
+)
 
 
 def units(quick: bool = True, seed: int = 1) -> List[WorkUnit]:
     """One unit per application trace."""
-    return [
-        WorkUnit("fig18", name, {"workload": name}, seq=i)
-        for i, name in enumerate(WORKLOADS)
-    ]
+    return workload_units("fig18", WORKLOADS)
 
 
 def run_unit(unit: WorkUnit, quick: bool = True, seed: int = 1) -> Dict[str, Any]:
     name = unit.params["workload"]
-    duration = 60_000.0 if quick else None
-    trace = generate_trace(WORKLOADS[name], seed=seed, duration_ms=duration)
-    report = simulate_refresh_reduction(
-        trace,
-        MemconConfig(quantum_ms=1024.0),
-        failing_page_fraction=FAILING_PAGE_FRACTION,
-        seed=seed,
-    )
+    trace = workload_trace(name, quick, seed)
+    report = memcon_pass(trace, 1024.0, seed)
     base = report.baseline_refresh_time_ns
     testing_fraction = report.testing_time_ns / base
     # Baseline refresh covers every row of the module; our footprint is

@@ -14,18 +14,14 @@ import numpy as np
 
 from ..analysis.intervals import LONG_INTERVAL_MS, ril_exceeds_probability
 from ..parallel.units import WorkUnit
-from ..traces.generator import generate_trace
-from ..traces.workloads import WORKLOADS
-from .common import ExperimentResult, plain
+from .common import ExperimentResult, plain, workload_trace
 
 REPORT_CILS_MS = (512.0, 1024.0, 2048.0)
 WORKLOAD = "ACBrotherHood"
 
 
 def _traces(quick: bool, seed: int):
-    duration = 60_000.0 if quick else None
-    trace = generate_trace(WORKLOADS[WORKLOAD], seed=seed,
-                           duration_ms=duration)
+    trace = workload_trace(WORKLOAD, quick, seed)
     return trace, trace.scaled_intervals(0.5)
 
 

@@ -61,6 +61,7 @@ from __future__ import annotations
 import argparse
 import json
 import logging
+import math
 import os
 import sys
 import time
@@ -255,8 +256,17 @@ def main(argv: Optional[List[str]] = None) -> int:
     )
     args = parser.parse_args(argv)
     _configure_logging(args.verbose, args.quiet)
+    # Bad numbers fail here, before any output file is touched.
     if args.jobs < 1:
         parser.error("--jobs must be >= 1")
+    if not (math.isfinite(args.window_ms) and args.window_ms > 0):
+        parser.error("--window-ms must be positive and finite")
+    if args.retries < 0:
+        parser.error("--retries must be >= 0")
+    if args.unit_timeout is not None and not (
+        math.isfinite(args.unit_timeout) and args.unit_timeout > 0
+    ):
+        parser.error("--unit-timeout must be positive and finite")
 
     names = _resolve_names(args.experiments)
 

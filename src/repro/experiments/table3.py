@@ -11,11 +11,7 @@ from __future__ import annotations
 from typing import Any, Dict, List
 
 from ..parallel.units import WorkUnit
-from ..sim.core import StreamMap
-from ..sim.metrics import geometric_mean, speedup
-from ..sim.system import simulate_workload
-from ..sim.workloads import multicore_mixes, singlecore_workloads
-from .common import ExperimentResult, percent, plain
+from .common import ExperimentResult, mean_speedups, percent, plain, sim_scale
 
 CONCURRENT_TESTS = (256, 512, 1024)
 MEMCON_REDUCTION = 0.66
@@ -43,38 +39,22 @@ def units(quick: bool = True, seed: int = 1) -> List[WorkUnit]:
 def run_unit(unit: WorkUnit, quick: bool = True, seed: int = 1) -> Dict[str, Any]:
     cores = unit.params["cores"]
     channels = unit.params["channels"]
-    n_workloads = 6 if quick else 30
-    window_ns = 100_000.0 if quick else 500_000.0
-    workloads = (
-        singlecore_workloads(n_workloads, seed=seed) if cores == 1
-        else multicore_mixes(n_workloads, seed=seed)
+    workloads, window_ns = sim_scale(cores, quick, seed)
+    # Each test load against the ideal: MEMCON with free testing.
+    means = mean_speedups(
+        workloads,
+        {"refresh_reduction": MEMCON_REDUCTION, "concurrent_tests": 0,
+         "channels": channels},
+        [
+            {"refresh_reduction": MEMCON_REDUCTION, "concurrent_tests": tests,
+             "channels": channels}
+            for tests in CONCURRENT_TESTS
+        ],
+        window_ns, seed,
     )
-    # Every run of a workload replays the request streams its ideal run
-    # drew; the map is dropped with the unit.
-    streams: StreamMap = {}
-    ideal = [
-        simulate_workload(
-            names, refresh_reduction=MEMCON_REDUCTION,
-            concurrent_tests=0, window_ns=window_ns,
-            channels=channels, seed=seed + i, streams=streams,
-        )
-        for i, names in enumerate(workloads)
-    ]
     row: Dict[str, object] = {"cores": cores, "channels": channels}
-    for tests in CONCURRENT_TESTS:
-        ratios = [
-            speedup(
-                simulate_workload(
-                    names, refresh_reduction=MEMCON_REDUCTION,
-                    concurrent_tests=tests, window_ns=window_ns,
-                    channels=channels, seed=seed + i, streams=streams,
-                ),
-                ideal[i],
-            )
-            for i, names in enumerate(workloads)
-        ]
-        loss = 1.0 - geometric_mean(ratios)
-        row[f"tests_{tests}"] = percent(loss, 2)
+    for tests, mean in zip(CONCURRENT_TESTS, means):
+        row[f"tests_{tests}"] = percent(1.0 - mean, 2)
         row[f"paper_{tests}"] = percent(PAPER_LOSS[(cores, tests)], 2)
     return {"row": plain(row)}
 

@@ -33,6 +33,7 @@ order), and the in-progress window is sampled at :meth:`to_dict` time.
 
 from __future__ import annotations
 
+import math
 from collections import defaultdict, deque
 from itertools import repeat
 from typing import (
@@ -232,8 +233,8 @@ class AggregatingSink:
     def __init__(
         self, window_ms: float = 1024.0, total_pages: Optional[int] = None
     ) -> None:
-        if window_ms <= 0:
-            raise ValueError("window_ms must be positive")
+        if not (math.isfinite(window_ms) and window_ms > 0):
+            raise ValueError("window_ms must be positive and finite")
         if total_pages is not None and total_pages <= 0:
             raise ValueError("total_pages must be positive or None")
         self.window_ms = float(window_ms)

@@ -47,6 +47,7 @@ from __future__ import annotations
 
 import itertools
 import logging
+import math
 import multiprocessing
 import os
 import time
@@ -238,8 +239,10 @@ class ParallelExecutor:
     ) -> None:
         if jobs < 1:
             raise ValueError("jobs must be >= 1")
-        if unit_timeout_s is not None and unit_timeout_s <= 0:
-            raise ValueError("unit_timeout_s must be positive")
+        if unit_timeout_s is not None and not (
+            math.isfinite(unit_timeout_s) and unit_timeout_s > 0
+        ):
+            raise ValueError("unit_timeout_s must be positive and finite")
         if max_retries < 0:
             raise ValueError("max_retries must be non-negative")
         self.jobs = jobs

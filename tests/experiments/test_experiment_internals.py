@@ -10,7 +10,8 @@ import random
 
 import pytest
 
-from repro.experiments import fig15, fig16, table3
+from repro.experiments import common, fig15, fig16, table3
+from repro.experiments.common import mean_speedups, percent
 from repro.sim.metrics import geometric_mean, speedup
 from repro.sim.system import CoreResult, SystemResult, simulate_workload
 from repro.sim.workloads import multicore_mixes, singlecore_workloads
@@ -63,20 +64,24 @@ class TestFig15Internals:
                 assert values == sorted(values)
 
     def test_mean_speedup_single_workload(self):
-        workloads = singlecore_workloads(1, seed=1)
-        baselines = [simulate_workload(
-            workloads[0], density_gbit=32, window_ns=30_000.0, seed=1,
-        )]
-        mean = fig15._mean_speedup(
-            workloads, baselines, density=32, reduction=0.75,
+        (mean,) = mean_speedups(
+            singlecore_workloads(1, seed=1), {"density_gbit": 32},
+            [{"density_gbit": 32, "refresh_reduction": 0.75,
+              "concurrent_tests": fig15.CONCURRENT_TESTS}],
             window_ns=30_000.0, seed=1,
         )
         assert mean > 1.0
 
-    @pytest.mark.parametrize("key", ["fig15:c1-d8", "fig15:c4-d32"])
+    @pytest.mark.parametrize("key", [
+        "fig15:c1-d8", "fig15:c4-d32", "fig16:c1-d8", "fig16:c4-d16",
+        "table3:c1-ch1", "table3:c4-ch2",
+    ])
     def test_run_unit_simulates_each_configuration_once(
         self, monkeypatch, key
     ):
+        """fig15, fig16 and table3 all run their units through one sweep
+        (``common.mean_speedups``); the calls it makes, and their order,
+        fix the unit's table and its ``--trace`` records."""
         calls = []
         maps = set()
 
@@ -86,40 +91,65 @@ class TestFig15Internals:
             maps.add(id(kwargs["streams"]))
             return _fake_result(config)
 
-        monkeypatch.setattr(fig15, "simulate_workload", recording)
-        unit = next(u for u in fig15.units() if u.key == key)
-        row = fig15.run_unit(unit, quick=True, seed=1)["row"]
+        monkeypatch.setattr(common, "simulate_workload", recording)
+        experiment = key.split(":")[0]
+        module = {"fig15": fig15, "fig16": fig16, "table3": table3}[experiment]
+        unit = next(u for u in module.units() if u.key == key)
+        row = module.run_unit(unit, quick=True, seed=1)["row"]
 
-        # 6 baselines plus 6 MEMCON runs per reduction, none repeated,
-        # all replaying the unit's one stream map.
-        assert len(calls) == 6 + 6 * len(fig15.REDUCTIONS)
-        assert len(set(calls)) == len(calls)
-        assert len(maps) == 1
-        # The row is the one built by pairing each MEMCON run with a
-        # baseline simulated on its own.
-        cores, density = unit.params["cores"], unit.params["density"]
+        # The unit's base run, and the run behind each column of its row,
+        # as simulate_workload keywords.
+        params = unit.params
+        if experiment == "table3":
+            fixed = {"refresh_reduction": table3.MEMCON_REDUCTION,
+                     "channels": params["channels"]}
+            base = {**fixed, "concurrent_tests": 0}
+            columns = {
+                f"tests_{tests}": {**fixed, "concurrent_tests": tests}
+                for tests in table3.CONCURRENT_TESTS
+            }
+        else:
+            density = params["density"]
+            base = {"density_gbit": density}
+            mechanisms = (
+                [(f"speedup_{int(reduction * 100)}pct", reduction,
+                  fig15.CONCURRENT_TESTS) for reduction in fig15.REDUCTIONS]
+                if experiment == "fig15" else fig16.MECHANISMS
+            )
+            columns = {
+                label: {"density_gbit": density,
+                        "refresh_reduction": reduction,
+                        "concurrent_tests": tests}
+                for label, reduction, tests in mechanisms
+            }
         workloads = (
-            singlecore_workloads(6, seed=1) if cores == 1
+            singlecore_workloads(6, seed=1) if params["cores"] == 1
             else multicore_mixes(6, seed=1)
         )
-        for reduction in fig15.REDUCTIONS:
-            speedups = [
-                speedup(
-                    _fake_result(_configuration(
-                        names, density_gbit=density,
-                        refresh_reduction=reduction,
-                        concurrent_tests=fig15.CONCURRENT_TESTS,
-                        window_ns=100_000.0, seed=1 + i,
-                    )),
-                    _fake_result(_configuration(
-                        names, density_gbit=density, window_ns=100_000.0,
-                        seed=1 + i,
-                    )),
-                )
-                for i, names in enumerate(workloads)
-            ]
-            label = f"speedup_{int(reduction * 100)}pct"
-            assert row[label] == geometric_mean(speedups)
+
+        def run(i, keywords):
+            return _configuration(workloads[i], window_ns=100_000.0,
+                                  seed=1 + i, **keywords)
+
+        # Every workload's base run first, then each configuration over
+        # every workload: no run repeated, all replaying one stream map.
+        indices = range(len(workloads))
+        assert calls == [run(i, base) for i in indices] + [
+            run(i, keywords) for keywords in columns.values()
+            for i in indices
+        ]
+        assert len(set(calls)) == len(calls)
+        assert len(maps) == 1
+        # Each column pairs its runs with the base runs of their workloads.
+        for label, keywords in columns.items():
+            mean = geometric_mean([
+                speedup(_fake_result(run(i, keywords)),
+                        _fake_result(run(i, base)))
+                for i in indices
+            ])
+            assert row[label] == (
+                percent(1.0 - mean, 2) if experiment == "table3" else mean
+            )
 
 
 class TestFig16Internals:

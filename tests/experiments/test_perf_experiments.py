@@ -7,24 +7,20 @@ the orderings the paper reports rather than the full sweep.
 
 import pytest
 
-from repro.sim.metrics import geometric_mean, speedup
-from repro.sim.system import simulate_workload
+from repro.experiments.common import mean_speedups
 
 WINDOW_NS = 50_000.0
 WORKLOADS = (["mcf"], ["lbm"])
 
 
 def _mean_speedup(reduction, density=32, tests=0, seed=3):
-    ratios = []
-    for i, names in enumerate(WORKLOADS):
-        base = simulate_workload(names, density_gbit=density,
-                                 window_ns=WINDOW_NS, seed=seed + i)
-        variant = simulate_workload(
-            names, density_gbit=density, refresh_reduction=reduction,
-            concurrent_tests=tests, window_ns=WINDOW_NS, seed=seed + i,
-        )
-        ratios.append(speedup(variant, base))
-    return geometric_mean(ratios)
+    (mean,) = mean_speedups(
+        WORKLOADS, {"density_gbit": density},
+        [{"density_gbit": density, "refresh_reduction": reduction,
+          "concurrent_tests": tests}],
+        WINDOW_NS, seed,
+    )
+    return mean
 
 
 class TestFig15Shape:

@@ -81,6 +81,30 @@ class TestCli:
         with pytest.raises(SystemExit):
             main(["fig06", "--verbose", "--quiet"])
 
+    @pytest.mark.parametrize("bad", [
+        ["--window-ms", "0"],
+        ["--window-ms", "-1"],
+        ["--window-ms", "nan"],
+        ["--window-ms", "inf"],
+        ["--jobs", "2", "--retries", "-1"],
+        ["--jobs", "2", "--unit-timeout", "0"],
+        ["--jobs", "2", "--unit-timeout", "nan"],
+        ["--jobs", "2", "--unit-timeout", "inf"],
+    ], ids=lambda bad: " ".join(bad))
+    def test_bad_numeric_option_touches_no_output(self, tmp_path, capsys,
+                                                  bad):
+        """A bad number is a usage error (exit 2) raised before the run
+        truncates ``--out`` or opens ``--trace``."""
+        out, trace = tmp_path / "out.md", tmp_path / "t.jsonl"
+        out.write_text("tables of an earlier run\n")
+        with pytest.raises(SystemExit) as exit_info:
+            main(["fig06", "--out", str(out), "--trace", str(trace), *bad])
+        assert exit_info.value.code == 2
+        assert bad[-2] in capsys.readouterr().err
+        assert out.read_text() == "tables of an earlier run\n"
+        assert not trace.exists()
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["out.md"]
+
 
 class TestObservabilityCli:
     def test_trace_file_is_schema_valid(self, tmp_path, capsys):

@@ -76,8 +76,9 @@ class TestAggregatingSinkUnits:
     __test__ = True
 
     def test_rejects_bad_parameters(self):
-        with pytest.raises(ValueError):
-            AggregatingSink(window_ms=0.0)
+        for window_ms in (0.0, -1.0, float("nan"), float("inf")):
+            with pytest.raises(ValueError):
+                AggregatingSink(window_ms=window_ms)
         with pytest.raises(ValueError):
             AggregatingSink(total_pages=0)
 

@@ -77,8 +77,9 @@ class TestInline:
     def test_constructor_validation(self):
         with pytest.raises(ValueError):
             ParallelExecutor(0)
-        with pytest.raises(ValueError):
-            ParallelExecutor(1, unit_timeout_s=0)
+        for timeout in (0, float("nan"), float("inf")):
+            with pytest.raises(ValueError):
+                ParallelExecutor(1, unit_timeout_s=timeout)
         with pytest.raises(ValueError):
             ParallelExecutor(1, max_retries=-1)
 

@@ -79,6 +79,26 @@ class TestFingerprint:
         b = WorkUnit("x", "u", {"b": 2, "a": 1})
         assert unit_fingerprint(a, True, 1) == unit_fingerprint(b, True, 1)
 
+    #: Quick, seed-1 fingerprints of one unit per unit shape (workload
+    #: trace, CIL point, density sweep, channel sweep). Checkpoint
+    #: journals are keyed by them: a change strands every journal
+    #: already written.
+    PINNED = {
+        "fig14:Netflix": "e8941fc444a07fb44c4f",
+        "fig19:cil1024": "42377053924c34a94abb",
+        "fig15:c4-d32": "d6a0417519a375d57f48",
+        "fig16:c1-d8": "1cecc6628275afda82e2",
+        "table3:c4-ch2": "fd0e78cdf6a9dc9176d3",
+    }
+
+    @pytest.mark.parametrize("key", sorted(PINNED))
+    def test_pinned_unit_fingerprints(self, key):
+        (unit,) = [
+            u for u in decompose(key.split(":")[0], quick=True, seed=1)
+            if u.key == key
+        ]
+        assert unit_fingerprint(unit, True, 1) == self.PINNED[key]
+
 
 class TestValidationAndFallback:
     def test_duplicate_unit_ids_rejected(self, monkeypatch):
