@@ -11,12 +11,14 @@ what ``python -m repro.experiments`` prints and EXPERIMENTS.md records.
 The experiments share two shapes, each implemented once here, so a
 module only declares its workloads or configurations and builds rows:
 
-* **Per-application write-trace analyses** (§4, §6.1: fig07-fig19):
-  :func:`workload_units` lists one unit per workload,
-  :func:`workload_trace` generates its trace (the first 60 s in quick
-  mode) and :func:`memcon_pass` runs MEMCON's accounting over it.
+* **Per-application write-trace analyses** (§4, §6.1: fig07-fig12,
+  fig14, fig17-fig19): :func:`workload_units` lists one unit per
+  workload, :func:`workload_trace` generates its trace (the first 60 s
+  in quick mode) and :func:`memcon_pass` runs MEMCON's accounting over
+  it.
 * **The simulator sweep** (§6.2: fig15, fig16, table3):
-  :func:`sim_scale` picks the workloads and window, and
+  :func:`sim_scale` picks the workloads and window,
+  :func:`density_units` lists fig15's and fig16's units, and
   :func:`mean_speedups` replays each workload's request streams under a
   base configuration and every variant.
 """

@@ -90,7 +90,7 @@ class TestCli:
         ["--jobs", "2", "--unit-timeout", "0"],
         ["--jobs", "2", "--unit-timeout", "nan"],
         ["--jobs", "2", "--unit-timeout", "inf"],
-    ], ids=lambda bad: " ".join(bad))
+    ], ids=lambda bad: f"{bad[-2]}={bad[-1]}")
     def test_bad_numeric_option_touches_no_output(self, tmp_path, capsys,
                                                   bad):
         """A bad number is a usage error (exit 2) raised before the run
