@@ -13,9 +13,9 @@ module only declares its workloads or configurations and builds rows:
 
 * **Per-application write-trace analyses** (§4, §6.1: fig07-fig12,
   fig14, fig17-fig19): :func:`workload_units` lists one unit per
-  workload, :func:`workload_trace` generates its trace (the first 60 s
-  in quick mode) and :func:`memcon_pass` runs MEMCON's accounting over
-  it.
+  workload and :func:`workload_trace` generates its trace (the first
+  60 s in quick mode). MEMCON's accounting pass over a trace is
+  :func:`.fig14.memcon_pass`, which fig17 and fig18 re-run.
 * **The simulator sweep** (§6.2: fig15, fig16, table3):
   :func:`sim_scale` picks the workloads and window,
   :func:`density_units` lists fig15's and fig16's units, and
@@ -28,9 +28,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Dict, Iterable, List, Mapping, Sequence, Tuple
 
-from ..core.memcon import (
-    MemconConfig, MemconReport, simulate_refresh_reduction,
-)
 from ..parallel.units import WorkUnit
 from ..sim.core import StreamMap
 from ..sim.metrics import geometric_mean, speedup
@@ -39,11 +36,6 @@ from ..sim.workloads import multicore_mixes, singlecore_workloads
 from ..traces.events import WriteTrace
 from ..traces.generator import generate_trace
 from ..traces.workloads import WORKLOADS
-
-#: Fraction of tested pages whose content trips the fault model, from the
-#: Figure 4 measurement (program content fails 0.4-4.7% of rows).
-FAILING_PAGE_FRACTION = 0.02
-
 
 @dataclass
 class ExperimentResult:
@@ -136,18 +128,6 @@ def workload_trace(name: str, quick: bool, seed: int) -> WriteTrace:
     """A workload's write trace: its first 60 s in quick mode, else all."""
     return generate_trace(
         WORKLOADS[name], seed=seed, duration_ms=60_000.0 if quick else None
-    )
-
-
-def memcon_pass(
-    trace: WriteTrace, quantum_ms: float, seed: int
-) -> MemconReport:
-    """MEMCON's accounting over ``trace`` at one PRIL quantum."""
-    return simulate_refresh_reduction(
-        trace,
-        MemconConfig(quantum_ms=quantum_ms),
-        failing_page_fraction=FAILING_PAGE_FRACTION,
-        seed=seed,
     )
 
 

@@ -13,14 +13,34 @@ from typing import Any, Dict, List
 
 import numpy as np
 
+from ..core.memcon import (
+    MemconConfig, MemconReport, simulate_refresh_reduction,
+)
 from ..parallel.units import WorkUnit
+from ..traces.events import WriteTrace
 from ..traces.workloads import WORKLOADS
 from .common import (
-    ExperimentResult, memcon_pass, percent, plain, workload_trace,
-    workload_units,
+    ExperimentResult, percent, plain, workload_trace, workload_units,
 )
 
 QUANTA_MS = (512.0, 1024.0, 2048.0)
+
+#: Fraction of tested pages whose content trips the fault model, from the
+#: Figure 4 measurement (program content fails 0.4-4.7% of rows).
+FAILING_PAGE_FRACTION = 0.02
+
+
+def memcon_pass(
+    trace: WriteTrace, quantum_ms: float, seed: int
+) -> MemconReport:
+    """MEMCON's accounting over ``trace`` at one PRIL quantum; fig17
+    and fig18 re-run this pass."""
+    return simulate_refresh_reduction(
+        trace,
+        MemconConfig(quantum_ms=quantum_ms),
+        failing_page_fraction=FAILING_PAGE_FRACTION,
+        seed=seed,
+    )
 
 
 def units(quick: bool = True, seed: int = 1) -> List[WorkUnit]:

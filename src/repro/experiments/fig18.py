@@ -15,9 +15,9 @@ import numpy as np
 from ..parallel.units import WorkUnit
 from ..traces.workloads import WORKLOADS
 from .common import (
-    ExperimentResult, memcon_pass, percent, plain, workload_trace,
-    workload_units,
+    ExperimentResult, percent, plain, workload_trace, workload_units,
 )
+from .fig14 import memcon_pass
 
 
 def units(quick: bool = True, seed: int = 1) -> List[WorkUnit]:
